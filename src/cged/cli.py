@@ -4,7 +4,7 @@ Subcommands: ``contract`` (contract one graph file), ``ged`` (edit distance
 between two graph files), ``benchmark`` (timing/expansion grid over a
 corpus, written as CSV plus a JSON summary), ``classify`` (nearest-neighbor
 classification), ``stats`` (corpus statistics), and ``bench-backends``
-(compare the compiled and numpy kernel backends).
+(time the betweenness kernel's numba build against its interpreted one).
 
 Graph files are .gxl documents or the line-oriented debug text format.
 Corpora come either from a downloaded archive (located by ``--data-root``
@@ -279,22 +279,6 @@ def cmd_stats(args) -> int:
 
 def cmd_bench_backends(args) -> int:
     rng = np.random.default_rng(args.seed)
-    n2 = args.nodes
-    adj2 = (rng.random((n2, n2)) < 0.3).astype(np.uint8)
-    adj2 = np.triu(adj2, 1)
-    adj2 = adj2 + adj2.T
-    w2 = np.zeros((n2, n2))
-    a1u = (rng.random(n2) < 0.4).astype(np.uint8)
-    w1u = np.zeros(n2)
-    depth = n2 // 2
-    mapping = np.arange(depth, dtype=np.int64)
-    mapping[::3] = kernels.EPS_SLOT
-    used = np.zeros(n2, bool)
-    used[mapping[mapping >= 0]] = True
-    node_dist = rng.random(n2)
-    extend_args = (a1u, w1u, adj2, w2, mapping, depth, used, node_dist,
-                   1.0, 1.0, 1.0, 1.0)
-
     nb = args.bet_nodes
     dense = (rng.random((nb, nb)) < 0.05).astype(np.uint8)
     dense = np.triu(dense, 1)
@@ -302,40 +286,29 @@ def cmd_bench_backends(args) -> int:
     indptr = np.zeros(nb + 1, np.int64)
     indptr[1:] = np.cumsum(dense.sum(axis=1))
     indices = np.nonzero(dense)[1].astype(np.int64)
+    kernel_args = (indptr, indices, nb)
 
-    def best(fn, fargs, inner):
-        fn(*fargs)  # warm-up (and first-call compilation)
+    def best(fn):
+        fn(*kernel_args)  # warm-up (and first-call compilation)
         times = []
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            for _ in range(inner):
-                fn(*fargs)
-            times.append((time.perf_counter() - t0) / inner)
+            fn(*kernel_args)
+            times.append(time.perf_counter() - t0)
         return min(times)
 
-    rows = []
-    rows.append(("extend_costs", "numpy",
-                 best(kernels.extend_costs_numpy, extend_args, 200)))
-    if kernels.extend_costs_numba is not None:
-        rows.append(("extend_costs", "numba",
-                     best(kernels.extend_costs_numba, extend_args, 200)))
-    rows.append(("betweenness", "numpy",
-                 best(kernels.betweenness_numpy, (indptr, indices, nb), 2)))
+    rows = [("numpy", best(kernels.betweenness_numpy))]
     if kernels.betweenness_numba is not None:
-        rows.append(("betweenness", "numba",
-                     best(kernels.betweenness_numba, (indptr, indices, nb), 2)))
+        rows.append(("numba", best(kernels.betweenness_numba)))
 
     print(f"active backend: {kernels.backend_name()}")
     print(f"{'kernel':<14} {'backend':<8} {'best_us':>10}")
-    by_kernel: dict[str, dict[str, float]] = {}
-    for kernel, backend, t in rows:
-        by_kernel.setdefault(kernel, {})[backend] = t
-        print(f"{kernel:<14} {backend:<8} {t * 1e6:>10.2f}")
-    for kernel, t in by_kernel.items():
-        if "numba" in t and "numpy" in t:
-            print(f"{kernel}: numba is {t['numpy'] / t['numba']:.1f}x "
-                  f"the numpy backend's speed")
-    if kernels.extend_costs_numba is None:
+    for backend, t in rows:
+        print(f"{'betweenness':<14} {backend:<8} {t * 1e6:>10.2f}")
+    if len(rows) == 2:
+        print(f"betweenness: numba is {rows[0][1] / rows[1][1]:.1f}x "
+              f"the numpy backend's speed")
+    else:
         print("numba backend unavailable (not installed or disabled via CGED_NO_NUMBA)")
     return EXIT_OK
 
@@ -428,9 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("bench-backends",
-                       help="compare the compiled and numpy kernel backends")
-    p.add_argument("--nodes", type=int, default=12,
-                   help="target-graph size for the expansion kernel (default: 12)")
+                       help="time the betweenness kernel's numba and numpy builds")
     p.add_argument("--bet-nodes", type=int, default=300,
                    help="graph size for the betweenness kernel (default: 300)")
     p.add_argument("--repeat", type=int, default=5)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import string
 import xml.etree.ElementTree as ET
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -231,12 +230,11 @@ def parse_cxl_index(
     name: Optional[str] = None,
     split: Split = Split.TRAIN,
     schema: str = "auto",
-    max_workers: int = 8,
 ) -> Corpus:
     """Load every (file, class) entry of a CXL index into a Corpus.
 
     Referenced GXL files are resolved against ``base_path`` and parsed in
-    parallel (each parse is independent); entry order is preserved. When
+    entry order. Parsing holds the GIL, so it runs serially. When
     any entry fails, a :class:`CorpusLoadError` naming every failing file
     is raised instead of a partial corpus.
     """
@@ -266,11 +264,7 @@ def parse_cxl_index(
         g.class_label = cls
         return g, None
 
-    if entries:
-        with ThreadPoolExecutor(max_workers=min(max_workers, len(entries))) as pool:
-            results = list(pool.map(load, entries))
-    else:
-        results = []
+    results = [load(entry) for entry in entries]
     failures = [err for _, err in results if err is not None]
     seen: set[str] = set()
     for g, _ in results:

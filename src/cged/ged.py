@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-import numpy as np
-
 from . import kernels
 from .centrality import CentralityMeasure, EigenvectorConfig, PageRankConfig
 from .contraction import ContractionReport, t_centrality_node_contraction
@@ -94,138 +92,82 @@ class GedResult:
 
 
 class _PairView:
-    """Numpy mirror of one graph pair, indexed by node position."""
+    """One graph pair as Python lists, indexed by node position.
 
-    __slots__ = ("ids1", "ids2", "n1", "n2", "adj1", "w1", "adj2", "w2",
-                 "node_dist", "e2i", "e2j", "e2_count", "er1_suffix")
+    The layout is the one :func:`kernels.extend_costs` reads.
+    """
+
+    __slots__ = ("ids1", "ids2", "n1", "n2", "kind1", "val1", "kind2", "val2",
+                 "node_dist", "e2_masks", "er1_suffix")
 
     def __init__(self, g1: Graph, g2: Graph):
         self.ids1 = g1.nodes()
         self.ids2 = g2.nodes()
         self.n1 = len(self.ids1)
         self.n2 = len(self.ids2)
-        self.adj1, self.w1 = _dense_edges(g1, self.ids1)
-        self.adj2, self.w2 = _dense_edges(g2, self.ids2)
-        labels1 = [g1.node_label(u) for u in self.ids1]
+        self.kind1, self.val1, edges1 = _dense_edges(g1, self.ids1)
+        self.kind2, self.val2, edges2 = _dense_edges(g2, self.ids2)
         labels2 = [g2.node_label(v) for v in self.ids2]
-        dist = np.zeros((self.n1, self.n2), np.float64)
-        for i, a in enumerate(labels1):
-            for j, b in enumerate(labels2):
-                dist[i, j] = node_label_distance(a, b)
-        self.node_dist = dist
-        ei, ej = np.nonzero(np.triu(self.adj2, k=1))
-        self.e2i = ei.astype(np.int64)
-        self.e2j = ej.astype(np.int64)
-        self.e2_count = int(ei.size)
+        self.node_dist = [[node_label_distance(g1.node_label(u), b) for b in labels2]
+                          for u in self.ids1]
+        self.e2_masks = [(1 << i) | (1 << j) for i, j in edges2]
         # er1_suffix[d] = edges of g1 with both endpoint positions >= d
         # (positions are sorted, so that is: min endpoint position >= d)
-        per_min = np.zeros(self.n1, np.int64)
-        fi, _ = np.nonzero(np.triu(self.adj1, k=1))
-        for i in fi:
-            per_min[i] += 1
-        suffix = np.zeros(self.n1 + 1, np.int64)
-        if self.n1:
-            suffix[: self.n1] = np.cumsum(per_min[::-1])[::-1]
+        suffix = [0] * (self.n1 + 1)
+        for i, _ in edges1:
+            suffix[i] += 1
+        for d in range(self.n1 - 1, -1, -1):
+            suffix[d] += suffix[d + 1]
         self.er1_suffix = suffix
 
 
-def _dense_edges(g: Graph, ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _dense_edges(g: Graph, ids: list[int]
+                 ) -> tuple[list[list[int]], list[list[float]], list[tuple[int, int]]]:
+    """Edge-kind and edge-value rows by position, plus the (i, j) edge list, i < j."""
     n = len(ids)
     pos = {u: i for i, u in enumerate(ids)}
-    kind = np.zeros((n, n), np.uint8)
-    val = np.zeros((n, n), np.float64)
+    kind = [[0] * n for _ in range(n)]
+    val = [[0.0] * n for _ in range(n)]
+    edges = []
     for u, v, label in g.edges():
         i, j = pos[u], pos[v]
-        k = 1 if label is None else 2
-        kind[i, j] = kind[j, i] = k
+        kind[i][j] = kind[j][i] = 1 if label is None else 2
         if label is not None:
-            val[i, j] = val[j, i] = float(label)
-    return kind, val
-
-
-def _completion_cost(view: _PairView, used: np.ndarray, cm: CostModel) -> float:
-    # insert every unused target node, plus every target edge that was not
-    # already charged (an edge is charged only once both endpoints are used)
-    unused = view.n2 - int(np.count_nonzero(used))
-    covered = int(np.count_nonzero(used[view.e2i] & used[view.e2j])) if view.e2_count else 0
-    return cm.x_node * unused + cm.x_edge * (view.e2_count - covered)
-
-
-def _count_bound(view: _PairView, depth: int, used: np.ndarray, cm: CostModel) -> float:
-    r1 = view.n1 - depth
-    r2 = view.n2 - int(np.count_nonzero(used))
-    er1 = int(view.er1_suffix[depth])
-    if view.e2_count:
-        er2 = int(np.count_nonzero(~used[view.e2i] & ~used[view.e2j]))
-    else:
-        er2 = 0
-    return abs(r1 - r2) * cm.x_node + abs(er1 - er2) * cm.x_edge
+            val[i][j] = val[j][i] = float(label)
+        edges.append((i, j))
+    return kind, val, edges
 
 
 def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
             width: Optional[int]) -> GedResult:
     t0 = time.perf_counter()
     view = _PairView(g1, g2)
-    n1, n2 = view.n1, view.n2
+    n1 = view.n1
     count_bound = heuristic is Heuristic.COUNT_BOUND
 
-    root_used = np.zeros(n2, bool)
     if n1 == 0:
-        root_g = _completion_cost(view, root_used, cm)
+        root_g = kernels.completion_cost(view, 0, cm)
         root_h = 0.0
     else:
         root_g = 0.0
-        root_h = _count_bound(view, 0, root_used, cm) if count_bound else 0.0
-    # entry: (f, -depth, mapping, g); the first three form the total order
-    heap: list[tuple[float, int, tuple[int, ...], float]] = [
-        (root_g + root_h, 0, (), root_g)
-    ]
+        root_h = kernels.count_bound(view, 0, 0, cm) if count_bound else 0.0
+    # entry: (f, -depth, mapping, g, used); the first three form the total order
+    heap = [(root_g + root_h, 0, (), root_g, 0)]
     expanded = 0
     while heap:
-        _, negd, mapping, g = heapq.heappop(heap)
-        depth = -negd
-        if depth == n1:
-            path = _reconstruct(view, g1, g2, cm, mapping)
+        entry = heapq.heappop(heap)
+        if -entry[1] == n1:
+            path = _reconstruct(view, g1, g2, cm, entry[2])
             elapsed = time.perf_counter() - t0
             return GedResult(cost=path.total_cost, path=path,
                              expanded_nodes=expanded, elapsed=elapsed)
         expanded += 1
-        mapping_arr = np.array(mapping, np.int64) if mapping else np.zeros(0, np.int64)
-        used = np.zeros(n2, bool)
-        live = mapping_arr[mapping_arr >= 0]
-        used[live] = True
-        costs = kernels.extend_costs(
-            view.adj1[depth], view.w1[depth], view.adj2, view.w2,
-            mapping_arr, depth, used, view.node_dist[depth],
-            cm.x_node, cm.y_node, cm.x_edge, cm.y_edge,
-        )
-        final = depth + 1 == n1
-        for v in range(n2 + 1):
-            slot = EPS if v == n2 else v
-            if slot != EPS and used[slot]:
-                continue
-            child_g = g + float(costs[v])
-            child_mapping = mapping + (slot,)
-            if final or count_bound:
-                child_used = used if slot == EPS else _with(used, slot)
-                if final:
-                    child_g += _completion_cost(view, child_used, cm)
-                    child_h = 0.0
-                else:
-                    child_h = _count_bound(view, depth + 1, child_used, cm)
-            else:
-                child_h = 0.0
-            heapq.heappush(heap, (child_g + child_h, -(depth + 1), child_mapping, child_g))
+        # looked up per call, so the step can be wrapped (e.g. traced) at runtime
+        kernels.extend_costs(view, cm, heap, entry, count_bound)
         if width is not None and len(heap) > width:
             heap = heapq.nsmallest(width, heap)
             heapq.heapify(heap)
     raise RuntimeError("open list exhausted before a complete mapping")  # unreachable
-
-
-def _with(used: np.ndarray, v: int) -> np.ndarray:
-    out = used.copy()
-    out[v] = True
-    return out
 
 
 def _reconstruct(view: _PairView, g1: Graph, g2: Graph, cm: CostModel,

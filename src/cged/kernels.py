@@ -1,27 +1,36 @@
-"""Hot numeric kernels, with numba-compiled and pure-numpy twins.
+"""Hot inner loops: the search expansion step and the betweenness kernel.
 
-Two inner loops dominate the toolkit's runtime: the per-expansion edge-cost
-delta of the edit-distance tree search (called once per open-list pop) and
-the per-source accumulation of betweenness centrality. Both live here in a
-plain-Python form that numba can compile, next to vectorized numpy
-fallbacks.
+Two inner loops dominate the toolkit's runtime: the expansion step of the
+edit-distance tree search (called once per open-list pop) and the
+per-source accumulation of betweenness centrality.
 
-Backend selection happens once at import time: the numba build is used when
-numba imports cleanly, unless the ``CGED_NO_NUMBA`` environment variable is
-set to anything but ``0`` or empty. Both builds stay importable regardless
-of the selection so they can be cross-checked and benchmarked against each
-other (see the ``bench-backends`` CLI subcommand).
+The expansion step, :func:`extend_costs`, is plain Python over the
+list-form pair tables that :mod:`cged.ged` builds once per search. The
+graphs it sees are small (letters and molecules of a few to a few dozen
+nodes), where Python lists and int bitmasks beat numpy's per-call overhead.
 
-Array conventions shared with :mod:`cged.ged` and :mod:`cged.centrality`:
+The betweenness loop is written so numba can compile it. The numba build
+is used when numba imports cleanly (it is the optional ``numba`` extra),
+unless the ``CGED_NO_NUMBA`` environment variable is set to anything but
+``0`` or empty; otherwise the same loop runs interpreted. Both builds stay
+importable so they can be cross-checked and timed against each other (see
+the ``bench-backends`` CLI subcommand).
 
-* edge-kind matrices are uint8, 0 = no edge, 1 = unlabeled, 2 = numeric;
-* edge-value matrices are float64, meaningful only where kind == 2;
-* node mappings are int64, with -1 marking a deleted source node.
+Conventions shared with :mod:`cged.ged`:
+
+* edge kinds are 0 = no edge, 1 = unlabeled, 2 = numeric; edge values are
+  meaningful only where the kind is 2;
+* a mapping is a tuple of target positions, one per placed source node in
+  position order, with -1 marking a deleted source node;
+* a used-target set is an int bitmask over target positions;
+* an open-list entry is ``(f, -depth, mapping, g, used)``. Mappings are
+  unique, so tuple comparison never reaches ``g`` or ``used``.
 """
 
 from __future__ import annotations
 
 import os
+from heapq import heappush
 
 import numpy as np
 
@@ -34,84 +43,147 @@ def _numba_requested() -> bool:
 
 
 # ----------------------------------------------------------------------
-# edit-search expansion kernel
+# edit-search expansion step
 # ----------------------------------------------------------------------
 
-def _extend_costs_loop(a1u, w1u, adj2, w2, mapping, depth, used, node_dist_u,
-                       x_node, y_node, x_edge, y_edge):
-    """Cost deltas for placing source node number `depth`.
+def completion_cost(view, used: int, cm) -> float:
+    """Insert every unused target node, plus every target edge not yet charged.
 
-    a1u / w1u: edge-kind and edge-value rows of the node being placed
-    against the already-placed source nodes (indices < depth).
-    adj2 / w2: full target-graph matrices. mapping[i] is the target index
-    the i-th source node was mapped to, or -1 if it was deleted.
-
-    Returns float64[n2 + 1]: slot v is the cost of mapping onto target v
-    (inf when v is already used), the last slot is the cost of deletion.
+    An edge is charged during the search only once both endpoints are used.
     """
-    n2 = adj2.shape[0]
-    out = np.empty(n2 + 1, np.float64)
-    dead_edges = 0
-    for i in range(depth):
-        if a1u[i] > 0:
-            dead_edges += 1
-    out[n2] = x_node + x_edge * dead_edges
-    for v in range(n2):
-        if used[v]:
-            out[v] = np.inf
-            continue
-        c = y_node * node_dist_u[v]
-        for i in range(depth):
-            k1 = a1u[i]
-            w = mapping[i]
-            k2 = np.uint8(0)
-            if w >= 0:
-                k2 = adj2[v, w]
-            if k1 > 0 and k2 > 0:
-                if k1 != k2:
-                    d = 1.0
-                elif k1 == 2:
-                    d = abs(w1u[i] - w2[v, w])
-                else:
-                    d = 0.0
-                c += y_edge * d
-            elif k1 > 0 or k2 > 0:
-                c += x_edge
-        out[v] = c
-    return out
+    unused = view.n2 - used.bit_count()
+    covered = 0
+    for mask in view.e2_masks:
+        if used & mask == mask:
+            covered += 1
+    return cm.x_node * unused + cm.x_edge * (len(view.e2_masks) - covered)
 
 
-def extend_costs_numpy(a1u, w1u, adj2, w2, mapping, depth, used, node_dist_u,
-                       x_node, y_node, x_edge, y_edge):
-    """Vectorized twin of :func:`_extend_costs_loop`."""
-    n2 = adj2.shape[0]
-    out = np.empty(n2 + 1, np.float64)
-    a1 = a1u[:depth]
-    m = mapping[:depth]
-    has1 = a1 > 0
-    out[n2] = x_node + x_edge * np.count_nonzero(has1)
-    live = m >= 0
-    ml = m[live]
-    a1l = a1[live]
-    w1l = w1u[:depth][live]
-    has1l = a1l > 0
-    dead_del = np.count_nonzero(has1 & ~live)
+def count_bound(view, depth: int, used: int, cm) -> float:
+    """COUNT_BOUND: node and edge count differences of what is left to place."""
+    r1 = view.n1 - depth
+    r2 = view.n2 - used.bit_count()
+    er1 = view.er1_suffix[depth]
+    er2 = 0
+    for mask in view.e2_masks:
+        if not used & mask:
+            er2 += 1
+    return abs(r1 - r2) * cm.x_node + abs(er1 - er2) * cm.x_edge
 
-    k2 = adj2[:, ml]                     # (n2, n_live)
-    has2 = k2 > 0
-    both = has1l[None, :] & has2
-    mismatch = both & (k2 != a1l[None, :])
-    numeric = both & (k2 == 2) & (a1l[None, :] == 2)
-    dist = np.where(mismatch, 1.0, 0.0)
-    if numeric.any():
-        dist = np.where(numeric, np.abs(w2[:, ml] - w1l[None, :]), dist)
-    sub_cost = y_edge * dist.sum(axis=1)
-    indel = np.count_nonzero(has1l[None, :] & ~has2, axis=1) \
-        + np.count_nonzero(~has1l[None, :] & has2, axis=1)
 
-    out[:n2] = y_node * node_dist_u + sub_cost + x_edge * (indel + dead_del)
-    out[:n2][used] = np.inf
-    return out
+def _edge_distance(k1: int, x1: float, k2: int, x2: float) -> float:
+    """Substitution distance of two edges given as (kind, value); 0 unless both exist."""
+    if not (k1 and k2):
+        return 0.0
+    if k1 != k2:
+        return 1.0
+    return abs(x2 - x1) if k1 == 2 else 0.0
+
+
+def _pairwise_sum(terms: list[float]) -> float:
+    """Sum 8 or more terms in numpy's pairwise order, so that long rows
+    round exactly as they did when the step was a numpy kernel."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    r = terms[:8]
+    i = 8
+    while i < n - n % 8:
+        for j in range(8):
+            r[j] += terms[i + j]
+        i += 8
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in terms[i:]:
+        total += x
+    return total
+
+
+def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> None:
+    """Expand one open-list entry: price every child and push it onto ``heap``.
+
+    Source node number ``depth`` (the length of the entry's mapping) is
+    placed on every unused target position in ascending order and, last,
+    deleted. A child's ``g`` adds the node operation and the edges it closes
+    towards the already-placed source nodes. A target slot costs
+
+        y_node * node_dist + y_edge * (sum of edge-substitution distances)
+        + x_edge * (edge insertions and deletions)
+
+    and a deletion costs ``x_node`` plus ``x_edge`` per placed neighbour.
+    Substitution distances are added in source-position order (pairwise
+    from eight mapped nodes on, as numpy sums), so costs and tie-breaking
+    are reproducible to the bit. At the last level a child also pays for
+    inserting every target node and edge left over; below it, with
+    ``use_count_bound``, its ``f`` adds :func:`count_bound`.
+
+    ``view`` provides n1, n2, kind1/val1/kind2/val2 (edge-kind and
+    edge-value rows), node_dist, e2_masks (one two-bit mask per target
+    edge) and er1_suffix, all as Python lists.
+    """
+    _, negd, mapping, g, used = entry
+    depth = -negd
+    kind_row = view.kind1[depth]
+    val_row = view.val1[depth]
+    kind2 = view.kind2
+    val2 = view.val2
+    node_dist = view.node_dist[depth]
+    x_node, y_node, x_edge, y_edge = cm.x_node, cm.y_node, cm.x_edge, cm.y_edge
+
+    live = []  # (edge kind, edge value, target) per mapped placed source node
+    dead = 0   # edges towards deleted placed source nodes
+    neighbours = 0  # edges towards any placed source node
+    for i, w in enumerate(mapping):
+        k1 = kind_row[i]
+        if w >= 0:
+            live.append((k1, val_row[i], w))
+        elif k1:
+            dead += 1
+        if k1:
+            neighbours += 1
+    long_row = len(live) >= 8
+    child_depth = negd - 1
+    final = depth + 1 == view.n1
+    n2 = view.n2
+
+    for v in range(n2 + 1):
+        if v == n2:
+            slot = EPS_SLOT
+            child_used = used
+            cost = x_node + x_edge * neighbours
+        else:
+            bit = 1 << v
+            if used & bit:
+                continue
+            slot = v
+            child_used = used | bit
+            kinds = kind2[v]
+            vals = val2[v]
+            sub = 0.0
+            indel = dead
+            for k1, x1, w in live:
+                k2 = kinds[w]
+                if k1 and k2:
+                    if k1 != k2:
+                        sub += 1.0
+                    elif k1 == 2:
+                        sub += abs(vals[w] - x1)
+                elif k1 or k2:
+                    indel += 1
+            if long_row:
+                sub = _pairwise_sum([_edge_distance(k1, x1, kinds[w], vals[w])
+                                     for k1, x1, w in live])
+            cost = y_node * node_dist[v] + y_edge * sub + x_edge * indel
+        child_g = g + cost
+        if final:
+            child_g += completion_cost(view, child_used, cm)
+            f = child_g
+        elif use_count_bound:
+            f = child_g + count_bound(view, depth + 1, child_used, cm)
+        else:
+            f = child_g
+        heappush(heap, (f, child_depth, mapping + (slot,), child_g, child_used))
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +244,6 @@ betweenness_numpy = _betweenness_loop
 # backend selection
 # ----------------------------------------------------------------------
 
-extend_costs_numba = None
 betweenness_numba = None
 
 if _numba_requested():
@@ -181,20 +252,15 @@ if _numba_requested():
     except ImportError:
         pass
     else:
-        extend_costs_numba = njit(cache=True)(_extend_costs_loop)
         betweenness_numba = njit(cache=True)(_betweenness_loop)
 
-NUMBA_ENABLED = extend_costs_numba is not None
+NUMBA_ENABLED = betweenness_numba is not None
 
-if NUMBA_ENABLED:
-    extend_costs = extend_costs_numba
-    betweenness_counts = betweenness_numba
-else:
-    extend_costs = extend_costs_numpy
-    betweenness_counts = betweenness_numpy
+betweenness_counts = betweenness_numba if NUMBA_ENABLED else betweenness_numpy
 
 
 def backend_name() -> str:
+    """Which build of the betweenness kernel is active."""
     return "numba" if NUMBA_ENABLED else "numpy"
 
 
@@ -202,20 +268,15 @@ _warmed = False
 
 
 def warm_up() -> None:
-    """Run both active kernels once on tiny inputs.
+    """Run the betweenness kernel once on a tiny input.
 
-    The compiled backend is built (or loaded from the on-disk cache) on
-    first call; timed code paths call this first so compilation is never
-    charged to a measured run. Idempotent per process.
+    The compiled build is made (or loaded from the on-disk cache) on first
+    call; timed code paths call this first so compilation is never charged
+    to a measured run. The expansion step is plain Python and needs no
+    warm-up. Idempotent per process.
     """
     global _warmed
     if _warmed:
         return
-    extend_costs(
-        np.zeros(1, np.uint8), np.zeros(1, np.float64),
-        np.zeros((1, 1), np.uint8), np.zeros((1, 1), np.float64),
-        np.zeros(0, np.int64), 0, np.zeros(1, bool), np.zeros(1, np.float64),
-        1.0, 1.0, 1.0, 1.0,
-    )
     betweenness_counts(np.zeros(2, np.int64), np.zeros(0, np.int64), 1)
     _warmed = True

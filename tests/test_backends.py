@@ -1,4 +1,5 @@
-"""Kernel backend parity: interpreted loop, numpy, and numba must agree."""
+"""Kernels: the search expansion step against a from-scratch pricing, and
+betweenness parity between the interpreted loop, numba and an oracle."""
 
 import os
 import random
@@ -7,55 +8,112 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cged import kernels
+from cged import CostModel, Graph, Point2D, kernels
+from cged.ged import _PairView
 from helpers import betweenness_by_path_enumeration, random_graph
 
 
-def random_kernel_inputs(rng: np.random.Generator, depth: int, n2: int):
-    adj2 = np.zeros((n2, n2), np.uint8)
-    w2 = np.zeros((n2, n2), np.float64)
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            kind = rng.integers(0, 3)
-            adj2[i, j] = adj2[j, i] = kind
-            if kind == 2:
-                w2[i, j] = w2[j, i] = float(rng.integers(1, 4))
-    a1u = rng.integers(0, 3, size=depth).astype(np.uint8)
-    w1u = np.where(a1u == 2, rng.integers(1, 4, size=depth), 0.0).astype(np.float64)
-    slots = list(range(n2)) + [-1] * depth
-    picks = rng.permutation(len(slots))[:depth]
-    mapping = np.array([slots[p] for p in picks], np.int64)
-    used = np.zeros(n2, bool)
-    used[mapping[mapping >= 0]] = True
-    node_dist_u = rng.uniform(0.0, 2.0, size=n2)
-    costs = tuple(rng.uniform(0.1, 2.0, size=4))
-    return (a1u, w1u, adj2, w2, mapping, np.int64(depth), used, node_dist_u) + costs
+@st.composite
+def graph_pairs(draw):
+    """Two small graphs with coordinate or symbolic labels, unlabeled or
+    fractional numeric edges, and possibly sparse node ids."""
+    symbolic = draw(st.booleans())
+    graphs = []
+    for _ in range(2):
+        g = Graph()
+        for _ in range(draw(st.integers(0, 5))):
+            if symbolic:
+                g.add_node(draw(st.sampled_from("CNOS")))
+            else:
+                g.add_node(Point2D(draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0))))
+        ids = g.nodes()
+        for i, u in enumerate(ids):
+            for v in ids[i + 1:]:
+                if draw(st.booleans()):
+                    label = draw(st.one_of(st.none(), st.floats(0.0, 4.0)))
+                    g.add_edge(u, v, label)
+        if g.order > 2 and draw(st.booleans()):
+            g.delete_node(draw(st.sampled_from(g.nodes())))
+        graphs.append(g)
+    return graphs
 
 
-def assert_rows_equal(a: np.ndarray, b: np.ndarray):
-    assert np.array_equal(np.isinf(a), np.isinf(b))
-    finite = ~np.isinf(a)
-    assert np.allclose(a[finite], b[finite], atol=1e-12)
+def price_from_scratch(g1: Graph, g2: Graph, cm: CostModel, mapping) -> float:
+    """Cost of a partial mapping of g1's first len(mapping) nodes, priced
+    through the Graph API; a complete mapping also pays for every target
+    node and edge it leaves uncovered."""
+    ids1, ids2 = g1.nodes(), g2.nodes()
+    target = {ids1[i]: (ids2[w] if w >= 0 else None) for i, w in enumerate(mapping)}
+    cost = 0.0
+    for u, v in target.items():
+        cost += cm.x_node if v is None else cm.node_sub_cost(g1.node_label(u), g2.node_label(v))
+    consumed = set()
+    for u, v, label in g1.edges():
+        if u in target and v in target:
+            a, b = target[u], target[v]
+            if a is not None and b is not None and g2.has_edge(a, b):
+                consumed.add((min(a, b), max(a, b)))
+                cost += cm.edge_sub_cost(label, g2.edge_label(a, b))
+            else:
+                cost += cm.x_edge
+    used = {v for v in target.values() if v is not None}
+    complete = len(mapping) == len(ids1)
+    for a, b, _ in g2.edges():
+        if (a, b) in consumed:
+            continue
+        if complete or (a in used and b in used):
+            cost += cm.x_edge
+    if complete:
+        cost += cm.x_node * (len(ids2) - len(used))
+    return cost
 
 
-def test_extend_costs_numpy_matches_loop():
-    rng = np.random.default_rng(12345)
-    for _ in range(200):
-        args = random_kernel_inputs(rng, depth=int(rng.integers(0, 6)),
-                                    n2=int(rng.integers(1, 7)))
-        assert_rows_equal(np.asarray(kernels._extend_costs_loop(*args)),
-                          kernels.extend_costs_numpy(*args))
+@settings(max_examples=300, deadline=None)
+@given(pair=graph_pairs(), data=st.data(),
+       cm=st.builds(CostModel, *[st.floats(0.0, 3.0)] * 4),
+       use_count_bound=st.booleans())
+def test_every_child_prices_like_a_fresh_graph_walk(pair, data, cm, use_count_bound):
+    g1, g2 = pair
+    assume(g1.order > 0)
+    view = _PairView(g1, g2)
+    depth = data.draw(st.integers(0, view.n1 - 1))
+    mapping = []
+    for _ in range(depth):
+        free = [w for w in range(view.n2) if w not in mapping]
+        mapping.append(data.draw(st.sampled_from(free + [kernels.EPS_SLOT])))
+    mapping = tuple(mapping)
+    used = sum(1 << w for w in mapping if w >= 0)
+    g = price_from_scratch(g1, g2, cm, mapping)
+    heap = []
+    kernels.extend_costs(view, cm, heap, (g, -depth, mapping, g, used), use_count_bound)
+
+    free = [w for w in range(view.n2) if not used >> w & 1]
+    assert sorted(child[2] for child in heap) == sorted(mapping + (w,) for w in
+                                                        free + [kernels.EPS_SLOT])
+    for f, negd, child, child_g, child_used in heap:
+        assert negd == -(depth + 1)
+        assert child_used == sum(1 << w for w in child if w >= 0)
+        assert child_g == pytest.approx(price_from_scratch(g1, g2, cm, child), abs=1e-9)
+        h = f - child_g
+        if use_count_bound and depth + 1 < view.n1:
+            assert h == pytest.approx(kernels.count_bound(view, depth + 1, child_used, cm),
+                                      abs=1e-12)
+        else:
+            assert h == 0.0
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend not active")
-def test_extend_costs_numba_matches_loop():
-    rng = np.random.default_rng(54321)
-    for _ in range(100):
-        args = random_kernel_inputs(rng, depth=int(rng.integers(0, 6)),
-                                    n2=int(rng.integers(1, 7)))
-        assert_rows_equal(np.asarray(kernels.extend_costs_numba(*args)),
-                          kernels.extend_costs_numpy(*args))
+def test_long_rows_sum_in_numpy_order():
+    # from eight mapped neighbours on, edge-substitution distances are summed
+    # pairwise, as the numpy kernel that recorded the golden table did
+    rng = np.random.default_rng(5)
+    for n in list(range(8, 40)) + [129, 200, 300]:
+        for _ in range(20):
+            terms = rng.uniform(0.0, 3.0, size=n)
+            terms[rng.random(n) < 0.3] = 0.0
+            assert kernels._pairwise_sum(terms.tolist()) == np.add.reduce(terms)
 
 
 def graph_to_csr(g):
@@ -92,9 +150,9 @@ def test_backend_name_consistency():
     assert kernels.backend_name() in ("numba", "numpy")
     assert kernels.NUMBA_ENABLED == (kernels.backend_name() == "numba")
     if kernels.NUMBA_ENABLED:
-        assert kernels.extend_costs is kernels.extend_costs_numba
+        assert kernels.betweenness_counts is kernels.betweenness_numba
     else:
-        assert kernels.extend_costs is kernels.extend_costs_numpy
+        assert kernels.betweenness_counts is kernels.betweenness_numpy
 
 
 def test_warm_up_is_idempotent():

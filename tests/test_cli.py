@@ -152,10 +152,12 @@ def test_stats_output(capsys):
 
 
 def test_bench_backends_runs(capsys):
-    rc = main(["bench-backends", "--nodes", "6", "--bet-nodes", "30", "--repeat", "1"])
+    rc = main(["bench-backends", "--bet-nodes", "30", "--repeat", "1"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "extend_costs" in out and "betweenness" in out
+    assert "betweenness" in out and "extend_costs" not in out
+    with pytest.raises(SystemExit):
+        main(["bench-backends", "--nodes", "6"])
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
