@@ -93,20 +93,6 @@ def _adjacency(g: Graph, ids: list[int]) -> np.ndarray:
     return a
 
 
-def _csr(g: Graph, ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    index = {u: i for i, u in enumerate(ids)}
-    indptr = np.zeros(len(ids) + 1, np.int64)
-    rows: list[list[int]] = [[] for _ in ids]
-    for u, v, _ in g.edges():
-        rows[index[u]].append(index[v])
-        rows[index[v]].append(index[u])
-    for i, row in enumerate(rows):
-        row.sort()
-        indptr[i + 1] = indptr[i] + len(row)
-    indices = np.fromiter((j for row in rows for j in row), np.int64, count=int(indptr[-1]))
-    return indptr, indices
-
-
 def degree_centrality(g: Graph) -> CentralityScores:
     scores = {u: float(g.degree(u)) for u in g.nodes()}
     return CentralityScores(CentralityMeasure.DEGREE, scores)
@@ -116,10 +102,10 @@ def betweenness_centrality(g: Graph) -> CentralityScores:
     ids = g.nodes()
     if not ids:
         return CentralityScores(CentralityMeasure.BETWEENNESS, {})
-    indptr, indices = _csr(g, ids)
-    bc = kernels.betweenness_counts(indptr, indices, len(ids))
-    scores = {u: float(bc[i]) for i, u in enumerate(ids)}
-    return CentralityScores(CentralityMeasure.BETWEENNESS, scores)
+    index = {u: i for i, u in enumerate(ids)}
+    adj = [[index[v] for v in g.neighbors(u)] for u in ids]
+    bc = kernels.betweenness_counts(adj)
+    return CentralityScores(CentralityMeasure.BETWEENNESS, dict(zip(ids, bc)))
 
 
 def eigenvector_centrality(g: Graph, cfg: EigenvectorConfig | None = None) -> CentralityScores:
@@ -196,20 +182,15 @@ def pagerank_centrality(g: Graph, cfg: PageRankConfig | None = None) -> Centrali
     raise ConvergenceError("PageRank iteration did not converge", residual, cfg.max_iter)
 
 
-def compute_centrality(
-    g: Graph,
-    measure: CentralityMeasure,
-    eigenvector_cfg: EigenvectorConfig | None = None,
-    pagerank_cfg: PageRankConfig | None = None,
-) -> CentralityScores:
+def compute_centrality(g: Graph, measure: CentralityMeasure) -> CentralityScores:
     if measure is CentralityMeasure.DEGREE:
         return degree_centrality(g)
     if measure is CentralityMeasure.BETWEENNESS:
         return betweenness_centrality(g)
     if measure is CentralityMeasure.EIGENVECTOR:
-        return eigenvector_centrality(g, eigenvector_cfg)
+        return eigenvector_centrality(g)
     if measure is CentralityMeasure.PAGERANK:
-        return pagerank_centrality(g, pagerank_cfg)
+        return pagerank_centrality(g)
     raise ValueError(f"unknown centrality measure: {measure!r}")
 
 

@@ -3,8 +3,7 @@
 Subcommands: ``contract`` (contract one graph file), ``ged`` (edit distance
 between two graph files), ``benchmark`` (timing/expansion grid over a
 corpus, written as CSV plus a JSON summary), ``classify`` (nearest-neighbor
-classification), ``stats`` (corpus statistics), and ``bench-backends``
-(time the betweenness kernel's numba build against its interpreted one).
+classification) and ``stats`` (corpus statistics).
 
 Graph files are .gxl documents or the line-oriented debug text format.
 Corpora come either from a downloaded archive (located by ``--data-root``
@@ -21,13 +20,10 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from . import __version__, kernels
+from . import __version__
 from .centrality import CentralityMeasure
 from .contraction import t_centrality_node_contraction
 from .costs import CostModel, SearchSettings, load_cost_config
@@ -51,7 +47,7 @@ from .evaluation import (
     summarize_benchmark,
     write_benchmark_csv,
 )
-from .ged import Heuristic, SearchSpec, brute_force_ged, run_search, t_centrality_ged
+from .ged import Heuristic, SearchSpec, t_centrality_ged
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -77,7 +73,8 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beam-width", type=int, default=None, metavar="W",
                    help="open-list width for --search beam (default: config file or 10)")
     p.add_argument("--heuristic", choices=("zero", "count_bound"), default=None,
-                   help="lower bound added to accumulated cost (default: config file or zero)")
+                   help="lower bound added to accumulated cost; astar only "
+                        "(default: config file or zero)")
 
 
 def _load_config(args) -> tuple[CostModel, SearchSettings]:
@@ -95,6 +92,9 @@ def _search_from_args(args) -> tuple[CostModel, SearchSpec]:
     cm, settings = _load_config(args)
     heuristic = Heuristic(args.heuristic or settings.heuristic)
     if args.search == "beam":
+        if heuristic is not Heuristic.ZERO:
+            raise ConfigError(f"heuristic {heuristic.value} applies only to --search astar; "
+                              "beam search runs without one")
         width = args.beam_width if args.beam_width is not None else settings.beam_width
         if width < 1:
             raise ConfigError(f"beam width must be >= 1, got {width}")
@@ -188,7 +188,6 @@ def cmd_ged(args) -> int:
     g1 = load_graph_file(args.graph1)
     g2 = load_graph_file(args.graph2)
     measure = CentralityMeasure(args.measure)
-    kernels.warm_up()  # report search time, not first-call compilation
     result = t_centrality_ged(g1, g2, args.t, measure, cm, search,
                               recompute=args.recompute, strict_slots=args.strict_slots)
     if args.json:
@@ -197,25 +196,12 @@ def cmd_ged(args) -> int:
     rep1, rep2 = result.contraction_reports
     print(f"cost: {result.cost}")
     print(f"search: {search.describe()}  expanded: {result.expanded_nodes}  "
-          f"elapsed: {result.elapsed:.4f}s  backend: {kernels.backend_name()}")
+          f"elapsed: {result.elapsed:.4f}s")
     print(f"contracted: {rep1.removed_ids} | {rep2.removed_ids}")
     print(f"operations ({len(result.path.operations)}):")
     for op in result.path.operations:
         print(f"  {op.kind.value:<9} {op.source!r:>10} -> {op.target!r:<10} cost {op.cost}")
     return EXIT_OK
-
-
-def cmd_oracle_ged(args) -> int:
-    cm, search = _search_from_args(args)
-    g1 = load_graph_file(args.graph1)
-    g2 = load_graph_file(args.graph2)
-    searched = run_search(g1, g2, cm, search).cost
-    exact = brute_force_ged(g1, g2, cm)
-    agree = abs(searched - exact) <= 1e-9
-    print(f"search: {searched}")
-    print(f"oracle: {exact}")
-    print(f"agree: {agree}")
-    return EXIT_OK if agree else 1
 
 
 def cmd_benchmark(args) -> int:
@@ -277,42 +263,6 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench_backends(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    nb = args.bet_nodes
-    dense = (rng.random((nb, nb)) < 0.05).astype(np.uint8)
-    dense = np.triu(dense, 1)
-    dense = dense + dense.T
-    indptr = np.zeros(nb + 1, np.int64)
-    indptr[1:] = np.cumsum(dense.sum(axis=1))
-    indices = np.nonzero(dense)[1].astype(np.int64)
-    kernel_args = (indptr, indices, nb)
-
-    def best(fn):
-        fn(*kernel_args)  # warm-up (and first-call compilation)
-        times = []
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            fn(*kernel_args)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    rows = [("numpy", best(kernels.betweenness_numpy))]
-    if kernels.betweenness_numba is not None:
-        rows.append(("numba", best(kernels.betweenness_numba)))
-
-    print(f"active backend: {kernels.backend_name()}")
-    print(f"{'kernel':<14} {'backend':<8} {'best_us':>10}")
-    for backend, t in rows:
-        print(f"{'betweenness':<14} {backend:<8} {t * 1e6:>10.2f}")
-    if len(rows) == 2:
-        print(f"betweenness: numba is {rows[0][1] / rows[1][1]:.1f}x "
-              f"the numpy backend's speed")
-    else:
-        print("numba backend unavailable (not installed or disabled via CGED_NO_NUMBA)")
-    return EXIT_OK
-
-
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
@@ -362,12 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_args(p)
     p.set_defaults(func=cmd_ged)
 
-    p = sub.add_parser("oracle-ged")  # hidden cross-check: search vs exhaustive
-    p.add_argument("graph1")
-    p.add_argument("graph2")
-    _add_search_args(p)
-    p.set_defaults(func=cmd_oracle_ged)
-
     p = sub.add_parser("benchmark", help="timing/expansion grid -> CSV + JSON summary")
     _add_dataset_args(p)
     p.add_argument("--split", choices=("train", "test"), default="test",
@@ -399,14 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--out-json", default="-", metavar="FILE")
     p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("bench-backends",
-                       help="time the betweenness kernel's numba and numpy builds")
-    p.add_argument("--bet-nodes", type=int, default=300,
-                   help="graph size for the betweenness kernel (default: 300)")
-    p.add_argument("--repeat", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_bench_backends)
 
     return parser
 

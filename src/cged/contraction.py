@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from .centrality import (
     CentralityMeasure,
     CentralityScores,
-    EigenvectorConfig,
-    PageRankConfig,
     compute_centrality,
     rank_ascending,
 )
@@ -74,8 +72,6 @@ def t_centrality_node_contraction(
     measure: CentralityMeasure,
     recompute: bool = False,
     strict_slots: bool = False,
-    eigenvector_cfg: EigenvectorConfig | None = None,
-    pagerank_cfg: PageRankConfig | None = None,
 ) -> tuple[Graph, ContractionReport]:
     """Remove up to t nodes in ascending (score, id) order.
 
@@ -94,7 +90,7 @@ def t_centrality_node_contraction(
         return work, report
 
     def scores_of(h: Graph) -> CentralityScores:
-        return compute_centrality(h, measure, eigenvector_cfg, pagerank_cfg)
+        return compute_centrality(h, measure)
 
     def budget_used() -> int:
         return _consumed[0] if strict_slots else len(report.removed)

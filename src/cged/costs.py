@@ -187,8 +187,8 @@ _CONFIG_KEYS = {
 }
 
 _POLICY_VALUES = {
-    "node_label_distance": {"euclidean", "discrete"},
-    "edge_label_distance": {"zero", "absolute"},
+    "node_label_distance": {"euclidean"},
+    "edge_label_distance": {"absolute"},
     "heuristic": {"zero", "count_bound"},
 }
 
@@ -206,8 +206,9 @@ def parse_cost_config(text: str) -> tuple[CostModel, SearchSettings]:
 
     Blank lines and '#' comments are skipped. Unknown keys, bad values, and
     duplicate keys are rejected. The two *_label_distance keys name the
-    fixed built-in policies and exist so config files are self-describing;
-    only the documented policy names are accepted.
+    fixed built-in policies and exist so config files are self-describing:
+    each accepts only the policy that is implemented (``euclidean`` and
+    ``absolute``), so no file can ask for a policy that would be ignored.
     """
     values: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

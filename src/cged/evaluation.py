@@ -27,7 +27,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import kernels
 from .centrality import CentralityMeasure
 from .contraction import k_star_node_contraction, t_centrality_node_contraction
 from .costs import CostModel
@@ -140,7 +139,6 @@ class ClassificationResult:
 
 def _benchmark_pair(args) -> list[BenchmarkRecord]:
     pair_id, g1, g2, measures, levels, search, cm = args
-    kernels.warm_up()  # keep compilation out of the timed cells
     if any(level is not TLevel.T0 for level in levels):
         lv1, lv2 = t_star_levels(g1), t_star_levels(g2)
     else:

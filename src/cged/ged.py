@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from . import kernels
-from .centrality import CentralityMeasure, EigenvectorConfig, PageRankConfig
+from .centrality import CentralityMeasure
 from .contraction import ContractionReport, t_centrality_node_contraction
 from .costs import CostModel, EditOperation, EditPath, node_label_distance
 from .graph import Graph
@@ -235,8 +235,6 @@ def t_centrality_ged(
     search: SearchSpec = SearchSpec.astar(),
     recompute: bool = False,
     strict_slots: bool = False,
-    eigenvector_cfg: Optional[EigenvectorConfig] = None,
-    pagerank_cfg: Optional[PageRankConfig] = None,
 ) -> GedResult:
     """Contract the t least-central deletable nodes of each graph, then search.
 
@@ -246,10 +244,8 @@ def t_centrality_ged(
     """
     cm = cm or CostModel()
     t0 = time.perf_counter()
-    h1, rep1 = t_centrality_node_contraction(
-        g1, t, measure, recompute, strict_slots, eigenvector_cfg, pagerank_cfg)
-    h2, rep2 = t_centrality_node_contraction(
-        g2, t, measure, recompute, strict_slots, eigenvector_cfg, pagerank_cfg)
+    h1, rep1 = t_centrality_node_contraction(g1, t, measure, recompute, strict_slots)
+    h2, rep2 = t_centrality_node_contraction(g2, t, measure, recompute, strict_slots)
     result = run_search(h1, h2, cm, search)
     result.contraction_reports = (rep1, rep2)
     result.elapsed = time.perf_counter() - t0

@@ -4,17 +4,11 @@ Two inner loops dominate the toolkit's runtime: the expansion step of the
 edit-distance tree search (called once per open-list pop) and the
 per-source accumulation of betweenness centrality.
 
-The expansion step, :func:`extend_costs`, is plain Python over the
-list-form pair tables that :mod:`cged.ged` builds once per search. The
-graphs it sees are small (letters and molecules of a few to a few dozen
-nodes), where Python lists and int bitmasks beat numpy's per-call overhead.
-
-The betweenness loop is written so numba can compile it. The numba build
-is used when numba imports cleanly (it is the optional ``numba`` extra),
-unless the ``CGED_NO_NUMBA`` environment variable is set to anything but
-``0`` or empty; otherwise the same loop runs interpreted. Both builds stay
-importable so they can be cross-checked and timed against each other (see
-the ``bench-backends`` CLI subcommand).
+Both are plain Python. The expansion step, :func:`extend_costs`, runs over
+the list-form pair tables that :mod:`cged.ged` builds once per search;
+:func:`betweenness_counts` runs over neighbour lists. The graphs they see
+are small (letters and molecules of a few to a few dozen nodes), where
+Python lists and int bitmasks beat numpy's per-call overhead.
 
 Conventions shared with :mod:`cged.ged`:
 
@@ -29,17 +23,9 @@ Conventions shared with :mod:`cged.ged`:
 
 from __future__ import annotations
 
-import os
 from heapq import heappush
 
-import numpy as np
-
 EPS_SLOT = -1  # mapping value for "source node deleted"
-
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("CGED_NO_NUMBA", "").strip()
-    return flag in ("", "0")
 
 
 # ----------------------------------------------------------------------
@@ -187,96 +173,50 @@ def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> N
 
 
 # ----------------------------------------------------------------------
-# betweenness kernel (per-source BFS + dependency accumulation, CSR input)
+# betweenness kernel (per-source BFS + dependency accumulation)
 # ----------------------------------------------------------------------
 
-def _betweenness_loop(indptr, indices, n):
-    """Unweighted betweenness counts over a CSR adjacency.
+def betweenness_counts(adj: list[list[int]]) -> list[float]:
+    """Unweighted betweenness counts; ``adj[v]`` lists v's neighbour
+    positions in ascending order.
 
     Endpoints are excluded; the returned scores count each unordered pair
     once (the ordered-pair accumulation is halved at the end).
     """
-    bc = np.zeros(n, np.float64)
-    dist = np.empty(n, np.int64)
-    sigma = np.empty(n, np.float64)
-    delta = np.empty(n, np.float64)
-    queue = np.empty(n, np.int64)
+    n = len(adj)
+    bc = [0.0] * n
     for s in range(n):
-        for i in range(n):
-            dist[i] = -1
-            sigma[i] = 0.0
-            delta[i] = 0.0
+        dist = [-1] * n
+        sigma = [0.0] * n
+        delta = [0.0] * n
         dist[s] = 0
         sigma[s] = 1.0
-        queue[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            v = queue[head]
-            head += 1
+        queue = [s]
+        for v in queue:  # the queue grows while it is walked: BFS order
             dv1 = dist[v] + 1
-            for j in range(indptr[v], indptr[v + 1]):
-                w = indices[j]
+            for w in adj[v]:
                 if dist[w] < 0:
                     dist[w] = dv1
-                    queue[tail] = w
-                    tail += 1
+                    queue.append(w)
                 if dist[w] == dv1:
                     sigma[w] += sigma[v]
-        # queue holds BFS order; walk it backwards for the accumulation
-        for i in range(tail - 1, -1, -1):
-            w = queue[i]
+        # walk the BFS order backwards for the accumulation
+        for w in reversed(queue):
             coeff = (1.0 + delta[w]) / sigma[w]
             dw1 = dist[w] - 1
-            for j in range(indptr[w], indptr[w + 1]):
-                v = indices[j]
+            for v in adj[w]:
                 if dist[v] == dw1:
                     delta[v] += sigma[v] * coeff
             if w != s:
                 bc[w] += delta[w]
-    return bc * 0.5
-
-
-betweenness_numpy = _betweenness_loop
-
-
-# ----------------------------------------------------------------------
-# backend selection
-# ----------------------------------------------------------------------
-
-betweenness_numba = None
-
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        betweenness_numba = njit(cache=True)(_betweenness_loop)
-
-NUMBA_ENABLED = betweenness_numba is not None
-
-betweenness_counts = betweenness_numba if NUMBA_ENABLED else betweenness_numpy
+    return [x * 0.5 for x in bc]
 
 
 def backend_name() -> str:
-    """Which build of the betweenness kernel is active."""
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-_warmed = False
+    """Which build of the kernels runs; there is one, in plain Python."""
+    return "python"
 
 
 def warm_up() -> None:
-    """Run the betweenness kernel once on a tiny input.
-
-    The compiled build is made (or loaded from the on-disk cache) on first
-    call; timed code paths call this first so compilation is never charged
-    to a measured run. The expansion step is plain Python and needs no
-    warm-up. Idempotent per process.
-    """
-    global _warmed
-    if _warmed:
-        return
-    betweenness_counts(np.zeros(2, np.int64), np.zeros(0, np.int64), 1)
-    _warmed = True
+    """Kept for callers that warm the kernels before timing; a no-op,
+    since both kernels are plain Python with nothing to compile."""

@@ -6,7 +6,18 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from cged import Graph, Point2D, parse_debug_graph, write_debug_graph
+from cged import (
+    CostModel,
+    Graph,
+    Heuristic,
+    Point2D,
+    SearchSpec,
+    brute_force_ged,
+    load_graph_file,
+    parse_debug_graph,
+    run_search,
+    write_debug_graph,
+)
 from cged.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_PARSE, main
 from helpers import path_graph, star_graph
 
@@ -66,6 +77,7 @@ def test_ged_human_output(capsys, graph_files):
     assert "cost: 0.5" in out
     assert "search: astar" in out
     assert "operations" in out
+    assert "backend:" not in out
 
 
 def test_ged_json_validates_and_prices_the_move(capsys, graph_files):
@@ -104,11 +116,16 @@ def test_ged_beam_flags(capsys, graph_files):
     assert json.loads(capsys.readouterr().out)["cost"] >= 0.5 - 1e-9
 
 
-def test_oracle_ged_agreement(capsys, graph_files):
-    rc = main(["oracle-ged", str(graph_files["a"]), str(graph_files["b"])])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "agree: True" in out
+def test_search_agrees_with_brute_force_on_cli_fixtures(graph_files):
+    names = ("a", "b", "empty", "single")
+    graphs = {n: load_graph_file(graph_files[n]) for n in names}
+    for n1 in names:
+        for n2 in names:
+            g1, g2 = graphs[n1], graphs[n2]
+            exact = brute_force_ged(g1, g2, CostModel())
+            for heuristic in Heuristic:
+                cost = run_search(g1, g2, CostModel(), SearchSpec.astar(heuristic)).cost
+                assert cost == pytest.approx(exact, abs=1e-9), (n1, n2, heuristic)
 
 
 def test_benchmark_outputs(tmp_path, capsys):
@@ -151,13 +168,12 @@ def test_stats_output(capsys):
     assert payload["class_histogram"] == {"A": 3, "B": 3}
 
 
-def test_bench_backends_runs(capsys):
-    rc = main(["bench-backends", "--bet-nodes", "30", "--repeat", "1"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "betweenness" in out and "extend_costs" not in out
-    with pytest.raises(SystemExit):
-        main(["bench-backends", "--nodes", "6"])
+@pytest.mark.parametrize("command", ["oracle-ged", "bench-backends"])
+def test_removed_subcommands_are_unknown(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -188,6 +204,11 @@ def test_exit_code_config_errors(tmp_path, capsys, graph_files):
     assert main(["ged", a, a, "--config", str(conf)]) == EXIT_CONFIG
     assert main(["ged", a, a, "--search", "beam", "--beam-width", "0"]) == EXIT_CONFIG
     assert main(["ged", a, a, "--t", "-2"]) == EXIT_CONFIG
+    # beam runs without a heuristic, so asking for one must not be ignored
+    assert main(["ged", a, a, "--search", "beam", "--heuristic", "count_bound"]) == EXIT_CONFIG
+    conf.write_text("heuristic = count_bound\n")
+    assert main(["ged", a, a, "--search", "beam", "--config", str(conf)]) == EXIT_CONFIG
+    assert main(["ged", a, a, "--search", "beam", "--heuristic", "zero"]) == 0
     missing = tmp_path / "missing.conf"
     assert main(["ged", a, a, "--config", str(missing)]) == EXIT_CONFIG
     capsys.readouterr()

@@ -137,7 +137,7 @@ def test_parse_cost_config_full():
 
     x_edge = 0.4
     y_edge = 0.2
-    node_label_distance = discrete
+    node_label_distance = euclidean
     edge_label_distance = absolute
     heuristic = count_bound
     beam_width = 5
@@ -167,8 +167,12 @@ def test_parse_cost_config_rejections():
         parse_cost_config("x_node = -1")
     with pytest.raises(ValueError):
         parse_cost_config("heuristic = magic")
-    with pytest.raises(ValueError):
-        parse_cost_config("node_label_distance = manhattan")
+    # only the implemented policies are accepted; others would be ignored
+    for text in ("node_label_distance = manhattan",
+                 "node_label_distance = discrete",
+                 "edge_label_distance = zero"):
+        with pytest.raises(ValueError, match="line 1"):
+            parse_cost_config(text)
     with pytest.raises(ValueError):
         parse_cost_config("beam_width = 0")
     with pytest.raises(ValueError):
