@@ -1,162 +1,24 @@
-"""Graph edit distance with centrality-guided node contraction."""
+"""Graph edit distance with centrality-guided node contraction.
 
-from .centrality import (
-    CentralityMeasure,
-    CentralityScores,
-    ConvergenceError,
-    EigenvectorConfig,
-    PageRankConfig,
-    betweenness_centrality,
-    compute_centrality,
-    degree_centrality,
-    eigenvector_centrality,
-    pagerank_centrality,
-    rank_ascending,
-)
-from .contraction import (
-    ContractionReport,
-    k_degree_node_contraction,
-    k_star_node_contraction,
-    t_centrality_node_contraction,
-    t_star_value,
-)
-from .dataset import (
-    Corpus,
-    CorpusLoadError,
-    CorpusStats,
-    DanglingEndpointError,
-    DatasetError,
-    GxlParseError,
-    Split,
-    UnknownSchemaError,
-    corpus_stats,
-    load_graph_file,
-    load_iam_corpus,
-    locate_iam_indexes,
-    parse_cxl_index,
-    parse_debug_graph,
-    parse_gxl,
-    split_corpus,
-    synthesize_letter_like,
-    write_debug_graph,
-)
-from .evaluation import (
-    BenchmarkRecord,
-    ClassificationResult,
-    TLevel,
-    nn_classify,
-    parse_level,
-    run_timing_benchmark,
-    sample_pairs,
-    summarize_benchmark,
-    t_star_levels,
-    write_benchmark_csv,
-)
-from .costs import (
-    CostModel,
-    EditOperation,
-    EditPath,
-    OpKind,
-    SearchSettings,
-    edge_label_distance,
-    load_cost_config,
-    node_label_distance,
-    op_cost,
-    parse_cost_config,
-)
-from .ged import (
-    GedResult,
-    Heuristic,
-    SearchSpec,
-    astar_ged,
-    beam_ged,
-    brute_force_ged,
-    run_search,
-    t_centrality_ged,
-)
-from .graph import (
-    DuplicateEdgeError,
-    Graph,
-    GraphError,
-    MissingEdgeError,
-    MissingNodeError,
-    Point2D,
-    SelfLoopError,
-    is_cut_vertex_by_recount,
-)
+The package root exports the entry points shown in the README's "Library
+use" section. Everything else is imported from its submodule:
+``cged.graph``, ``cged.centrality``, ``cged.contraction``, ``cged.costs``,
+``cged.ged``, ``cged.dataset`` and ``cged.evaluation``.
+"""
+
+from .centrality import CentralityMeasure
+from .contraction import t_centrality_node_contraction
+from .costs import CostModel
+from .ged import astar_ged, beam_ged, t_centrality_ged
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkRecord",
     "CentralityMeasure",
-    "CentralityScores",
-    "ClassificationResult",
-    "ContractionReport",
-    "ConvergenceError",
-    "Corpus",
-    "CorpusLoadError",
-    "CorpusStats",
     "CostModel",
-    "DanglingEndpointError",
-    "DatasetError",
-    "DuplicateEdgeError",
-    "EditOperation",
-    "EditPath",
-    "EigenvectorConfig",
-    "GedResult",
-    "Graph",
-    "GraphError",
-    "GxlParseError",
-    "Heuristic",
-    "MissingEdgeError",
-    "MissingNodeError",
-    "OpKind",
-    "PageRankConfig",
-    "Point2D",
-    "SearchSettings",
-    "SearchSpec",
-    "SelfLoopError",
-    "Split",
-    "TLevel",
-    "UnknownSchemaError",
     "astar_ged",
     "beam_ged",
-    "betweenness_centrality",
-    "brute_force_ged",
-    "compute_centrality",
-    "corpus_stats",
-    "degree_centrality",
-    "edge_label_distance",
-    "eigenvector_centrality",
-    "is_cut_vertex_by_recount",
-    "k_degree_node_contraction",
-    "k_star_node_contraction",
-    "load_cost_config",
-    "load_graph_file",
-    "load_iam_corpus",
-    "locate_iam_indexes",
-    "nn_classify",
-    "node_label_distance",
-    "op_cost",
-    "pagerank_centrality",
-    "parse_cost_config",
-    "parse_cxl_index",
-    "parse_debug_graph",
-    "parse_gxl",
-    "parse_level",
-    "rank_ascending",
-    "run_search",
-    "run_timing_benchmark",
-    "sample_pairs",
-    "split_corpus",
-    "summarize_benchmark",
-    "synthesize_letter_like",
     "t_centrality_ged",
     "t_centrality_node_contraction",
-    "t_star_levels",
-    "t_star_value",
-    "write_benchmark_csv",
-    "write_debug_graph",
     "__version__",
 ]

@@ -4,7 +4,10 @@ Four measures are provided: degree, betweenness (shortest-path counting,
 endpoints excluded, each unordered pair counted once), eigenvector
 (nonnegative principal eigenvector of the adjacency matrix, computed per
 connected component) and PageRank (fixed point of
-``x = alpha * A @ (x / k) + gamma`` with ``k`` the degree vector).
+``x = alpha * A @ (x / k) + gamma`` with ``k`` the degree vector and
+gamma = (1 - alpha) / n). The two iterative solvers have fixed settings,
+the module constants below; one that does not reach its tolerance within
+``MAX_ITER`` iterations raises :class:`ConvergenceError`.
 
 All measures are pure functions of the graph; scores are keyed by node id
 and ties are always broken by ascending id, so rankings are total and
@@ -41,36 +44,10 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class EigenvectorConfig:
-    tol: float = 1e-8
-    max_iter: int = 1000
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be > 0")
-
-
-@dataclass(frozen=True)
-class PageRankConfig:
-    """`gamma=None` resolves to (1 - alpha) / n for the graph at hand."""
-
-    alpha: float = 0.85
-    gamma: float | None = None
-    tol: float = 1e-10
-    max_iter: int = 1000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be > 0")
+EIGENVECTOR_TOL = 1e-8
+PAGERANK_TOL = 1e-10
+PAGERANK_ALPHA = 0.85
+MAX_ITER = 1000
 
 
 @dataclass
@@ -108,7 +85,7 @@ def betweenness_centrality(g: Graph) -> CentralityScores:
     return CentralityScores(CentralityMeasure.BETWEENNESS, dict(zip(ids, bc)))
 
 
-def eigenvector_centrality(g: Graph, cfg: EigenvectorConfig | None = None) -> CentralityScores:
+def eigenvector_centrality(g: Graph) -> CentralityScores:
     """Principal-eigenvector scores, one power iteration per connected component.
 
     Each component's sub-vector is normalized to unit Euclidean length;
@@ -116,7 +93,6 @@ def eigenvector_centrality(g: Graph, cfg: EigenvectorConfig | None = None) -> Ce
     Iterating A + I instead of A keeps the iteration convergent on bipartite
     components, where A's spectrum is symmetric.
     """
-    cfg = cfg or EigenvectorConfig()
     scores: dict[int, float] = {}
     total_iters = 0
     worst_residual = 0.0
@@ -129,19 +105,19 @@ def eigenvector_centrality(g: Graph, cfg: EigenvectorConfig | None = None) -> Ce
         x = np.full(len(ids), 1.0 / np.sqrt(len(ids)))
         residual = np.inf
         converged = False
-        for it in range(1, cfg.max_iter + 1):
+        for it in range(1, MAX_ITER + 1):
             y = a @ x + x
             x = y / np.linalg.norm(y)
             ax = a @ x
             kappa = float(x @ ax)
             residual = float(np.max(np.abs(ax - kappa * x)))
-            if residual <= cfg.tol:
+            if residual <= EIGENVECTOR_TOL:
                 total_iters += it
                 converged = True
                 break
         if not converged:
             raise ConvergenceError("eigenvector power iteration did not converge",
-                                   residual, cfg.max_iter)
+                                   residual, MAX_ITER)
         worst_residual = max(worst_residual, residual)
         x = np.abs(x)  # principal eigenvector is nonnegative; scrub sign noise
         for i, u in enumerate(ids):
@@ -150,28 +126,28 @@ def eigenvector_centrality(g: Graph, cfg: EigenvectorConfig | None = None) -> Ce
                             iterations_used=total_iters, residual=worst_residual)
 
 
-def pagerank_centrality(g: Graph, cfg: PageRankConfig | None = None) -> CentralityScores:
-    """Fixed point of ``x = alpha * A @ (x / k) + gamma``.
+def pagerank_centrality(g: Graph) -> CentralityScores:
+    """Fixed point of ``x = alpha * A @ (x / k) + gamma``, with alpha =
+    PAGERANK_ALPHA and gamma = (1 - alpha) / n.
 
     Degrees play the role of outgoing degrees. Isolated nodes contribute
     nothing to their (absent) neighbors and receive exactly gamma.
     """
-    cfg = cfg or PageRankConfig()
     n = g.order
     if n == 0:
         return CentralityScores(CentralityMeasure.PAGERANK, {},
                                 iterations_used=0, residual=0.0)
     ids = g.nodes()
-    gamma = cfg.gamma if cfg.gamma is not None else (1.0 - cfg.alpha) / n
+    gamma = (1.0 - PAGERANK_ALPHA) / n
     a = _adjacency(g, ids)
     k = a.sum(axis=1)
     inv_k = np.divide(1.0, k, out=np.zeros_like(k), where=k > 0)
     x = np.full(n, gamma)
-    for it in range(1, cfg.max_iter + 1):
-        nxt = cfg.alpha * (a @ (x * inv_k)) + gamma
+    for it in range(1, MAX_ITER + 1):
+        nxt = PAGERANK_ALPHA * (a @ (x * inv_k)) + gamma
         # residual of x itself: ||f(x) - x||_inf; return the iterate measured
         residual = float(np.max(np.abs(nxt - x)))
-        if residual <= cfg.tol:
+        if residual <= PAGERANK_TOL:
             return CentralityScores(
                 CentralityMeasure.PAGERANK,
                 {u: float(x[i]) for i, u in enumerate(ids)},
@@ -179,7 +155,7 @@ def pagerank_centrality(g: Graph, cfg: PageRankConfig | None = None) -> Centrali
                 residual=residual,
             )
         x = nxt
-    raise ConvergenceError("PageRank iteration did not converge", residual, cfg.max_iter)
+    raise ConvergenceError("PageRank iteration did not converge", residual, MAX_ITER)
 
 
 def compute_centrality(g: Graph, measure: CentralityMeasure) -> CentralityScores:

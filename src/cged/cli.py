@@ -168,8 +168,7 @@ def cmd_contract(args) -> int:
     if args.t < 0:
         raise ConfigError(f"t must be >= 0, got {args.t}")
     measure = CentralityMeasure(args.measure)
-    contracted, report = t_centrality_node_contraction(
-        g, args.t, measure, recompute=args.recompute, strict_slots=args.strict_slots)
+    contracted, report = t_centrality_node_contraction(g, args.t, measure)
     text = write_debug_graph(contracted)
     if args.out_graph == "-":
         print(text, end="")
@@ -188,8 +187,7 @@ def cmd_ged(args) -> int:
     g1 = load_graph_file(args.graph1)
     g2 = load_graph_file(args.graph2)
     measure = CentralityMeasure(args.measure)
-    result = t_centrality_ged(g1, g2, args.t, measure, cm, search,
-                              recompute=args.recompute, strict_slots=args.strict_slots)
+    result = t_centrality_ged(g1, g2, args.t, measure, cm, search)
     if args.json:
         _write_json(result.to_json_dict(), args.out)
         return EXIT_OK
@@ -288,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=0, help="number of nodes to contract")
     p.add_argument("--measure", choices=[m.value for m in CentralityMeasure],
                    default="degree")
-    p.add_argument("--recompute", action="store_true",
-                   help="re-rank remaining nodes after every deletion")
-    p.add_argument("--strict-slots", action="store_true",
-                   help="skipped candidates consume contraction slots")
     p.add_argument("--out-graph", default="-", metavar="FILE",
                    help="contracted graph in debug format (default: stdout)")
     p.add_argument("--out-report", default="-", metavar="FILE",
@@ -304,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=0, help="contraction budget per graph")
     p.add_argument("--measure", choices=[m.value for m in CentralityMeasure],
                    default="degree")
-    p.add_argument("--recompute", action="store_true")
-    p.add_argument("--strict-slots", action="store_true")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--out", default="-", metavar="FILE",
                    help="where to write --json output (default: stdout)")

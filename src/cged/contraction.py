@@ -3,7 +3,7 @@
 Three flavors are provided:
 
 * :func:`t_centrality_node_contraction` removes up to ``t`` nodes in
-  ascending centrality order;
+  ascending order of one centrality ranking of the input graph;
 * :func:`k_degree_node_contraction` removes the nodes whose degree equals
   ``k`` in the input graph;
 * :func:`k_star_node_contraction` chains degree passes for 1..k.
@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .centrality import (
-    CentralityMeasure,
-    CentralityScores,
-    compute_centrality,
-    rank_ascending,
-)
+from .centrality import CentralityMeasure, compute_centrality, rank_ascending
 from .graph import Graph
 
 
@@ -67,19 +62,13 @@ def _deletable(g: Graph, u: int, articulation: set[int]) -> bool:
 
 
 def t_centrality_node_contraction(
-    g: Graph,
-    t: int,
-    measure: CentralityMeasure,
-    recompute: bool = False,
-    strict_slots: bool = False,
+    g: Graph, t: int, measure: CentralityMeasure
 ) -> tuple[Graph, ContractionReport]:
     """Remove up to t nodes in ascending (score, id) order.
 
-    With ``recompute=False`` (default) the ranking is computed once on the
-    input graph; with ``recompute=True`` the remaining nodes are re-scored
-    after every deletion. With ``strict_slots=True`` every considered
-    candidate consumes one of the t slots even when it is skipped;
-    by default only successful deletions count against t.
+    The ranking is computed once, on the input graph. Candidates are walked
+    in that order and only successful deletions count against t; a
+    candidate whose deletion would change the component count is skipped.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -89,48 +78,17 @@ def t_centrality_node_contraction(
         report.result_order = work.order
         return work, report
 
-    def scores_of(h: Graph) -> CentralityScores:
-        return compute_centrality(h, measure)
-
-    def budget_used() -> int:
-        return _consumed[0] if strict_slots else len(report.removed)
-
-    _consumed = [0]
-    considered: set[int] = set()
-
-    if not recompute:
-        scores = scores_of(g)
-        articulation = work.articulation_points()
-        for u in rank_ascending(scores):
-            if budget_used() >= t or work.order <= 1:
-                break
-            _consumed[0] += 1
-            if _deletable(work, u, articulation):
-                work.delete_node(u)
-                report.removed.append((u, scores.scores[u]))
-                articulation = work.articulation_points()
-            else:
-                report.skipped_cut_vertices.append(u)
-    else:
-        while budget_used() < t and work.order > 1:
-            scores = scores_of(work)
+    scores = compute_centrality(g, measure)
+    articulation = work.articulation_points()
+    for u in rank_ascending(scores):
+        if len(report.removed) >= t or work.order <= 1:
+            break
+        if _deletable(work, u, articulation):
+            work.delete_node(u)
+            report.removed.append((u, scores.scores[u]))
             articulation = work.articulation_points()
-            deleted = False
-            for u in rank_ascending(scores):
-                if u in considered:
-                    continue
-                if budget_used() >= t:
-                    break
-                _consumed[0] += 1
-                considered.add(u)
-                if _deletable(work, u, articulation):
-                    work.delete_node(u)
-                    report.removed.append((u, scores.scores[u]))
-                    deleted = True
-                    break
-                report.skipped_cut_vertices.append(u)
-            if not deleted:
-                break
+        else:
+            report.skipped_cut_vertices.append(u)
 
     report.result_order = work.order
     return work, report
@@ -176,9 +134,3 @@ def k_star_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]
         merged.skipped_cut_vertices.extend(rep.skipped_cut_vertices)
     merged.result_order = work.order
     return work, merged
-
-
-def t_star_value(g: Graph, k: int) -> int:
-    """How many nodes a degree-1..k contraction chain would remove; g is untouched."""
-    _, report = k_star_node_contraction(g, k)
-    return len(report.removed)

@@ -18,12 +18,7 @@ from enum import Enum
 from numbers import Real
 from typing import Optional, Tuple
 
-from .graph import (
-    EdgeLabel,
-    Graph,
-    NodeLabel,
-    Point2D,
-)
+from .graph import EdgeLabel, NodeLabel, Point2D
 
 Edge = Tuple[int, int]
 
@@ -148,32 +143,6 @@ class EditPath:
             "total_cost": self.total_cost,
             "complete": self.complete,
         }
-
-
-def op_cost(op: EditOperation, cm: CostModel, g1: Graph, g2: Graph) -> float:
-    """Price an operation shape against two graphs; operands must exist.
-
-    The ``cost`` field of ``op`` is ignored; lookups raise the graph's own
-    missing-node/missing-edge errors when an operand is absent.
-    """
-    k = op.kind
-    if k is OpKind.NODE_SUB:
-        return cm.node_sub_cost(g1.node_label(op.source), g2.node_label(op.target))
-    if k is OpKind.NODE_DEL:
-        g1.node_label(op.source)
-        return cm.x_node
-    if k is OpKind.NODE_INS:
-        g2.node_label(op.target)
-        return cm.x_node
-    if k is OpKind.EDGE_SUB:
-        return cm.edge_sub_cost(g1.edge_label(*op.source), g2.edge_label(*op.target))
-    if k is OpKind.EDGE_DEL:
-        g1.edge_label(*op.source)
-        return cm.x_edge
-    if k is OpKind.EDGE_INS:
-        g2.edge_label(*op.target)
-        return cm.x_edge
-    raise ValueError(f"unknown operation kind: {k!r}")
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,9 @@ root directory, and :func:`synthesize_letter_like` generates a deterministic
 stand-in corpus so everything downstream also runs without the download.
 
 Node labels are taken from the ``symbol`` attribute when present (chemical
-element names), else from ``x``/``y`` coordinate attributes; an explicit
-``schema`` argument can force either reading. Edge ``valence`` attributes
-become numeric edge labels; edges without one stay unlabeled. All other
-attributes are ignored.
+element names), else from ``x``/``y`` coordinate attributes; a node with
+neither is rejected. Edge ``valence`` attributes become numeric edge
+labels; edges without one stay unlabeled. All other attributes are ignored.
 
 A line-oriented debug text format (one node or edge per line) is provided
 for CLI output and tests; it round-trips ids, labels, and counts exactly.
@@ -123,8 +122,6 @@ _VALUE_TAGS = {
     "string": str,
 }
 
-_SCHEMAS = ("auto", "coordinates", "symbolic")
-
 
 def _attr_map(el: ET.Element, where: str) -> dict[str, object]:
     attrs: dict[str, object] = {}
@@ -149,32 +146,24 @@ def _attr_map(el: ET.Element, where: str) -> dict[str, object]:
     return attrs
 
 
-def _node_label(attrs: dict[str, object], schema: str, where: str) -> NodeLabel:
-    has_symbol = "symbol" in attrs
-    has_xy = "x" in attrs and "y" in attrs
-    if schema == "symbolic" or (schema == "auto" and has_symbol):
-        if not has_symbol:
-            raise UnknownSchemaError("node has no 'symbol' attribute", where)
+def _node_label(attrs: dict[str, object], where: str) -> NodeLabel:
+    if "symbol" in attrs:  # symbol wins when x/y are present too
         return str(attrs["symbol"]).strip()
-    if schema == "coordinates" or (schema == "auto" and has_xy):
-        if not has_xy:
-            raise UnknownSchemaError("node has no 'x'/'y' attributes", where)
+    if "x" in attrs and "y" in attrs:
         return Point2D(float(attrs["x"]), float(attrs["y"]))
     raise UnknownSchemaError(
         "node attributes match neither the symbol nor the x/y schema", where)
 
 
-def parse_gxl(data: Union[bytes, str], schema: str = "auto") -> Graph:
+def parse_gxl(data: Union[bytes, str]) -> Graph:
     """Parse one GXL document into a Graph.
 
-    ``schema`` is "auto" (symbol wins over x/y when both appear),
-    "coordinates", or "symbolic". Raises :class:`GxlParseError` (malformed
-    document), :class:`UnknownSchemaError` (unrecognized node attributes),
-    or :class:`DanglingEndpointError` (edge to an undeclared node), each
+    A node's label is its ``symbol`` attribute when it has one, else its
+    ``x``/``y`` point. Raises :class:`GxlParseError` (malformed document),
+    :class:`UnknownSchemaError` (a node with neither), or
+    :class:`DanglingEndpointError` (edge to an undeclared node), each
     carrying a location hint.
     """
-    if schema not in _SCHEMAS:
-        raise ValueError(f"schema must be one of {_SCHEMAS}, got {schema!r}")
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -198,7 +187,7 @@ def parse_gxl(data: Union[bytes, str], schema: str = "auto") -> Graph:
             where = f"node {nid!r}"
             if nid in name_to_id:
                 raise GxlParseError("duplicate node id", where)
-            label = _node_label(_attr_map(el, where), schema, where)
+            label = _node_label(_attr_map(el, where), where)
             name_to_id[nid] = g.add_node(label)
         elif el.tag == "edge":
             a, b = el.get("from"), el.get("to")
@@ -229,7 +218,6 @@ def parse_cxl_index(
     base_path: Union[str, Path],
     name: Optional[str] = None,
     split: Split = Split.TRAIN,
-    schema: str = "auto",
 ) -> Corpus:
     """Load every (file, class) entry of a CXL index into a Corpus.
 
@@ -257,7 +245,7 @@ def parse_cxl_index(
         except OSError as exc:
             return None, f"{fname}: {exc}"
         try:
-            g = parse_gxl(raw, schema=schema)
+            g = parse_gxl(raw)
         except DatasetError as exc:
             return None, f"{fname}: {exc}"
         g.name = Path(fname).stem
@@ -277,15 +265,14 @@ def parse_cxl_index(
     return Corpus(name or base.name, [g for g, _ in results], split)
 
 
-def load_iam_corpus(index_path: Union[str, Path], split: Split,
-                    schema: str = "auto") -> Corpus:
+def load_iam_corpus(index_path: Union[str, Path], split: Split) -> Corpus:
     """Read one CXL index file and the GXL files it references."""
     path = Path(index_path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read index {path}: {exc}") from None
-    return parse_cxl_index(data, path.parent, name=path.stem, split=split, schema=schema)
+    return parse_cxl_index(data, path.parent, name=path.stem, split=split)
 
 
 _IAM_LAYOUTS: dict[str, list[str]] = {
@@ -405,18 +392,16 @@ def synthesize_letter_like(
     return Corpus(name or f"synthetic-d{distortion:g}", graphs, split)
 
 
-def split_corpus(corpus: Corpus, test_fraction: float = 0.5) -> tuple[Corpus, Corpus]:
-    """Deterministic stratified split: within each class, every graph whose
-    per-class position crosses the test-fraction grid goes to test."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction!r}")
+def split_corpus(corpus: Corpus) -> tuple[Corpus, Corpus]:
+    """Deterministic stratified half split: within each class, the graphs
+    at odd per-class positions (the 2nd, 4th, ...) go to test."""
     train: list[Graph] = []
     test: list[Graph] = []
     seen: dict[str, int] = {}
     for g in corpus.graphs:
         k = seen.get(g.class_label, 0)
         seen[g.class_label] = k + 1
-        if int((k + 1) * test_fraction) > int(k * test_fraction):
+        if k % 2:
             test.append(g)
         else:
             train.append(g)
@@ -507,7 +492,7 @@ def parse_debug_graph(text: str) -> Graph:
         raise GxlParseError(str(exc)) from None
 
 
-def load_graph_file(path: Union[str, Path], schema: str = "auto") -> Graph:
+def load_graph_file(path: Union[str, Path]) -> Graph:
     """Load one graph from a .gxl or debug-format text file (by extension)."""
     p = Path(path)
     try:
@@ -515,7 +500,7 @@ def load_graph_file(path: Union[str, Path], schema: str = "auto") -> Graph:
     except OSError as exc:
         raise DatasetError(f"cannot read {p}: {exc}") from None
     if p.suffix.lower() == ".gxl":
-        g = parse_gxl(raw, schema=schema)
+        g = parse_gxl(raw)
         if g.name is None:
             g.name = p.stem
         return g

@@ -233,8 +233,6 @@ def t_centrality_ged(
     measure: CentralityMeasure,
     cm: Optional[CostModel] = None,
     search: SearchSpec = SearchSpec.astar(),
-    recompute: bool = False,
-    strict_slots: bool = False,
 ) -> GedResult:
     """Contract the t least-central deletable nodes of each graph, then search.
 
@@ -244,8 +242,8 @@ def t_centrality_ged(
     """
     cm = cm or CostModel()
     t0 = time.perf_counter()
-    h1, rep1 = t_centrality_node_contraction(g1, t, measure, recompute, strict_slots)
-    h2, rep2 = t_centrality_node_contraction(g2, t, measure, recompute, strict_slots)
+    h1, rep1 = t_centrality_node_contraction(g1, t, measure)
+    h2, rep2 = t_centrality_node_contraction(g2, t, measure)
     result = run_search(h1, h2, cm, search)
     result.contraction_reports = (rep1, rep2)
     result.elapsed = time.perf_counter() - t0

@@ -57,35 +57,6 @@ def count_bound(view, depth: int, used: int, cm) -> float:
     return abs(r1 - r2) * cm.x_node + abs(er1 - er2) * cm.x_edge
 
 
-def _edge_distance(k1: int, x1: float, k2: int, x2: float) -> float:
-    """Substitution distance of two edges given as (kind, value); 0 unless both exist."""
-    if not (k1 and k2):
-        return 0.0
-    if k1 != k2:
-        return 1.0
-    return abs(x2 - x1) if k1 == 2 else 0.0
-
-
-def _pairwise_sum(terms: list[float]) -> float:
-    """Sum 8 or more terms in numpy's pairwise order, so that long rows
-    round exactly as they did when the step was a numpy kernel."""
-    n = len(terms)
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    r = terms[:8]
-    i = 8
-    while i < n - n % 8:
-        for j in range(8):
-            r[j] += terms[i + j]
-        i += 8
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in terms[i:]:
-        total += x
-    return total
-
-
 def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> None:
     """Expand one open-list entry: price every child and push it onto ``heap``.
 
@@ -98,11 +69,10 @@ def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> N
         + x_edge * (edge insertions and deletions)
 
     and a deletion costs ``x_node`` plus ``x_edge`` per placed neighbour.
-    Substitution distances are added in source-position order (pairwise
-    from eight mapped nodes on, as numpy sums), so costs and tie-breaking
-    are reproducible to the bit. At the last level a child also pays for
-    inserting every target node and edge left over; below it, with
-    ``use_count_bound``, its ``f`` adds :func:`count_bound`.
+    Substitution distances are added in source-position order, so costs
+    and tie-breaking are reproducible to the bit. At the last level a child
+    also pays for inserting every target node and edge left over; below it,
+    with ``use_count_bound``, its ``f`` adds :func:`count_bound`.
 
     ``view`` provides n1, n2, kind1/val1/kind2/val2 (edge-kind and
     edge-value rows), node_dist, e2_masks (one two-bit mask per target
@@ -128,7 +98,6 @@ def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> N
             dead += 1
         if k1:
             neighbours += 1
-    long_row = len(live) >= 8
     child_depth = negd - 1
     final = depth + 1 == view.n1
     n2 = view.n2
@@ -157,9 +126,6 @@ def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> N
                         sub += abs(vals[w] - x1)
                 elif k1 or k2:
                     indel += 1
-            if long_row:
-                sub = _pairwise_sum([_edge_distance(k1, x1, kinds[w], vals[w])
-                                     for k1, x1, w in live])
             cost = y_node * node_dist[v] + y_edge * sub + x_edge * indel
         child_g = g + cost
         if final:

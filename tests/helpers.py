@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 
-from cged import Graph, Point2D
+from cged.graph import Graph, Point2D
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +200,7 @@ def pagerank_by_linear_solve(g: Graph, alpha: float = 0.85,
 
 def assert_path_consistent(result, g1: Graph, g2: Graph) -> None:
     """A complete edit path accounts for every node and induced edge once."""
-    from cged import OpKind
+    from cged.costs import OpKind
 
     path = result.path
     assert path.complete

@@ -16,26 +16,24 @@ import pytest
 
 from cged import (
     CentralityMeasure,
-    Corpus,
     CostModel,
-    DatasetError,
-    SearchSpec,
-    Split,
-    TLevel,
     astar_ged,
     beam_ged,
-    brute_force_ged,
+    t_centrality_node_contraction,
+)
+from cged.contraction import k_degree_node_contraction
+from cged.dataset import (
+    Corpus,
+    DatasetError,
+    Split,
     corpus_stats,
-    k_degree_node_contraction,
     load_iam_corpus,
     locate_iam_indexes,
-    nn_classify,
-    run_timing_benchmark,
     split_corpus,
     synthesize_letter_like,
-    t_centrality_node_contraction,
-    t_star_value,
 )
+from cged.evaluation import TLevel, nn_classify, run_timing_benchmark, t_star_levels
+from cged.ged import SearchSpec, brute_force_ged
 from cged.centrality import (
     betweenness_centrality,
     eigenvector_centrality,
@@ -227,7 +225,7 @@ def test_criterion_5_contraction_invariants(capsys):
     assert rep.removed_ids == [1, 2] and h.has_node(0)
     _, rep = k_degree_node_contraction(cycle_graph(4), 2)
     assert rep.removed_ids == [0, 1, 2]
-    assert t_star_value(star_graph(4), 1) == 4
+    assert t_star_levels(star_graph(4))[TLevel.T1STAR] == 4
     report(capsys, 5, True,
            f"component count preserved, |removed| <= t, deterministic on {checked} "
            f"random graphs across all four measures; P3/C4/K1,4 hand traces exact")

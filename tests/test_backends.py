@@ -3,12 +3,12 @@ the betweenness loop against a path-enumeration oracle."""
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cged import CostModel, Graph, Point2D, kernels
+from cged import CostModel, kernels
+from cged.graph import Graph, Point2D
 from cged.ged import _PairView
 from helpers import betweenness_by_path_enumeration, random_graph
 
@@ -100,17 +100,6 @@ def test_every_child_prices_like_a_fresh_graph_walk(pair, data, cm, use_count_bo
                                       abs=1e-12)
         else:
             assert h == 0.0
-
-
-def test_long_rows_sum_in_numpy_order():
-    # from eight mapped neighbours on, edge-substitution distances are summed
-    # pairwise, as the numpy kernel that recorded the golden table did
-    rng = np.random.default_rng(5)
-    for n in list(range(8, 40)) + [129, 200, 300]:
-        for _ in range(20):
-            terms = rng.uniform(0.0, 3.0, size=n)
-            terms[rng.random(n) < 0.3] = 0.0
-            assert kernels._pairwise_sum(terms.tolist()) == np.add.reduce(terms)
 
 
 def test_betweenness_kernel_matches_the_oracle():

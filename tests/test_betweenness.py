@@ -22,7 +22,8 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from cged import Graph, betweenness_centrality
+from cged.centrality import betweenness_centrality
+from cged.graph import Graph
 from cged.dataset import synthesize_letter_like
 from helpers import random_connected_graph, random_graph
 

@@ -5,12 +5,9 @@ import random
 
 import pytest
 
-from cged import (
-    CentralityMeasure,
+from cged import CentralityMeasure, centrality
+from cged.centrality import (
     ConvergenceError,
-    EigenvectorConfig,
-    Graph,
-    PageRankConfig,
     betweenness_centrality,
     compute_centrality,
     degree_centrality,
@@ -18,6 +15,7 @@ from cged import (
     pagerank_centrality,
     rank_ascending,
 )
+from cged.graph import Graph
 from helpers import (
     adjacency_matrix,
     betweenness_by_path_enumeration,
@@ -122,9 +120,10 @@ def test_eigenvector_bipartite_converges():
         assert res.residual <= 1e-8
 
 
-def test_eigenvector_nonconvergence_raises():
+def test_eigenvector_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(centrality, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as exc:
-        eigenvector_centrality(path_graph(6), EigenvectorConfig(tol=1e-15, max_iter=2))
+        eigenvector_centrality(path_graph(6))
     assert exc.value.iterations == 2
     assert exc.value.residual > 0.0
 
@@ -144,15 +143,17 @@ def test_pagerank_regular_graphs_uniform():
 def test_pagerank_isolated_node_gets_gamma():
     g = Graph()
     g.add_node("C")
-    cfg = PageRankConfig(alpha=0.85, gamma=0.05)
-    assert pagerank_centrality(g, cfg).scores[0] == 0.05
+    assert pagerank_centrality(g).scores[0] == (1.0 - 0.85) / 1
+    # beside a P3, with gamma = (1 - alpha) / n at n = 4
+    g = Graph.from_parts(None, None, [(i, "C") for i in range(4)],
+                         [(1, 2, None), (2, 3, None)])
+    assert pagerank_centrality(g).scores[0] == (1.0 - 0.85) / 4
 
 
 def test_pagerank_p3_frozen_linear_solve_values():
-    # fixed point of the 3x3 system at alpha=0.85, gamma=0.05:
+    # fixed point of the 3x3 system at alpha=0.85, gamma=(1-alpha)/3=0.05:
     # leaves 19/74, center 18/37 (fractions from the independent solve)
-    cfg = PageRankConfig(alpha=0.85, gamma=0.05)
-    scores = pagerank_centrality(path_graph(3), cfg).scores
+    scores = pagerank_centrality(path_graph(3)).scores
     assert scores[0] == pytest.approx(19 / 74, abs=1e-8)
     assert scores[1] == pytest.approx(18 / 37, abs=1e-8)
     assert scores[2] == pytest.approx(19 / 74, abs=1e-8)
@@ -184,22 +185,12 @@ def test_pagerank_sums_to_one_on_connected_graphs():
         assert all(v >= gamma - 1e-12 for v in scores.values())
 
 
-def test_pagerank_nonconvergence_raises():
-    with pytest.raises(ConvergenceError):
-        pagerank_centrality(complete_graph(6), PageRankConfig(tol=1e-16, max_iter=1))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PageRankConfig(alpha=1.0)
-    with pytest.raises(ValueError):
-        PageRankConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        PageRankConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        PageRankConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        EigenvectorConfig(max_iter=0)
+def test_pagerank_nonconvergence_raises(monkeypatch):
+    monkeypatch.setattr(centrality, "MAX_ITER", 1)
+    with pytest.raises(ConvergenceError) as exc:
+        pagerank_centrality(complete_graph(6))
+    assert exc.value.iterations == 1
+    assert exc.value.residual > 0.0
 
 
 def test_rank_ascending_tie_break():

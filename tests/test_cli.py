@@ -6,18 +6,10 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from cged import (
-    CostModel,
-    Graph,
-    Heuristic,
-    Point2D,
-    SearchSpec,
-    brute_force_ged,
-    load_graph_file,
-    parse_debug_graph,
-    run_search,
-    write_debug_graph,
-)
+from cged import CostModel
+from cged.dataset import load_graph_file, parse_debug_graph, write_debug_graph
+from cged.ged import Heuristic, SearchSpec, brute_force_ged, run_search
+from cged.graph import Graph, Point2D
 from cged.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_PARSE, main
 from helpers import path_graph, star_graph
 
@@ -174,6 +166,17 @@ def test_removed_subcommands_are_unknown(capsys, command):
         main([command])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--recompute", "--strict-slots"])
+@pytest.mark.parametrize("command", ["contract", "ged"])
+def test_removed_contraction_flags_are_rejected(capsys, graph_files, command, flag):
+    a = str(graph_files["a"])
+    files = [a] if command == "contract" else [a, a]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, "--t", "1", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

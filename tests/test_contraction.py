@@ -4,14 +4,10 @@ import random
 
 import pytest
 
-from cged import (
-    CentralityMeasure,
-    Graph,
-    k_degree_node_contraction,
-    k_star_node_contraction,
-    t_centrality_node_contraction,
-    t_star_value,
-)
+from cged import CentralityMeasure, t_centrality_node_contraction
+from cged.contraction import k_degree_node_contraction, k_star_node_contraction
+from cged.evaluation import TLevel, t_star_levels
+from cged.graph import Graph
 from helpers import cycle_graph, path_graph, random_connected_graph, random_graph, star_graph
 
 DEG = CentralityMeasure.DEGREE
@@ -73,26 +69,6 @@ def test_cut_vertex_is_skipped_and_logged():
     assert h.component_count() == g.component_count() == 1
 
 
-def test_strict_slots_burns_budget_on_skips():
-    g = two_triangles_bridged()
-    h, rep = t_centrality_node_contraction(g, 1, DEG, strict_slots=True)
-    assert rep.skipped_cut_vertices == [0]
-    assert rep.removed == []
-    assert h == g
-
-
-def test_recompute_changes_the_walk():
-    # P4 betweenness: both leaves score 0 up front, so the one-shot ranking
-    # deletes 0 then 3; re-scoring after the first deletion promotes node 1
-    # (now a leaf of the shrunken path) ahead of node 3.
-    g = path_graph(4)
-    _, once = t_centrality_node_contraction(g, 2, CentralityMeasure.BETWEENNESS)
-    assert once.removed_ids == [0, 3]
-    _, fresh = t_centrality_node_contraction(g, 2, CentralityMeasure.BETWEENNESS,
-                                             recompute=True)
-    assert fresh.removed_ids == [0, 1]
-
-
 def test_removed_scores_come_from_the_ranked_graph():
     _, rep = t_centrality_node_contraction(path_graph(4), 2, CentralityMeasure.BETWEENNESS)
     assert rep.removed == [(0, 0.0), (3, 0.0)]
@@ -104,7 +80,7 @@ def test_input_graph_is_untouched():
     t_centrality_node_contraction(g, 3, DEG)
     k_degree_node_contraction(g, 2)
     k_star_node_contraction(g, 3)
-    t_star_value(g, 3)
+    t_star_levels(g)
     assert g == before
 
 
@@ -168,11 +144,13 @@ def test_k_star_pass_tagging():
 
 
 def test_t_star_values():
-    assert t_star_value(path_graph(3), 1) == 2
-    assert t_star_value(cycle_graph(4), 1) == 0
-    assert t_star_value(star_graph(4), 1) == 4
-    assert [t_star_value(cycle_graph(4), k) for k in (1, 2, 3)] == [0, 3, 3]
-    assert [t_star_value(path_graph(3), k) for k in (1, 2, 3)] == [2, 2, 2]
+    # budgets at T0, T1*, T2*, T3*: the size of a degree-1..k chain at Tk*
+    def budgets(g):
+        return [t_star_levels(g)[level] for level in TLevel]
+
+    assert budgets(path_graph(3)) == [0, 2, 2, 2]
+    assert budgets(cycle_graph(4)) == [0, 0, 3, 3]
+    assert budgets(star_graph(4))[1] == 4
 
 
 def test_iterated_k_star_reaches_a_fixed_point():
@@ -207,10 +185,7 @@ def test_bulk_invariants_all_measures(measure):
     for _ in range(40):
         g = random_graph(rng, n_max=9, edge_p=rng.uniform(0.15, 0.6))
         t = rng.randint(0, g.order + 2)
-        recompute = rng.random() < 0.5
-        strict = rng.random() < 0.3
-        h, rep = t_centrality_node_contraction(g, t, measure,
-                                               recompute=recompute, strict_slots=strict)
+        h, rep = t_centrality_node_contraction(g, t, measure)
         assert h.component_count() == g.component_count()
         assert len(rep.removed) <= t
         assert h.order == g.order - len(rep.removed)
@@ -223,8 +198,7 @@ def test_bulk_invariants_all_measures(measure):
             else:
                 assert h.node_label(u) == g.node_label(u)
         # deterministic: the same call yields the same report and graph
-        h2, rep2 = t_centrality_node_contraction(g, t, measure,
-                                                 recompute=recompute, strict_slots=strict)
+        h2, rep2 = t_centrality_node_contraction(g, t, measure)
         assert h2 == h and rep2 == rep
 
 

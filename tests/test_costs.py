@@ -4,22 +4,18 @@ import math
 
 import pytest
 
-from cged import (
-    CostModel,
+from cged import CostModel
+from cged.costs import (
     EditOperation,
     EditPath,
-    Graph,
-    MissingEdgeError,
-    MissingNodeError,
     OpKind,
-    Point2D,
     SearchSettings,
     edge_label_distance,
     load_cost_config,
     node_label_distance,
-    op_cost,
     parse_cost_config,
 )
+from cged.graph import Point2D
 
 
 def test_node_label_distance_cases():
@@ -66,51 +62,6 @@ def test_cost_model_validation():
         CostModel(y_edge=float("nan"))
     with pytest.raises(ValueError):
         CostModel(x_edge=float("inf"))
-
-
-def test_op_cost_examples():
-    g1 = Graph()
-    g1.add_node(Point2D(0, 0))
-    g2 = Graph()
-    g2.add_node(Point2D(3, 4))
-    cm = CostModel()
-    assert op_cost(EditOperation.node_sub(0, 0, 0.0), cm, g1, g2) == 5.0
-    assert op_cost(EditOperation.node_del(0, 0.0), cm, g1, g2) == 1.0
-    assert op_cost(EditOperation.node_del(0, 0.0), CostModel(x_node=0.9), g1, g2) == 0.9
-    assert op_cost(EditOperation.node_ins(0, 0.0), CostModel(x_node=2.5), g1, g2) == 2.5
-
-    s1 = Graph()
-    s1.add_node("C")
-    s2 = Graph()
-    s2.add_node("C")
-    assert op_cost(EditOperation.node_sub(0, 0, 0.0), cm, s1, s2) == 0.0
-
-
-def test_op_cost_edges_and_scaling():
-    g1 = Graph()
-    g1.add_node("C"); g1.add_node("N")
-    g1.add_edge(0, 1, 2.0)
-    g2 = Graph()
-    g2.add_node("C"); g2.add_node("N")
-    g2.add_edge(0, 1, 3.5)
-    cm = CostModel(y_edge=2.0, x_edge=0.25)
-    assert op_cost(EditOperation.edge_sub((0, 1), (0, 1), 0.0), cm, g1, g2) == 3.0
-    assert op_cost(EditOperation.edge_del((0, 1), 0.0), cm, g1, g2) == 0.25
-    assert op_cost(EditOperation.edge_ins((0, 1), 0.0), cm, g1, g2) == 0.25
-    scaled = CostModel(y_node=3.0)
-    p1 = Graph(); p1.add_node(Point2D(0, 0))
-    p2 = Graph(); p2.add_node(Point2D(0, 2))
-    assert op_cost(EditOperation.node_sub(0, 0, 0.0), scaled, p1, p2) == 6.0
-
-
-def test_op_cost_missing_operands_rejected():
-    g1 = Graph(); g1.add_node("C"); g1.add_node("N")
-    g2 = Graph(); g2.add_node("C")
-    with pytest.raises(MissingNodeError):
-        op_cost(EditOperation.node_sub(5, 0, 0.0), CostModel(), g1, g2)
-    # endpoints exist but the edge between them does not
-    with pytest.raises(MissingEdgeError):
-        op_cost(EditOperation.edge_del((0, 1), 0.0), CostModel(), g1, g2)
 
 
 def test_edit_operation_json_round_shape():

@@ -2,18 +2,15 @@
 
 import pytest
 
-from cged import (
-    CentralityMeasure,
+from cged import CentralityMeasure, astar_ged
+from cged.dataset import (
     Corpus,
     CorpusLoadError,
     DanglingEndpointError,
     DatasetError,
-    Graph,
     GxlParseError,
-    Point2D,
     Split,
     UnknownSchemaError,
-    astar_ged,
     corpus_stats,
     load_graph_file,
     load_iam_corpus,
@@ -25,6 +22,7 @@ from cged import (
     synthesize_letter_like,
     write_debug_graph,
 )
+from cged.graph import Graph, Point2D
 from helpers import cycle_graph, path_graph
 
 COORD_GXL = """
@@ -77,11 +75,10 @@ def test_parse_gxl_symbol_wins_in_auto_mode():
     </graph></gxl>
     """
     assert parse_gxl(doc).node_label(0) == "N"
-    assert parse_gxl(doc, schema="coordinates").node_label(0) == Point2D(1.0, 2.0)
+    # without a symbol, a node needs both coordinates
     with pytest.raises(UnknownSchemaError):
-        parse_gxl(COORD_GXL, schema="symbolic")
-    with pytest.raises(ValueError):
-        parse_gxl(COORD_GXL, schema="cartesian")
+        parse_gxl(doc.replace('<attr name="symbol"><string>N</string></attr>', "")
+                  .replace('<attr name="y"><float>2</float></attr>', ""))
 
 
 def test_parse_gxl_malformed_xml_reports_location():
@@ -286,18 +283,19 @@ def test_synthesize_many_classes_get_distinct_names():
 
 def test_split_corpus_stratified():
     corpus = synthesize_letter_like(seed=2, count=40, classes=4, distortion=0.2)
-    train, test = split_corpus(corpus, test_fraction=0.5)
+    train, test = split_corpus(corpus)
     assert len(train) == 20 and len(test) == 20
     assert train.split is Split.TRAIN and test.split is Split.TEST
     assert corpus_stats(train).class_histogram == {"A": 5, "B": 5, "C": 5, "D": 5}
     names = sorted(g.name for g in list(train) + list(test))
     assert names == sorted(g.name for g in corpus)
-    # uneven fraction: int(10 * 0.25) = 2 test graphs out of each class of 10
-    t2, s2 = split_corpus(corpus, test_fraction=0.25)
-    assert len(t2) + len(s2) == 40 and len(s2) == 8
-    assert corpus_stats(s2).class_histogram == {"A": 2, "B": 2, "C": 2, "D": 2}
-    with pytest.raises(ValueError):
-        split_corpus(corpus, test_fraction=1.0)
+    # graph i is class i % 4 at per-class position i // 4; odd positions go to test
+    assert [g.name for g in test] == [g.name for i, g in enumerate(corpus.graphs)
+                                      if (i // 4) % 2 == 1]
+    # an odd-sized class keeps the extra graph in train
+    t5, s5 = split_corpus(synthesize_letter_like(seed=2, count=5, classes=1, distortion=0.2))
+    assert [g.name for g in s5] == ["syn-A-0001", "syn-A-0003"]
+    assert len(t5) == 3
 
 
 def test_debug_format_round_trip():
@@ -354,7 +352,7 @@ def test_gxl_file_without_graph_id_uses_stem(tmp_path):
 
 def test_measures_work_on_synthetic_graphs():
     # spot check: every measure runs on every synthetic template shape
-    from cged import compute_centrality
+    from cged.centrality import compute_centrality
 
     corpus = synthesize_letter_like(seed=11, count=8, classes=8, distortion=0.0)
     for g in corpus:

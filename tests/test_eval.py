@@ -4,22 +4,21 @@ import csv
 
 import pytest
 
-from cged import (
+from cged import CentralityMeasure
+from cged.dataset import Corpus, synthesize_letter_like
+from cged.evaluation import (
     BenchmarkRecord,
-    CentralityMeasure,
-    Corpus,
-    Graph,
-    SearchSpec,
     TLevel,
     nn_classify,
     parse_level,
     run_timing_benchmark,
     sample_pairs,
     summarize_benchmark,
-    synthesize_letter_like,
     t_star_levels,
     write_benchmark_csv,
 )
+from cged.ged import SearchSpec
+from cged.graph import Graph
 from helpers import cycle_graph, path_graph
 
 DEG = CentralityMeasure.DEGREE

@@ -4,20 +4,10 @@ import random
 
 import pytest
 
-from cged import (
-    CentralityMeasure,
-    CostModel,
-    Graph,
-    Heuristic,
-    OpKind,
-    Point2D,
-    SearchSpec,
-    astar_ged,
-    beam_ged,
-    brute_force_ged,
-    run_search,
-    t_centrality_ged,
-)
+from cged import CentralityMeasure, CostModel, astar_ged, beam_ged, t_centrality_ged
+from cged.costs import OpKind
+from cged.ged import Heuristic, SearchSpec, brute_force_ged, run_search
+from cged.graph import Graph, Point2D
 from helpers import (
     assert_path_consistent,
     complete_graph,

@@ -22,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from cged import CostModel, Graph, Heuristic, Point2D, astar_ged, beam_ged
+from cged import CostModel, astar_ged, beam_ged
+from cged.ged import Heuristic
+from cged.graph import Graph, Point2D
 
 GOLDEN = Path(__file__).parent / "data" / "ged_golden.json"
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cged import (
+from cged.graph import (
     DuplicateEdgeError,
     Graph,
     MissingEdgeError,
