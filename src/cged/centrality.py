@@ -2,16 +2,17 @@
 
 Four measures are provided: degree, betweenness (shortest-path counting,
 endpoints excluded, each unordered pair counted once), eigenvector
-(nonnegative principal eigenvector of the adjacency matrix, computed per
-connected component) and PageRank (fixed point of
-``x = alpha * A @ (x / k) + gamma`` with ``k`` the degree vector and
-gamma = (1 - alpha) / n). The two iterative solvers have fixed settings,
-the module constants below; one that does not reach its tolerance within
-``MAX_ITER`` iterations raises :class:`ConvergenceError`.
+(nonnegative principal eigenvector of the adjacency matrix, unit length per
+connected component, from one symmetric eigensolve per component) and
+PageRank (solution of ``x = alpha * A @ (x / k) + gamma`` with ``k`` the
+degree vector, alpha = PAGERANK_ALPHA and gamma = (1 - alpha) / n, from one
+linear solve). Nothing iterates, so nothing can fail to converge.
 
-All measures are pure functions of the graph; scores are keyed by node id
-and ties are always broken by ascending id, so rankings are total and
-reproducible.
+All measures are pure functions of the graph and scores are keyed by node
+id. :func:`rank_ascending` compares scores rounded to RANK_DIGITS
+significant digits and breaks ties by ascending id, so rankings are total,
+reproducible, and not decided by floating-point noise between nodes that
+score the same.
 """
 
 from __future__ import annotations
@@ -35,38 +36,31 @@ class CentralityMeasure(Enum):
         return self.value
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver ran out of iterations before reaching tolerance."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(f"{message} (residual {residual:.3e} after {iterations} iterations)")
-        self.residual = residual
-        self.iterations = iterations
-
-
-EIGENVECTOR_TOL = 1e-8
-PAGERANK_TOL = 1e-10
 PAGERANK_ALPHA = 0.85
-MAX_ITER = 1000
+RANK_DIGITS = 10
 
 
 @dataclass
 class CentralityScores:
+    """Unrounded scores of one measure, keyed by node id.
+
+    ``iterations_used`` is always 0, since no measure iterates; it is kept
+    for callers that sum solver iterations.
+    """
+
     measure: CentralityMeasure
     scores: dict[int, float]
     iterations_used: int = 0
-    residual: float = 0.0
 
 
-def _adjacency(g: Graph, ids: list[int]) -> np.ndarray:
-    """Dense 0/1 adjacency over ids; ids may be a single component's nodes."""
-    index = {u: i for i, u in enumerate(ids)}
-    a = np.zeros((len(ids), len(ids)), np.float64)
+def _adjacency(g: Graph) -> np.ndarray:
+    """Dense 0/1 adjacency in ``g.nodes()`` order."""
+    index = {u: i for i, u in enumerate(g.nodes())}
+    a = np.zeros((len(index), len(index)), np.float64)
     for u, v, _ in g.edges():
-        if u in index and v in index:
-            i, j = index[u], index[v]
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        i, j = index[u], index[v]
+        a[i, j] = 1.0
+        a[j, i] = 1.0
     return a
 
 
@@ -86,76 +80,50 @@ def betweenness_centrality(g: Graph) -> CentralityScores:
 
 
 def eigenvector_centrality(g: Graph) -> CentralityScores:
-    """Principal-eigenvector scores, one power iteration per connected component.
+    """Principal-eigenvector scores, one ``eigh`` per connected component.
 
     Each component's sub-vector is normalized to unit Euclidean length;
     a single-node component scores 1 by convention (its top eigenvalue is 0).
-    Iterating A + I instead of A keeps the iteration convergent on bipartite
-    components, where A's spectrum is symmetric.
+    ``eigh`` returns eigenvalues in ascending order, so the last column is
+    the principal eigenvector, also on bipartite components whose spectrum
+    is symmetric.
     """
+    ids = g.nodes()
+    a = _adjacency(g)
+    index = {u: i for i, u in enumerate(ids)}
     scores: dict[int, float] = {}
-    total_iters = 0
-    worst_residual = 0.0
     for block in g.connected_components():
-        ids = sorted(block)
-        if len(ids) == 1:
-            scores[ids[0]] = 1.0
+        if len(block) == 1:
+            scores[next(iter(block))] = 1.0
             continue
-        a = _adjacency(g, ids)
-        x = np.full(len(ids), 1.0 / np.sqrt(len(ids)))
-        residual = np.inf
-        converged = False
-        for it in range(1, MAX_ITER + 1):
-            y = a @ x + x
-            x = y / np.linalg.norm(y)
-            ax = a @ x
-            kappa = float(x @ ax)
-            residual = float(np.max(np.abs(ax - kappa * x)))
-            if residual <= EIGENVECTOR_TOL:
-                total_iters += it
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError("eigenvector power iteration did not converge",
-                                   residual, MAX_ITER)
-        worst_residual = max(worst_residual, residual)
-        x = np.abs(x)  # principal eigenvector is nonnegative; scrub sign noise
-        for i, u in enumerate(ids):
-            scores[u] = float(x[i])
-    return CentralityScores(CentralityMeasure.EIGENVECTOR, scores,
-                            iterations_used=total_iters, residual=worst_residual)
+        pos = sorted(index[u] for u in block)
+        _, vecs = np.linalg.eigh(a[np.ix_(pos, pos)])
+        x = np.abs(vecs[:, -1])  # defined up to sign; the Perron vector is positive
+        x /= np.linalg.norm(x)
+        for i, p in enumerate(pos):
+            scores[ids[p]] = float(x[i])
+    return CentralityScores(CentralityMeasure.EIGENVECTOR, scores)
 
 
 def pagerank_centrality(g: Graph) -> CentralityScores:
-    """Fixed point of ``x = alpha * A @ (x / k) + gamma``, with alpha =
-    PAGERANK_ALPHA and gamma = (1 - alpha) / n.
+    """Solution of ``x = alpha * A @ (x / k) + gamma``, with alpha =
+    PAGERANK_ALPHA and gamma = (1 - alpha) / n, by one linear solve.
 
     Degrees play the role of outgoing degrees. Isolated nodes contribute
-    nothing to their (absent) neighbors and receive exactly gamma.
+    nothing to their (absent) neighbors and receive exactly gamma: their
+    rows and columns of the system are those of the identity.
     """
     n = g.order
     if n == 0:
-        return CentralityScores(CentralityMeasure.PAGERANK, {},
-                                iterations_used=0, residual=0.0)
-    ids = g.nodes()
+        return CentralityScores(CentralityMeasure.PAGERANK, {})
     gamma = (1.0 - PAGERANK_ALPHA) / n
-    a = _adjacency(g, ids)
+    a = _adjacency(g)
     k = a.sum(axis=1)
     inv_k = np.divide(1.0, k, out=np.zeros_like(k), where=k > 0)
-    x = np.full(n, gamma)
-    for it in range(1, MAX_ITER + 1):
-        nxt = PAGERANK_ALPHA * (a @ (x * inv_k)) + gamma
-        # residual of x itself: ||f(x) - x||_inf; return the iterate measured
-        residual = float(np.max(np.abs(nxt - x)))
-        if residual <= PAGERANK_TOL:
-            return CentralityScores(
-                CentralityMeasure.PAGERANK,
-                {u: float(x[i]) for i, u in enumerate(ids)},
-                iterations_used=it - 1,
-                residual=residual,
-            )
-        x = nxt
-    raise ConvergenceError("PageRank iteration did not converge", residual, MAX_ITER)
+    x = np.linalg.solve(np.eye(n) - PAGERANK_ALPHA * (a * inv_k),
+                        np.full(n, gamma))
+    return CentralityScores(CentralityMeasure.PAGERANK,
+                            {u: float(x[i]) for i, u in enumerate(g.nodes())})
 
 
 def compute_centrality(g: Graph, measure: CentralityMeasure) -> CentralityScores:
@@ -171,5 +139,10 @@ def compute_centrality(g: Graph, measure: CentralityMeasure) -> CentralityScores
 
 
 def rank_ascending(s: CentralityScores) -> list[int]:
-    """Node ids ordered by (score ascending, id ascending); a total order."""
-    return sorted(s.scores, key=lambda u: (s.scores[u], u))
+    """Node ids ordered by (score rounded to RANK_DIGITS significant digits,
+    id), both ascending; a total order.
+
+    Rounding makes scores that differ only by solver noise tie, so such
+    nodes are ranked by id instead of by the order of the solver's sums.
+    """
+    return sorted(s.scores, key=lambda u: (float(f"{s.scores[u]:.{RANK_DIGITS - 1}e}"), u))

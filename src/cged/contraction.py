@@ -64,7 +64,7 @@ def _deletable(g: Graph, u: int, articulation: set[int]) -> bool:
 def t_centrality_node_contraction(
     g: Graph, t: int, measure: CentralityMeasure
 ) -> tuple[Graph, ContractionReport]:
-    """Remove up to t nodes in ascending (score, id) order.
+    """Remove up to t nodes in :func:`rank_ascending` order.
 
     The ranking is computed once, on the input graph. Candidates are walked
     in that order and only successful deletions count against t; a

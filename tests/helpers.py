@@ -1,10 +1,11 @@
 """Shared graph builders and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's own algorithms: betweenness
-is literal shortest-path enumeration, eigenvector centrality comes from a
-dense symmetric eigensolver, PageRank from a direct linear solve. Expected
-values frozen into tests were produced by these, never by the code under
-test.
+Betweenness here is literal shortest-path enumeration, which shares nothing
+with the library's kernel. Eigenvector centrality comes from a dense
+symmetric eigensolver and PageRank from a direct linear solve: the same
+algorithms the library uses, so ``tests/test_centrality.py`` also checks
+both measures against networkx's iterative solvers. Expected values frozen
+into tests were produced by these, never by the code under test.
 """
 
 from __future__ import annotations

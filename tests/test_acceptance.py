@@ -195,11 +195,11 @@ def test_criterion_4_centrality_oracles(capsys):
             pr_worst = max(pr_worst, abs(acc - pr[u]))
         if g.component_count() == 1 and g.order >= 2:
             sum_worst = max(sum_worst, abs(sum(pr.values()) - 1.0))
-    ok = bet_worst <= 1e-9 and eig_worst <= 1e-6 and pr_worst <= 1e-8 and sum_worst <= 1e-6
+    ok = bet_worst <= 1e-9 and eig_worst <= 1e-12 and pr_worst <= 1e-12 and sum_worst <= 1e-12
     report(capsys, 4, ok,
            f"betweenness = path enumeration on 120 graphs (max {bet_worst:.2e} <= 1e-9); "
-           f"eigenvector residual {eig_worst:.2e} <= 1e-6; PageRank residual "
-           f"{pr_worst:.2e} <= 1e-8, connected-graph sum off by {sum_worst:.2e} <= 1e-6")
+           f"eigenvector residual {eig_worst:.2e} <= 1e-12; PageRank residual "
+           f"{pr_worst:.2e} <= 1e-12, connected-graph sum off by {sum_worst:.2e} <= 1e-12")
 
 
 def test_criterion_5_contraction_invariants(capsys):
