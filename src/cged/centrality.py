@@ -53,30 +53,15 @@ class CentralityScores:
     iterations_used: int = 0
 
 
-def _adjacency(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency in ``g.nodes()`` order."""
-    index = {u: i for i, u in enumerate(g.nodes())}
-    a = np.zeros((len(index), len(index)), np.float64)
-    for u, v, _ in g.edges():
-        i, j = index[u], index[v]
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-    return a
-
-
 def degree_centrality(g: Graph) -> CentralityScores:
     scores = {u: float(g.degree(u)) for u in g.nodes()}
     return CentralityScores(CentralityMeasure.DEGREE, scores)
 
 
 def betweenness_centrality(g: Graph) -> CentralityScores:
-    ids = g.nodes()
-    if not ids:
-        return CentralityScores(CentralityMeasure.BETWEENNESS, {})
-    index = {u: i for i, u in enumerate(ids)}
-    adj = [[index[v] for v in g.neighbors(u)] for u in ids]
-    bc = kernels.betweenness_counts(adj)
-    return CentralityScores(CentralityMeasure.BETWEENNESS, dict(zip(ids, bc)))
+    form = g.arrays()
+    bc = kernels.betweenness_counts(form.adj)
+    return CentralityScores(CentralityMeasure.BETWEENNESS, dict(zip(form.ids, bc)))
 
 
 def eigenvector_centrality(g: Graph) -> CentralityScores:
@@ -88,20 +73,19 @@ def eigenvector_centrality(g: Graph) -> CentralityScores:
     the principal eigenvector, also on bipartite components whose spectrum
     is symmetric.
     """
-    ids = g.nodes()
-    a = _adjacency(g)
-    index = {u: i for i, u in enumerate(ids)}
+    form = g.arrays()
+    a = np.array(form.kind, bool).astype(np.float64)  # 1.0 for an edge of either kind
     scores: dict[int, float] = {}
     for block in g.connected_components():
         if len(block) == 1:
             scores[next(iter(block))] = 1.0
             continue
-        pos = sorted(index[u] for u in block)
+        pos = sorted(form.pos[u] for u in block)
         _, vecs = np.linalg.eigh(a[np.ix_(pos, pos)])
         x = np.abs(vecs[:, -1])  # defined up to sign; the Perron vector is positive
         x /= np.linalg.norm(x)
         for i, p in enumerate(pos):
-            scores[ids[p]] = float(x[i])
+            scores[form.ids[p]] = float(x[i])
     return CentralityScores(CentralityMeasure.EIGENVECTOR, scores)
 
 
@@ -117,13 +101,13 @@ def pagerank_centrality(g: Graph) -> CentralityScores:
     if n == 0:
         return CentralityScores(CentralityMeasure.PAGERANK, {})
     gamma = (1.0 - PAGERANK_ALPHA) / n
-    a = _adjacency(g)
+    form = g.arrays()
+    a = np.array(form.kind, bool).astype(np.float64)  # 1.0 for an edge of either kind
     k = a.sum(axis=1)
     inv_k = np.divide(1.0, k, out=np.zeros_like(k), where=k > 0)
     x = np.linalg.solve(np.eye(n) - PAGERANK_ALPHA * (a * inv_k),
                         np.full(n, gamma))
-    return CentralityScores(CentralityMeasure.PAGERANK,
-                            {u: float(x[i]) for i, u in enumerate(g.nodes())})
+    return CentralityScores(CentralityMeasure.PAGERANK, dict(zip(form.ids, x.tolist())))
 
 
 def compute_centrality(g: Graph, measure: CentralityMeasure) -> CentralityScores:

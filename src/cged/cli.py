@@ -237,8 +237,7 @@ def cmd_classify(args) -> int:
     train, test = _resolve_pair_corpora(args)
     measure = CentralityMeasure(args.measure)
     level = parse_level(args.level)
-    result = nn_classify(train, test, measure, level, search, cm,
-                         workers=args.workers, k=args.knn)
+    result = nn_classify(train, test, measure, level, search, cm, workers=args.workers)
     payload = {
         "measure": measure.value,
         "level": level.value,
@@ -324,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=[m.value for m in CentralityMeasure],
                    default="degree")
     p.add_argument("--level", default="T0", help="contraction level (default: T0)")
-    p.add_argument("--knn", type=int, default=1, help="neighbors to vote (default: 1)")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
     p.add_argument("--out-json", default="classification.json", metavar="FILE")
     _add_search_args(p)

@@ -60,7 +60,6 @@ class CorpusLoadError(DatasetError):
 
 class Split(Enum):
     TRAIN = "train"
-    VALIDATION = "validation"
     TEST = "test"
 
     def __str__(self) -> str:
@@ -159,8 +158,8 @@ def parse_gxl(data: Union[bytes, str]) -> Graph:
     """Parse one GXL document into a Graph.
 
     A node's label is its ``symbol`` attribute when it has one, else its
-    ``x``/``y`` point. Raises :class:`GxlParseError` (malformed document),
-    :class:`UnknownSchemaError` (a node with neither), or
+    ``x``/``y`` point. Raises :class:`GxlParseError` (malformed document or
+    label value), :class:`UnknownSchemaError` (a node with neither), or
     :class:`DanglingEndpointError` (edge to an undeclared node), each
     carrying a location hint.
     """
@@ -187,8 +186,11 @@ def parse_gxl(data: Union[bytes, str]) -> Graph:
             where = f"node {nid!r}"
             if nid in name_to_id:
                 raise GxlParseError("duplicate node id", where)
-            label = _node_label(_attr_map(el, where), where)
-            name_to_id[nid] = g.add_node(label)
+            attrs = _attr_map(el, where)
+            try:
+                name_to_id[nid] = g.add_node(_node_label(attrs, where))
+            except ValueError as exc:  # a non-finite or non-numeric x/y, a blank symbol
+                raise GxlParseError(f"bad node label: {exc}", where) from None
         elif el.tag == "edge":
             a, b = el.get("from"), el.get("to")
             where = f"edge ({a!r}, {b!r})"
@@ -199,12 +201,10 @@ def parse_gxl(data: Union[bytes, str]) -> Graph:
                     raise DanglingEndpointError(
                         f"endpoint {end!r} is not a declared node", where)
             attrs = _attr_map(el, where)
-            label: EdgeLabel = None
-            if "valence" in attrs:
-                label = float(attrs["valence"])
-            try:
+            try:  # a GraphError, or a non-finite or non-numeric valence
+                label: EdgeLabel = float(attrs["valence"]) if "valence" in attrs else None
                 g.add_edge(name_to_id[a], name_to_id[b], label)
-            except GraphError as exc:
+            except ValueError as exc:
                 raise GxlParseError(str(exc), where) from None
     return g
 

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -133,6 +133,14 @@ class ClassificationResult:
         }
 
 
+def _map(fn: Callable, tasks: list, workers: int) -> list:
+    """``fn`` over ``tasks`` in order: serially, or across a pool of ``workers``."""
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 # ----------------------------------------------------------------------
 # timing benchmark
 # ----------------------------------------------------------------------
@@ -213,12 +221,7 @@ def run_timing_benchmark(
          graphs[i], graphs[j], tuple(measures), tuple(levels), search, cm)
         for k, (i, j) in enumerate(pairs)
     ]
-    if workers <= 1:
-        chunks = [_benchmark_pair(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_benchmark_pair, tasks))
-    records = [r for chunk in chunks for r in chunk]
+    records = [r for chunk in _map(_benchmark_pair, tasks, workers) for r in chunk]
     level_order = {lv: i for i, lv in enumerate(TLevel)}
     records.sort(key=lambda r: (r.pair_id, r.measure.value, level_order[r.t_level]))
     return records
@@ -256,22 +259,12 @@ def write_benchmark_csv(records: Sequence[BenchmarkRecord],
 # ----------------------------------------------------------------------
 
 def _classify_one(args) -> tuple[str, str, str]:
-    g, train_contracted, train_classes, measure, level, search, cm, k = args
+    g, train_contracted, train_classes, measure, level, search, cm = args
     budget = t_star_levels(g)[level]
     h, _ = t_centrality_node_contraction(g, budget, measure)
     dists = [run_search(h, ht, cm, search).cost for ht in train_contracted]
-    order = sorted(range(len(dists)), key=lambda i: (dists[i], i))
-    if k == 1:
-        predicted = train_classes[order[0]]
-    else:
-        top = order[:k]
-        votes: dict[str, int] = {}
-        for i in top:
-            votes[train_classes[i]] = votes.get(train_classes[i], 0) + 1
-        best = max(votes.values())
-        # tie between classes: the nearest neighbor among them decides
-        predicted = next(train_classes[i] for i in top if votes[train_classes[i]] == best)
-    return (g.name or "", g.class_label or "", predicted)
+    nearest = min(range(len(dists)), key=lambda i: (dists[i], i))
+    return (g.name or "", g.class_label or "", train_classes[nearest])
 
 
 def nn_classify(
@@ -282,18 +275,15 @@ def nn_classify(
     search: SearchSpec,
     cm: Optional[CostModel] = None,
     workers: int = 1,
-    k: int = 1,
 ) -> ClassificationResult:
     """Predict each test graph's class from its nearest training graph.
 
     Distances are contracted edit distances (each graph contracted at its
     own level budget with the given measure). Ties go to the lowest
-    training index; k > 1 switches to majority vote among the k nearest.
+    training index.
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     cm = cm or CostModel()
     train_contracted = []
     train_classes = []
@@ -302,13 +292,6 @@ def nn_classify(
         h, _ = t_centrality_node_contraction(g, budget, measure)
         train_contracted.append(h)
         train_classes.append(g.class_label or "")
-    tasks = [
-        (g, train_contracted, train_classes, measure, level, search, cm, k)
-        for g in test.graphs
-    ]
-    if workers <= 1:
-        preds = [_classify_one(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            preds = list(pool.map(_classify_one, tasks))
-    return ClassificationResult.from_predictions(preds)
+    tasks = [(g, train_contracted, train_classes, measure, level, search, cm)
+             for g in test.graphs]
+    return ClassificationResult.from_predictions(_map(_classify_one, tasks, workers))

@@ -92,50 +92,29 @@ class GedResult:
 
 
 class _PairView:
-    """One graph pair as Python lists, indexed by node position.
-
-    The layout is the one :func:`kernels.extend_costs` reads.
-    """
+    """One graph pair in the layout :func:`kernels.extend_costs` reads,
+    taken from both graphs' :class:`~cged.graph.GraphArrays`."""
 
     __slots__ = ("ids1", "ids2", "n1", "n2", "kind1", "val1", "kind2", "val2",
                  "node_dist", "e2_masks", "er1_suffix")
 
     def __init__(self, g1: Graph, g2: Graph):
-        self.ids1 = g1.nodes()
-        self.ids2 = g2.nodes()
-        self.n1 = len(self.ids1)
-        self.n2 = len(self.ids2)
-        self.kind1, self.val1, edges1 = _dense_edges(g1, self.ids1)
-        self.kind2, self.val2, edges2 = _dense_edges(g2, self.ids2)
-        labels2 = [g2.node_label(v) for v in self.ids2]
-        self.node_dist = [[node_label_distance(g1.node_label(u), b) for b in labels2]
-                          for u in self.ids1]
-        self.e2_masks = [(1 << i) | (1 << j) for i, j in edges2]
+        a1, a2 = g1.arrays(), g2.arrays()
+        self.ids1, self.ids2 = a1.ids, a2.ids
+        self.n1, self.n2 = len(a1.ids), len(a2.ids)
+        self.kind1, self.val1 = a1.kind, a1.val
+        self.kind2, self.val2 = a2.kind, a2.val
+        self.node_dist = [[node_label_distance(a, b) for b in a2.labels]
+                          for a in a1.labels]
+        self.e2_masks = [(1 << i) | (1 << j) for i, j in a2.edges]
         # er1_suffix[d] = edges of g1 with both endpoint positions >= d
         # (positions are sorted, so that is: min endpoint position >= d)
         suffix = [0] * (self.n1 + 1)
-        for i, _ in edges1:
+        for i, _ in a1.edges:
             suffix[i] += 1
         for d in range(self.n1 - 1, -1, -1):
             suffix[d] += suffix[d + 1]
         self.er1_suffix = suffix
-
-
-def _dense_edges(g: Graph, ids: list[int]
-                 ) -> tuple[list[list[int]], list[list[float]], list[tuple[int, int]]]:
-    """Edge-kind and edge-value rows by position, plus the (i, j) edge list, i < j."""
-    n = len(ids)
-    pos = {u: i for i, u in enumerate(ids)}
-    kind = [[0] * n for _ in range(n)]
-    val = [[0.0] * n for _ in range(n)]
-    edges = []
-    for u, v, label in g.edges():
-        i, j = pos[u], pos[v]
-        kind[i][j] = kind[j][i] = 1 if label is None else 2
-        if label is not None:
-            val[i][j] = val[j][i] = float(label)
-        edges.append((i, j))
-    return kind, val, edges
 
 
 def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,

@@ -9,6 +9,8 @@ Node ids are dense integers handed out at creation and never reused, so a
 node keeps its identity through copies and deletions. All public iteration
 orders are ascending by id, which makes every downstream computation
 deterministic.
+
+Search and centrality read the :class:`GraphArrays` that a graph caches.
 """
 
 from __future__ import annotations
@@ -76,6 +78,29 @@ def _check_edge_label(label: EdgeLabel) -> EdgeLabel:
     return value
 
 
+@dataclass(frozen=True)
+class GraphArrays:
+    """A graph indexed by node position: position i holds the i-th smallest id.
+
+    ``ids`` lists the ids ascending and ``pos`` maps each id to its position;
+    ``labels`` holds the node labels and ``adj`` the ascending neighbour
+    positions of each node. ``kind[i][j]`` is 0 when positions i and j share
+    no edge, 1 when their edge is unlabeled and 2 when it has a numeric
+    label, which ``val[i][j]`` then holds (``val`` is 0.0 elsewhere).
+    ``edges`` lists the (i, j) pairs of all edges, i < j, ascending. All but
+    ``pos`` are tuples, so no reader can change the form the others share;
+    ``pos`` is a dict that readers must not modify.
+    """
+
+    ids: tuple[int, ...]
+    pos: dict[int, int]
+    labels: tuple[NodeLabel, ...]
+    adj: tuple[tuple[int, ...], ...]
+    kind: tuple[tuple[int, ...], ...]
+    val: tuple[tuple[float, ...], ...]
+    edges: tuple[tuple[int, int], ...]
+
+
 class Graph:
     """A simple undirected graph with labeled nodes and edges.
 
@@ -84,7 +109,7 @@ class Graph:
     metadata and do not participate in equality.
     """
 
-    __slots__ = ("name", "class_label", "_labels", "_adj", "_next_id")
+    __slots__ = ("name", "class_label", "_labels", "_adj", "_next_id", "_arrays")
 
     def __init__(self, name: str | None = None, class_label: str | None = None):
         self.name = name
@@ -92,6 +117,7 @@ class Graph:
         self._labels: dict[int, NodeLabel] = {}
         self._adj: dict[int, dict[int, EdgeLabel]] = {}
         self._next_id = 0
+        self._arrays: GraphArrays | None = None
 
     # ------------------------------------------------------------------
     # construction / mutation
@@ -104,6 +130,7 @@ class Graph:
         self._next_id += 1
         self._labels[u] = label
         self._adj[u] = {}
+        self._arrays = None
         return u
 
     def add_edge(self, u: int, v: int, label: EdgeLabel = None) -> None:
@@ -122,6 +149,7 @@ class Graph:
         label = _check_edge_label(label)
         self._adj[u][v] = label
         self._adj[v][u] = label
+        self._arrays = None
 
     def delete_node(self, u: int) -> None:
         """Remove node u and every incident edge."""
@@ -131,6 +159,7 @@ class Graph:
             del self._adj[w][u]
         del self._adj[u]
         del self._labels[u]
+        self._arrays = None
 
     def copy(self) -> "Graph":
         g = Graph(name=self.name, class_label=self.class_label)
@@ -219,6 +248,32 @@ class Graph:
                     out.append((u, v, label))
         out.sort(key=lambda e: (e[0], e[1]))
         return out
+
+    def arrays(self) -> GraphArrays:
+        """This graph's :class:`GraphArrays`, built on first use and kept
+        until the next :meth:`add_node`, :meth:`add_edge` or :meth:`delete_node`."""
+        if self._arrays is None:
+            ids = sorted(self._labels)
+            pos = {u: i for i, u in enumerate(ids)}
+            kind, val, adj = [], [], []
+            for i, u in enumerate(ids):
+                krow, vrow, row = [0] * len(ids), [0.0] * len(ids), []
+                for v, label in self._adj[u].items():
+                    j = pos[v]
+                    row.append(j)
+                    if label is None:
+                        krow[j] = 1
+                    else:
+                        krow[j], vrow[j] = 2, label
+                row.sort()
+                kind.append(tuple(krow))
+                val.append(tuple(vrow))
+                adj.append(tuple(row))
+            self._arrays = GraphArrays(
+                tuple(ids), pos, tuple([self._labels[u] for u in ids]), tuple(adj),
+                tuple(kind), tuple(val),
+                tuple([(i, j) for i, row in enumerate(adj) for j in row if j > i]))
+        return self._arrays
 
     # ------------------------------------------------------------------
     # connectivity

@@ -4,16 +4,16 @@ Two inner loops dominate the toolkit's runtime: the expansion step of the
 edit-distance tree search (called once per open-list pop) and the
 per-source accumulation of betweenness centrality.
 
-Both are plain Python. The expansion step, :func:`extend_costs`, runs over
-the list-form pair tables that :mod:`cged.ged` builds once per search;
-:func:`betweenness_counts` runs over neighbour lists. The graphs they see
-are small (letters and molecules of a few to a few dozen nodes), where
-Python lists and int bitmasks beat numpy's per-call overhead.
+Both are plain Python and read the tuple rows of
+:class:`cged.graph.GraphArrays`: :func:`extend_costs` through the pair view
+that :mod:`cged.ged` assembles once per search from both graphs' forms,
+:func:`betweenness_counts` through the neighbour rows ``adj``. The graphs
+they see are small (letters and molecules of a few to a few dozen nodes),
+where Python sequences and int bitmasks beat numpy's per-call overhead.
 
 Conventions shared with :mod:`cged.ged`:
 
-* edge kinds are 0 = no edge, 1 = unlabeled, 2 = numeric; edge values are
-  meaningful only where the kind is 2;
+* edge kinds and values are those of :class:`cged.graph.GraphArrays`;
 * a mapping is a tuple of target positions, one per placed source node in
   position order, with -1 marking a deleted source node;
 * a used-target set is an int bitmask over target positions;
@@ -74,9 +74,9 @@ def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> N
     also pays for inserting every target node and edge left over; below it,
     with ``use_count_bound``, its ``f`` adds :func:`count_bound`.
 
-    ``view`` provides n1, n2, kind1/val1/kind2/val2 (edge-kind and
-    edge-value rows), node_dist, e2_masks (one two-bit mask per target
-    edge) and er1_suffix, all as Python lists.
+    ``view`` provides n1, n2, kind1/val1/kind2/val2 (the ``kind`` and
+    ``val`` rows of both graphs' forms), node_dist, e2_masks (one two-bit
+    mask per target edge) and er1_suffix.
     """
     _, negd, mapping, g, used = entry
     depth = -negd
@@ -142,7 +142,7 @@ def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> N
 # betweenness kernel (per-source BFS + dependency accumulation)
 # ----------------------------------------------------------------------
 
-def betweenness_counts(adj: list[list[int]]) -> list[float]:
+def betweenness_counts(adj: tuple[tuple[int, ...], ...]) -> list[float]:
     """Unweighted betweenness counts; ``adj[v]`` lists v's neighbour
     positions in ascending order.
 

@@ -140,7 +140,7 @@ def test_benchmark_outputs(tmp_path, capsys):
 def test_classify_perfect_at_zero_distortion(tmp_path, capsys):
     out_json = tmp_path / "cls.json"
     rc = main(["classify", "--dataset", "synthetic", "--syn-count", "12",
-               "--syn-classes", "3", "--syn-distortion", "0", "--knn", "1",
+               "--syn-classes", "3", "--syn-distortion", "0",
                "--out-json", str(out_json)])
     assert rc == 0
     payload = json.loads(out_json.read_text())
@@ -187,6 +187,32 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+GOOD_NODE = '<attr name="symbol"><string>C</string></attr>'
+
+
+@pytest.mark.parametrize("command", ["contract", "ged"])
+@pytest.mark.parametrize("node_attrs, edge_attrs, where", [
+    ('<attr name="x"><float>inf</float></attr><attr name="y"><float>0</float></attr>', "",
+     "node 'b'"),
+    ('<attr name="x"><string>left</string></attr><attr name="y"><float>0</float></attr>', "",
+     "node 'b'"),
+    ('<attr name="symbol"><string> </string></attr>', "", "node 'b'"),
+    (GOOD_NODE, '<attr name="valence"><float>nan</float></attr>', "edge ('a', 'b')"),
+    (GOOD_NODE, '<attr name="valence"><string>double</string></attr>', "edge ('a', 'b')"),
+])
+def test_bad_gxl_label_value_is_a_parse_error(tmp_path, capsys, command, node_attrs,
+                                              edge_attrs, where):
+    bad = tmp_path / "bad.gxl"
+    bad.write_text(f"""<gxl><graph id="g">
+      <node id="a">{GOOD_NODE}</node>
+      <node id="b">{node_attrs}</node>
+      <edge from="a" to="b">{edge_attrs}</edge>
+    </graph></gxl>""")
+    files = [str(bad)] if command == "contract" else [str(bad), str(bad)]
+    assert main([command, *files]) == EXIT_PARSE
+    assert f"[{where}]" in capsys.readouterr().err
+
+
 def test_exit_code_dataset_errors(tmp_path, capsys, monkeypatch, graph_files):
     rc = main(["ged", str(tmp_path / "nope.txt"), str(graph_files["a"])])
     assert rc == EXIT_DATASET
@@ -215,6 +241,13 @@ def test_exit_code_config_errors(tmp_path, capsys, graph_files):
     missing = tmp_path / "missing.conf"
     assert main(["ged", a, a, "--config", str(missing)]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_knn_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--dataset", "synthetic", "--knn", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two(capsys):

@@ -174,6 +174,26 @@ def test_parse_cxl_index_aggregates_failures(tmp_path):
     assert len(exc.value.failures) == 2
 
 
+def test_load_iam_corpus_names_every_file_with_a_bad_label(tmp_path):
+    make_index_dir(tmp_path, [("ok.gxl", "C"), ("blank.gxl", " ")])
+    (tmp_path / "valence.gxl").write_text("""<gxl><graph id="valence">
+      <node id="a"><attr name="symbol"><string>C</string></attr></node>
+      <node id="b"><attr name="symbol"><string>O</string></attr></node>
+      <edge from="a" to="b"><attr name="valence"><float>inf</float></attr></edge>
+    </graph></gxl>""")
+    (tmp_path / "train.cxl").write_text("""<X>
+      <print file="ok.gxl" class="A"/>
+      <print file="blank.gxl" class="A"/>
+      <print file="valence.gxl" class="B"/>
+    </X>""")
+    with pytest.raises(CorpusLoadError) as exc:
+        load_iam_corpus(tmp_path / "train.cxl", Split.TRAIN)
+    failures = exc.value.failures
+    assert len(failures) == 2
+    assert failures[0].startswith("blank.gxl:") and "[node 'n']" in failures[0]
+    assert failures[1].startswith("valence.gxl:") and "[edge ('a', 'b')]" in failures[1]
+
+
 def test_parse_cxl_index_duplicate_names(tmp_path):
     make_index_dir(tmp_path, [("dup.gxl", "C")])
     index = """<X>

@@ -188,27 +188,11 @@ def test_nn_classify_tie_goes_to_lowest_train_index():
     assert result.confusion == {("Y", "X"): 1}
 
 
-def test_nn_classify_majority_vote():
-    base = path_graph(3)
-    train = []
-    for i, cls in enumerate(["X", "X", "Y"]):
-        g = base.copy()
-        g.name, g.class_label = f"t{i}", cls
-        train.append(g)
-    probe = base.copy()
-    probe.name, probe.class_label = "p", "Y"
-    result = nn_classify(Corpus("tr", train), Corpus("te", [probe]),
-                         DEG, TLevel.T0, SearchSpec.astar(), k=3)
-    assert result.predictions == [("p", "Y", "X")]
-
-
 def test_nn_classify_validation_and_workers():
     corpus = synthesize_letter_like(seed=27, count=10, classes=2, distortion=0.2)
     train, test = (Corpus("tr", list(corpus)[:5]), Corpus("te", list(corpus)[5:]))
     with pytest.raises(ValueError):
         nn_classify(Corpus("none"), test, DEG, TLevel.T0, SearchSpec.astar())
-    with pytest.raises(ValueError):
-        nn_classify(train, test, DEG, TLevel.T0, SearchSpec.astar(), k=0)
     serial = nn_classify(train, test, DEG, TLevel.T1STAR, SearchSpec.beam(10))
     pooled = nn_classify(train, test, DEG, TLevel.T1STAR, SearchSpec.beam(10), workers=3)
     assert serial.predictions == pooled.predictions

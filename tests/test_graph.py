@@ -1,9 +1,14 @@
-"""Graph structure, connectivity and cut-vertex behavior."""
+"""Graph structure, connectivity, cut-vertex behavior and the position-indexed form."""
 
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cged.centrality import CentralityMeasure, compute_centrality
+from cged.ged import astar_ged, beam_ged
 from cged.graph import (
     DuplicateEdgeError,
     Graph,
@@ -201,3 +206,77 @@ def test_delete_decrements_counts_exactly():
         g.delete_node(u)
         assert g.order == n - 1
         assert g.size == m - d
+
+
+EDGE_LABELS = st.one_of(st.none(), st.integers(-3, 3), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def graphs(draw, max_nodes=7):
+    """Graphs on sparse, unordered ids with symbolic or coordinate node
+    labels and unlabeled, integer or fractional edge labels."""
+    ids = draw(st.lists(st.integers(0, 40), max_size=max_nodes, unique=True))
+    labels = draw(st.sampled_from([
+        st.sampled_from("CNOS"),
+        st.builds(Point2D, st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+    ]))
+    edges = [(u, v, draw(EDGE_LABELS))
+             for i, u in enumerate(ids) for v in ids[i + 1:] if draw(st.booleans())]
+    return Graph.from_parts(None, None, [(u, draw(labels)) for u in ids], edges)
+
+
+def fresh_arrays(g: Graph):
+    """The form of a newly built graph equal to g, so nothing is cached."""
+    return Graph.from_parts(None, None, g.node_items(), g.edges()).arrays()
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs())
+def test_arrays_agree_with_the_graph_api(g):
+    a = g.arrays()
+    assert g.arrays() is a
+    assert list(a.ids) == g.nodes()
+    assert len(a.pos) == len(a.ids) and all(a.ids[a.pos[u]] == u for u in a.ids)
+    assert list(a.labels) == [g.node_label(u) for u in a.ids]
+    assert [[a.ids[j] for j in row] for row in a.adj] == [g.neighbors(u) for u in a.ids]
+    assert [(a.ids[i], a.ids[j]) for i, j in a.edges] == [(u, v) for u, v, _ in g.edges()]
+    for i, u in enumerate(a.ids):
+        for j, v in enumerate(a.ids):
+            if not g.has_edge(u, v):
+                want = (0, 0.0)
+            elif g.edge_label(u, v) is None:
+                want = (1, 0.0)
+            else:
+                want = (2, g.edge_label(u, v))
+            assert (a.kind[i][j], a.val[i][j]) == want
+    for rows in (a.ids, a.labels, a.adj, a.kind, a.val, a.edges):
+        assert type(rows) is tuple
+    assert all(type(row) is tuple for rows in (a.adj, a.kind, a.val) for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_arrays_show_every_mutation(g, data):
+    g.arrays()
+    u = g.add_node("C")
+    assert g.arrays() == fresh_arrays(g)
+    others = [v for v in g.nodes() if v != u]
+    if others:
+        g.add_edge(u, data.draw(st.sampled_from(others)), data.draw(EDGE_LABELS))
+        assert g.arrays() == fresh_arrays(g)
+    g.delete_node(data.draw(st.sampled_from(g.nodes())))
+    assert g.arrays() == fresh_arrays(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g1=graphs(max_nodes=5), g2=graphs(max_nodes=5))
+def test_search_and_centrality_leave_the_form_unchanged(g1, g2):
+    a1, a2 = g1.arrays(), g2.arrays()
+    before = copy.deepcopy((a1, a2))
+    astar_ged(g1, g2)
+    beam_ged(g1, g2, w=2)
+    for g in (g1, g2):
+        for measure in CentralityMeasure:
+            compute_centrality(g, measure)
+    assert g1.arrays() is a1 and g2.arrays() is a2
+    assert (a1, a2) == before
