@@ -144,8 +144,10 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
         # looked up per call, so the step can be wrapped (e.g. traced) at runtime
         kernels.extend_costs(view, cm, heap, entry, count_bound)
         if width is not None and len(heap) > width:
-            heap = heapq.nsmallest(width, heap)
-            heapq.heapify(heap)
+            # entries are unique and totally ordered, so this keeps the same
+            # w entries as a partial selection, and a sorted list is a heap
+            heap.sort()
+            del heap[width:]
     raise RuntimeError("open list exhausted before a complete mapping")  # unreachable
 
 

@@ -166,7 +166,18 @@ class Graph:
         g._labels = dict(self._labels)
         g._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
         g._next_id = self._next_id
+        # the form is immutable and every mutator replaces it, so a copy can share it
+        g._arrays = self._arrays
         return g
+
+    def __getstate__(self) -> dict:
+        # the cached form is rebuilt on demand, so pickles (e.g. pool tasks) leave it out
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_arrays"}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._arrays = None
 
     @classmethod
     def from_parts(
@@ -250,8 +261,9 @@ class Graph:
         return out
 
     def arrays(self) -> GraphArrays:
-        """This graph's :class:`GraphArrays`, built on first use and kept
-        until the next :meth:`add_node`, :meth:`add_edge` or :meth:`delete_node`."""
+        """This graph's :class:`GraphArrays`, built on first use (or shared
+        with the graph this one was copied from) and kept until the next
+        :meth:`add_node`, :meth:`add_edge` or :meth:`delete_node`."""
         if self._arrays is None:
             ids = sorted(self._labels)
             pos = {u: i for i, u in enumerate(ids)}

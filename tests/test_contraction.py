@@ -212,3 +212,20 @@ def test_full_budget_on_connected_graphs():
         assert h.component_count() == 1
         if h.order > 1:
             assert set(h.nodes()) <= set(rep.skipped_cut_vertices)
+
+
+@pytest.mark.parametrize("measure", list(CentralityMeasure))
+def test_smaller_budget_removes_a_prefix_of_the_full_walk(measure):
+    # the ranking is taken once, on the input graph, so a walk at budget t
+    # stops where the walk at budget n has made its first t deletions
+    rng = random.Random(31)
+    for _ in range(30):
+        g = random_graph(rng, n_max=9, edge_p=rng.uniform(0.15, 0.6))
+        full = t_centrality_node_contraction(g, g.order, measure)[1].removed_ids
+        for t in range(g.order + 1):
+            h, rep = t_centrality_node_contraction(g, t, measure)
+            assert rep.removed_ids == full[:t]
+            expected = g.copy()
+            for u in full[:t]:
+                expected.delete_node(u)
+            assert h == expected

@@ -4,7 +4,8 @@ import csv
 
 import pytest
 
-from cged import CentralityMeasure
+from cged import CentralityMeasure, t_centrality_node_contraction
+from cged.costs import CostModel
 from cged.dataset import Corpus, synthesize_letter_like
 from cged.evaluation import (
     BenchmarkRecord,
@@ -17,7 +18,7 @@ from cged.evaluation import (
     t_star_levels,
     write_benchmark_csv,
 )
-from cged.ged import SearchSpec
+from cged.ged import SearchSpec, run_search
 from cged.graph import Graph
 from helpers import cycle_graph, path_graph
 
@@ -95,6 +96,28 @@ def test_benchmark_deterministic_and_worker_independent():
     pooled = run_timing_benchmark(*args, sample=6, seed=2, workers=3)
     assert [record_key(r) for r in serial] == [record_key(r) for r in again]
     assert [record_key(r) for r in serial] == [record_key(r) for r in pooled]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_cells_equal_a_search_of_each_cells_own_contraction(workers):
+    # cells that remove the same node sets are searched once; each must still
+    # read as if its own two contractions had been searched
+    corpus = synthesize_letter_like(seed=29, count=10, classes=3, distortion=0.3)
+    by_name = {g.name: g for g in corpus.graphs}
+    cm = CostModel()
+    records = run_timing_benchmark(corpus, list(CentralityMeasure), ALL_LEVELS,
+                                   SearchSpec.astar(), sample=6, seed=5, cm=cm,
+                                   workers=workers)
+    assert len(records) == 6 * 4 * 4
+    for r in records:
+        name1, name2 = r.pair_id.split(":", 1)[1].split("|")
+        g1, g2 = by_name[name1], by_name[name2]
+        assert (r.t_used_1, r.t_used_2) == (t_star_levels(g1)[r.t_level],
+                                            t_star_levels(g2)[r.t_level])
+        h1, _ = t_centrality_node_contraction(g1, r.t_used_1, r.measure)
+        h2, _ = t_centrality_node_contraction(g2, r.t_used_2, r.measure)
+        want = run_search(h1, h2, cm, SearchSpec.astar())
+        assert (r.cost, r.expanded_nodes) == (want.cost, want.expanded_nodes)
 
 
 def test_benchmark_validation():

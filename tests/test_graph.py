@@ -1,6 +1,7 @@
 """Graph structure, connectivity, cut-vertex behavior and the position-indexed form."""
 
 import copy
+import pickle
 import random
 
 import pytest
@@ -280,3 +281,35 @@ def test_search_and_centrality_leave_the_form_unchanged(g1, g2):
             compute_centrality(g, measure)
     assert g1.arrays() is a1 and g2.arrays() is a2
     assert (a1, a2) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_copy_shares_the_form_until_it_is_mutated(g, data):
+    form = g.arrays()
+    free = [(u, v) for u in g.nodes() for v in g.nodes() if u < v and not g.has_edge(u, v)]
+    mutations = ["add_node"] + (["delete_node"] if g.order else []) + (["add_edge"] if free else [])
+    for mutation in mutations:
+        h = g.copy()
+        assert h.arrays() is form
+        if mutation == "add_node":
+            h.add_node("C")
+        elif mutation == "delete_node":
+            h.delete_node(data.draw(st.sampled_from(h.nodes())))
+        else:
+            h.add_edge(*data.draw(st.sampled_from(free)), data.draw(EDGE_LABELS))
+        assert g.arrays() is form and form == fresh_arrays(g)
+        assert h.arrays() == fresh_arrays(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs())
+def test_pickle_leaves_the_cached_form_out(g):
+    g.name, g.class_label = "g", "A"
+    size = len(pickle.dumps(g))
+    form = g.arrays()
+    assert len(pickle.dumps(g)) == size
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and (back.name, back.class_label) == ("g", "A")
+    assert back.arrays() == form
+    assert back.add_node("C") == g.copy().add_node("C")
