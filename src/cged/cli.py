@@ -57,10 +57,6 @@ EXIT_DATASET = 5
 _DATASETS = ("synthetic", "letter-high", "letter-med", "letter-low", "aids")
 
 
-class ConfigError(Exception):
-    pass
-
-
 # ----------------------------------------------------------------------
 # shared argument plumbing
 # ----------------------------------------------------------------------
@@ -71,8 +67,8 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--search", choices=("astar", "beam"), default="astar",
                    help="exact best-first search or width-limited beam (default: astar)")
     p.add_argument("--beam-width", type=int, default=None, metavar="W",
-                   help="open-list width for --search beam (default: config file or 10)")
-    p.add_argument("--heuristic", choices=("zero", "count_bound"), default=None,
+                   help="open-list width, --search beam only (default: config file or 10)")
+    p.add_argument("--heuristic", choices=[h.value for h in Heuristic], default=None,
                    help="lower bound added to accumulated cost; astar only "
                         "(default: config file or zero)")
 
@@ -83,23 +79,20 @@ def _load_config(args) -> tuple[CostModel, SearchSettings]:
     try:
         return load_cost_config(args.config)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        raise ValueError(f"cannot read config {args.config}: {exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"bad config {args.config}: {exc}") from None
+        raise ValueError(f"bad config {args.config}: {exc}") from None
 
 
 def _search_from_args(args) -> tuple[CostModel, SearchSpec]:
     cm, settings = _load_config(args)
     heuristic = Heuristic(args.heuristic or settings.heuristic)
     if args.search == "beam":
-        if heuristic is not Heuristic.ZERO:
-            raise ConfigError(f"heuristic {heuristic.value} applies only to --search astar; "
-                              "beam search runs without one")
         width = args.beam_width if args.beam_width is not None else settings.beam_width
-        if width < 1:
-            raise ConfigError(f"beam width must be >= 1, got {width}")
-        return cm, SearchSpec.beam(width)
-    return cm, SearchSpec.astar(heuristic)
+        return cm, SearchSpec("beam", width, heuristic)
+    if args.beam_width is not None:  # a config file's beam_width is only a beam default
+        raise ValueError("--beam-width applies only to --search beam")
+    return cm, SearchSpec("astar", 0, heuristic)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -166,7 +159,7 @@ def _write_json(obj: dict, path: Optional[str]) -> None:
 def cmd_contract(args) -> int:
     g = load_graph_file(args.graph)
     if args.t < 0:
-        raise ConfigError(f"t must be >= 0, got {args.t}")
+        raise ValueError(f"t must be >= 0, got {args.t}")
     measure = CentralityMeasure(args.measure)
     contracted, report = t_centrality_node_contraction(g, args.t, measure)
     text = write_debug_graph(contracted)
@@ -183,7 +176,7 @@ def cmd_contract(args) -> int:
 def cmd_ged(args) -> int:
     cm, search = _search_from_args(args)
     if args.t < 0:
-        raise ConfigError(f"t must be >= 0, got {args.t}")
+        raise ValueError(f"t must be >= 0, got {args.t}")
     g1 = load_graph_file(args.graph1)
     g2 = load_graph_file(args.graph2)
     measure = CentralityMeasure(args.measure)
@@ -347,9 +340,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATASET
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

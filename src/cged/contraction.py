@@ -8,17 +8,19 @@ Three flavors are provided:
   ``k`` in the input graph;
 * :func:`k_star_node_contraction` chains degree passes for 1..k.
 
-A node is only ever deleted when the deletion leaves the number of
-connected components unchanged: cut vertices are skipped (removing one
-splits a component) and so are isolated nodes and the last node of the
-graph (removing those drops a component). The input graph is never
-modified; contraction returns a fresh graph that keeps the surviving
-nodes' original ids, plus a report of what happened.
+All three run one deletion walk over a copy of the input graph, which
+deletes a candidate only when that leaves the number of connected
+components unchanged: cut vertices are skipped (removing one splits a
+component) and so are isolated nodes, the last node of the graph included
+(removing one drops a component). The input graph is never modified;
+contraction returns a fresh graph that keeps the surviving nodes' original
+ids, plus a report of what happened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .centrality import CentralityMeasure, compute_centrality, rank_ascending
 from .graph import Graph
@@ -30,9 +32,11 @@ class ContractionReport:
 
     ``removed`` lists (node id, score at selection time) in deletion order.
     ``skipped_cut_vertices`` lists candidates that were passed over to keep
-    the component count intact (cut vertices, plus the rare isolated or
-    last-remaining node). For the degree-based flavors ``t_requested`` is
-    the number of candidates considered.
+    the component count intact: cut vertices, plus the rare isolated node.
+    A last remaining node is logged there by the degree-based flavors but
+    not by :func:`t_centrality_node_contraction`, whose walk stops at n - 1
+    deletions. For the degree-based flavors ``t_requested`` is the number
+    of candidates considered.
     """
 
     measure: CentralityMeasure
@@ -55,10 +59,24 @@ class ContractionReport:
         }
 
 
-def _deletable(g: Graph, u: int, articulation: set[int]) -> bool:
-    # deletion preserves the component count iff u is neither isolated
-    # (its singleton component would vanish) nor an articulation point
-    return g.degree(u) > 0 and u not in articulation
+def _delete_walk(g: Graph, candidates: Iterable[tuple[int, float]], budget: int,
+                 report: ContractionReport) -> Graph:
+    """Delete each (id, score) candidate of a copy of g that has a neighbour
+    and is not a cut vertex, logging the others as skipped, until ``budget``
+    deletions."""
+    work = g.copy()
+    articulation = work.articulation_points()
+    for u, score in candidates:
+        if len(report.removed) >= budget:
+            break
+        if work.degree(u) > 0 and u not in articulation:
+            work.delete_node(u)
+            report.removed.append((u, score))
+            articulation = work.articulation_points()
+        else:
+            report.skipped_cut_vertices.append(u)
+    report.result_order = work.order
+    return work
 
 
 def t_centrality_node_contraction(
@@ -69,29 +87,18 @@ def t_centrality_node_contraction(
     The ranking is computed once, on the input graph. Candidates are walked
     in that order and only successful deletions count against t; a
     candidate whose deletion would change the component count is skipped.
+    At most n - 1 nodes can go (only a connected graph shrinks to one
+    node), so the walk stops there and never logs a last remaining node.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     report = ContractionReport(measure=measure, t_requested=t)
-    work = g.copy()
-    if t == 0 or work.order == 0:
-        report.result_order = work.order
-        return work, report
-
+    if t == 0 or g.order == 0:
+        report.result_order = g.order
+        return g.copy(), report
     scores = compute_centrality(g, measure)
-    articulation = work.articulation_points()
-    for u in rank_ascending(scores):
-        if len(report.removed) >= t or work.order <= 1:
-            break
-        if _deletable(work, u, articulation):
-            work.delete_node(u)
-            report.removed.append((u, scores.scores[u]))
-            articulation = work.articulation_points()
-        else:
-            report.skipped_cut_vertices.append(u)
-
-    report.result_order = work.order
-    return work, report
+    candidates = ((u, scores.scores[u]) for u in rank_ascending(scores))
+    return _delete_walk(g, candidates, min(t, g.order - 1), report), report
 
 
 def k_degree_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]:
@@ -103,22 +110,9 @@ def k_degree_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionRepor
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    candidates = [u for u in g.nodes() if g.degree(u) == k]
+    candidates = [(u, float(k)) for u in g.nodes() if g.degree(u) == k]
     report = ContractionReport(measure=CentralityMeasure.DEGREE, t_requested=len(candidates))
-    work = g.copy()
-    articulation = work.articulation_points()
-    for u in candidates:
-        if work.order <= 1:
-            report.skipped_cut_vertices.append(u)
-            continue
-        if _deletable(work, u, articulation):
-            work.delete_node(u)
-            report.removed.append((u, float(k)))
-            articulation = work.articulation_points()
-        else:
-            report.skipped_cut_vertices.append(u)
-    report.result_order = work.order
-    return work, report
+    return _delete_walk(g, candidates, len(candidates), report), report
 
 
 def k_star_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]:
@@ -130,7 +124,7 @@ def k_star_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]
     for i in range(1, k + 1):
         work, rep = k_degree_node_contraction(work, i)
         merged.t_requested += rep.t_requested
-        merged.removed.extend((u, float(i)) for u, _ in rep.removed)
+        merged.removed.extend(rep.removed)
         merged.skipped_cut_vertices.extend(rep.skipped_cut_vertices)
     merged.result_order = work.order
     return work, merged

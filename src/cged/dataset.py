@@ -154,6 +154,14 @@ def _node_label(attrs: dict[str, object], where: str) -> NodeLabel:
         "node attributes match neither the symbol nor the x/y schema", where)
 
 
+def _xml_root(data: Union[bytes, str]) -> ET.Element:
+    try:
+        return ET.fromstring(data)
+    except ET.ParseError as exc:
+        line, col = exc.position
+        raise GxlParseError(f"malformed XML: {exc.msg}", f"line {line}, column {col}") from None
+
+
 def parse_gxl(data: Union[bytes, str]) -> Graph:
     """Parse one GXL document into a Graph.
 
@@ -163,11 +171,7 @@ def parse_gxl(data: Union[bytes, str]) -> Graph:
     :class:`DanglingEndpointError` (edge to an undeclared node), each
     carrying a location hint.
     """
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        line, col = exc.position
-        raise GxlParseError(f"malformed XML: {exc.msg}", f"line {line}, column {col}") from None
+    root = _xml_root(data)
     if root.tag == "graph":
         graphs = [root]
     else:
@@ -222,47 +226,36 @@ def parse_cxl_index(
     """Load every (file, class) entry of a CXL index into a Corpus.
 
     Referenced GXL files are resolved against ``base_path`` and parsed in
-    entry order. Parsing holds the GIL, so it runs serially. When
-    any entry fails, a :class:`CorpusLoadError` naming every failing file
-    is raised instead of a partial corpus.
+    entry order. When any entry fails, a :class:`CorpusLoadError` is raised
+    instead of a partial corpus; it names every file that could not be read
+    or parsed, in entry order, and then every duplicate graph name.
     """
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        line, col = exc.position
-        raise GxlParseError(f"malformed XML: {exc.msg}", f"line {line}, column {col}") from None
+    root = _xml_root(data)
     entries = [
         (el.get("file"), el.get("class"))
         for el in root.iter()
         if el.get("file") is not None and el.get("class") is not None
     ]
     base = Path(base_path)
-
-    def load(entry: tuple[str, str]):
-        fname, cls = entry
+    graphs: list[Graph] = []
+    failures: list[str] = []
+    for fname, cls in entries:
         try:
-            raw = (base / fname).read_bytes()
-        except OSError as exc:
-            return None, f"{fname}: {exc}"
-        try:
-            g = parse_gxl(raw)
-        except DatasetError as exc:
-            return None, f"{fname}: {exc}"
+            g = parse_gxl((base / fname).read_bytes())
+        except (OSError, DatasetError) as exc:
+            failures.append(f"{fname}: {exc}")
+            continue
         g.name = Path(fname).stem
         g.class_label = cls
-        return g, None
-
-    results = [load(entry) for entry in entries]
-    failures = [err for _, err in results if err is not None]
+        graphs.append(g)
     seen: set[str] = set()
-    for g, _ in results:
-        if g is not None:
-            if g.name in seen:
-                failures.append(f"{g.name}: duplicate graph name in index")
-            seen.add(g.name)
+    for g in graphs:
+        if g.name in seen:
+            failures.append(f"{g.name}: duplicate graph name in index")
+        seen.add(g.name)
     if failures:
         raise CorpusLoadError(failures)
-    return Corpus(name or base.name, [g for g, _ in results], split)
+    return Corpus(name or base.name, graphs, split)
 
 
 def load_iam_corpus(index_path: Union[str, Path], split: Split) -> Corpus:
@@ -350,8 +343,6 @@ def synthesize_letter_like(
     count: int,
     classes: int,
     distortion: float,
-    split: Split = Split.TRAIN,
-    name: Optional[str] = None,
 ) -> Corpus:
     """Deterministic pseudo-random corpus of letter-like coordinate graphs.
 
@@ -389,7 +380,7 @@ def synthesize_letter_like(
         for u, v in edge_set:
             g.add_edge(ids[u], ids[v])
         graphs.append(g)
-    return Corpus(name or f"synthetic-d{distortion:g}", graphs, split)
+    return Corpus(f"synthetic-d{distortion:g}", graphs)
 
 
 def split_corpus(corpus: Corpus) -> tuple[Corpus, Corpus]:

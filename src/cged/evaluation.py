@@ -287,10 +287,14 @@ def write_benchmark_csv(records: Sequence[BenchmarkRecord],
 # nearest-neighbor classification
 # ----------------------------------------------------------------------
 
+def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
+    """g contracted at its own budget for the level."""
+    return t_centrality_node_contraction(g, t_star_levels(g)[level], measure)[0]
+
+
 def _classify_one(args) -> tuple[str, str, str]:
     g, train_contracted, train_classes, measure, level, search, cm = args
-    budget = t_star_levels(g)[level]
-    h, _ = t_centrality_node_contraction(g, budget, measure)
+    h = _contract(g, measure, level)
     dists = [run_search(h, ht, cm, search).cost for ht in train_contracted]
     nearest = min(range(len(dists)), key=lambda i: (dists[i], i))
     return (g.name or "", g.class_label or "", train_classes[nearest])
@@ -314,13 +318,8 @@ def nn_classify(
     if not train.graphs:
         raise ValueError("training corpus is empty")
     cm = cm or CostModel()
-    train_contracted = []
-    train_classes = []
-    for g in train.graphs:
-        budget = t_star_levels(g)[level]
-        h, _ = t_centrality_node_contraction(g, budget, measure)
-        train_contracted.append(h)
-        train_classes.append(g.class_label or "")
+    train_contracted = [_contract(g, measure, level) for g in train.graphs]
+    train_classes = [g.class_label or "" for g in train.graphs]
     tasks = [(g, train_contracted, train_classes, measure, level, search, cm)
              for g in test.graphs]
     return ClassificationResult.from_predictions(_map(_classify_one, tasks, workers))

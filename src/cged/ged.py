@@ -44,7 +44,8 @@ class Heuristic(Enum):
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Which solver to run: exact best-first or width-limited beam."""
+    """Which solver to run: exact best-first (``astar``, with a heuristic and
+    no width) or width-limited ``beam`` (a width w >= 1 and no heuristic)."""
 
     kind: str
     w: int = 0
@@ -53,8 +54,13 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("astar", "beam"):
             raise ValueError(f"search kind must be 'astar' or 'beam', got {self.kind!r}")
+        if self.kind == "astar" and self.w:
+            raise ValueError(f"astar search takes no width, got {self.w}")
         if self.kind == "beam" and self.w < 1:
             raise ValueError(f"beam width must be >= 1, got {self.w}")
+        if self.kind == "beam" and self.heuristic is not Heuristic.ZERO:
+            raise ValueError(f"heuristic {self.heuristic} applies only to astar; "
+                             "beam search runs without one")
 
     @classmethod
     def astar(cls, heuristic: Heuristic = Heuristic.ZERO) -> "SearchSpec":

@@ -354,27 +354,14 @@ class Graph:
                 aps.add(root)
         return aps
 
-    def is_cut_vertex(self, u: int) -> bool:
-        """True iff deleting u strictly increases the number of components.
-
-        A single-node graph reports its node as not a cut vertex (deleting it
-        empties the graph, which does not count as an increase).
-        """
-        if u not in self._labels:
-            raise MissingNodeError(f"node {u} is not in the graph")
-        return u in self.articulation_points()
-
     # ------------------------------------------------------------------
     # equality
     # ------------------------------------------------------------------
 
-    def _edge_map(self) -> dict[tuple[int, int], EdgeLabel]:
-        return {(u, v): label for u, v, label in self.edges()}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._labels == other._labels and self._edge_map() == other._edge_map()
+        return self._labels == other._labels and self._adj == other._adj
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""

@@ -240,7 +240,16 @@ def test_exit_code_config_errors(tmp_path, capsys, graph_files):
     assert main(["ged", a, a, "--search", "beam", "--heuristic", "zero"]) == 0
     missing = tmp_path / "missing.conf"
     assert main(["ged", a, a, "--config", str(missing)]) == EXIT_CONFIG
+    # A* takes no width, so an explicit one (0 included) must not be ignored ...
     capsys.readouterr()
+    for width in ("5", "0"):
+        assert main(["ged", a, a, "--beam-width", width]) == EXIT_CONFIG
+        assert "--beam-width" in capsys.readouterr().err
+    # ... while a config file's beam_width is only the default for beam
+    conf.write_text("beam_width = 3\n")
+    assert main(["ged", a, a, "--config", str(conf)]) == 0
+    assert main(["ged", a, a, "--search", "beam", "--config", str(conf)]) == 0
+    assert "beam(w=3)" in capsys.readouterr().out
 
 
 def test_knn_flag_is_rejected(capsys):

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from cged import CentralityMeasure, t_centrality_node_contraction
+from cged.centrality import compute_centrality, rank_ascending
 from cged.contraction import k_degree_node_contraction, k_star_node_contraction
 from cged.evaluation import TLevel, t_star_levels
-from cged.graph import Graph
+from cged.graph import Graph, is_cut_vertex_by_recount
 from helpers import cycle_graph, path_graph, random_connected_graph, random_graph, star_graph
 
 DEG = CentralityMeasure.DEGREE
@@ -229,3 +230,82 @@ def test_smaller_budget_removes_a_prefix_of_the_full_walk(measure):
             for u in full[:t]:
                 expected.delete_node(u)
             assert h == expected
+
+
+def _replay(g: Graph, candidates: list[int], rep) -> int:
+    """Walk the candidates on a copy of g and check each one's fate against
+    the recount oracle: removed nodes had a neighbour and were not cut
+    vertices at their turn, skipped ones failed that test, and once the walk
+    stops every later candidate is left alone. Returns how many candidates
+    the walk decided."""
+    work = g.copy()
+    removed, skipped = list(rep.removed_ids), list(rep.skipped_cut_vertices)
+    decided = 0
+    for u in candidates:
+        deletable = work.degree(u) > 0 and not is_cut_vertex_by_recount(work, u)
+        if removed and removed[0] == u:
+            assert deletable, (g.edges(), u)
+            work.delete_node(u)
+            removed.pop(0)
+        elif skipped and skipped[0] == u:
+            assert not deletable, (g.edges(), u)
+            skipped.pop(0)
+        else:
+            break
+        decided += 1
+    assert removed == [] and skipped == [], (g.edges(), rep)
+    return decided
+
+
+def _replay_graphs() -> list[Graph]:
+    rng = random.Random(808)
+    graphs = [Graph(), path_graph(1), Graph.from_parts(None, None, [(0, "C"), (1, "C")], [])]
+    graphs += [random_graph(rng, n_max=9, edge_p=rng.uniform(0.1, 0.6)) for _ in range(40)]
+    graphs += [random_connected_graph(rng, rng.randint(2, 9)) for _ in range(20)]
+    return graphs
+
+
+def _counting_articulation_points(monkeypatch) -> list[int]:
+    calls = [0]
+    original = Graph.articulation_points
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(Graph, "articulation_points", counted)
+    return calls
+
+
+@pytest.mark.parametrize("measure", list(CentralityMeasure))
+def test_walk_replays_against_the_recount_oracle(measure, monkeypatch):
+    calls = _counting_articulation_points(monkeypatch)
+    for g in _replay_graphs():
+        ranking = rank_ascending(compute_centrality(g, measure))
+        for t in range(g.order + 2):
+            calls[0] = 0
+            h, rep = t_centrality_node_contraction(g, t, measure)
+            # one articulation pass up front and one after each deletion, none
+            # when there is nothing to walk
+            assert calls[0] == (0 if t == 0 or g.order == 0 else 1 + len(rep.removed))
+            decided = _replay(g, ranking, rep)
+            assert len(rep.removed) <= t
+            if decided < len(ranking):  # it stops only at t, or at n - 1 deletions
+                assert len(rep.removed) == min(t, g.order - 1)
+            if rep.removed and len(rep.removed) == g.order - 1:
+                # down to one node, the walk ends without logging that node
+                assert decided == ranking.index(rep.removed_ids[-1]) + 1
+            assert h.nodes() == sorted(set(g.nodes()) - set(rep.removed_ids))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_degree_walk_replays_against_the_recount_oracle(k, monkeypatch):
+    calls = _counting_articulation_points(monkeypatch)
+    for g in _replay_graphs():
+        candidates = [u for u in g.nodes() if g.degree(u) == k]
+        calls[0] = 0
+        h, rep = k_degree_node_contraction(g, k)
+        assert calls[0] == 1 + len(rep.removed)
+        # the degree walk has no budget to stop it: every candidate is decided
+        assert _replay(g, candidates, rep) == len(candidates)
+        assert h.nodes() == sorted(set(g.nodes()) - set(rep.removed_ids))

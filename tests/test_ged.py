@@ -143,6 +143,15 @@ def test_beam_width_validation():
         SearchSpec(kind="dfs")
 
 
+def test_search_spec_rejects_inputs_it_would_ignore():
+    with pytest.raises(ValueError, match="heuristic"):
+        SearchSpec("beam", 3, Heuristic.COUNT_BOUND)  # beam runs without a heuristic
+    with pytest.raises(ValueError, match="width"):
+        SearchSpec("astar", 7)  # A* has no open-list width
+    assert SearchSpec("beam", 3) == SearchSpec.beam(3)
+    assert SearchSpec("astar", 0, Heuristic.COUNT_BOUND) == SearchSpec.astar(Heuristic.COUNT_BOUND)
+
+
 def test_count_bound_heuristic_never_changes_the_answer():
     rng = random.Random(109)
     for _ in range(40):
