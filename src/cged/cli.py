@@ -241,7 +241,8 @@ def cmd_classify(args) -> int:
     }
     _write_json(payload, args.out_json)
     print(f"accuracy: {result.accuracy:.4f} "
-          f"({payload['correct']}/{payload['total']}) at {level} with {measure}")
+          f"({payload['correct']}/{payload['total']}) at {level} with {measure}; "
+          f"searched {result.searches} of {result.pairs} pairs")
     return EXIT_OK
 
 

@@ -3,6 +3,11 @@
 Two experiments are reproduced here: per-pair timing/expansion benchmarks
 across centrality measures and contraction levels, and nearest-neighbor
 classification where the distance is the contracted edit distance.
+Classification puts the bipartite lower bound of :mod:`cged.ged` in front
+of every search and skips the training graphs whose bound shows they
+cannot be the nearest; since the bound never exceeds the exact distance,
+and beam never returns less than it, the predictions are those of
+searching every training graph, under either search.
 
 Levels follow the iterated-degree convention: level Tk* contracts, per
 graph, as many nodes as a degree-1..k contraction chain of that graph
@@ -18,6 +23,7 @@ are byte-identical whether computed serially or across a process pool
 from __future__ import annotations
 
 import csv
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +37,7 @@ from .centrality import CentralityMeasure
 from .contraction import k_star_node_contraction, t_centrality_node_contraction
 from .costs import CostModel
 from .dataset import Corpus
-from .ged import SearchSpec, run_search
+from .ged import SearchSpec, bipartite_lower_bound, run_search
 from .graph import Graph
 
 
@@ -108,27 +114,36 @@ class BenchmarkRecord:
 
 @dataclass
 class ClassificationResult:
-    """Per-graph predictions plus accuracy and confusion counts."""
+    """Per-graph predictions plus accuracy and confusion counts.
+
+    ``searches`` counts the edit-distance searches run and ``pairs`` the
+    (test, training) graph pairs; the lower-bound filter skips the rest.
+    """
 
     predictions: list[tuple[str, str, str]]  # (graph name, true, predicted)
     accuracy: float
+    searches: int
+    pairs: int
     confusion: dict[tuple[str, str], int] = field(default_factory=dict)
 
     @classmethod
-    def from_predictions(cls, preds: list[tuple[str, str, str]]) -> "ClassificationResult":
+    def from_predictions(cls, preds: list[tuple[str, str, str]], *, searches: int,
+                         pairs: int) -> "ClassificationResult":
         confusion: dict[tuple[str, str], int] = {}
         correct = 0
         for _, true, predicted in preds:
             confusion[(true, predicted)] = confusion.get((true, predicted), 0) + 1
             correct += true == predicted
         accuracy = correct / len(preds) if preds else 0.0
-        return cls(list(preds), accuracy, confusion)
+        return cls(list(preds), accuracy, searches, pairs, confusion)
 
     def to_json_dict(self) -> dict:
         return {
             "accuracy": self.accuracy,
             "total": len(self.predictions),
             "correct": sum(t == p for _, t, p in self.predictions),
+            "searches": self.searches,
+            "pairs": self.pairs,
             "predictions": [
                 {"graph": g, "true": t, "predicted": p}
                 for g, t, p in self.predictions
@@ -140,9 +155,14 @@ class ClassificationResult:
         }
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def _map(fn: Callable, tasks: list, workers: int) -> list:
     """``fn`` over ``tasks`` in order: serially, or across a pool of ``workers``."""
-    if workers <= 1:
+    if workers == 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
@@ -238,6 +258,7 @@ def run_timing_benchmark(
     """
     if sample < 1:
         raise ValueError("sample must be >= 1")
+    _check_workers(workers)
     if not corpus.graphs:
         raise ValueError("corpus is empty")
     if not measures or not levels:
@@ -292,12 +313,29 @@ def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
     return t_centrality_node_contraction(g, t_star_levels(g)[level], measure)[0]
 
 
-def _classify_one(args) -> tuple[str, str, str]:
+def _classify_one(args) -> tuple[tuple[str, str, str], int]:
+    """One test graph's prediction and the number of searches it took.
+
+    Training graphs are searched in (lower bound, index) order until the
+    next bound exceeds the best cost so far (with a relative margin of 1e-9
+    for rounding). Every graph left unsearched then lies strictly farther
+    than the best, so the (cost, index) argmin is the one that searching
+    every training graph would give.
+    """
     g, train_contracted, train_classes, measure, level, search, cm = args
     h = _contract(g, measure, level)
-    dists = [run_search(h, ht, cm, search).cost for ht in train_contracted]
-    nearest = min(range(len(dists)), key=lambda i: (dists[i], i))
-    return (g.name or "", g.class_label or "", train_classes[nearest])
+    order = sorted((bipartite_lower_bound(h, ht, cm), i)
+                   for i, ht in enumerate(train_contracted))
+    best_cost, nearest = math.inf, -1
+    searches = 0
+    for bound, i in order:
+        if bound > best_cost + 1e-9 * (1.0 + best_cost):
+            break
+        cost = run_search(h, train_contracted[i], cm, search).cost
+        searches += 1
+        if (cost, i) < (best_cost, nearest):
+            best_cost, nearest = cost, i
+    return (g.name or "", g.class_label or "", train_classes[nearest]), searches
 
 
 def nn_classify(
@@ -314,12 +352,25 @@ def nn_classify(
     Distances are contracted edit distances (each graph contracted at its
     own level budget with the given measure). Ties go to the lowest
     training index.
+
+    Before searching, each test graph gets :func:`~cged.ged.bipartite_lower_bound`
+    against every contracted training graph, and a training graph is
+    searched only while its bound does not exceed the best cost found so
+    far. The bound is a lower bound on the exact distance, and beam's cost
+    is never below the exact distance, so every skipped graph is strictly
+    farther than the best under either search: the predictions equal those
+    of searching every training graph. ``searches`` and ``pairs`` in the
+    result count the searches run and the (test, training) pairs.
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")
+    _check_workers(workers)
     cm = cm or CostModel()
     train_contracted = [_contract(g, measure, level) for g in train.graphs]
     train_classes = [g.class_label or "" for g in train.graphs]
     tasks = [(g, train_contracted, train_classes, measure, level, search, cm)
              for g in test.graphs]
-    return ClassificationResult.from_predictions(_map(_classify_one, tasks, workers))
+    outcomes = _map(_classify_one, tasks, workers)
+    return ClassificationResult.from_predictions(
+        [pred for pred, _ in outcomes], searches=sum(n for _, n in outcomes),
+        pairs=len(test.graphs) * len(train.graphs))

@@ -146,7 +146,24 @@ def test_classify_perfect_at_zero_distortion(tmp_path, capsys):
     payload = json.loads(out_json.read_text())
     validate_against(payload, "classification_result.json")
     assert payload["accuracy"] == 1.0
-    assert "accuracy: 1.0000" in capsys.readouterr().out
+    assert payload["pairs"] == 6 * 6
+    assert 6 <= payload["searches"] <= payload["pairs"]
+    out = capsys.readouterr().out
+    assert "accuracy: 1.0000" in out
+    assert f"searched {payload['searches']} of 36 pairs" in out
+
+
+@pytest.mark.parametrize("command", ["classify", "benchmark"])
+def test_workers_below_one_exit_config_error(tmp_path, capsys, command):
+    outputs = ["--out-json", str(tmp_path / "out.json")]
+    if command == "benchmark":
+        outputs += ["--out-csv", str(tmp_path / "out.csv"), "--sample", "2"]
+    for workers in ("0", "-3"):
+        rc = main([command, "--dataset", "synthetic", "--syn-count", "8",
+                   "--workers", workers, *outputs])
+        assert rc == EXIT_CONFIG
+        assert "workers must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stats_output(capsys):

@@ -4,9 +4,9 @@ import csv
 
 import pytest
 
-from cged import CentralityMeasure, t_centrality_node_contraction
+from cged import CentralityMeasure, evaluation, t_centrality_node_contraction
 from cged.costs import CostModel
-from cged.dataset import Corpus, synthesize_letter_like
+from cged.dataset import Corpus, split_corpus, synthesize_letter_like
 from cged.evaluation import (
     BenchmarkRecord,
     TLevel,
@@ -18,7 +18,7 @@ from cged.evaluation import (
     t_star_levels,
     write_benchmark_csv,
 )
-from cged.ged import SearchSpec, run_search
+from cged.ged import SearchSpec, bipartite_lower_bound, run_search
 from cged.graph import Graph
 from helpers import cycle_graph, path_graph
 
@@ -227,3 +227,93 @@ def test_classification_empty_test_set():
     result = nn_classify(Corpus("tr", list(corpus)), Corpus("te"),
                          DEG, TLevel.T0, SearchSpec.astar())
     assert result.predictions == [] and result.accuracy == 0.0
+
+
+def searched_every_training_graph(train, test, measure, level, search, cm):
+    """1-NN predictions from a search against every training graph, nearest
+    by (cost, index): the reference the lower-bound filter must equal."""
+    def contract(g):
+        return t_centrality_node_contraction(g, t_star_levels(g)[level], measure)[0]
+
+    train_contracted = [contract(g) for g in train.graphs]
+    preds = []
+    for g in test.graphs:
+        h = contract(g)
+        costs = [run_search(h, ht, cm, search).cost for ht in train_contracted]
+        nearest = min(range(len(costs)), key=lambda i: (costs[i], i))
+        preds.append((g.name, g.class_label, train.graphs[nearest].class_label))
+    return preds
+
+
+@pytest.fixture(scope="module")
+def small_split():
+    # noisy, so that the filter often has to search several training graphs
+    corpus = synthesize_letter_like(seed=31, count=60, classes=15, distortion=0.8)
+    small = Corpus(corpus.name, [g for g in corpus.graphs if g.order <= 5])
+    train, test = split_corpus(small)
+    return train, Corpus(test.name, test.graphs[:6], test.split)
+
+
+@pytest.mark.parametrize("search", [SearchSpec.astar(), SearchSpec.beam(3)],
+                         ids=["astar", "beam3"])
+@pytest.mark.parametrize("level", [TLevel.T0, TLevel.T1STAR, TLevel.T3STAR], ids=str)
+@pytest.mark.parametrize("measure", list(CentralityMeasure), ids=str)
+def test_filtered_nn_classify_equals_searching_every_training_graph(
+        small_split, measure, level, search):
+    train, test = small_split
+    cm = CostModel(x_node=0.8, y_node=1.0, x_edge=0.6, y_edge=1.0)
+    want = searched_every_training_graph(train, test, measure, level, search, cm)
+    serial = nn_classify(train, test, measure, level, search, cm)
+    pooled = nn_classify(train, test, measure, level, search, cm, workers=2)
+    assert serial.predictions == want
+    assert pooled.to_json_dict() == serial.to_json_dict()
+    assert serial.pairs == len(train.graphs) * len(test.graphs)
+    assert len(test.graphs) <= serial.searches <= serial.pairs
+
+
+def test_filter_skips_searches_on_separated_classes():
+    corpus = synthesize_letter_like(seed=32, count=40, classes=10, distortion=0.05)
+    train, test = split_corpus(corpus)
+    result = nn_classify(train, test, DEG, TLevel.T1STAR, SearchSpec.astar())
+    assert result.pairs == 400
+    assert result.searches < result.pairs // 4
+    assert result.to_json_dict()["searches"] == result.searches
+
+
+def test_filter_tie_goes_to_lowest_index_despite_a_higher_bound():
+    def two_nodes(second: str, bond: float, name: str, cls: str) -> Graph:
+        g = Graph(name=name, class_label=cls)
+        g.add_edge(g.add_node("C"), g.add_node(second), bond)
+        return g
+
+    probe = two_nodes("C", 1.0, "p", "B")
+    a = two_nodes("N", 1.0, "a", "A")  # one relabel: distance 1, bound 1
+    b = two_nodes("C", 2.0, "b", "B")  # one bond change: distance 1, bound 0
+    cm = CostModel()
+    assert bipartite_lower_bound(probe, a, cm) == 1.0
+    assert bipartite_lower_bound(probe, b, cm) == 0.0
+    for search in (SearchSpec.astar(), SearchSpec.beam(3)):
+        assert run_search(probe, a, cm, search).cost == 1.0
+        assert run_search(probe, b, cm, search).cost == 1.0
+        result = nn_classify(Corpus("tr", [a, b]), Corpus("te", [probe]),
+                             DEG, TLevel.T0, search)
+        # b is searched first; a's bound equals the best cost, so a is
+        # searched too, and the lower index wins the tie
+        assert result.predictions == [("p", "B", "A")]
+        assert (result.searches, result.pairs) == (2, 2)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_fail_before_any_work(monkeypatch, workers):
+    corpus = synthesize_letter_like(seed=33, count=8, classes=2, distortion=0.2)
+    train, test = split_corpus(corpus)
+
+    def no_work(g):
+        raise AssertionError("work started before workers was checked")
+
+    monkeypatch.setattr(evaluation, "t_star_levels", no_work)
+    with pytest.raises(ValueError, match="workers"):
+        nn_classify(train, test, DEG, TLevel.T1STAR, SearchSpec.astar(), workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        run_timing_benchmark(corpus, [DEG], [TLevel.T1STAR], SearchSpec.astar(),
+                             sample=2, seed=1, workers=workers)

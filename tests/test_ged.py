@@ -3,16 +3,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cged import CentralityMeasure, CostModel, astar_ged, beam_ged, t_centrality_ged
 from cged.costs import OpKind
-from cged.ged import Heuristic, SearchSpec, brute_force_ged, run_search
+from cged.ged import (
+    Heuristic,
+    SearchSpec,
+    bipartite_lower_bound,
+    brute_force_ged,
+    run_search,
+)
 from cged.graph import Graph, Point2D
 from helpers import (
     assert_path_consistent,
     complete_graph,
     cycle_graph,
     path_graph,
+    random_connected_graph,
     random_graph,
     star_graph,
 )
@@ -254,3 +263,89 @@ def test_numeric_edge_labels_priced_by_difference():
     # (5 * 2 = 10) the optimum reroutes one node instead: delete N and its
     # edge, insert both again (1 + 1 + 1 + 1 = 4)
     assert astar_ged(g1, g2, CostModel(y_edge=5.0)).cost == pytest.approx(4.0)
+
+
+# ----------------------------------------------------------------------
+# bipartite lower bound
+# ----------------------------------------------------------------------
+
+BOUND_MODELS = MODELS + [
+    CostModel(x_node=0.0, y_node=1.0, x_edge=1.0, y_edge=1.0),
+    CostModel(x_node=1.0, y_node=0.5, x_edge=0.7, y_edge=25.0),
+    CostModel(x_node=0.3, y_node=4.0, x_edge=3.0, y_edge=0.0),
+]
+
+NODE_LABELS = {
+    "coordinate": st.builds(Point2D, st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+    "symbolic": st.sampled_from("CNOS"),
+}
+NODE_LABELS["mixed"] = st.one_of(NODE_LABELS["coordinate"], NODE_LABELS["symbolic"])
+EDGE_LABELS = st.one_of(st.none(), st.integers(1, 3), st.floats(0.0, 4.0))
+
+
+@st.composite
+def labelled_graphs(draw, max_nodes):
+    """Coordinate, symbolic or mixed node labels; None, int or fractional edges."""
+    labels = NODE_LABELS[draw(st.sampled_from(sorted(NODE_LABELS)))]
+    g = Graph()
+    for _ in range(draw(st.integers(0, max_nodes))):
+        g.add_node(draw(labels))
+    for u in range(g.order):
+        for v in range(u + 1, g.order):
+            if draw(st.booleans()):
+                g.add_edge(u, v, draw(EDGE_LABELS))
+    return g
+
+
+@settings(max_examples=400, deadline=None)
+@given(g1=labelled_graphs(max_nodes=5), g2=labelled_graphs(max_nodes=4),
+       cm=st.sampled_from(BOUND_MODELS))
+def test_bipartite_bound_never_exceeds_brute_force(g1, g2, cm):
+    bound = bipartite_lower_bound(g1, g2, cm)
+    assert 0.0 <= bound <= brute_force_ged(g1, g2, cm) + 1e-9
+
+
+def test_bipartite_bound_never_exceeds_astar_on_larger_pairs():
+    rng = random.Random(61)
+    for trial in range(16):
+        g1 = random_connected_graph(rng, 6 + trial % 4)
+        g2 = g1.copy()  # a near copy keeps exact search on 9 nodes quick
+        g2.delete_node(rng.choice(g2.nodes()))
+        for _ in range(2):
+            u, v = rng.sample(g2.nodes(), 2)
+            if not g2.has_edge(u, v):
+                g2.add_edge(u, v, float(trial % 3) if trial % 3 else None)
+        if trial % 2:
+            g2.add_edge(rng.choice(g2.nodes()),
+                        g2.add_node(Point2D(rng.uniform(0.0, 2.0), 1.0)))
+        cm = BOUND_MODELS[trial % len(BOUND_MODELS)]
+        exact = astar_ged(g1, g2, cm, Heuristic.COUNT_BOUND).cost
+        assert bipartite_lower_bound(g1, g2, cm) <= exact + 1e-9
+        assert bipartite_lower_bound(g2, g1, cm) <= exact + 1e-9
+    for n in (6, 7, 8, 9):  # unrelated pairs, at most 6 nodes on the other side
+        g1, g2 = random_connected_graph(rng, n), random_connected_graph(rng, 6)
+        for cm in BOUND_MODELS[:2]:
+            exact = astar_ged(g1, g2, cm, Heuristic.COUNT_BOUND).cost
+            assert bipartite_lower_bound(g1, g2, cm) <= exact + 1e-9
+
+
+def test_bipartite_bound_hand_cases():
+    k2 = path_graph(2)
+    # two node insertions and one edge insertion, half the edge at each end
+    assert bipartite_lower_bound(Graph(), k2, CostModel()) == 3.0
+    assert bipartite_lower_bound(k2, Graph(), CostModel(x_node=2.0, x_edge=0.5)) == 4.5
+    assert bipartite_lower_bound(Graph(), Graph(), CostModel()) == 0.0
+    # a star against its centre: the centre maps onto it, and each leaf is
+    # deleted with half its edge, plus half of each edge at the centre
+    assert bipartite_lower_bound(star_graph(3), path_graph(1), CostModel()) == 6.0
+    assert brute_force_ged(star_graph(3), path_graph(1)) == 6.0
+
+
+@pytest.mark.parametrize("cm", BOUND_MODELS)
+def test_bipartite_bound_is_zero_for_a_copy(cm):
+    rng = random.Random(67)
+    graphs = [Graph(), path_graph(1), star_graph(4), complete_graph(5)]
+    graphs += [random_graph(rng, n_max=8, symbolic=k % 2 == 0, numeric_edge_p=0.5)
+               for k in range(12)]
+    for g in graphs:
+        assert bipartite_lower_bound(g, g.copy(), cm) == 0.0
