@@ -70,7 +70,7 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
                    help="open-list width, --search beam only (default: config file or 10)")
     p.add_argument("--heuristic", choices=[h.value for h in Heuristic], default=None,
                    help="lower bound added to accumulated cost; astar only "
-                        "(default: config file or zero)")
+                        "(default: config file or bipartite)")
 
 
 def _load_config(args) -> tuple[CostModel, SearchSettings]:
@@ -86,7 +86,10 @@ def _load_config(args) -> tuple[CostModel, SearchSettings]:
 
 def _search_from_args(args) -> tuple[CostModel, SearchSpec]:
     cm, settings = _load_config(args)
-    heuristic = Heuristic(args.heuristic or settings.heuristic)
+    # None when neither names one: each search kind then takes its own default,
+    # while a named one that beam would ignore is rejected by SearchSpec
+    named = args.heuristic or settings.heuristic
+    heuristic = Heuristic(named) if named else None
     if args.search == "beam":
         width = args.beam_width if args.beam_width is not None else settings.beam_width
         return cm, SearchSpec("beam", width, heuristic)
@@ -182,7 +185,7 @@ def cmd_ged(args) -> int:
     measure = CentralityMeasure(args.measure)
     result = t_centrality_ged(g1, g2, args.t, measure, cm, search)
     if args.json:
-        _write_json(result.to_json_dict(), args.out)
+        _write_json({"search": search.describe(), **result.to_json_dict()}, args.out)
         return EXIT_OK
     rep1, rep2 = result.contraction_reports
     print(f"cost: {result.cost}")

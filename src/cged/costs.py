@@ -158,15 +158,16 @@ _CONFIG_KEYS = {
 _POLICY_VALUES = {
     "node_label_distance": {"euclidean"},
     "edge_label_distance": {"absolute"},
-    "heuristic": {"zero", "count_bound"},
+    "heuristic": {"zero", "bipartite"},
 }
 
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Search knobs that ride along in a cost-model file."""
+    """Search knobs that ride along in a cost-model file; ``heuristic`` is
+    None when the file names none, so the search's own default applies."""
 
-    heuristic: str = "zero"
+    heuristic: Optional[str] = None
     beam_width: int = 10
 
 
@@ -221,7 +222,7 @@ def parse_cost_config(text: str) -> tuple[CostModel, SearchSettings]:
             f"line {width_line}: beam_width must be an integer, got {width_raw!r}") from None
     if width < 1:
         raise ValueError(f"line {width_line}: beam_width must be >= 1, got {width}")
-    heuristic = values.get("heuristic", (0, "zero"))[1]
+    heuristic = values.get("heuristic", (0, None))[1]
     settings = SearchSettings(heuristic=heuristic, beam_width=width)
     return cm, settings
 

@@ -11,35 +11,39 @@ their edges are inserted in one step, making the entry complete.
 Entries are ordered by (accumulated + heuristic cost, deeper first,
 mapping lexicographic), which makes costs, edit paths, and expansion
 counts reproducible. The exact solver pops entries until a complete one
-surfaces; the beam variant additionally prunes the open list to the best
-``w`` entries after each expansion, trading optimality for speed while
-never returning less than the true distance.
+surfaces, guided by default by the bipartite bound of what is left to
+place (:attr:`Heuristic.BIPARTITE`; :func:`bipartite_lower_bound` is the
+same bound at the empty prefix). The beam variant runs without a
+heuristic and prunes the open list to the best ``w`` entries after each
+expansion, trading optimality for speed while never returning less than
+the true distance.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-import numpy as np
-
 from . import kernels
 from .centrality import CentralityMeasure
 from .contraction import ContractionReport, t_centrality_node_contraction
 from .costs import CostModel, EditOperation, EditPath, node_label_distance
-from .graph import Graph
+from .graph import Graph, GraphArrays
 
 EPS = kernels.EPS_SLOT  # mapping value for "deleted"
 
 
 class Heuristic(Enum):
+    """What exact A* adds to a prefix's accumulated cost: ``BIPARTITE`` (the
+    default) the assignment bound of what is left to place, ``ZERO`` nothing
+    (the unguided reference). Beam search always runs with ``ZERO``."""
+
     ZERO = "zero"
-    COUNT_BOUND = "count_bound"
+    BIPARTITE = "bipartite"
 
     def __str__(self) -> str:
         return self.value
@@ -48,15 +52,21 @@ class Heuristic(Enum):
 @dataclass(frozen=True)
 class SearchSpec:
     """Which solver to run: exact best-first (``astar``, with a heuristic and
-    no width) or width-limited ``beam`` (a width w >= 1 and no heuristic)."""
+    no width) or width-limited ``beam`` (a width w >= 1 and no heuristic).
+
+    An unset heuristic means ``BIPARTITE`` for astar and ``ZERO`` for beam.
+    """
 
     kind: str
     w: int = 0
-    heuristic: Heuristic = Heuristic.ZERO
+    heuristic: Optional[Heuristic] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("astar", "beam"):
             raise ValueError(f"search kind must be 'astar' or 'beam', got {self.kind!r}")
+        if self.heuristic is None:
+            default = Heuristic.BIPARTITE if self.kind == "astar" else Heuristic.ZERO
+            object.__setattr__(self, "heuristic", default)
         if self.kind == "astar" and self.w:
             raise ValueError(f"astar search takes no width, got {self.w}")
         if self.kind == "beam" and self.w < 1:
@@ -66,7 +76,7 @@ class SearchSpec:
                              "beam search runs without one")
 
     @classmethod
-    def astar(cls, heuristic: Heuristic = Heuristic.ZERO) -> "SearchSpec":
+    def astar(cls, heuristic: Heuristic = Heuristic.BIPARTITE) -> "SearchSpec":
         return cls("astar", 0, heuristic)
 
     @classmethod
@@ -74,7 +84,8 @@ class SearchSpec:
         return cls("beam", w)
 
     def describe(self) -> str:
-        return "astar" if self.kind == "astar" else f"beam(w={self.w})"
+        """``astar(bipartite)``, ``astar(zero)`` or ``beam(w=W)``."""
+        return f"astar({self.heuristic})" if self.kind == "astar" else f"beam(w={self.w})"
 
 
 @dataclass
@@ -100,14 +111,53 @@ class GedResult:
         }
 
 
+class _BoundTables:
+    """The bipartite bound's tables for one search, built only for
+    :attr:`Heuristic.BIPARTITE`.
+
+    With the first d source positions placed, the bound is the cost of
+    deleting every unplaced source and inserting every unused target, each
+    with its unpaid edges (in full towards a placed node or used target,
+    half at each end otherwise), plus :func:`kernels.assignment` over one
+    row per unplaced source. Row i, column j holds ``y_node * d(l_i, l_j)``
+    plus ``edge substitution - 2 * x_edge`` per placed neighbour of i mapped
+    onto a neighbour of j, whose edge pair is substituted rather than
+    deleted and inserted.
+
+    ``rows0`` holds the rows of the empty prefix; ``del_sums[d]`` the
+    deletion cost of the sources at positions >= d; ``deg_r[d]`` each such
+    source's edge count towards the others; ``masks`` and ``adj2`` each
+    target's neighbours as a bitmask and as ascending positions.
+    """
+
+    __slots__ = ("rows0", "del_sums", "deg_r", "masks", "adj2")
+
+    def __init__(self, a1: GraphArrays, a2: GraphArrays, node_dist: list, cm: CostModel):
+        n1 = len(a1.ids)
+        y_node = cm.y_node
+        self.rows0 = tuple([y_node * d for d in row] for row in node_dist)
+        # edges that reach position d or later: those whose larger end does
+        reaching = [0] * (n1 + 1)
+        for _, j in a1.edges:
+            reaching[j] += 1
+        for d in range(n1 - 1, -1, -1):
+            reaching[d] += reaching[d + 1]
+        self.del_sums = [cm.x_node * (n1 - d) + cm.x_edge * reaching[d] for d in range(n1 + 1)]
+        self.deg_r = [[sum(1 for k in a1.adj[i] if k >= d) for i in range(d, n1)]
+                      for d in range(n1 + 1)]
+        self.masks = [sum(1 << k for k in row) for row in a2.adj]
+        self.adj2 = a2.adj
+
+
 class _PairView:
     """One graph pair in the layout :func:`kernels.extend_costs` reads,
-    taken from both graphs' :class:`~cged.graph.GraphArrays`."""
+    taken from both graphs' :class:`~cged.graph.GraphArrays`, plus the
+    bound's tables when the search uses :attr:`Heuristic.BIPARTITE`."""
 
     __slots__ = ("ids1", "ids2", "n1", "n2", "kind1", "val1", "kind2", "val2",
-                 "node_dist", "e2_masks", "er1_suffix")
+                 "node_dist", "e2_masks", "bound")
 
-    def __init__(self, g1: Graph, g2: Graph):
+    def __init__(self, g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic):
         a1, a2 = g1.arrays(), g2.arrays()
         self.ids1, self.ids2 = a1.ids, a2.ids
         self.n1, self.n2 = len(a1.ids), len(a2.ids)
@@ -116,31 +166,28 @@ class _PairView:
         self.node_dist = [[node_label_distance(a, b) for b in a2.labels]
                           for a in a1.labels]
         self.e2_masks = [(1 << i) | (1 << j) for i, j in a2.edges]
-        # er1_suffix[d] = edges of g1 with both endpoint positions >= d
-        # (positions are sorted, so that is: min endpoint position >= d)
-        suffix = [0] * (self.n1 + 1)
-        for i, _ in a1.edges:
-            suffix[i] += 1
-        for d in range(self.n1 - 1, -1, -1):
-            suffix[d] += suffix[d + 1]
-        self.er1_suffix = suffix
+        self.bound = None
+        if heuristic is Heuristic.BIPARTITE:
+            self.bound = _BoundTables(a1, a2, self.node_dist, cm)
+
+    def root(self, cm: CostModel) -> tuple:
+        """The open-list entry of the empty prefix (complete when g1 is empty)."""
+        if self.n1 == 0:
+            g = kernels.completion_cost(self, 0, cm)
+            return (g, 0, (), g, 0)
+        if self.bound is None:
+            return (0.0, 0, (), 0.0, 0)
+        return (0.0, 0, (), 0.0, 0, self.bound.rows0)
 
 
 def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
             width: Optional[int]) -> GedResult:
     t0 = time.perf_counter()
-    view = _PairView(g1, g2)
+    view = _PairView(g1, g2, cm, heuristic)
     n1 = view.n1
-    count_bound = heuristic is Heuristic.COUNT_BOUND
-
-    if n1 == 0:
-        root_g = kernels.completion_cost(view, 0, cm)
-        root_h = 0.0
-    else:
-        root_g = 0.0
-        root_h = kernels.count_bound(view, 0, 0, cm) if count_bound else 0.0
-    # entry: (f, -depth, mapping, g, used); the first three form the total order
-    heap = [(root_g + root_h, 0, (), root_g, 0)]
+    # entry: (f, -depth, mapping, g, used[, bound rows]); the first three
+    # form the total order
+    heap = [view.root(cm)]
     expanded = 0
     while heap:
         entry = heapq.heappop(heap)
@@ -151,7 +198,7 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
                              expanded_nodes=expanded, elapsed=elapsed)
         expanded += 1
         # looked up per call, so the step can be wrapped (e.g. traced) at runtime
-        kernels.extend_costs(view, cm, heap, entry, count_bound)
+        kernels.extend_costs(view, cm, heap, entry)
         if width is not None and len(heap) > width:
             # entries are unique and totally ordered, so this keeps the same
             # w entries as a partial selection, and a sorted list is a heap
@@ -197,8 +244,13 @@ def _reconstruct(view: _PairView, g1: Graph, g2: Graph, cm: CostModel,
 
 
 def astar_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
-              heuristic: Heuristic = Heuristic.ZERO) -> GedResult:
-    """Exact edit distance; returns the cheapest complete edit path."""
+              heuristic: Heuristic = Heuristic.BIPARTITE) -> GedResult:
+    """Exact edit distance; returns the cheapest complete edit path.
+
+    Every heuristic gives the same cost; ``heuristic`` changes only how many
+    prefixes are expanded and, among equally cheap edit paths, which one is
+    returned.
+    """
     return _search(g1, g2, cm or CostModel(), heuristic, width=None)
 
 
@@ -243,43 +295,31 @@ def t_centrality_ged(
 def bipartite_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
     """A proven lower bound on the edit distance, from one node assignment.
 
-    The bipartite bound of Riesen, Fankhauser & Bunke (MLG 2007): an
-    (n1 + n2)-square assignment whose substitution cell (i, j) costs
-    ``y_node * d(l_i, l_j) + x_edge * |deg_i - deg_j| / 2``, whose deletion
-    and insertion diagonals cost ``x_node + x_edge * deg / 2``, and whose
-    epsilon-to-epsilon block is free. Any edit path maps every node once:
-    a deleted or inserted node takes all its edges with it, the star of a
-    node mapped onto another needs at least the difference of their degrees
-    in edge deletions and insertions, and each edge operation touches only
-    two stars, so half its cost per star never overcounts, whatever the
-    labels and cost model. Two empty graphs give 0.0.
+    The bipartite bound of Riesen, Fankhauser & Bunke (MLG 2007), which
+    :attr:`Heuristic.BIPARTITE` prices for every prefix, here at the empty
+    one: mapping node i onto node j costs ``y_node * d(l_i, l_j) + x_edge *
+    |deg_i - deg_j| / 2``, and deleting or inserting a node costs ``x_node +
+    x_edge * deg / 2``. Any edit path maps every node once: a deleted or
+    inserted node takes all its edges with it, the star of a node mapped
+    onto another needs at least the difference of their degrees in edge
+    deletions and insertions, and each edge operation touches only two
+    stars, so half its cost per star never overcounts, whatever the labels
+    and cost model. The assignment is solved on the reduced n1 x n2 matrix
+    of :func:`kernels.assignment`, and its matching is priced on these
+    costs, so a graph against a copy of itself gives exactly 0.0, and two
+    empty graphs give 0.0.
     """
-    # imported here: scipy.optimize takes about half a second to import, and
-    # only classification needs it
-    from scipy.optimize import linear_sum_assignment
-
     a1, a2 = g1.arrays(), g2.arrays()
-    n1, n2 = len(a1.ids), len(a2.ids)
-    if n1 + n2 == 0:
-        return 0.0
-    half = 0.5 * cm.x_edge
+    y_node, half = cm.y_node, 0.5 * cm.x_edge
+    deg1 = [len(row) for row in a1.adj]
     deg2 = [len(row) for row in a2.adj]
-    # rows: g1's nodes, then one epsilon per g2 node; columns: g2's nodes,
-    # then one epsilon per g1 node
-    cost = []
-    for i, (label, d) in enumerate(zip(a1.labels, map(len, a1.adj))):
-        row = [cm.y_node * node_label_distance(label, other) + half * abs(d - e)
-               for other, e in zip(a2.labels, deg2)]
-        row += [math.inf] * n1
-        row[n2 + i] = cm.x_node + half * d
-        cost.append(row)
-    for j, e in enumerate(deg2):
-        row = [math.inf] * n2 + [0.0] * n1
-        row[j] = cm.x_node + half * e
-        cost.append(row)
-    matrix = np.array(cost)
-    rows, cols = linear_sum_assignment(matrix)
-    return float(matrix[rows, cols].sum())
+    sub = [[y_node * node_label_distance(a, b) for b in a2.labels] for a in a1.labels]
+    _, matched = kernels.assignment(sub, deg1, list(enumerate(deg2)), cm.x_node, cm.x_edge)
+    mapped1 = {i for i, _ in matched}
+    mapped2 = {j for _, j in matched}
+    return (sum((sub[i][j] + half * abs(deg1[i] - deg2[j]) for i, j in matched), 0.0)
+            + sum(cm.x_node + half * d for i, d in enumerate(deg1) if i not in mapped1)
+            + sum(cm.x_node + half * d for j, d in enumerate(deg2) if j not in mapped2))
 
 
 def brute_force_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None) -> float:

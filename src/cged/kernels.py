@@ -10,6 +10,9 @@ that :mod:`cged.ged` assembles once per search from both graphs' forms,
 :func:`betweenness_counts` through the neighbour rows ``adj``. The graphs
 they see are small (letters and molecules of a few to a few dozen nodes),
 where Python sequences and int bitmasks beat numpy's per-call overhead.
+The expansion step also prices exact A*'s bipartite bound for every child
+it pushes; :func:`assignment` solves that bound's node assignment, which
+:func:`cged.ged.bipartite_lower_bound` shares.
 
 Conventions shared with :mod:`cged.ged`:
 
@@ -17,8 +20,9 @@ Conventions shared with :mod:`cged.ged`:
 * a mapping is a tuple of target positions, one per placed source node in
   position order, with -1 marking a deleted source node;
 * a used-target set is an int bitmask over target positions;
-* an open-list entry is ``(f, -depth, mapping, g, used)``. Mappings are
-  unique, so tuple comparison never reaches ``g`` or ``used``.
+* an open-list entry is ``(f, -depth, mapping, g, used)``, followed under
+  the bipartite bound by the rows of the bound's assignment matrix.
+  Mappings are unique, so tuple comparison never reaches ``g`` or later.
 """
 
 from __future__ import annotations
@@ -45,19 +49,53 @@ def completion_cost(view, used: int, cm) -> float:
     return cm.x_node * unused + cm.x_edge * (len(view.e2_masks) - covered)
 
 
-def count_bound(view, depth: int, used: int, cm) -> float:
-    """COUNT_BOUND: node and edge count differences of what is left to place."""
-    r1 = view.n1 - depth
-    r2 = view.n2 - used.bit_count()
-    er1 = view.er1_suffix[depth]
-    er2 = 0
-    for mask in view.e2_masks:
-        if not used & mask:
-            er2 += 1
-    return abs(r1 - r2) * cm.x_node + abs(er1 - er2) * cm.x_edge
+def assignment(rows, deg_r, cols, x_node: float, x_edge: float) -> tuple[float, list]:
+    """The assignment part of the bipartite bound, on the reduced matrix.
+
+    ``rows`` holds one list per unplaced source node, indexed by target
+    position; ``deg_r`` gives each such node's edges towards unplaced source
+    nodes, and ``cols`` one ``(target position, edges towards unused
+    targets)`` pair per unused target. Cell (i, j) is
+    ``min(rows[i][j] - x_edge * min(deg_i, deg_j) - 2 * x_node, 0)``: the
+    substitution cost of the (r + c)-square epsilon-padded assignment less
+    i's deletion and j's insertion cost (see :class:`cged.ged._BoundTables`),
+    clipped at 0. Returns the minimum-cost assignment's value (at most 0)
+    and its negative cells as (row index, target position) pairs.
+
+    A matching gains only from negative cells, and a row or column it
+    leaves unmatched keeps its deletion or insertion, so the padded optimum
+    is the sum of all deletions and insertions plus this value, exactly.
+    Rows without a negative cell are dropped and a single row or column is
+    solved directly; ``scipy.optimize`` (slow to import) is loaded only for
+    the rest.
+    """
+    two_x = x_node + x_node
+    terms = [(j, dc, x_edge * dc + two_x) for j, dc in cols]
+    neg = []
+    for k, (row, dr) in enumerate(zip(rows, deg_r)):
+        xr = x_edge * dr + two_x
+        cells = [c if (c := row[j] - (xr if dr < dc else xc)) < 0.0 else 0.0
+                 for j, dc, xc in terms]
+        if cells and min(cells) < 0.0:
+            neg.append((k, cells))
+    if not neg:
+        return 0.0, []
+    if len(neg) == 1 or len(terms) == 1:
+        best, k, at = min((min(cells), k, cells) for k, cells in neg)
+        return best, [(k, terms[at.index(best)][0])]
+    from scipy.optimize import linear_sum_assignment
+
+    picked_rows, picked_cols = linear_sum_assignment([cells for _, cells in neg])
+    total, matched = 0.0, []
+    for i, j in zip(picked_rows.tolist(), picked_cols.tolist()):
+        k, cells = neg[i]
+        if cells[j] < 0.0:
+            total += cells[j]
+            matched.append((k, terms[j][0]))
+    return total, matched
 
 
-def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> None:
+def extend_costs(view, cm, heap: list, entry: tuple) -> None:
     """Expand one open-list entry: price every child and push it onto ``heap``.
 
     Source node number ``depth`` (the length of the entry's mapping) is
@@ -71,14 +109,26 @@ def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> N
     and a deletion costs ``x_node`` plus ``x_edge`` per placed neighbour.
     Substitution distances are added in source-position order, so costs
     and tie-breaking are reproducible to the bit. At the last level a child
-    also pays for inserting every target node and edge left over; below it,
-    with ``use_count_bound``, its ``f`` adds :func:`count_bound`.
+    also pays for inserting every target node and edge left over, and its
+    ``f`` is its ``g``.
+
+    Below the last level ``f`` is ``g`` alone, unless the view carries the
+    bipartite bound's tables (``view.bound``). Then ``f`` is ``g + h``, with
+    ``h`` the bound of what is left (see :class:`cged.ged._BoundTables`),
+    and entries carry the bound's rows as a sixth element. A child copies
+    only the rows of its newly placed node's unplaced neighbours, and in
+    them updates only the cells of the chosen target's neighbours.
 
     ``view`` provides n1, n2, kind1/val1/kind2/val2 (the ``kind`` and
     ``val`` rows of both graphs' forms), node_dist, e2_masks (one two-bit
-    mask per target edge) and er1_suffix.
+    mask per target edge) and bound (None, or the tables described in
+    :class:`cged.ged._BoundTables`).
     """
-    _, negd, mapping, g, used = entry
+    bound = view.bound
+    if bound is None:
+        _, negd, mapping, g, used = entry
+    else:
+        _, negd, mapping, g, used, rows = entry
     depth = -negd
     kind_row = view.kind1[depth]
     val_row = view.val1[depth]
@@ -101,6 +151,20 @@ def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> N
     child_depth = negd - 1
     final = depth + 1 == view.n1
     n2 = view.n2
+
+    if bound is not None and not final:
+        masks, adj2 = bound.masks, bound.adj2
+        rows = rows[1:]  # the rows of the sources placed after this one
+        linked = [(k, kind_row[i], val_row[i])
+                  for k, i in enumerate(range(depth + 1, view.n1)) if kind_row[i]]
+        free = [(j, (masks[j] & ~used).bit_count())
+                for j in range(n2) if not used >> j & 1]
+        h_del = bound.del_sums[depth + 1]
+        # inserting the unused targets with their unpaid edges is exactly
+        # what completing the mapping here would add
+        h_ins = completion_cost(view, used, cm)
+        deg_r = bound.deg_r[depth + 1]
+        two_x_edge = x_edge + x_edge
 
     for v in range(n2 + 1):
         if v == n2:
@@ -130,12 +194,34 @@ def extend_costs(view, cm, heap: list, entry: tuple, use_count_bound: bool) -> N
         child_g = g + cost
         if final:
             child_g += completion_cost(view, child_used, cm)
-            f = child_g
-        elif use_count_bound:
-            f = child_g + count_bound(view, depth + 1, child_used, cm)
-        else:
-            f = child_g
-        heappush(heap, (f, child_depth, mapping + (slot,), child_g, child_used))
+        elif bound is not None:
+            if v == n2:
+                child_rows, cols, ins = rows, free, h_ins
+            else:
+                mask = masks[v]
+                child_rows = rows
+                if linked and mask:
+                    # a mapped edge pair replaces the deletion and the insertion
+                    # that the row and column terms charge for it
+                    child_rows = list(rows)
+                    for k, k1, x1 in linked:
+                        row = rows[k][:]
+                        for j in adj2[v]:
+                            k2 = kinds[j]
+                            if k1 != k2:
+                                row[j] += y_edge - two_x_edge
+                            elif k1 == 2:
+                                row[j] += y_edge * abs(vals[j] - x1) - two_x_edge
+                            else:
+                                row[j] -= two_x_edge
+                        child_rows[k] = row
+                cols = [(j, dc - 1 if mask >> j & 1 else dc) for j, dc in free if j != v]
+                ins = h_ins - x_node - x_edge * (mask & used).bit_count()
+            h = h_del + ins + assignment(child_rows, deg_r, cols, x_node, x_edge)[0]
+            heappush(heap, (child_g + h, child_depth, mapping + (slot,), child_g, child_used,
+                            child_rows))
+            continue
+        heappush(heap, (child_g, child_depth, mapping + (slot,), child_g, child_used))
 
 
 # ----------------------------------------------------------------------

@@ -196,6 +196,62 @@ def pagerank_by_linear_solve(g: Graph, alpha: float = 0.85,
 
 
 # ----------------------------------------------------------------------
+# bipartite bound, from its definition
+# ----------------------------------------------------------------------
+
+def padded_bipartite_bound(g1: Graph, g2: Graph, cm, mapping=()) -> float:
+    """The bipartite bound of the prefix ``mapping`` (one target position or
+    -1 per leading source node), as the (r + c)-square epsilon-padded
+    assignment over the unplaced source and unused target nodes, built
+    through the plain graph API.
+
+    Mapping i onto j costs its node substitution, every edge operation that
+    placing i on j would close towards the placed nodes, and half of
+    ``x_edge`` per unit of difference between their degrees among the
+    unplaced / unused nodes. Deleting i costs ``x_node``, ``x_edge`` per
+    placed neighbour and half of it per unplaced one; inserting j likewise
+    over used and unused targets. The epsilon-to-epsilon block is free.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    ids1, ids2 = g1.nodes(), g2.nodes()
+    target = {ids1[i]: (ids2[w] if w >= 0 else None) for i, w in enumerate(mapping)}
+    rows = ids1[len(mapping):]
+    used = {v for v in target.values() if v is not None}
+    cols = [v for v in ids2 if v not in used]
+    half = 0.5 * cm.x_edge
+
+    def degree(g, u, among):
+        return sum(1 for w in g.neighbors(u) if w in among)
+
+    def cross(u, v):
+        cost = 0.0
+        for p, t in target.items():
+            e1 = g1.has_edge(u, p)
+            e2 = t is not None and g2.has_edge(v, t)
+            if e1 and e2:
+                cost += cm.edge_sub_cost(g1.edge_label(u, p), g2.edge_label(v, t))
+            elif e1 or e2:
+                cost += cm.x_edge
+        return cost
+
+    r, c = len(rows), len(cols)
+    matrix = np.zeros((r + c, r + c))
+    matrix[:r, c:] = np.inf
+    matrix[r:, :c] = np.inf
+    for a, u in enumerate(rows):
+        du = degree(g1, u, rows)
+        for b, v in enumerate(cols):
+            matrix[a, b] = (cm.node_sub_cost(g1.node_label(u), g2.node_label(v))
+                            + cross(u, v) + half * abs(du - degree(g2, v, cols)))
+        matrix[a, c + a] = cm.x_node + cm.x_edge * degree(g1, u, target) + half * du
+    for b, v in enumerate(cols):
+        matrix[r + b, b] = cm.x_node + cm.x_edge * degree(g2, v, used) + half * degree(g2, v, cols)
+    picked_rows, picked_cols = linear_sum_assignment(matrix)
+    return float(matrix[picked_rows, picked_cols].sum())
+
+
+# ----------------------------------------------------------------------
 # edit-path structural check
 # ----------------------------------------------------------------------
 

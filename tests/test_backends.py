@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from cged import CostModel, kernels
 from cged.graph import Graph, Point2D
-from cged.ged import _PairView
-from helpers import betweenness_by_path_enumeration, random_graph
+from cged.ged import Heuristic, _PairView
+from helpers import betweenness_by_path_enumeration, padded_bipartite_bound, random_graph
 
 
 @st.composite
@@ -68,38 +68,79 @@ def price_from_scratch(g1: Graph, g2: Graph, cm: CostModel, mapping) -> float:
     return cost
 
 
+def descend(view, cm, mapping):
+    """The open-list entry of a prefix, reached from the root through the
+    expansion step, so that it carries what the step derived on the way."""
+    entry = view.root(cm)
+    for depth in range(len(mapping)):
+        heap = []
+        kernels.extend_costs(view, cm, heap, entry)
+        entry = next(child for child in heap if child[2] == mapping[:depth + 1])
+    return entry
+
+
+def random_prefix(data, view, longest):
+    mapping = []
+    for _ in range(data.draw(st.integers(0, longest))):
+        free = [w for w in range(view.n2) if w not in mapping]
+        mapping.append(data.draw(st.sampled_from(free + [kernels.EPS_SLOT])))
+    return tuple(mapping)
+
+
+def cheapest_completion(g1, g2, cm, mapping) -> float:
+    """Enumerate every completion of a prefix and price it from scratch."""
+    n1, n2 = g1.order, g2.order
+    if len(mapping) == n1:
+        return price_from_scratch(g1, g2, cm, mapping)
+    free = [w for w in range(n2) if w not in mapping]
+    return min(cheapest_completion(g1, g2, cm, mapping + (w,))
+               for w in free + [kernels.EPS_SLOT])
+
+
 @settings(max_examples=300, deadline=None)
 @given(pair=graph_pairs(), data=st.data(),
        cm=st.builds(CostModel, *[st.floats(0.0, 3.0)] * 4),
-       use_count_bound=st.booleans())
-def test_every_child_prices_like_a_fresh_graph_walk(pair, data, cm, use_count_bound):
+       heuristic=st.sampled_from(Heuristic))
+def test_every_child_prices_like_a_fresh_graph_walk(pair, data, cm, heuristic):
     g1, g2 = pair
     assume(g1.order > 0)
-    view = _PairView(g1, g2)
-    depth = data.draw(st.integers(0, view.n1 - 1))
-    mapping = []
-    for _ in range(depth):
-        free = [w for w in range(view.n2) if w not in mapping]
-        mapping.append(data.draw(st.sampled_from(free + [kernels.EPS_SLOT])))
-    mapping = tuple(mapping)
+    view = _PairView(g1, g2, cm, heuristic)
+    mapping = random_prefix(data, view, view.n1 - 1)
+    depth = len(mapping)
     used = sum(1 << w for w in mapping if w >= 0)
-    g = price_from_scratch(g1, g2, cm, mapping)
+    entry = descend(view, cm, mapping)
+    assert entry[3] == pytest.approx(price_from_scratch(g1, g2, cm, mapping), abs=1e-9)
+    assert entry[4] == used
     heap = []
-    kernels.extend_costs(view, cm, heap, (g, -depth, mapping, g, used), use_count_bound)
+    kernels.extend_costs(view, cm, heap, entry)
 
     free = [w for w in range(view.n2) if not used >> w & 1]
     assert sorted(child[2] for child in heap) == sorted(mapping + (w,) for w in
                                                         free + [kernels.EPS_SLOT])
-    for f, negd, child, child_g, child_used in heap:
+    for f, negd, child, child_g, child_used, *_ in heap:
         assert negd == -(depth + 1)
         assert child_used == sum(1 << w for w in child if w >= 0)
         assert child_g == pytest.approx(price_from_scratch(g1, g2, cm, child), abs=1e-9)
         h = f - child_g
-        if use_count_bound and depth + 1 < view.n1:
-            assert h == pytest.approx(kernels.count_bound(view, depth + 1, child_used, cm),
-                                      abs=1e-12)
+        if heuristic is Heuristic.BIPARTITE and depth + 1 < view.n1:
+            # the incremental rows on the reduced matrix equal the padded form
+            assert h == pytest.approx(padded_bipartite_bound(g1, g2, cm, child), abs=1e-9)
         else:
             assert h == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=graph_pairs(), data=st.data(),
+       cm=st.builds(CostModel, *[st.floats(0.0, 3.0)] * 4))
+def test_bipartite_children_never_overestimate_their_cheapest_completion(pair, data, cm):
+    g1, g2 = pair
+    assume(g1.order > 1)
+    view = _PairView(g1, g2, cm, Heuristic.BIPARTITE)
+    heap = []
+    kernels.extend_costs(view, cm, heap, descend(view, cm, random_prefix(data, view, view.n1 - 2)))
+    for f, _, child, child_g, *_ in heap:
+        assert child_g <= f + 1e-12
+        assert f <= cheapest_completion(g1, g2, cm, child) + 1e-9
 
 
 def test_betweenness_kernel_matches_the_oracle():

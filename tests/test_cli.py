@@ -67,7 +67,7 @@ def test_ged_human_output(capsys, graph_files):
     assert rc == 0
     out = capsys.readouterr().out
     assert "cost: 0.5" in out
-    assert "search: astar" in out
+    assert "search: astar(bipartite)" in out
     assert "operations" in out
     assert "backend:" not in out
 
@@ -77,6 +77,7 @@ def test_ged_json_validates_and_prices_the_move(capsys, graph_files):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     validate_against(payload, "ged_result.json")
+    assert payload["search"] == "astar(bipartite)"
     assert payload["cost"] == pytest.approx(0.5)
     assert payload["path"]["total_cost"] == pytest.approx(0.5)
     assert payload["contraction_reports"] is not None
@@ -251,10 +252,18 @@ def test_exit_code_config_errors(tmp_path, capsys, graph_files):
     assert main(["ged", a, a, "--search", "beam", "--beam-width", "0"]) == EXIT_CONFIG
     assert main(["ged", a, a, "--t", "-2"]) == EXIT_CONFIG
     # beam runs without a heuristic, so asking for one must not be ignored
-    assert main(["ged", a, a, "--search", "beam", "--heuristic", "count_bound"]) == EXIT_CONFIG
-    conf.write_text("heuristic = count_bound\n")
+    assert main(["ged", a, a, "--search", "beam", "--heuristic", "bipartite"]) == EXIT_CONFIG
+    conf.write_text("heuristic = bipartite\n")
     assert main(["ged", a, a, "--search", "beam", "--config", str(conf)]) == EXIT_CONFIG
     assert main(["ged", a, a, "--search", "beam", "--heuristic", "zero"]) == 0
+    # the removed count bound is no longer a choice, nor a config value
+    with pytest.raises(SystemExit) as exc:
+        main(["ged", a, a, "--heuristic", "count_bound"])
+    assert exc.value.code == 2
+    conf.write_text("heuristic = count_bound\n")
+    capsys.readouterr()
+    assert main(["ged", a, a, "--config", str(conf)]) == EXIT_CONFIG
+    assert "bipartite, zero" in capsys.readouterr().err
     missing = tmp_path / "missing.conf"
     assert main(["ged", a, a, "--config", str(missing)]) == EXIT_CONFIG
     # A* takes no width, so an explicit one (0 included) must not be ignored ...

@@ -90,12 +90,12 @@ def test_parse_cost_config_full():
     y_edge = 0.2
     node_label_distance = euclidean
     edge_label_distance = absolute
-    heuristic = count_bound
+    heuristic = bipartite
     beam_width = 5
     """
     cm, settings = parse_cost_config(text)
     assert cm == CostModel(0.9, 1.7, 0.4, 0.2)
-    assert settings.heuristic == "count_bound"
+    assert settings.heuristic == "bipartite"
     assert settings.beam_width == 5
 
 
@@ -103,6 +103,7 @@ def test_parse_cost_config_defaults_and_partial():
     cm, settings = parse_cost_config("x_edge = 2.0")
     assert cm == CostModel(x_edge=2.0)
     assert settings == SearchSettings()
+    assert settings.heuristic is None  # unset: the search kind's own default
     cm, _ = parse_cost_config("")
     assert cm == CostModel()
 
@@ -118,6 +119,9 @@ def test_parse_cost_config_rejections():
         parse_cost_config("x_node = -1")
     with pytest.raises(ValueError):
         parse_cost_config("heuristic = magic")
+    # the removed count bound fails loudly, naming what is allowed
+    with pytest.raises(ValueError, match="line 1: heuristic must be one of: bipartite, zero"):
+        parse_cost_config("heuristic = count_bound")
     # only the implemented policies are accepted; others would be ignored
     for text in ("node_label_distance = manhattan",
                  "node_label_distance = discrete",

@@ -70,7 +70,7 @@ def test_benchmark_grid_and_ordering():
     keys = [(r.pair_id, r.measure.value, ALL_LEVELS.index(r.t_level)) for r in records]
     assert keys == sorted(keys)
     for r in records:
-        assert r.search == "astar"
+        assert r.search == "astar(bipartite)"
         assert r.cost >= 0.0 and r.expanded_nodes >= 0
         assert r.t_level is TLevel.T0 or r.t_used_1 >= 0
 

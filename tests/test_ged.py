@@ -20,6 +20,7 @@ from helpers import (
     assert_path_consistent,
     complete_graph,
     cycle_graph,
+    padded_bipartite_bound,
     path_graph,
     random_connected_graph,
     random_graph,
@@ -100,7 +101,7 @@ def test_astar_matches_brute_force_on_random_pairs():
         g2 = random_graph(rng, n_max=4, symbolic=symbolic, numeric_edge_p=0.4)
         cm = MODELS[trial % len(MODELS)]
         want = brute_force_ged(g1, g2, cm)
-        for heuristic in (Heuristic.ZERO, Heuristic.COUNT_BOUND):
+        for heuristic in Heuristic:
             res = astar_ged(g1, g2, cm, heuristic)
             assert res.cost == pytest.approx(want, abs=1e-9), (g1.edges(), g2.edges())
             assert_path_consistent(res, g1, g2)
@@ -154,22 +155,37 @@ def test_beam_width_validation():
 
 def test_search_spec_rejects_inputs_it_would_ignore():
     with pytest.raises(ValueError, match="heuristic"):
-        SearchSpec("beam", 3, Heuristic.COUNT_BOUND)  # beam runs without a heuristic
+        SearchSpec("beam", 3, Heuristic.BIPARTITE)  # beam runs without a heuristic
     with pytest.raises(ValueError, match="width"):
         SearchSpec("astar", 7)  # A* has no open-list width
-    assert SearchSpec("beam", 3) == SearchSpec.beam(3)
-    assert SearchSpec("astar", 0, Heuristic.COUNT_BOUND) == SearchSpec.astar(Heuristic.COUNT_BOUND)
+    assert SearchSpec("beam", 3) == SearchSpec.beam(3) == SearchSpec("beam", 3, Heuristic.ZERO)
+    assert SearchSpec("astar") == SearchSpec.astar() == SearchSpec.astar(Heuristic.BIPARTITE)
+    assert SearchSpec("astar", 0, Heuristic.ZERO) == SearchSpec.astar(Heuristic.ZERO)
+    assert SearchSpec.astar().heuristic is Heuristic.BIPARTITE
+    assert SearchSpec.beam(3).heuristic is Heuristic.ZERO
 
 
-def test_count_bound_heuristic_never_changes_the_answer():
+def test_bipartite_heuristic_never_changes_the_answer():
     rng = random.Random(109)
     for _ in range(40):
         g1 = random_graph(rng, n_max=5, numeric_edge_p=0.3)
         g2 = random_graph(rng, n_max=5, numeric_edge_p=0.3)
         plain = astar_ged(g1, g2, heuristic=Heuristic.ZERO)
-        guided = astar_ged(g1, g2, heuristic=Heuristic.COUNT_BOUND)
+        guided = astar_ged(g1, g2)
         assert guided.cost == pytest.approx(plain.cost, abs=1e-9)
         assert guided.expanded_nodes <= plain.expanded_nodes
+        assert_path_consistent(guided, g1, g2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bipartite_solves_ten_node_pairs_in_few_expansions(seed):
+    # a node- and edge-count bound needed about 280k expansions at this size
+    rng = random.Random(2000 + seed)
+    g1, g2 = random_connected_graph(rng, 10), random_connected_graph(rng, 10)
+    res = astar_ged(g1, g2)
+    assert res.expanded_nodes <= 1000
+    assert_path_consistent(res, g1, g2)
+    assert bipartite_lower_bound(g1, g2, CostModel()) <= res.cost + 1e-9
 
 
 def test_expanded_nodes_accounting():
@@ -192,7 +208,8 @@ def test_run_search_dispatch():
     cm = CostModel()
     assert run_search(g1, g2, cm, SearchSpec.astar()).cost == astar_ged(g1, g2).cost
     assert run_search(g1, g2, cm, SearchSpec.beam(2)).cost == beam_ged(g1, g2, cm, 2).cost
-    assert SearchSpec.astar().describe() == "astar"
+    assert SearchSpec.astar().describe() == "astar(bipartite)"
+    assert SearchSpec.astar(Heuristic.ZERO).describe() == "astar(zero)"
     assert SearchSpec.beam(7).describe() == "beam(w=7)"
 
 
@@ -305,6 +322,16 @@ def test_bipartite_bound_never_exceeds_brute_force(g1, g2, cm):
     assert 0.0 <= bound <= brute_force_ged(g1, g2, cm) + 1e-9
 
 
+@settings(max_examples=300, deadline=None)
+@given(g1=labelled_graphs(max_nodes=5), g2=labelled_graphs(max_nodes=4),
+       cm=st.sampled_from(BOUND_MODELS))
+def test_default_exact_search_equals_brute_force(g1, g2, cm):
+    res = astar_ged(g1, g2, cm)
+    assert res.cost == pytest.approx(brute_force_ged(g1, g2, cm), abs=1e-9)
+    assert res.cost == pytest.approx(astar_ged(g1, g2, cm, Heuristic.ZERO).cost, abs=1e-9)
+    assert_path_consistent(res, g1, g2)
+
+
 def test_bipartite_bound_never_exceeds_astar_on_larger_pairs():
     rng = random.Random(61)
     for trial in range(16):
@@ -319,14 +346,23 @@ def test_bipartite_bound_never_exceeds_astar_on_larger_pairs():
             g2.add_edge(rng.choice(g2.nodes()),
                         g2.add_node(Point2D(rng.uniform(0.0, 2.0), 1.0)))
         cm = BOUND_MODELS[trial % len(BOUND_MODELS)]
-        exact = astar_ged(g1, g2, cm, Heuristic.COUNT_BOUND).cost
+        exact = astar_ged(g1, g2, cm).cost
         assert bipartite_lower_bound(g1, g2, cm) <= exact + 1e-9
         assert bipartite_lower_bound(g2, g1, cm) <= exact + 1e-9
     for n in (6, 7, 8, 9):  # unrelated pairs, at most 6 nodes on the other side
         g1, g2 = random_connected_graph(rng, n), random_connected_graph(rng, 6)
         for cm in BOUND_MODELS[:2]:
-            exact = astar_ged(g1, g2, cm, Heuristic.COUNT_BOUND).cost
+            exact = astar_ged(g1, g2, cm).cost
             assert bipartite_lower_bound(g1, g2, cm) <= exact + 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(g1=labelled_graphs(max_nodes=7), g2=labelled_graphs(max_nodes=7),
+       cm=st.sampled_from(BOUND_MODELS))
+def test_bipartite_bound_equals_the_padded_assignment(g1, g2, cm):
+    # the reduced n1 x n2 matrix gives the (n1 + n2)-square padded optimum
+    want = padded_bipartite_bound(g1, g2, cm)
+    assert bipartite_lower_bound(g1, g2, cm) == pytest.approx(want, abs=1e-12)
 
 
 def test_bipartite_bound_hand_cases():
