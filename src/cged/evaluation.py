@@ -7,7 +7,10 @@ Classification puts the bipartite lower bound of :mod:`cged.ged` in front
 of every search and skips the training graphs whose bound shows they
 cannot be the nearest; since the bound never exceeds the exact distance,
 and beam never returns less than it, the predictions are those of
-searching every training graph, under either search.
+searching every training graph, under either search. A cheaper size bound
+decides which bipartite bounds are worth computing, and each graph's
+contraction is kept in the graph's memo, so the training set is contracted
+once however many calls classify against it.
 
 Levels follow the iterated-degree convention: level Tk* contracts, per
 graph, as many nodes as a degree-1..k contraction chain of that graph
@@ -23,6 +26,7 @@ are byte-identical whether computed serially or across a process pool
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -82,6 +86,14 @@ def t_star_levels(g: Graph) -> dict[TLevel, int]:
     }
 
 
+def _levels(g: Graph) -> dict[TLevel, int]:
+    """:func:`t_star_levels` of g, kept in g's memo until g changes."""
+    levels = g._memo.get("levels")
+    if levels is None:
+        levels = g._memo["levels"] = t_star_levels(g)
+    return levels
+
+
 @dataclass
 class BenchmarkRecord:
     """One (pair, measure, level) cell of the benchmark grid.
@@ -116,26 +128,29 @@ class BenchmarkRecord:
 class ClassificationResult:
     """Per-graph predictions plus accuracy and confusion counts.
 
-    ``searches`` counts the edit-distance searches run and ``pairs`` the
-    (test, training) graph pairs; the lower-bound filter skips the rest.
+    ``pairs`` counts the (test, training) graph pairs, ``bounds`` the
+    bipartite lower bounds computed and ``searches`` the edit-distance
+    searches run, so ``searches <= bounds <= pairs``; the size bound rules
+    out the pairs left unbounded, the bipartite bound those left unsearched.
     """
 
     predictions: list[tuple[str, str, str]]  # (graph name, true, predicted)
     accuracy: float
     searches: int
+    bounds: int
     pairs: int
     confusion: dict[tuple[str, str], int] = field(default_factory=dict)
 
     @classmethod
     def from_predictions(cls, preds: list[tuple[str, str, str]], *, searches: int,
-                         pairs: int) -> "ClassificationResult":
+                         bounds: int, pairs: int) -> "ClassificationResult":
         confusion: dict[tuple[str, str], int] = {}
         correct = 0
         for _, true, predicted in preds:
             confusion[(true, predicted)] = confusion.get((true, predicted), 0) + 1
             correct += true == predicted
         accuracy = correct / len(preds) if preds else 0.0
-        return cls(list(preds), accuracy, searches, pairs, confusion)
+        return cls(list(preds), accuracy, searches, bounds, pairs, confusion)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,6 +158,7 @@ class ClassificationResult:
             "total": len(self.predictions),
             "correct": sum(t == p for _, t, p in self.predictions),
             "searches": self.searches,
+            "bounds": self.bounds,
             "pairs": self.pairs,
             "predictions": [
                 {"graph": g, "true": t, "predicted": p}
@@ -190,7 +206,7 @@ def _without(g: Graph, ids: tuple[int, ...]) -> Graph:
 def _benchmark_pair(args) -> list[BenchmarkRecord]:
     pair_id, g1, g2, measures, levels, search, cm = args
     if any(level is not TLevel.T0 for level in levels):
-        lv1, lv2 = t_star_levels(g1), t_star_levels(g2)
+        lv1, lv2 = _levels(g1), _levels(g2)
     else:
         lv1 = lv2 = {TLevel.T0: 0}
     # contraction ranks once, on the input graph, so a smaller budget stops
@@ -253,8 +269,10 @@ def run_timing_benchmark(
     the first t removals of that walk (a smaller budget stops the same walk
     earlier). Cells that remove the same node sets from both graphs are
     searched once and share their record fields (see
-    :class:`BenchmarkRecord` for what ``elapsed`` covers). Records come
-    back sorted by (pair, measure, level) regardless of worker count.
+    :class:`BenchmarkRecord` for what ``elapsed`` covers). The budgets come
+    from each graph's memo, but the walks are made on every call, since
+    ``elapsed`` includes them. Records come back sorted by (pair, measure,
+    level) regardless of worker count.
     """
     if sample < 1:
         raise ValueError("sample must be >= 1")
@@ -309,33 +327,51 @@ def write_benchmark_csv(records: Sequence[BenchmarkRecord],
 # ----------------------------------------------------------------------
 
 def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
-    """g contracted at its own budget for the level."""
-    return t_centrality_node_contraction(g, t_star_levels(g)[level], measure)[0]
+    """g contracted at its own budget for the level, kept in g's memo until
+    g changes; callers must not modify the result."""
+    h = g._memo.get((measure, level))
+    if h is None:
+        h = t_centrality_node_contraction(g, _levels(g)[level], measure)[0]
+        g._memo[(measure, level)] = h
+    return h
 
 
-def _classify_one(args) -> tuple[tuple[str, str, str], int]:
-    """One test graph's prediction and the number of searches it took.
+def _classify_one(args) -> tuple[tuple[str, str, str], int, int]:
+    """One test graph's prediction, and the searches and bounds it took.
 
-    Training graphs are searched in (lower bound, index) order until the
-    next bound exceeds the best cost so far (with a relative margin of 1e-9
-    for rounding). Every graph left unsearched then lies strictly farther
-    than the best, so the (cost, index) argmin is the one that searching
-    every training graph would give.
+    Every training graph enters a heap under its size bound,
+    ``x_node * |n1 - n2| + x_edge * |m1 - m2|``, which never exceeds its
+    bipartite bound. The top entry is examined until its key exceeds the
+    best cost so far (with a relative margin of 1e-9 for rounding): a size
+    bound is replaced by the graph's bipartite bound, and a bipartite bound
+    is popped and its graph searched. Bipartite bounds thus leave the heap
+    in (bound, index) order, and are computed only for graphs whose size
+    bound does not rule them out. Every graph left unsearched lies strictly
+    farther than the best, so the (cost, index) argmin is the one that
+    searching every training graph would give.
     """
-    g, train_contracted, train_classes, measure, level, search, cm = args
+    g, train_contracted, train_sizes, train_classes, measure, level, search, cm = args
     h = _contract(g, measure, level)
-    order = sorted((bipartite_lower_bound(h, ht, cm), i)
-                   for i, ht in enumerate(train_contracted))
+    n, m = h.order, h.size
+    heap = [(cm.x_node * abs(n - ni) + cm.x_edge * abs(m - mi), i, False)
+            for i, (ni, mi) in enumerate(train_sizes)]
+    heapq.heapify(heap)
     best_cost, nearest = math.inf, -1
-    searches = 0
-    for bound, i in order:
-        if bound > best_cost + 1e-9 * (1.0 + best_cost):
+    searches = bounds = 0
+    while heap:
+        key, i, assigned = heap[0]
+        if key > best_cost + 1e-9 * (1.0 + best_cost):
             break
+        if not assigned:
+            heapq.heapreplace(heap, (bipartite_lower_bound(h, train_contracted[i], cm), i, True))
+            bounds += 1
+            continue
+        heapq.heappop(heap)
         cost = run_search(h, train_contracted[i], cm, search).cost
         searches += 1
         if (cost, i) < (best_cost, nearest):
             best_cost, nearest = cost, i
-    return (g.name or "", g.class_label or "", train_classes[nearest]), searches
+    return (g.name or "", g.class_label or "", train_classes[nearest]), searches, bounds
 
 
 def nn_classify(
@@ -353,24 +389,32 @@ def nn_classify(
     own level budget with the given measure). Ties go to the lowest
     training index.
 
-    Before searching, each test graph gets :func:`~cged.ged.bipartite_lower_bound`
-    against every contracted training graph, and a training graph is
-    searched only while its bound does not exceed the best cost found so
-    far. The bound is a lower bound on the exact distance, and beam's cost
-    is never below the exact distance, so every skipped graph is strictly
-    farther than the best under either search: the predictions equal those
-    of searching every training graph. ``searches`` and ``pairs`` in the
-    result count the searches run and the (test, training) pairs.
+    A training graph is searched only while its
+    :func:`~cged.ged.bipartite_lower_bound` against the test graph does not
+    exceed the best cost found so far, and that bound is computed only when
+    the cheaper size bound does not already exceed it (see
+    :func:`_classify_one`). Both are lower bounds on the exact distance,
+    and beam's cost is never below the exact distance, so every skipped
+    graph is strictly farther than the best under either search: the
+    predictions equal those of searching every training graph. ``searches``,
+    ``bounds`` and ``pairs`` in the result count the searches run, the
+    bipartite bounds computed and the (test, training) pairs.
+
+    Each graph's budgets and contraction are kept in the graph's memo until
+    it changes, so a later call with the same training corpus contracts
+    only its own test graphs. Pool workers receive graphs without their
+    memo and contract the test graphs themselves.
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")
     _check_workers(workers)
     cm = cm or CostModel()
     train_contracted = [_contract(g, measure, level) for g in train.graphs]
+    train_sizes = [(h.order, h.size) for h in train_contracted]
     train_classes = [g.class_label or "" for g in train.graphs]
-    tasks = [(g, train_contracted, train_classes, measure, level, search, cm)
+    tasks = [(g, train_contracted, train_sizes, train_classes, measure, level, search, cm)
              for g in test.graphs]
     outcomes = _map(_classify_one, tasks, workers)
     return ClassificationResult.from_predictions(
-        [pred for pred, _ in outcomes], searches=sum(n for _, n in outcomes),
-        pairs=len(test.graphs) * len(train.graphs))
+        [pred for pred, _, _ in outcomes], searches=sum(n for _, n, _ in outcomes),
+        bounds=sum(b for _, _, b in outcomes), pairs=len(test.graphs) * len(train.graphs))

@@ -107,9 +107,13 @@ class Graph:
     Two graphs compare equal when they have the same node ids with the same
     labels and the same labeled edges; ``name`` and ``class_label`` are
     metadata and do not participate in equality.
+
+    ``_memo`` is a dict where :mod:`cged.evaluation` keeps what it derived
+    from this graph (T-level budgets, contracted graphs). Every mutator
+    empties it; copies and pickles start without it.
     """
 
-    __slots__ = ("name", "class_label", "_labels", "_adj", "_next_id", "_arrays")
+    __slots__ = ("name", "class_label", "_labels", "_adj", "_next_id", "_arrays", "_memo")
 
     def __init__(self, name: str | None = None, class_label: str | None = None):
         self.name = name
@@ -118,6 +122,7 @@ class Graph:
         self._adj: dict[int, dict[int, EdgeLabel]] = {}
         self._next_id = 0
         self._arrays: GraphArrays | None = None
+        self._memo: dict = {}
 
     # ------------------------------------------------------------------
     # construction / mutation
@@ -131,6 +136,7 @@ class Graph:
         self._labels[u] = label
         self._adj[u] = {}
         self._arrays = None
+        self._memo = {}
         return u
 
     def add_edge(self, u: int, v: int, label: EdgeLabel = None) -> None:
@@ -150,6 +156,7 @@ class Graph:
         self._adj[u][v] = label
         self._adj[v][u] = label
         self._arrays = None
+        self._memo = {}
 
     def delete_node(self, u: int) -> None:
         """Remove node u and every incident edge."""
@@ -160,6 +167,7 @@ class Graph:
         del self._adj[u]
         del self._labels[u]
         self._arrays = None
+        self._memo = {}
 
     def copy(self) -> "Graph":
         g = Graph(name=self.name, class_label=self.class_label)
@@ -171,13 +179,16 @@ class Graph:
         return g
 
     def __getstate__(self) -> dict:
-        # the cached form is rebuilt on demand, so pickles (e.g. pool tasks) leave it out
-        return {name: getattr(self, name) for name in self.__slots__ if name != "_arrays"}
+        # the cached form and the memo are rebuilt on demand, so pickles
+        # (e.g. pool tasks) leave them out
+        return {name: getattr(self, name) for name in self.__slots__
+                if name not in ("_arrays", "_memo")}
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
         self._arrays = None
+        self._memo = {}
 
     @classmethod
     def from_parts(

@@ -270,5 +270,7 @@ def backend_name() -> str:
 
 
 def warm_up() -> None:
-    """Kept for callers that warm the kernels before timing; a no-op,
-    since both kernels are plain Python with nothing to compile."""
+    """Import ``scipy.optimize`` ahead of timing, so that the first bound
+    that needs :func:`assignment`'s solver does not pay the import (most of
+    a second). Both kernels are plain Python with nothing to compile."""
+    import scipy.optimize

@@ -2,6 +2,7 @@
 the betweenness loop against a path-enumeration oracle."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -162,3 +163,4 @@ def test_backend_name_consistency():
 def test_warm_up_is_idempotent():
     kernels.warm_up()
     kernels.warm_up()
+    assert "scipy.optimize" in sys.modules

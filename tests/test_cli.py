@@ -148,10 +148,10 @@ def test_classify_perfect_at_zero_distortion(tmp_path, capsys):
     validate_against(payload, "classification_result.json")
     assert payload["accuracy"] == 1.0
     assert payload["pairs"] == 6 * 6
-    assert 6 <= payload["searches"] <= payload["pairs"]
+    assert 6 <= payload["searches"] <= payload["bounds"] <= payload["pairs"]
     out = capsys.readouterr().out
     assert "accuracy: 1.0000" in out
-    assert f"searched {payload['searches']} of 36 pairs" in out
+    assert f"searched {payload['searches']} of 36 pairs, {payload['bounds']} bounds" in out
 
 
 @pytest.mark.parametrize("command", ["classify", "benchmark"])

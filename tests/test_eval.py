@@ -19,7 +19,7 @@ from cged.evaluation import (
     write_benchmark_csv,
 )
 from cged.ged import SearchSpec, bipartite_lower_bound, run_search
-from cged.graph import Graph
+from cged.graph import Graph, Point2D
 from helpers import cycle_graph, path_graph
 
 DEG = CentralityMeasure.DEGREE
@@ -245,6 +245,32 @@ def searched_every_training_graph(train, test, measure, level, search, cm):
     return preds
 
 
+def eagerly_bounded(train, test, measure, level, search, cm):
+    """1-NN predictions and the search count when every training graph's
+    bipartite bound is computed first and graphs are searched in (bound,
+    index) order until the next bound exceeds the best cost: the order
+    lazy bounding must keep."""
+    def contract(g):
+        return t_centrality_node_contraction(g, t_star_levels(g)[level], measure)[0]
+
+    train_contracted = [contract(g) for g in train.graphs]
+    preds, searches = [], 0
+    for g in test.graphs:
+        h = contract(g)
+        order = sorted((bipartite_lower_bound(h, ht, cm), i)
+                       for i, ht in enumerate(train_contracted))
+        best_cost, nearest = float("inf"), -1
+        for bound, i in order:
+            if bound > best_cost + 1e-9 * (1.0 + best_cost):
+                break
+            cost = run_search(h, train_contracted[i], cm, search).cost
+            searches += 1
+            if (cost, i) < (best_cost, nearest):
+                best_cost, nearest = cost, i
+        preds.append((g.name, g.class_label, train.graphs[nearest].class_label))
+    return preds, searches
+
+
 @pytest.fixture(scope="module")
 def small_split():
     # noisy, so that the filter often has to search several training graphs
@@ -268,7 +294,33 @@ def test_filtered_nn_classify_equals_searching_every_training_graph(
     assert serial.predictions == want
     assert pooled.to_json_dict() == serial.to_json_dict()
     assert serial.pairs == len(train.graphs) * len(test.graphs)
-    assert len(test.graphs) <= serial.searches <= serial.pairs
+    assert len(test.graphs) <= serial.searches <= serial.bounds <= serial.pairs
+
+
+@pytest.fixture(scope="module")
+def tied_split(small_split):
+    # at distortion 0 every graph equals its class prototype, so a test graph
+    # has several training twins whose bounds tie the best cost, 0, exactly
+    clean_train, clean_test = split_corpus(
+        synthesize_letter_like(seed=36, count=20, classes=5, distortion=0.0))
+    train, test = small_split
+    return (Corpus("tr", train.graphs + clean_train.graphs),
+            Corpus("te", test.graphs[:3] + clean_test.graphs[:3]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("search", [SearchSpec.astar(), SearchSpec.beam(3)],
+                         ids=["astar", "beam3"])
+@pytest.mark.parametrize("level", [TLevel.T0, TLevel.T1STAR, TLevel.T3STAR], ids=str)
+@pytest.mark.parametrize("measure", list(CentralityMeasure), ids=str)
+def test_lazy_bounds_search_what_eager_bounds_search(
+        tied_split, measure, level, search, workers):
+    train, test = tied_split
+    cm = CostModel(x_node=0.8, y_node=1.0, x_edge=0.6, y_edge=1.0)
+    result = nn_classify(train, test, measure, level, search, cm, workers=workers)
+    assert (result.predictions, result.searches) == eagerly_bounded(
+        train, test, measure, level, search, cm)
+    assert result.searches <= result.bounds < result.pairs
 
 
 def test_filter_skips_searches_on_separated_classes():
@@ -317,3 +369,65 @@ def test_workers_below_one_fail_before_any_work(monkeypatch, workers):
     with pytest.raises(ValueError, match="workers"):
         run_timing_benchmark(corpus, [DEG], [TLevel.T1STAR], SearchSpec.astar(),
                              sample=2, seed=1, workers=workers)
+
+
+def counting(monkeypatch, name: str) -> list:
+    """Count the calls to the module-level ``evaluation.<name>``."""
+    calls = []
+    fn = getattr(evaluation, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(evaluation, name, counted)
+    return calls
+
+
+def test_a_second_call_derives_only_its_new_test_graphs(monkeypatch):
+    corpus = synthesize_letter_like(seed=34, count=36, classes=6, distortion=0.3)
+    train, test = split_corpus(corpus)
+    args = (CentralityMeasure.BETWEENNESS, TLevel.T1STAR, SearchSpec.astar())
+    first = nn_classify(train, Corpus("a", test.graphs[:4]), *args)
+    levels = counting(monkeypatch, "t_star_levels")
+    contractions = counting(monkeypatch, "t_centrality_node_contraction")
+    second = nn_classify(train, Corpus("b", test.graphs[4:8]), *args)
+    assert (len(levels), len(contractions)) == (4, 4)
+    # the training set's memo changes nothing: a fresh copy of every graph agrees
+    fresh_train = Corpus("tr", [g.copy() for g in train.graphs])
+    for part, result in ((test.graphs[:4], first), (test.graphs[4:8], second)):
+        fresh = nn_classify(fresh_train, Corpus("c", [g.copy() for g in part]), *args)
+        assert fresh.to_json_dict() == result.to_json_dict()
+
+
+@pytest.mark.parametrize("mutation", ["add_node", "add_edge", "delete_node"])
+def test_a_mutated_graph_is_derived_afresh(mutation):
+    corpus = synthesize_letter_like(seed=35, count=24, classes=4, distortion=0.3)
+    train, test = split_corpus(corpus)
+    args = (DEG, TLevel.T1STAR, SearchSpec.astar())
+    nn_classify(train, test, *args)
+    for g in train.graphs + test.graphs:
+        if mutation == "add_node":
+            g.add_edge(g.nodes()[0], g.add_node(Point2D(9.0, 9.0)))
+        elif mutation == "add_edge":
+            free = [(u, v) for u in g.nodes() for v in g.nodes()
+                    if u < v and not g.has_edge(u, v)]
+            if free:
+                g.add_edge(*free[0])
+        else:
+            g.delete_node(g.nodes()[0])
+    again = nn_classify(train, test, *args)
+    fresh = nn_classify(Corpus("tr", [g.copy() for g in train.graphs]),
+                        Corpus("te", [g.copy() for g in test.graphs]), *args)
+    assert again.to_json_dict() == fresh.to_json_dict()
+
+
+def test_timing_benchmark_contracts_on_every_call(monkeypatch):
+    # BenchmarkRecord.elapsed includes the contraction walk, so no call may skip it
+    corpus = Corpus("two", [path_graph(4), path_graph(5)])
+    contractions = counting(monkeypatch, "t_centrality_node_contraction")
+    for _ in range(2):
+        contractions.clear()
+        run_timing_benchmark(corpus, list(CentralityMeasure), [TLevel.T1STAR],
+                             SearchSpec.astar(), sample=1, seed=1)
+        assert len(contractions) == 2 * len(CentralityMeasure)

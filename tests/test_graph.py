@@ -318,3 +318,20 @@ def test_pickle_leaves_the_cached_form_out(g):
     assert back == g and (back.name, back.class_label) == ("g", "A")
     assert back.arrays() == form
     assert back.add_node("C") == g.copy().add_node("C")
+
+
+@pytest.mark.parametrize("mutation", ["add_node", "add_edge", "delete_node"])
+def test_memo_is_emptied_by_mutators_and_left_out_of_copies_and_pickles(mutation):
+    g = path_graph(3)
+    size = len(pickle.dumps(g))
+    g._memo["derived"] = path_graph(2)
+    assert g.copy()._memo == {}
+    assert pickle.loads(pickle.dumps(g))._memo == {}
+    assert len(pickle.dumps(g)) == size
+    if mutation == "add_node":
+        g.add_node(Point2D(0.0, 1.0))
+    elif mutation == "add_edge":
+        g.add_edge(0, 2)
+    else:
+        g.delete_node(1)
+    assert g._memo == {}
