@@ -17,19 +17,25 @@ graph, as many nodes as a degree-1..k contraction chain of that graph
 removes; T0 contracts nothing. The two graphs of a pair may therefore use
 different t values.
 
-Everything is deterministic under a fixed seed: pair sampling, search
-tie-breaking, and worker scheduling all preserve a total order, so results
-are byte-identical whether computed serially or across a process pool
-(elapsed fields excepted).
+Everything is deterministic under a fixed seed. Pair sampling and search
+tie-breaking follow a total order, and worker scheduling cannot reorder
+anything: each pool task depends only on its own inputs and on what the
+pool shipped, and results come back in task order. So results are
+byte-identical whether computed serially or across a process pool (elapsed
+fields excepted). The pool is started on the first pooled call and kept
+for later ones (see :func:`_map`).
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import heapq
 import math
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -176,12 +182,87 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def _map(fn: Callable, tasks: list, workers: int) -> list:
-    """``fn`` over ``tasks`` in order: serially, or across a pool of ``workers``."""
+# The pool _map keeps between calls: (executor, workers, the training
+# graphs it shipped or None). Holding the graphs keeps them alive, so no
+# other graph can take their ids while the pool is kept.
+_kept: Optional[tuple[ProcessPoolExecutor, int, Optional[list[Graph]]]] = None
+# Held by a pooled call from choosing the pool until its results are in, so
+# that no call shuts down a pool another thread is using.
+_lock = threading.Lock()
+# In a pool worker: what the pool's initializer shipped, (graphs, sizes) or ()
+_shipped: tuple = ()
+
+
+def _receive(*shipped) -> None:
+    global _shipped
+    _shipped = shipped
+
+
+def _call(item: tuple):
+    fn, task, with_train = item
+    return fn(task, *_shipped) if with_train else fn(task)
+
+
+def _sized(train: Optional[list[Graph]]) -> tuple:
+    return () if train is None else (train, [(h.order, h.size) for h in train])
+
+
+def _shut_down() -> None:
+    global _kept
+    if _kept is not None:
+        _kept[0].shutdown()
+        _kept = None
+
+
+atexit.register(_shut_down)
+
+
+def _pool(workers: int, train: Optional[list[Graph]]) -> ProcessPoolExecutor:
+    """The kept pool, if it has ``workers`` workers and either ``train`` is
+    None or it shipped the same graph objects; otherwise a new pool, after
+    the kept one is shut down, so that none of its threads runs when the
+    new pool's workers fork."""
+    global _kept
+    if _kept is not None:
+        pool, width, shipped = _kept
+        if width == workers and (train is None or (
+                shipped is not None and len(shipped) == len(train)
+                and all(a is b for a, b in zip(shipped, train)))):
+            return pool
+        _shut_down()
+    pool = ProcessPoolExecutor(workers, initializer=_receive, initargs=_sized(train))
+    _kept = pool, workers, train
+    return pool
+
+
+def _map(fn: Callable, tasks: list, workers: int,
+         train: Optional[list[Graph]] = None) -> list:
+    """``fn`` over ``tasks`` in order: serially, or on a pool of ``workers``.
+
+    Without ``train`` each call is ``fn(task)``; with it, a list of
+    contracted training graphs, ``fn(task, train, sizes)`` with their
+    (order, size) pairs. A pool receives ``train`` and ``sizes`` once,
+    through its initializer (under the fork start method its workers
+    inherit the forms the parent built), and is kept for later calls: one
+    without ``train`` can use any kept pool of its width, one with it needs
+    the same graph objects, which each training graph's memo returns until
+    the graph changes. Tasks go out in about one chunk per worker, and no
+    pool starts for an empty task list. Pooled calls from several threads
+    run one at a time.
+    """
+    if not tasks:
+        return []
     if workers == 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        shipped = _sized(train)
+        return [fn(t, *shipped) for t in tasks]
+    with _lock:
+        pool = _pool(workers, train)
+        try:
+            return list(pool.map(_call, [(fn, t, train is not None) for t in tasks],
+                                 chunksize=math.ceil(len(tasks) / workers)))
+        except BrokenProcessPool:
+            _shut_down()
+            raise
 
 
 # ----------------------------------------------------------------------
@@ -336,8 +417,10 @@ def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
     return h
 
 
-def _classify_one(args) -> tuple[tuple[str, str, str], int, int]:
-    """One test graph's prediction, and the searches and bounds it took.
+def _nearest(task, train: list[Graph], sizes: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """The index of the training graph nearest to one contracted test graph,
+    and the searches and bounds it took; ``train`` holds the contracted
+    training graphs and ``sizes`` their (order, size) pairs.
 
     Every training graph enters a heap under its size bound,
     ``x_node * |n1 - n2| + x_edge * |m1 - m2|``, which never exceeds its
@@ -350,11 +433,10 @@ def _classify_one(args) -> tuple[tuple[str, str, str], int, int]:
     farther than the best, so the (cost, index) argmin is the one that
     searching every training graph would give.
     """
-    g, train_contracted, train_sizes, train_classes, measure, level, search, cm = args
-    h = _contract(g, measure, level)
+    h, search, cm = task
     n, m = h.order, h.size
     heap = [(cm.x_node * abs(n - ni) + cm.x_edge * abs(m - mi), i, False)
-            for i, (ni, mi) in enumerate(train_sizes)]
+            for i, (ni, mi) in enumerate(sizes)]
     heapq.heapify(heap)
     best_cost, nearest = math.inf, -1
     searches = bounds = 0
@@ -363,15 +445,15 @@ def _classify_one(args) -> tuple[tuple[str, str, str], int, int]:
         if key > best_cost + 1e-9 * (1.0 + best_cost):
             break
         if not assigned:
-            heapq.heapreplace(heap, (bipartite_lower_bound(h, train_contracted[i], cm), i, True))
+            heapq.heapreplace(heap, (bipartite_lower_bound(h, train[i], cm), i, True))
             bounds += 1
             continue
         heapq.heappop(heap)
-        cost = run_search(h, train_contracted[i], cm, search).cost
+        cost = run_search(h, train[i], cm, search).cost
         searches += 1
         if (cost, i) < (best_cost, nearest):
             best_cost, nearest = cost, i
-    return (g.name or "", g.class_label or "", train_classes[nearest]), searches, bounds
+    return nearest, searches, bounds
 
 
 def nn_classify(
@@ -393,7 +475,7 @@ def nn_classify(
     :func:`~cged.ged.bipartite_lower_bound` against the test graph does not
     exceed the best cost found so far, and that bound is computed only when
     the cheaper size bound does not already exceed it (see
-    :func:`_classify_one`). Both are lower bounds on the exact distance,
+    :func:`_nearest`). Both are lower bounds on the exact distance,
     and beam's cost is never below the exact distance, so every skipped
     graph is strictly farther than the best under either search: the
     predictions equal those of searching every training graph. ``searches``,
@@ -402,19 +484,23 @@ def nn_classify(
 
     Each graph's budgets and contraction are kept in the graph's memo until
     it changes, so a later call with the same training corpus contracts
-    only its own test graphs. Pool workers receive graphs without their
-    memo and contract the test graphs themselves.
+    only its own test graphs. Test graphs are contracted in the calling
+    process, so pool workers receive them contracted; the contracted
+    training graphs reach a pool once, when it starts, and the pool is kept
+    for later calls with the same ``workers`` and training graphs (see
+    :func:`_map`). Workers return the index of the nearest training graph,
+    and its class is read in the calling process, so a relabelled training
+    graph is never served stale.
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")
     _check_workers(workers)
     cm = cm or CostModel()
     train_contracted = [_contract(g, measure, level) for g in train.graphs]
-    train_sizes = [(h.order, h.size) for h in train_contracted]
-    train_classes = [g.class_label or "" for g in train.graphs]
-    tasks = [(g, train_contracted, train_sizes, train_classes, measure, level, search, cm)
-             for g in test.graphs]
-    outcomes = _map(_classify_one, tasks, workers)
+    tasks = [(_contract(g, measure, level), search, cm) for g in test.graphs]
+    outcomes = _map(_nearest, tasks, workers, train_contracted)
     return ClassificationResult.from_predictions(
-        [pred for pred, _, _ in outcomes], searches=sum(n for _, n, _ in outcomes),
+        [(g.name or "", g.class_label or "", train.graphs[i].class_label or "")
+         for g, (i, _, _) in zip(test.graphs, outcomes)],
+        searches=sum(n for _, n, _ in outcomes),
         bounds=sum(b for _, _, b in outcomes), pairs=len(test.graphs) * len(train.graphs))

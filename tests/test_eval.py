@@ -1,6 +1,15 @@
 """Benchmark harness and nearest-neighbor classification."""
 
 import csv
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -431,3 +440,128 @@ def test_timing_benchmark_contracts_on_every_call(monkeypatch):
         run_timing_benchmark(corpus, list(CentralityMeasure), [TLevel.T1STAR],
                              SearchSpec.astar(), sample=1, seed=1)
         assert len(contractions) == 2 * len(CentralityMeasure)
+
+
+# ----------------------------------------------------------------------
+# the kept process pool
+# ----------------------------------------------------------------------
+
+def test_kept_pool_serves_relabelled_and_mutated_training_graphs(small_split):
+    train, test = small_split
+    # one class per training graph, so a prediction names the nearest graph
+    train = Corpus("tr", [g.copy() for g in train.graphs])
+    for i, g in enumerate(train.graphs):
+        g.class_label = f"c{i}"
+    args = (DEG, TLevel.T1STAR, SearchSpec.astar())
+
+    first = nn_classify(train, test, *args, workers=2)
+    pool = evaluation._kept[0]
+    assert first.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
+
+    # a relabel leaves the contraction memo, and so the pool, in place;
+    # the class is read in the calling process, so it is never stale
+    nearest = int(first.predictions[0][2][1:])
+    train.graphs[nearest].class_label = "relabelled"
+    relabelled = nn_classify(train, test, *args, workers=2)
+    assert evaluation._kept[0] is pool
+    assert relabelled.predictions[0][2] == "relabelled"
+    assert relabelled.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
+
+    # a mutation empties the memo, so the contracted graphs and the pool change
+    other = train.graphs[(nearest + 1) % len(train.graphs)]
+    other.add_edge(other.nodes()[0], other.add_node(Point2D(9.0, 9.0)))
+    mutated = nn_classify(train, test, *args, workers=2)
+    assert evaluation._kept[0] is not pool
+    assert mutated.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
+
+
+def test_timing_benchmark_runs_on_a_kept_classification_pool(small_split):
+    train, test = small_split
+    nn_classify(train, test, DEG, TLevel.T1STAR, SearchSpec.astar(), workers=2)
+    pool = evaluation._kept[0]
+    args = (train, [DEG], [TLevel.T0, TLevel.T1STAR], SearchSpec.astar())
+    pooled = run_timing_benchmark(*args, sample=5, seed=3, workers=2)
+    assert evaluation._kept[0] is pool
+    serial = run_timing_benchmark(*args, sample=5, seed=3, workers=1)
+    assert [record_key(r) for r in pooled] == [record_key(r) for r in serial]
+
+
+def test_a_broken_kept_pool_fails_one_call_and_is_replaced(small_split):
+    train, test = small_split
+    args = (DEG, TLevel.T1STAR, SearchSpec.astar())
+    want = nn_classify(train, test, *args).to_json_dict()
+    nn_classify(train, test, *args, workers=2)
+    pool = evaluation._kept[0]
+    worker = multiprocessing.active_children()[0]
+    os.kill(worker.pid, signal.SIGKILL)
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    with pytest.raises(BrokenProcessPool):
+        nn_classify(train, test, *args, workers=2)
+    assert evaluation._kept is None
+    assert nn_classify(train, test, *args, workers=2).to_json_dict() == want
+    assert evaluation._kept[0] is not pool
+
+
+def test_pooled_calls_from_several_threads_equal_serial_ones(small_split, tied_split):
+    # each call switches the training set, so each one replaces the kept pool
+    args = (DEG, TLevel.T1STAR, SearchSpec.astar())
+    splits = [small_split, tied_split]
+    want = [nn_classify(train, test, *args).to_json_dict() for train, test in splits]
+    got = []
+
+    def classify(k):
+        for j in range(3):
+            train, test = splits[(k + j) % 2]
+            got.append(((k + j) % 2, nn_classify(train, test, *args, workers=2).to_json_dict()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=classify, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 12
+    assert all(result == want[i] for i, result in got)
+
+
+def test_no_pool_starts_for_an_empty_test_set(monkeypatch, small_split):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(evaluation, "_kept", None)
+    result = nn_classify(small_split[0], Corpus("te"), DEG, TLevel.T1STAR,
+                         SearchSpec.astar(), workers=2)
+    assert result.predictions == [] and result.pairs == 0
+
+
+def test_no_pool_worker_outlives_its_parent():
+    script = textwrap.dedent("""
+        import multiprocessing
+        from cged import CentralityMeasure
+        from cged.dataset import split_corpus, synthesize_letter_like
+        from cged.evaluation import TLevel, nn_classify
+        from cged.ged import SearchSpec
+
+        train, test = split_corpus(synthesize_letter_like(37, 12, 3, 0.3))
+        nn_classify(train, test, CentralityMeasure.DEGREE, TLevel.T1STAR,
+                    SearchSpec.astar(), workers=2)
+        print(*(p.pid for p in multiprocessing.active_children()))
+    """)
+    src = str(Path(evaluation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
