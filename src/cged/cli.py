@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="T0,T1*,T2*,T3*",
                    help="comma-separated contraction levels (default: all four)")
     p.add_argument("--sample", type=int, default=100, help="number of graph pairs")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that compute, this one included (default: 1)")
     p.add_argument("--out-csv", default="benchmark.csv", metavar="FILE")
     p.add_argument("--out-json", default="benchmark.json", metavar="FILE")
     _add_search_args(p)
@@ -320,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=[m.value for m in CentralityMeasure],
                    default="degree")
     p.add_argument("--level", default="T0", help="contraction level (default: T0)")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that compute, this one included (default: 1)")
     p.add_argument("--out-json", default="classification.json", metavar="FILE")
     _add_search_args(p)
     p.set_defaults(func=cmd_classify)

@@ -19,11 +19,12 @@ different t values.
 
 Everything is deterministic under a fixed seed. Pair sampling and search
 tie-breaking follow a total order, and worker scheduling cannot reorder
-anything: each pool task depends only on its own inputs and on what the
-pool shipped, and results come back in task order. So results are
-byte-identical whether computed serially or across a process pool (elapsed
-fields excepted). The pool is started on the first pooled call and kept
-for later ones (see :func:`_map`).
+anything: each task depends only on its own inputs and on the training
+graphs its process holds, and results come back in task order. So results
+are byte-identical whether computed serially or on several processes
+(elapsed fields excepted). ``workers=N`` computes on N processes: the
+caller is one of them, and the other N - 1 are children forked on the
+first such call and kept for later ones (see :func:`_map`).
 """
 
 from __future__ import annotations
@@ -32,12 +33,15 @@ import atexit
 import csv
 import heapq
 import math
+import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from enum import Enum
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -182,87 +186,151 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-# The pool _map keeps between calls: (executor, workers, the training
-# graphs it shipped or None). Holding the graphs keeps them alive, so no
-# other graph can take their ids while the pool is kept.
-_kept: Optional[tuple[ProcessPoolExecutor, int, Optional[list[Graph]]]] = None
-# Held by a pooled call from choosing the pool until its results are in, so
-# that no call shuts down a pool another thread is using.
+# The workers _map keeps between calls: (children, workers, the training
+# graphs they inherited or None), where children holds the process and the
+# caller's pipe end of each of the workers - 1 forked children. Holding the
+# graphs keeps them alive, so no other graph can take their ids while the
+# children are kept.
+_kept: Optional[tuple[list[tuple[BaseProcess, Connection]], int, Optional[list[Graph]]]] = None
+# Held by a pooled call from choosing the children until their replies are
+# in, so that no call shuts down children another thread is using.
 _lock = threading.Lock()
-# In a pool worker: what the pool's initializer shipped, (graphs, sizes) or ()
-_shipped: tuple = ()
-
-
-def _receive(*shipped) -> None:
-    global _shipped
-    _shipped = shipped
-
-
-def _call(item: tuple):
-    fn, task, with_train = item
-    return fn(task, *_shipped) if with_train else fn(task)
 
 
 def _sized(train: Optional[list[Graph]]) -> tuple:
     return () if train is None else (train, [(h.order, h.size) for h in train])
 
 
+def _serve(conn: Connection, shipped: tuple, inherited: list[Connection]) -> None:
+    """A child's loop: answer each (fn, share, with_train) message with
+    (True, results) or (False, (the exception a task raised, its formatted
+    traceback)), until the caller closes its end or exits."""
+    # caller-side ends held here would keep this pipe, or an earlier
+    # child's, open after the caller is gone
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            fn, share, with_train = conn.recv()
+            args = shipped if with_train else ()
+            try:
+                reply = True, [fn(t, *args) for t in share]
+            except Exception as exc:
+                reply = False, (exc, traceback.format_exc())
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass
+
+
 def _shut_down() -> None:
+    """Close the kept children's pipes and end the children."""
     global _kept
     if _kept is not None:
-        _kept[0].shutdown()
-        _kept = None
+        children, _kept = _kept[0], None
+        for process, conn in children:
+            conn.close()
+            process.kill()
+            process.join()
 
 
 atexit.register(_shut_down)
 
 
-def _pool(workers: int, train: Optional[list[Graph]]) -> ProcessPoolExecutor:
-    """The kept pool, if it has ``workers`` workers and either ``train`` is
-    None or it shipped the same graph objects; otherwise a new pool, after
-    the kept one is shut down, so that none of its threads runs when the
-    new pool's workers fork."""
+def _workers(workers: int, train: Optional[list[Graph]]) -> list[tuple[BaseProcess, Connection]]:
+    """The kept children, if there are ``workers - 1`` of them and either
+    ``train`` is None or they inherited the same graph objects; otherwise
+    ``workers - 1`` new ones, forked after the kept ones are shut down."""
     global _kept
     if _kept is not None:
-        pool, width, shipped = _kept
+        children, width, shipped = _kept
         if width == workers and (train is None or (
                 shipped is not None and len(shipped) == len(train)
                 and all(a is b for a, b in zip(shipped, train)))):
-            return pool
+            return children
         _shut_down()
-    pool = ProcessPoolExecutor(workers, initializer=_receive, initargs=_sized(train))
-    _kept = pool, workers, train
-    return pool
+    # fork, so that children inherit the training graphs with the forms the
+    # caller built, and import nothing again
+    context = multiprocessing.get_context("fork")
+    shipped = _sized(train)
+    children: list[tuple[BaseProcess, Connection]] = []
+    _kept = children, workers, train
+    for _ in range(workers - 1):
+        mine, theirs = context.Pipe()
+        process = context.Process(target=_serve, daemon=True, args=(
+            theirs, shipped, [conn for _, conn in children] + [mine]))
+        try:
+            process.start()
+        except BaseException:
+            mine.close()
+            _shut_down()
+            raise
+        finally:
+            theirs.close()
+        children.append((process, mine))
+    return children
+
+
+def _replies(sent: list[Connection]) -> list:
+    """One reply from each of ``sent``, in order; a child that ended instead
+    fails the call and drops every kept worker."""
+    try:
+        return [conn.recv() for conn in sent]
+    except (EOFError, OSError):
+        _shut_down()
+        raise BrokenProcessPool("a worker process ended during the call") from None
 
 
 def _map(fn: Callable, tasks: list, workers: int,
          train: Optional[list[Graph]] = None) -> list:
-    """``fn`` over ``tasks`` in order: serially, or on a pool of ``workers``.
+    """``fn`` over ``tasks`` in order, on ``workers`` processes: the caller
+    and ``workers - 1`` kept children.
 
     Without ``train`` each call is ``fn(task)``; with it, a list of
     contracted training graphs, ``fn(task, train, sizes)`` with their
-    (order, size) pairs. A pool receives ``train`` and ``sizes`` once,
-    through its initializer (under the fork start method its workers
-    inherit the forms the parent built), and is kept for later calls: one
-    without ``train`` can use any kept pool of its width, one with it needs
-    the same graph objects, which each training graph's memo returns until
-    the graph changes. Tasks go out in about one chunk per worker, and no
-    pool starts for an empty task list. Pooled calls from several threads
+    (order, size) pairs. The tasks are cut into shares of
+    ``ceil(len(tasks) / workers)``; the caller sends each child one share
+    through its pipe, computes the first share itself and then reads the
+    children's results, so it starts no thread. Children are forked on the
+    first pooled call, inherit ``train`` and ``sizes`` with the forms the
+    caller built, and are kept for later calls: one without ``train`` can
+    use any kept children of its width, one with it needs the same graph
+    objects, which each training graph's memo returns until the graph
+    changes. A task's exception is raised in the caller, after every reply
+    is read, with the child's traceback as its cause, and the children
+    stay kept; a child that ends fails the call with
+    :class:`BrokenProcessPool`, and the next call forks afresh. No child is
+    forked for an empty task list, and pooled calls from several threads
     run one at a time.
     """
     if not tasks:
         return []
+    shipped = _sized(train)
     if workers == 1:
-        shipped = _sized(train)
         return [fn(t, *shipped) for t in tasks]
+    size = math.ceil(len(tasks) / workers)
+    shares = [tasks[i:i + size] for i in range(0, len(tasks), size)]
     with _lock:
-        pool = _pool(workers, train)
+        children = _workers(workers, train)
+        sent = []
         try:
-            return list(pool.map(_call, [(fn, t, train is not None) for t in tasks],
-                                 chunksize=math.ceil(len(tasks) / workers)))
-        except BrokenProcessPool:
+            for (_, conn), share in zip(children, shares[1:]):
+                conn.send((fn, share, train is not None))
+                sent.append(conn)
+        except OSError:
             _shut_down()
-            raise
+            raise BrokenProcessPool("a worker process ended before the call") from None
+        try:
+            results = [fn(t, *shipped) for t in shares[0]]
+        finally:
+            # read even when the caller's share raised, so that no reply is
+            # left for the next call to take as its own
+            replies = _replies(sent)
+    for ok, value in replies:
+        if not ok:
+            exc, trace = value
+            raise exc from RuntimeError(f"raised in a worker process:\n{trace}")
+        results += value
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -484,13 +552,13 @@ def nn_classify(
 
     Each graph's budgets and contraction are kept in the graph's memo until
     it changes, so a later call with the same training corpus contracts
-    only its own test graphs. Test graphs are contracted in the calling
-    process, so pool workers receive them contracted; the contracted
-    training graphs reach a pool once, when it starts, and the pool is kept
-    for later calls with the same ``workers`` and training graphs (see
-    :func:`_map`). Workers return the index of the nearest training graph,
-    and its class is read in the calling process, so a relabelled training
-    graph is never served stale.
+    only its own test graphs. ``workers`` processes search, the calling
+    process among them. Test graphs are contracted in the calling process,
+    so the other workers receive them contracted; those workers are forked
+    with the contracted training graphs and kept for later calls with the
+    same ``workers`` and training graphs (see :func:`_map`). Workers return
+    the index of the nearest training graph, and its class is read in the
+    calling process, so a relabelled training graph is never served stale.
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")

@@ -180,9 +180,9 @@ class Graph:
 
     def __getstate__(self) -> dict:
         # the cached form and the memo are rebuilt on demand, so pickles
-        # leave them out: a classification pool task's contracted test graph
-        # builds its form in the worker (the training graphs reach a forked
-        # pool by inheritance, with the forms the parent built)
+        # leave them out: a contracted test graph sent to a classification
+        # worker builds its form there (the training graphs reach the forked
+        # workers by inheritance, with the forms the parent built)
         return {name: getattr(self, name) for name in self.__slots__
                 if name not in ("_arrays", "_memo")}
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -443,8 +444,12 @@ def test_timing_benchmark_contracts_on_every_call(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the kept process pool
+# the kept worker processes
 # ----------------------------------------------------------------------
+
+def _children() -> list:
+    return evaluation._kept[0]
+
 
 def test_kept_pool_serves_relabelled_and_mutated_training_graphs(small_split):
     train, test = small_split
@@ -454,34 +459,48 @@ def test_kept_pool_serves_relabelled_and_mutated_training_graphs(small_split):
         g.class_label = f"c{i}"
     args = (DEG, TLevel.T1STAR, SearchSpec.astar())
 
+    threads = threading.active_count()
     first = nn_classify(train, test, *args, workers=2)
-    pool = evaluation._kept[0]
+    children = _children()
+    assert len(children) == 1
+    assert threading.active_count() == threads
     assert first.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
 
-    # a relabel leaves the contraction memo, and so the pool, in place;
+    # a relabel leaves the contraction memo, and so the workers, in place;
     # the class is read in the calling process, so it is never stale
     nearest = int(first.predictions[0][2][1:])
     train.graphs[nearest].class_label = "relabelled"
     relabelled = nn_classify(train, test, *args, workers=2)
-    assert evaluation._kept[0] is pool
+    assert _children() is children
     assert relabelled.predictions[0][2] == "relabelled"
     assert relabelled.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
 
-    # a mutation empties the memo, so the contracted graphs and the pool change
+    # a mutation empties the memo, so the contracted graphs and the workers change
     other = train.graphs[(nearest + 1) % len(train.graphs)]
     other.add_edge(other.nodes()[0], other.add_node(Point2D(9.0, 9.0)))
     mutated = nn_classify(train, test, *args, workers=2)
-    assert evaluation._kept[0] is not pool
+    assert _children() is not children
+    assert not any(process.is_alive() for process, _ in children)
     assert mutated.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_workers_count_the_caller(small_split, workers):
+    train, test = small_split
+    args = (DEG, TLevel.T1STAR, SearchSpec.astar())
+    pooled = nn_classify(train, test, *args, workers=workers)
+    assert len(_children()) == workers - 1
+    assert {p.pid for p, _ in _children()} <= {p.pid for p in multiprocessing.active_children()}
+    assert pooled.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
 
 
 def test_timing_benchmark_runs_on_a_kept_classification_pool(small_split):
     train, test = small_split
     nn_classify(train, test, DEG, TLevel.T1STAR, SearchSpec.astar(), workers=2)
-    pool = evaluation._kept[0]
+    children = _children()
     args = (train, [DEG], [TLevel.T0, TLevel.T1STAR], SearchSpec.astar())
     pooled = run_timing_benchmark(*args, sample=5, seed=3, workers=2)
-    assert evaluation._kept[0] is pool
+    assert _children() is children
     serial = run_timing_benchmark(*args, sample=5, seed=3, workers=1)
     assert [record_key(r) for r in pooled] == [record_key(r) for r in serial]
 
@@ -491,8 +510,8 @@ def test_a_broken_kept_pool_fails_one_call_and_is_replaced(small_split):
     args = (DEG, TLevel.T1STAR, SearchSpec.astar())
     want = nn_classify(train, test, *args).to_json_dict()
     nn_classify(train, test, *args, workers=2)
-    pool = evaluation._kept[0]
-    worker = multiprocessing.active_children()[0]
+    children = _children()
+    [(worker, _)] = children
     os.kill(worker.pid, signal.SIGKILL)
     worker.join(timeout=30)
     assert not worker.is_alive()
@@ -500,11 +519,57 @@ def test_a_broken_kept_pool_fails_one_call_and_is_replaced(small_split):
         nn_classify(train, test, *args, workers=2)
     assert evaluation._kept is None
     assert nn_classify(train, test, *args, workers=2).to_json_dict() == want
-    assert evaluation._kept[0] is not pool
+    assert _children() is not children
+
+
+def _die_outside(caller: int) -> int:
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return caller
+
+
+def test_a_worker_dying_during_a_call_fails_that_call():
+    # with 2 workers the caller computes tasks 0-1 and the child tasks 2-3
+    assert evaluation._map(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+    with pytest.raises(BrokenProcessPool):
+        evaluation._map(_die_outside, [os.getpid()] * 4, 2)
+    assert evaluation._kept is None
+    assert evaluation._map(abs, [-5, -6, -7, -8], 2) == [5, 6, 7, 8]
+
+
+class TaskFailed(Exception):
+    pass
+
+
+def _double_or_fail(task: int) -> int:
+    if task < 0:
+        raise TaskFailed(task)
+    return 2 * task
+
+
+def test_a_task_raising_in_a_worker_raises_in_the_caller():
+    # with 2 workers the caller computes tasks 0-1 and the child tasks 2-3
+    evaluation._map(_double_or_fail, [1, 2, 3, 4], 2)
+    children = _children()
+    with pytest.raises(TaskFailed, match="-4") as raised:
+        evaluation._map(_double_or_fail, [1, 2, 3, -4], 2)
+    assert "in _double_or_fail" in str(raised.value.__cause__)
+    assert _children() is children
+    assert evaluation._map(_double_or_fail, [5, 6, 7, 8], 2) == [10, 12, 14, 16]
+
+
+def test_a_task_raising_in_the_callers_share_leaves_no_reply_unread():
+    evaluation._map(_double_or_fail, [1, 2, 3, 4], 2)
+    children = _children()
+    with pytest.raises(TaskFailed, match="-1"):
+        evaluation._map(_double_or_fail, [-1, 2, 3, 4], 2)
+    assert _children() is children
+    # an unread reply would give this call the last call's [6, 8]
+    assert evaluation._map(_double_or_fail, [5, 6, 7, 8], 2) == [10, 12, 14, 16]
 
 
 def test_pooled_calls_from_several_threads_equal_serial_ones(small_split, tied_split):
-    # each call switches the training set, so each one replaces the kept pool
+    # each call switches the training set, so each one replaces the kept workers
     args = (DEG, TLevel.T1STAR, SearchSpec.astar())
     splits = [small_split, tied_split]
     want = [nn_classify(train, test, *args).to_json_dict() for train, test in splits]
@@ -531,19 +596,22 @@ def test_pooled_calls_from_several_threads_equal_serial_ones(small_split, tied_s
 
 
 def test_no_pool_starts_for_an_empty_test_set(monkeypatch, small_split):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(evaluation, "_kept", None)
+    evaluation._shut_down()
+    monkeypatch.setattr(os, "fork", no_fork)
     result = nn_classify(small_split[0], Corpus("te"), DEG, TLevel.T1STAR,
                          SearchSpec.astar(), workers=2)
     assert result.predictions == [] and result.pairs == 0
+    assert evaluation._kept is None
 
 
-def test_no_pool_worker_outlives_its_parent():
-    script = textwrap.dedent("""
-        import multiprocessing
+def _classifier(workers: int, tail: str = "") -> dict:
+    """Popen arguments for a Python subprocess that classifies with
+    ``workers``, prints its children's pids and then runs ``tail``."""
+    script = textwrap.dedent(f"""
+        import multiprocessing, time
         from cged import CentralityMeasure
         from cged.dataset import split_corpus, synthesize_letter_like
         from cged.evaluation import TLevel, nn_classify
@@ -551,17 +619,48 @@ def test_no_pool_worker_outlives_its_parent():
 
         train, test = split_corpus(synthesize_letter_like(37, 12, 3, 0.3))
         nn_classify(train, test, CentralityMeasure.DEGREE, TLevel.T1STAR,
-                    SearchSpec.astar(), workers=2)
-        print(*(p.pid for p in multiprocessing.active_children()))
-    """)
+                    SearchSpec.astar(), workers={workers})
+        print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    """) + tail
     src = str(Path(evaluation.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
+    return dict(args=[sys.executable, "-c", script], env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a process that has not exited; a zombie has."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    return "\nState:\tZ" not in status
+
+
+def test_no_pool_worker_outlives_its_parent():
+    done = subprocess.run(**_classifier(workers=2), timeout=60)
     assert done.returncode == 0, done.stderr
     pids = [int(pid) for pid in done.stdout.split()]
-    assert len(pids) == 2
+    assert len(pids) == 1
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_no_pool_worker_outlives_its_killed_parent():
+    with subprocess.Popen(**_classifier(workers=3, tail="time.sleep(60)\n")) as proc:
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+    assert len(pids) == 2
+    deadline = time.monotonic() + 30
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left
