@@ -26,7 +26,7 @@ from typing import Optional
 from . import __version__
 from .centrality import CentralityMeasure
 from .contraction import t_centrality_node_contraction
-from .costs import CostModel, SearchSettings, load_cost_config
+from .costs import CostModel, load_cost_config
 from .dataset import (
     Corpus,
     DatasetError,
@@ -63,19 +63,20 @@ _DATASETS = ("synthetic", "letter-high", "letter-med", "letter-low", "aids")
 
 def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE",
-                   help="cost-model file ('key = value' lines; see README)")
+                   help="cost-model file: the four edit costs as 'key = value' lines "
+                        "(see README)")
     p.add_argument("--search", choices=("astar", "beam"), default="astar",
                    help="exact best-first search or width-limited beam (default: astar)")
     p.add_argument("--beam-width", type=int, default=None, metavar="W",
-                   help="open-list width, --search beam only (default: config file or 10)")
+                   help="open-list width, --search beam only (default: 10)")
     p.add_argument("--heuristic", choices=[h.value for h in Heuristic], default=None,
                    help="lower bound added to accumulated cost; astar only "
-                        "(default: config file or bipartite)")
+                        "(default: bipartite)")
 
 
-def _load_config(args) -> tuple[CostModel, SearchSettings]:
+def _load_config(args) -> CostModel:
     if not args.config:
-        return CostModel(), SearchSettings()
+        return CostModel()
     try:
         return load_cost_config(args.config)
     except OSError as exc:
@@ -85,15 +86,14 @@ def _load_config(args) -> tuple[CostModel, SearchSettings]:
 
 
 def _search_from_args(args) -> tuple[CostModel, SearchSpec]:
-    cm, settings = _load_config(args)
-    # None when neither names one: each search kind then takes its own default,
-    # while a named one that beam would ignore is rejected by SearchSpec
-    named = args.heuristic or settings.heuristic
-    heuristic = Heuristic(named) if named else None
+    cm = _load_config(args)
+    # unset: each search kind takes its own default, while a named one that
+    # beam would ignore is rejected by SearchSpec
+    heuristic = Heuristic(args.heuristic) if args.heuristic else None
     if args.search == "beam":
-        width = args.beam_width if args.beam_width is not None else settings.beam_width
+        width = args.beam_width if args.beam_width is not None else 10
         return cm, SearchSpec("beam", width, heuristic)
-    if args.beam_width is not None:  # a config file's beam_width is only a beam default
+    if args.beam_width is not None:
         raise ValueError("--beam-width applies only to --search beam")
     return cm, SearchSpec("astar", 0, heuristic)
 
@@ -126,25 +126,22 @@ def _data_root(args) -> Path:
     return Path(root)
 
 
-def _resolve_pair_corpora(args) -> tuple[Corpus, Corpus]:
-    """(train, test) corpora per the dataset flags."""
+def _resolve_corpora(args, *splits: Split) -> list[Corpus]:
+    """The corpora of the given splits per the dataset flags; no other split
+    is loaded."""
     if args.train_index or args.test_index:
         if not (args.train_index and args.test_index):
             raise DatasetError("--train-index and --test-index must be given together")
-        return (load_iam_corpus(args.train_index, Split.TRAIN),
-                load_iam_corpus(args.test_index, Split.TEST))
-    if args.dataset == "synthetic":
+        paths = (args.train_index, args.test_index)
+    elif args.dataset == "synthetic":
         corpus = synthesize_letter_like(
             args.seed, args.syn_count, args.syn_classes, args.syn_distortion)
-        return split_corpus(corpus)
-    train_path, test_path = locate_iam_indexes(_data_root(args), args.dataset)
-    return (load_iam_corpus(train_path, Split.TRAIN),
-            load_iam_corpus(test_path, Split.TEST))
-
-
-def _resolve_single_corpus(args) -> Corpus:
-    train, test = _resolve_pair_corpora(args)
-    return train if getattr(args, "split", "test") == "train" else test
+        halves = dict(zip((Split.TRAIN, Split.TEST), split_corpus(corpus)))
+        return [halves[s] for s in splits]
+    else:
+        paths = locate_iam_indexes(_data_root(args), args.dataset)
+    index = dict(zip((Split.TRAIN, Split.TEST), paths))
+    return [load_iam_corpus(index[s], s) for s in splits]
 
 
 def _write_json(obj: dict, path: Optional[str]) -> None:
@@ -178,6 +175,8 @@ def cmd_contract(args) -> int:
 
 def cmd_ged(args) -> int:
     cm, search = _search_from_args(args)
+    if args.out is not None and not args.json:
+        raise ValueError("--out applies only with --json")
     if args.t < 0:
         raise ValueError(f"t must be >= 0, got {args.t}")
     g1 = load_graph_file(args.graph1)
@@ -200,7 +199,7 @@ def cmd_ged(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cm, search = _search_from_args(args)
-    corpus = _resolve_single_corpus(args)
+    [corpus] = _resolve_corpora(args, Split(args.split))
     if args.measures == "all":
         measures = list(CentralityMeasure)
     else:
@@ -230,7 +229,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_classify(args) -> int:
     cm, search = _search_from_args(args)
-    train, test = _resolve_pair_corpora(args)
+    train, test = _resolve_corpora(args, Split.TRAIN, Split.TEST)
     measure = CentralityMeasure(args.measure)
     level = parse_level(args.level)
     result = nn_classify(train, test, measure, level, search, cm, workers=args.workers)
@@ -250,7 +249,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    corpus = _resolve_single_corpus(args)
+    [corpus] = _resolve_corpora(args, Split(args.split))
     stats = corpus_stats(corpus)
     payload = {"corpus": corpus.name, "split": corpus.split.value, **stats.to_json_dict()}
     _write_json(payload, args.out_json)
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", choices=[m.value for m in CentralityMeasure],
                    default="degree")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--out", default="-", metavar="FILE",
+    p.add_argument("--out", default=None, metavar="FILE",
                    help="where to write --json output (default: stdout)")
     _add_search_args(p)
     p.set_defaults(func=cmd_ged)

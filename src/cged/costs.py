@@ -1,4 +1,4 @@
-"""Edit-cost model: operation kinds, label distances, and cost configuration.
+"""Edit-cost model: operation kinds, label distances, and cost-model files.
 
 An edit path is a sequence of node and edge operations. Each operation is
 priced from four constants: insertions and deletions cost a flat ``x_node``
@@ -149,38 +149,17 @@ class EditPath:
 # configuration file: flat "key = value" lines, '#' comments
 # ----------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "x_node", "y_node", "x_edge", "y_edge",
-    "node_label_distance", "edge_label_distance",
-    "heuristic", "beam_width",
-}
-
-_POLICY_VALUES = {
-    "node_label_distance": {"euclidean"},
-    "edge_label_distance": {"absolute"},
-    "heuristic": {"zero", "bipartite"},
-}
+_CONFIG_KEYS = ("x_node", "y_node", "x_edge", "y_edge")
 
 
-@dataclass(frozen=True)
-class SearchSettings:
-    """Search knobs that ride along in a cost-model file; ``heuristic`` is
-    None when the file names none, so the search's own default applies."""
+def parse_cost_config(text: str) -> CostModel:
+    """Parse 'key = value' lines into a cost model.
 
-    heuristic: Optional[str] = None
-    beam_width: int = 10
-
-
-def parse_cost_config(text: str) -> tuple[CostModel, SearchSettings]:
-    """Parse 'key = value' lines into a cost model plus search settings.
-
-    Blank lines and '#' comments are skipped. Unknown keys, bad values, and
-    duplicate keys are rejected. The two *_label_distance keys name the
-    fixed built-in policies and exist so config files are self-describing:
-    each accepts only the policy that is implemented (``euclidean`` and
-    ``absolute``), so no file can ask for a policy that would be ignored.
+    Blank lines and '#' comments are skipped; absent keys keep their
+    default of 1.0. Unknown keys, bad values and duplicate keys are
+    rejected, naming the line.
     """
-    values: dict[str, tuple[int, str]] = {}
+    values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -191,42 +170,17 @@ def parse_cost_config(text: str) -> tuple[CostModel, SearchSettings]:
         key = key.strip()
         val = val.strip()
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
+            raise ValueError(f"line {lineno}: unknown key {key!r}; "
+                             f"accepted keys: {', '.join(_CONFIG_KEYS)}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        if key in _POLICY_VALUES and val not in _POLICY_VALUES[key]:
-            allowed = ", ".join(sorted(_POLICY_VALUES[key]))
-            raise ValueError(f"line {lineno}: {key} must be one of: {allowed}")
-        values[key] = (lineno, val)
-
-    def num(key: str, default: float) -> float:
-        if key not in values:
-            return default
-        lineno, raw = values[key]
         try:
-            return float(raw)
+            values[key] = float(val)
         except ValueError:
-            raise ValueError(f"line {lineno}: {key} must be a number, got {raw!r}") from None
-
-    cm = CostModel(
-        x_node=num("x_node", 1.0),
-        y_node=num("y_node", 1.0),
-        x_edge=num("x_edge", 1.0),
-        y_edge=num("y_edge", 1.0),
-    )
-    width_line, width_raw = values.get("beam_width", (0, "10"))
-    try:
-        width = int(width_raw)
-    except ValueError:
-        raise ValueError(
-            f"line {width_line}: beam_width must be an integer, got {width_raw!r}") from None
-    if width < 1:
-        raise ValueError(f"line {width_line}: beam_width must be >= 1, got {width}")
-    heuristic = values.get("heuristic", (0, None))[1]
-    settings = SearchSettings(heuristic=heuristic, beam_width=width)
-    return cm, settings
+            raise ValueError(f"line {lineno}: {key} must be a number, got {val!r}") from None
+    return CostModel(**values)
 
 
-def load_cost_config(path: str) -> tuple[CostModel, SearchSettings]:
+def load_cost_config(path: str) -> CostModel:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_cost_config(fh.read())

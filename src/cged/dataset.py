@@ -495,4 +495,8 @@ def load_graph_file(path: Union[str, Path]) -> Graph:
         if g.name is None:
             g.name = p.stem
         return g
-    return parse_debug_graph(raw.decode("utf-8"))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GxlParseError(f"{p} is not UTF-8 text", f"byte {exc.start}") from None
+    return parse_debug_graph(text)

@@ -2,12 +2,13 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from cged import CostModel
-from cged.dataset import load_graph_file, parse_debug_graph, write_debug_graph
+from cged import CostModel, cli
+from cged.dataset import load_graph_file, load_iam_corpus, parse_debug_graph, write_debug_graph
 from cged.ged import Heuristic, SearchSpec, brute_force_ged, run_search
 from cged.graph import Graph, Point2D
 from cged.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_PARSE, main
@@ -106,7 +107,12 @@ def test_ged_beam_flags(capsys, graph_files):
     rc = main(["ged", str(graph_files["a"]), str(graph_files["b"]),
                "--search", "beam", "--beam-width", "3", "--json"])
     assert rc == 0
-    assert json.loads(capsys.readouterr().out)["cost"] >= 0.5 - 1e-9
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["search"] == "beam(w=3)"
+    assert payload["cost"] >= 0.5 - 1e-9
+    rc = main(["ged", str(graph_files["a"]), str(graph_files["b"]), "--search", "beam"])
+    assert rc == 0
+    assert "search: beam(w=10)" in capsys.readouterr().out
 
 
 def test_search_agrees_with_brute_force_on_cli_fixtures(graph_files):
@@ -203,6 +209,12 @@ def test_exit_code_parse_error(tmp_path, capsys):
     rc = main(["ged", str(bad), str(bad)])
     assert rc == EXIT_PARSE
     assert "error:" in capsys.readouterr().err
+    # a debug-format file that is not UTF-8 is unparsable too, and named
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"graph caf\xe9 A\nnode 0 symbol C\n")
+    for argv in (["contract", str(latin1)], ["ged", str(latin1), str(latin1)]):
+        assert main(argv) == EXIT_PARSE
+        assert f"error: {latin1} is not UTF-8 text" in capsys.readouterr().err
 
 
 GOOD_NODE = '<attr name="symbol"><string>C</string></attr>'
@@ -253,29 +265,83 @@ def test_exit_code_config_errors(tmp_path, capsys, graph_files):
     assert main(["ged", a, a, "--t", "-2"]) == EXIT_CONFIG
     # beam runs without a heuristic, so asking for one must not be ignored
     assert main(["ged", a, a, "--search", "beam", "--heuristic", "bipartite"]) == EXIT_CONFIG
-    conf.write_text("heuristic = bipartite\n")
-    assert main(["ged", a, a, "--search", "beam", "--config", str(conf)]) == EXIT_CONFIG
     assert main(["ged", a, a, "--search", "beam", "--heuristic", "zero"]) == 0
-    # the removed count bound is no longer a choice, nor a config value
+    # the removed count bound is no longer a choice
     with pytest.raises(SystemExit) as exc:
         main(["ged", a, a, "--heuristic", "count_bound"])
     assert exc.value.code == 2
-    conf.write_text("heuristic = count_bound\n")
-    capsys.readouterr()
-    assert main(["ged", a, a, "--config", str(conf)]) == EXIT_CONFIG
-    assert "bipartite, zero" in capsys.readouterr().err
     missing = tmp_path / "missing.conf"
     assert main(["ged", a, a, "--config", str(missing)]) == EXIT_CONFIG
-    # A* takes no width, so an explicit one (0 included) must not be ignored ...
+    # A* takes no width, so an explicit one (0 included) must not be ignored
     capsys.readouterr()
     for width in ("5", "0"):
         assert main(["ged", a, a, "--beam-width", width]) == EXIT_CONFIG
         assert "--beam-width" in capsys.readouterr().err
-    # ... while a config file's beam_width is only the default for beam
-    conf.write_text("beam_width = 3\n")
-    assert main(["ged", a, a, "--config", str(conf)]) == 0
-    assert main(["ged", a, a, "--search", "beam", "--config", str(conf)]) == 0
-    assert "beam(w=3)" in capsys.readouterr().out
+    # a cost-model file holds the four edit costs only: search options and
+    # label distances in it are unknown keys, under either search
+    for text in ("heuristic = bipartite", "heuristic = zero", "heuristic = count_bound",
+                 "beam_width = 3", "node_label_distance = euclidean",
+                 "edge_label_distance = absolute"):
+        conf.write_text(text + "\n")
+        for search in ("astar", "beam"):
+            assert main(["ged", a, a, "--search", search, "--config", str(conf)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "line 1: unknown key" in err and str(conf) in err
+
+
+def test_ged_out_needs_json(tmp_path, capsys, graph_files):
+    a, b = str(graph_files["a"]), str(graph_files["b"])
+    out = tmp_path / "result.json"
+    for dest in (str(out), "-"):
+        assert main(["ged", a, b, "--out", dest]) == EXIT_CONFIG
+        assert "--out applies only with --json" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["ged", a, b, "--json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["cost"] == pytest.approx(0.5)
+
+
+def write_iam_split(d, split, symbols):
+    entries = []
+    for i, symbol in enumerate(symbols):
+        name = f"{split}{i}"
+        (d / f"{name}.gxl").write_text(f"""<gxl><graph id="{name}">
+          <node id="a"><attr name="symbol"><string>{symbol}</string></attr></node>
+          <node id="b"><attr name="symbol"><string>O</string></attr></node>
+          <edge from="a" to="b"/>
+        </graph></gxl>""")
+        entries.append(f'<print file="{name}.gxl" class="{symbol}"/>')
+    index = d / f"{split}.cxl"
+    index.write_text(f"<GraphCollection>{''.join(entries)}</GraphCollection>")
+    return index
+
+
+@pytest.mark.parametrize("command", ["stats", "benchmark"])
+@pytest.mark.parametrize("split", ["train", "test"])
+@pytest.mark.parametrize("layout", ["iam", "index-flags"])
+def test_single_split_commands_load_only_that_split(tmp_path, capsys, monkeypatch,
+                                                    command, split, layout):
+    d = tmp_path / "Letter" / "HIGH"
+    d.mkdir(parents=True)
+    index = {s: write_iam_split(d, s, ["C", "N"]) for s in ("train", "test")}
+    loaded = []
+
+    def counting_load(path, which):
+        loaded.append((Path(path), which.value))
+        return load_iam_corpus(path, which)
+
+    monkeypatch.setattr(cli, "load_iam_corpus", counting_load)
+    if layout == "iam":
+        source = ["--dataset", "letter-high", "--data-root", str(tmp_path)]
+    else:
+        source = ["--train-index", str(index["train"]), "--test-index", str(index["test"])]
+    extra = {"stats": [],
+             "benchmark": ["--sample", "1", "--measures", "degree", "--levels", "T0",
+                           "--out-csv", str(tmp_path / "b.csv"),
+                           "--out-json", str(tmp_path / "b.json")]}[command]
+    assert main([command, *source, "--split", split, *extra]) == 0
+    assert loaded == [(index[split], split)]
+    capsys.readouterr()
 
 
 def test_knn_flag_is_rejected(capsys):

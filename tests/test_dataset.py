@@ -362,6 +362,14 @@ def test_load_graph_file_dispatch(tmp_path):
         load_graph_file(tmp_path / "missing.gxl")
 
 
+def test_load_graph_file_names_a_debug_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.txt"
+    p.write_bytes(b"graph caf\xe9 A\nnode 0 symbol C\n")
+    with pytest.raises(GxlParseError, match="latin1.txt is not UTF-8 text") as exc:
+        load_graph_file(p)
+    assert exc.value.location == "byte 9"
+
+
 def test_gxl_file_without_graph_id_uses_stem(tmp_path):
     p = tmp_path / "named.gxl"
     p.write_text("""<gxl><graph>
