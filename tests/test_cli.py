@@ -319,8 +319,8 @@ def write_iam_split(d, split, symbols):
 @pytest.mark.parametrize("command", ["stats", "benchmark"])
 @pytest.mark.parametrize("split", ["train", "test"])
 @pytest.mark.parametrize("layout", ["iam", "index-flags"])
-def test_single_split_commands_load_only_that_split(tmp_path, capsys, monkeypatch,
-                                                    command, split, layout):
+def test_single_split_commands_load_only_that_split(tmp_path, monkeypatch, command, split,
+                                                    layout):
     d = tmp_path / "Letter" / "HIGH"
     d.mkdir(parents=True)
     index = {s: write_iam_split(d, s, ["C", "N"]) for s in ("train", "test")}
@@ -341,7 +341,6 @@ def test_single_split_commands_load_only_that_split(tmp_path, capsys, monkeypatc
                            "--out-json", str(tmp_path / "b.json")]}[command]
     assert main([command, *source, "--split", split, *extra]) == 0
     assert loaded == [(index[split], split)]
-    capsys.readouterr()
 
 
 def test_knn_flag_is_rejected(capsys):
