@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .graph import Graph
+from .graph import Graph, reach
 
 
 class CentralityMeasure(Enum):
@@ -76,11 +76,14 @@ def eigenvector_centrality(g: Graph) -> CentralityScores:
     form = g.arrays()
     a = np.array(form.kind, bool).astype(np.float64)  # 1.0 for an edge of either kind
     scores: dict[int, float] = {}
-    for block in g.connected_components():
-        if len(block) == 1:
-            scores[next(iter(block))] = 1.0
+    left = (1 << len(form.ids)) - 1
+    while left:
+        block = reach(form.masks, left, left & -left)  # the component of the lowest position left
+        left &= ~block
+        pos = [p for p in range(block.bit_length()) if block >> p & 1]
+        if len(pos) == 1:
+            scores[form.ids[pos[0]]] = 1.0
             continue
-        pos = sorted(form.pos[u] for u in block)
         _, vecs = np.linalg.eigh(a[np.ix_(pos, pos)])
         x = np.abs(vecs[:, -1])  # defined up to sign; the Perron vector is positive
         x /= np.linalg.norm(x)

@@ -8,13 +8,17 @@ Three flavors are provided:
   ``k`` in the input graph;
 * :func:`k_star_node_contraction` chains degree passes for 1..k.
 
-All three run one deletion walk over a copy of the input graph, which
-deletes a candidate only when that leaves the number of connected
-components unchanged: cut vertices are skipped (removing one splits a
-component) and so are isolated nodes, the last node of the graph included
-(removing one drops a component). The input graph is never modified;
-contraction returns a fresh graph that keeps the surviving nodes' original
-ids, plus a report of what happened.
+All three walk over the input graph's cached
+:class:`~cged.graph.GraphArrays` with one bitmask of the nodes still
+present, and delete a candidate only when that leaves the number of
+connected components unchanged: cut vertices are skipped (removing one
+splits a component) and so are isolated nodes, the last node of the graph
+included (removing one drops a component). A candidate with live
+neighbours is a cut vertex exactly when they do not all lie in one
+component once it is gone, which one flood fill over the remaining nodes
+decides, so no graph is copied or modified during the walk. The contracted
+graph is built once, at the end, and keeps the surviving nodes' original
+ids; a report of what happened comes with it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .centrality import CentralityMeasure, compute_centrality, rank_ascending
-from .graph import Graph
+from .graph import Graph, GraphArrays, reach
 
 
 @dataclass
@@ -59,24 +63,33 @@ class ContractionReport:
         }
 
 
-def _delete_walk(g: Graph, candidates: Iterable[tuple[int, float]], budget: int,
-                 report: ContractionReport) -> Graph:
-    """Delete each (id, score) candidate of a copy of g that has a neighbour
-    and is not a cut vertex, logging the others as skipped, until ``budget``
-    deletions."""
-    work = g.copy()
-    articulation = work.articulation_points()
+def _delete_walk(form: GraphArrays, alive: int, candidates: Iterable[tuple[int, float]],
+                 budget: int, report: ContractionReport) -> int:
+    """Delete each (id, score) candidate that has a live neighbour and is not
+    a cut vertex of the live nodes, logging the others as skipped, until
+    ``budget`` deletions; ``alive`` has a bit set for each live position, and
+    the walk returns it with the deleted positions cleared."""
+    masks, pos = form.masks, form.pos
+    deleted = 0
     for u, score in candidates:
-        if len(report.removed) >= budget:
+        if deleted >= budget:
             break
-        if work.degree(u) > 0 and u not in articulation:
-            work.delete_node(u)
+        p = pos[u]
+        nb = masks[p] & alive
+        rest = alive & ~(1 << p)
+        if nb and (nb & (nb - 1) == 0 or nb & ~reach(masks, rest, nb & -nb) == 0):
+            alive = rest
+            deleted += 1
             report.removed.append((u, score))
-            articulation = work.articulation_points()
         else:
             report.skipped_cut_vertices.append(u)
-    report.result_order = work.order
-    return work
+    return alive
+
+
+def _contracted(g: Graph, report: ContractionReport) -> Graph:
+    """g minus the nodes the report removed, with the report's result order set."""
+    report.result_order = g.order - len(report.removed)
+    return g.without(report.removed_ids)
 
 
 def t_centrality_node_contraction(
@@ -93,12 +106,30 @@ def t_centrality_node_contraction(
     if t < 0:
         raise ValueError("t must be >= 0")
     report = ContractionReport(measure=measure, t_requested=t)
-    if t == 0 or g.order == 0:
-        report.result_order = g.order
-        return g.copy(), report
-    scores = compute_centrality(g, measure)
-    candidates = ((u, scores.scores[u]) for u in rank_ascending(scores))
-    return _delete_walk(g, candidates, min(t, g.order - 1), report), report
+    if t > 0 and g.order > 0:
+        scores = compute_centrality(g, measure)
+        candidates = ((u, scores.scores[u]) for u in rank_ascending(scores))
+        _delete_walk(g.arrays(), (1 << g.order) - 1, candidates, min(t, g.order - 1), report)
+    return _contracted(g, report), report
+
+
+def _degree_passes(g: Graph, degrees: Iterable[int]) -> tuple[Graph, ContractionReport]:
+    """One degree pass per k in ``degrees``, in turn, on one walk over g.
+
+    A pass's candidates are the live nodes whose live degree equals k when
+    the pass starts, visited in ascending id order, each scored k; they are
+    the pass's own budget, so every one of them is decided.
+    """
+    form = g.arrays()
+    masks = form.masks
+    alive = (1 << len(form.ids)) - 1
+    report = ContractionReport(measure=CentralityMeasure.DEGREE, t_requested=0)
+    for k in degrees:
+        candidates = [(u, float(k)) for p, u in enumerate(form.ids)
+                      if alive >> p & 1 and (masks[p] & alive).bit_count() == k]
+        report.t_requested += len(candidates)
+        alive = _delete_walk(form, alive, candidates, len(candidates), report)
+    return _contracted(g, report), report
 
 
 def k_degree_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]:
@@ -110,21 +141,13 @@ def k_degree_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionRepor
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    candidates = [(u, float(k)) for u in g.nodes() if g.degree(u) == k]
-    report = ContractionReport(measure=CentralityMeasure.DEGREE, t_requested=len(candidates))
-    return _delete_walk(g, candidates, len(candidates), report), report
+    return _degree_passes(g, [k])
 
 
 def k_star_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]:
-    """Apply degree-i contraction sequentially for i = 1..k; reports concatenated."""
+    """Degree-i contraction for i = 1..k in turn, each pass on what the
+    passes before it left; the report lists every pass's candidates,
+    removals and skips in pass order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    work = g
-    merged = ContractionReport(measure=CentralityMeasure.DEGREE, t_requested=0)
-    for i in range(1, k + 1):
-        work, rep = k_degree_node_contraction(work, i)
-        merged.t_requested += rep.t_requested
-        merged.removed.extend(rep.removed)
-        merged.skipped_cut_vertices.extend(rep.skipped_cut_vertices)
-    merged.result_order = work.order
-    return work, merged
+    return _degree_passes(g, range(1, k + 1))

@@ -178,6 +178,10 @@ def parse_cost_config(text: str) -> CostModel:
             values[key] = float(val)
         except ValueError:
             raise ValueError(f"line {lineno}: {key} must be a number, got {val!r}") from None
+        try:  # the model's own range check, named by the line
+            CostModel(**{key: values[key]})
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return CostModel(**values)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import string
 import xml.etree.ElementTree as ET
+from xml.parsers import expat
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -37,6 +38,7 @@ class GxlParseError(DatasetError):
     """Malformed GXL document or graph structure; carries a location hint."""
 
     def __init__(self, message: str, location: str | None = None):
+        self.message = message
         self.location = location
         super().__init__(f"{message} [{location}]" if location else message)
 
@@ -159,7 +161,8 @@ def _xml_root(data: Union[bytes, str]) -> ET.Element:
         return ET.fromstring(data)
     except ET.ParseError as exc:
         line, col = exc.position
-        raise GxlParseError(f"malformed XML: {exc.msg}", f"line {line}, column {col}") from None
+        raise GxlParseError(f"malformed XML: {expat.ErrorString(exc.code)}",
+                            f"line {line}, column {col}") from None
 
 
 def parse_gxl(data: Union[bytes, str]) -> Graph:
@@ -484,19 +487,25 @@ def parse_debug_graph(text: str) -> Graph:
 
 
 def load_graph_file(path: Union[str, Path]) -> Graph:
-    """Load one graph from a .gxl or debug-format text file (by extension)."""
+    """Load one graph from a .gxl or debug-format text file (by extension).
+
+    Every parse error names the file: its message starts with the path.
+    """
     p = Path(path)
     try:
         raw = p.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read {p}: {exc}") from None
-    if p.suffix.lower() == ".gxl":
-        g = parse_gxl(raw)
-        if g.name is None:
-            g.name = p.stem
-        return g
+    gxl = p.suffix.lower() == ".gxl"
+    if not gxl:
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GxlParseError(f"{p} is not UTF-8 text", f"byte {exc.start}") from None
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise GxlParseError(f"{p} is not UTF-8 text", f"byte {exc.start}") from None
-    return parse_debug_graph(text)
+        g = parse_gxl(raw) if gxl else parse_debug_graph(raw)
+    except GxlParseError as exc:
+        raise type(exc)(f"{p}: {exc.message}", exc.location) from None
+    if gxl and g.name is None:
+        g.name = p.stem
+    return g

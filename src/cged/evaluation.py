@@ -342,16 +342,6 @@ def _walk(g: Graph, t: int, measure: CentralityMeasure) -> list[int]:
     return t_centrality_node_contraction(g, t, measure)[1].removed_ids if t else []
 
 
-def _without(g: Graph, ids: tuple[int, ...]) -> Graph:
-    """g minus the given nodes; g itself (which search does not modify) if none."""
-    if not ids:
-        return g
-    h = g.copy()
-    for u in ids:
-        h.delete_node(u)
-    return h
-
-
 def _benchmark_pair(args) -> list[BenchmarkRecord]:
     pair_id, g1, g2, measures, levels, search, cm = args
     if any(level is not TLevel.T0 for level in levels):
@@ -372,7 +362,7 @@ def _benchmark_pair(args) -> list[BenchmarkRecord]:
             key = (tuple(sorted(walk1[:t1])), tuple(sorted(walk2[:t2])))
             if key not in cells:
                 start = time.perf_counter()
-                result = run_search(_without(g1, key[0]), _without(g2, key[1]), cm, search)
+                result = run_search(g1.without(key[0]), g2.without(key[1]), cm, search)
                 elapsed = time.perf_counter() - start
                 if any(key):
                     elapsed += walked

@@ -145,7 +145,7 @@ class _BoundTables:
         self.del_sums = [cm.x_node * (n1 - d) + cm.x_edge * reaching[d] for d in range(n1 + 1)]
         self.deg_r = [[sum(1 for k in a1.adj[i] if k >= d) for i in range(d, n1)]
                       for d in range(n1 + 1)]
-        self.masks = [sum(1 << k for k in row) for row in a2.adj]
+        self.masks = a2.masks
         self.adj2 = a2.adj
 
 

@@ -10,14 +10,15 @@ node keeps its identity through copies and deletions. All public iteration
 orders are ascending by id, which makes every downstream computation
 deterministic.
 
-Search and centrality read the :class:`GraphArrays` that a graph caches.
+Search, centrality and contraction read the :class:`GraphArrays` that a
+graph caches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 
 class GraphError(ValueError):
@@ -84,9 +85,11 @@ class GraphArrays:
 
     ``ids`` lists the ids ascending and ``pos`` maps each id to its position;
     ``labels`` holds the node labels and ``adj`` the ascending neighbour
-    positions of each node. ``kind[i][j]`` is 0 when positions i and j share
-    no edge, 1 when their edge is unlabeled and 2 when it has a numeric
-    label, which ``val[i][j]`` then holds (``val`` is 0.0 elsewhere).
+    positions of each node, which ``masks[i]`` holds again as an int with
+    bit j set for each neighbour position j. ``kind[i][j]`` is 0 when
+    positions i and j share no edge, 1 when their edge is unlabeled and 2
+    when it has a numeric label, which ``val[i][j]`` then holds (``val`` is
+    0.0 elsewhere).
     ``edges`` lists the (i, j) pairs of all edges, i < j, ascending. All but
     ``pos`` are tuples, so no reader can change the form the others share;
     ``pos`` is a dict that readers must not modify.
@@ -96,6 +99,7 @@ class GraphArrays:
     pos: dict[int, int]
     labels: tuple[NodeLabel, ...]
     adj: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     kind: tuple[tuple[int, ...], ...]
     val: tuple[tuple[float, ...], ...]
     edges: tuple[tuple[int, int], ...]
@@ -176,6 +180,14 @@ class Graph:
         g._next_id = self._next_id
         # the form is immutable and every mutator replaces it, so a copy can share it
         g._arrays = self._arrays
+        return g
+
+    def without(self, ids: Iterable[int]) -> "Graph":
+        """A copy of this graph minus the given nodes and their edges, which
+        shares the cached form when ``ids`` is empty."""
+        g = self.copy()
+        for u in ids:
+            g.delete_node(u)
         return g
 
     def __getstate__(self) -> dict:
@@ -296,7 +308,7 @@ class Graph:
                 adj.append(tuple(row))
             self._arrays = GraphArrays(
                 tuple(ids), pos, tuple([self._labels[u] for u in ids]), tuple(adj),
-                tuple(kind), tuple(val),
+                tuple([sum(1 << j for j in row) for row in adj]), tuple(kind), tuple(val),
                 tuple([(i, j) for i, row in enumerate(adj) for j in row if j > i]))
         return self._arrays
 
@@ -379,6 +391,23 @@ class Graph:
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
         return f"<Graph{tag} |V|={self.order} |E|={self.size}>"
+
+
+def reach(masks: Sequence[int], alive: int, seed: int) -> int:
+    """The positions reachable from the bits of ``seed`` through the
+    neighbour bitmasks ``masks`` (see :attr:`GraphArrays.masks`), moving
+    only between positions whose bits are set in ``alive``; ``seed`` must
+    lie within ``alive``."""
+    seen = frontier = seed
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & alive & ~seen
+        seen |= frontier
+    return seen
 
 
 def is_cut_vertex_by_recount(g: Graph, u: int) -> bool:

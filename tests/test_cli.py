@@ -217,6 +217,24 @@ def test_exit_code_parse_error(tmp_path, capsys):
         assert f"error: {latin1} is not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, message", [
+    # the XML location is given once, in brackets
+    ("bad.gxl", "<gxl>", "malformed XML: no element found [line 1, column 5]"),
+    ("bad.gxl", "<gxl><graph id='g'><node id='a'/></graph></gxl>",
+     "node attributes match neither the symbol nor the x/y schema [node 'a']"),
+    ("bad.txt", "graph - -\nnode zero symbol C\n",
+     "invalid literal for int() with base 10: 'zero' [line 2]"),
+    ("bad.txt", "node 0 symbol C\n", "missing 'graph' header line"),
+])
+def test_parse_errors_name_the_file(tmp_path, capsys, graph_files, name, text, message):
+    bad = tmp_path / name
+    bad.write_text(text)
+    ok = str(graph_files["a"])
+    for files in ([str(bad), ok], [ok, str(bad)]):
+        assert main(["ged", *files]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 GOOD_NODE = '<attr name="symbol"><string>C</string></attr>'
 
 

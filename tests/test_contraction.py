@@ -285,9 +285,8 @@ def test_walk_replays_against_the_recount_oracle(measure, monkeypatch):
         for t in range(g.order + 2):
             calls[0] = 0
             h, rep = t_centrality_node_contraction(g, t, measure)
-            # one articulation pass up front and one after each deletion, none
-            # when there is nothing to walk
-            assert calls[0] == (0 if t == 0 or g.order == 0 else 1 + len(rep.removed))
+            # the walk tests each candidate on its own: no articulation pass
+            assert calls[0] == 0
             decided = _replay(g, ranking, rep)
             assert len(rep.removed) <= t
             if decided < len(ranking):  # it stops only at t, or at n - 1 deletions
@@ -305,7 +304,37 @@ def test_k_degree_walk_replays_against_the_recount_oracle(k, monkeypatch):
         candidates = [u for u in g.nodes() if g.degree(u) == k]
         calls[0] = 0
         h, rep = k_degree_node_contraction(g, k)
-        assert calls[0] == 1 + len(rep.removed)
+        assert calls[0] == 0
         # the degree walk has no budget to stop it: every candidate is decided
         assert _replay(g, candidates, rep) == len(candidates)
         assert h.nodes() == sorted(set(g.nodes()) - set(rep.removed_ids))
+
+
+def test_k_star_pass_budget_is_its_own_candidate_count():
+    # pass 1 removes leaf 4, which makes 0 a leaf too late for that pass;
+    # pass 2's candidates are 2 and 3, and deleting 2 leaves 3 a leaf that
+    # is still deletable, so a budget counted over the merged report (2
+    # removals when pass 2 starts its second candidate) would stop short
+    g = Graph.from_parts(None, None, [(i, "C") for i in range(5)],
+                         [(0, 1, None), (0, 4, None), (1, 2, None), (1, 3, None),
+                          (2, 3, None)])
+    h, rep = k_star_node_contraction(g, 2)
+    assert rep.removed == [(4, 1.0), (2, 2.0), (3, 2.0)]
+    assert rep.skipped_cut_vertices == []
+    assert rep.t_requested == 3
+    assert h.nodes() == [0, 1] and h.edges() == [(0, 1, None)]
+    assert rep.result_order == 2
+
+
+def test_k_star_equals_chained_k_degree_passes():
+    for g in _replay_graphs():
+        h, rep = k_star_node_contraction(g, 3)
+        work, removed, skipped, requested = g, [], [], 0
+        for k in (1, 2, 3):
+            work, step = k_degree_node_contraction(work, k)
+            removed += step.removed
+            skipped += step.skipped_cut_vertices
+            requested += step.t_requested
+        assert h == work, g.edges()
+        assert (rep.removed, rep.skipped_cut_vertices, rep.t_requested, rep.result_order) \
+            == (removed, skipped, requested, work.order)

@@ -107,6 +107,13 @@ def test_parse_cost_config_rejections():
         parse_cost_config("x_node")
 
 
+@pytest.mark.parametrize("value", ["-1", "-0.5", "inf", "-inf", "nan"])
+def test_parse_cost_config_names_the_line_of_an_out_of_range_value(value):
+    with pytest.raises(ValueError, match=r"^line 3: y_edge must be finite and >= 0, got ") as exc:
+        parse_cost_config(f"x_node = 2\n# y_edge next\ny_edge = {value}\n")
+    assert str(float(value)) in str(exc.value)
+
+
 @pytest.mark.parametrize("text", [
     "bogus_key = 1",
     # search options are flags, and label distances are fixed: a file

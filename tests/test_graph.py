@@ -245,6 +245,9 @@ def test_arrays_agree_with_the_graph_api(g):
     assert len(a.pos) == len(a.ids) and all(a.ids[a.pos[u]] == u for u in a.ids)
     assert list(a.labels) == [g.node_label(u) for u in a.ids]
     assert [[a.ids[j] for j in row] for row in a.adj] == [g.neighbors(u) for u in a.ids]
+    # masks[i] holds adj[i] as bits
+    assert [[j for j in range(len(a.ids)) if m >> j & 1] for m in a.masks] \
+        == [list(row) for row in a.adj]
     assert [(a.ids[i], a.ids[j]) for i, j in a.edges] == [(u, v) for u, v, _ in g.edges()]
     for i, u in enumerate(a.ids):
         for j, v in enumerate(a.ids):
@@ -255,7 +258,7 @@ def test_arrays_agree_with_the_graph_api(g):
             else:
                 want = (2, g.edge_label(u, v))
             assert (a.kind[i][j], a.val[i][j]) == want
-    for rows in (a.ids, a.labels, a.adj, a.kind, a.val, a.edges):
+    for rows in (a.ids, a.labels, a.adj, a.masks, a.kind, a.val, a.edges):
         assert type(rows) is tuple
     assert all(type(row) is tuple for rows in (a.adj, a.kind, a.val) for row in rows)
 
@@ -305,6 +308,27 @@ def test_copy_shares_the_form_until_it_is_mutated(g, data):
             h.add_edge(*data.draw(st.sampled_from(free)), data.draw(EDGE_LABELS))
         assert g.arrays() is form and form == fresh_arrays(g)
         assert h.arrays() == fresh_arrays(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_without_equals_deleting_one_node_at_a_time(g, data):
+    g.name, g.class_label = "g", "A"
+    ids = data.draw(st.lists(st.sampled_from(g.nodes()), unique=True)) if g.order else []
+    expected = g.copy()
+    for u in ids:
+        expected.delete_node(u)
+    before = g.copy()
+    h = g.without(ids)
+    assert h == expected and g == before
+    assert (h.name, h.class_label) == ("g", "A")
+    assert h.add_node("C") == expected.add_node("C")  # the id counter carries over
+    assert h.arrays() == fresh_arrays(h)
+    if not ids:
+        form = g.arrays()
+        assert g.without(ids).arrays() is form
+    with pytest.raises(MissingNodeError):
+        g.without([max(g.nodes(), default=0) + 1])
 
 
 @settings(max_examples=100, deadline=None)
