@@ -207,7 +207,7 @@ def cmd_benchmark(args) -> int:
     levels = [parse_level(s) for s in args.levels.split(",") if s.strip()]
     records = run_timing_benchmark(
         corpus, measures, levels, search,
-        sample=args.sample, seed=args.seed, cm=cm, workers=args.workers)
+        sample=args.sample, seed=args.seed, cm=cm)
     write_benchmark_csv(records, args.out_csv)
     summary = {
         "corpus": corpus.name,
@@ -308,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="T0,T1*,T2*,T3*",
                    help="comma-separated contraction levels (default: all four)")
     p.add_argument("--sample", type=int, default=100, help="number of graph pairs")
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes that compute, this one included (default: 1)")
     p.add_argument("--out-csv", default="benchmark.csv", metavar="FILE")
     p.add_argument("--out-json", default="benchmark.json", metavar="FILE")
     _add_search_args(p)

@@ -412,19 +412,24 @@ def split_corpus(corpus: Corpus) -> tuple[Corpus, Corpus]:
 def write_debug_graph(g: Graph) -> str:
     """Serialize a graph, one node or edge per line.
 
-    Format: a ``graph <name> <class>`` header ('-' for unset, names must
-    be whitespace-free), then ``node <id> point <x> <y>`` or
-    ``node <id> symbol <s>`` lines, then ``edge <u> <v> [value]`` lines.
+    Format: a ``graph <name> <class>`` header ('-' for unset, so neither
+    can be '-'; names must be whitespace-free), then
+    ``node <id> point <x> <y>`` or ``node <id> symbol <s>`` lines, then
+    ``edge <u> <v> [value]`` lines.
     Floats are written with repr so they round-trip exactly.
     """
-    def tok(s: Optional[str]) -> str:
-        if s is None:
-            return "-"
+    def tok(s: str) -> str:
         if any(ch.isspace() for ch in s):
             raise ValueError(f"debug format requires whitespace-free names, got {s!r}")
         return s
 
-    lines = [f"graph {tok(g.name)} {tok(g.class_label)}"]
+    def name(s: Optional[str]) -> str:
+        if s == "-":
+            raise ValueError("debug format writes '-' for an unset name or class; "
+                             "a graph name or class cannot be '-'")
+        return "-" if s is None else tok(s)
+
+    lines = [f"graph {name(g.name)} {name(g.class_label)}"]
     for u, label in g.node_items():
         if isinstance(label, Point2D):
             lines.append(f"node {u} point {label.x!r} {label.y!r}")

@@ -17,14 +17,14 @@ graph, as many nodes as a degree-1..k contraction chain of that graph
 removes; T0 contracts nothing. The two graphs of a pair may therefore use
 different t values.
 
-Everything is deterministic under a fixed seed. Pair sampling and search
-tie-breaking follow a total order, and worker scheduling cannot reorder
-anything: each task depends only on its own inputs and on the training
-graphs its process holds, and results come back in task order. So results
-are byte-identical whether computed serially or on several processes
-(elapsed fields excepted). ``workers=N`` computes on N processes: the
-caller is one of them, and the other N - 1 are children forked on the
-first such call and kept for later ones (see :func:`_map`).
+Everything is deterministic under a fixed seed: pair sampling and search
+tie-breaking follow a total order. The timing grid runs in the calling
+process, so no transfer to another process enters its ``elapsed`` fields.
+Classification can search on several processes (``workers=N``: the caller
+and N - 1 children forked on the first such call and kept for later ones,
+see :func:`_map`); each task depends only on its own inputs and on the
+training graphs its process holds, and results come back in task order, so
+its predictions are byte-identical whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -181,40 +181,31 @@ class ClassificationResult:
         }
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 # The workers _map keeps between calls: (children, workers, the training
-# graphs they inherited or None), where children holds the process and the
-# caller's pipe end of each of the workers - 1 forked children. Holding the
-# graphs keeps them alive, so no other graph can take their ids while the
-# children are kept.
-_kept: Optional[tuple[list[tuple[BaseProcess, Connection]], int, Optional[list[Graph]]]] = None
+# graphs they inherited), where children holds the process and the caller's
+# pipe end of each of the workers - 1 forked children. Holding the graphs
+# keeps them alive, so no other graph can take their ids while the children
+# are kept.
+_kept: Optional[tuple[list[tuple[BaseProcess, Connection]], int, list[Graph]]] = None
 # Held by a pooled call from choosing the children until their replies are
 # in, so that no call shuts down children another thread is using.
 _lock = threading.Lock()
 
 
-def _sized(train: Optional[list[Graph]]) -> tuple:
-    return () if train is None else (train, [(h.order, h.size) for h in train])
-
-
-def _serve(conn: Connection, shipped: tuple, inherited: list[Connection]) -> None:
-    """A child's loop: answer each (fn, share, with_train) message with
-    (True, results) or (False, (the exception a task raised, its formatted
-    traceback)), until the caller closes its end or exits."""
+def _serve(conn: Connection, train: list[Graph], sizes: list[tuple[int, int]],
+           inherited: list[Connection]) -> None:
+    """A child's loop: answer each (fn, share) message with (True, results)
+    or (False, (the exception a task raised, its formatted traceback)),
+    until the caller closes its end or exits."""
     # caller-side ends held here would keep this pipe, or an earlier
     # child's, open after the caller is gone
     for end in inherited:
         end.close()
     try:
         while True:
-            fn, share, with_train = conn.recv()
-            args = shipped if with_train else ()
+            fn, share = conn.recv()
             try:
-                reply = True, [fn(t, *args) for t in share]
+                reply = True, [fn(t, train, sizes) for t in share]
             except Exception as exc:
                 reply = False, (exc, traceback.format_exc())
             conn.send(reply)
@@ -236,28 +227,27 @@ def _shut_down() -> None:
 atexit.register(_shut_down)
 
 
-def _workers(workers: int, train: Optional[list[Graph]]) -> list[tuple[BaseProcess, Connection]]:
-    """The kept children, if there are ``workers - 1`` of them and either
-    ``train`` is None or they inherited the same graph objects; otherwise
-    ``workers - 1`` new ones, forked after the kept ones are shut down."""
+def _workers(workers: int, train: list[Graph],
+             sizes: list[tuple[int, int]]) -> list[tuple[BaseProcess, Connection]]:
+    """The kept children, if there are ``workers - 1`` of them and they
+    inherited the same graph objects as ``train``; otherwise ``workers - 1``
+    new ones, forked after the kept ones are shut down."""
     global _kept
     if _kept is not None:
         children, width, shipped = _kept
-        if width == workers and (train is None or (
-                shipped is not None and len(shipped) == len(train)
-                and all(a is b for a, b in zip(shipped, train)))):
+        if width == workers and len(shipped) == len(train) and all(
+                a is b for a, b in zip(shipped, train)):
             return children
         _shut_down()
     # fork, so that children inherit the training graphs with the forms the
     # caller built, and import nothing again
     context = multiprocessing.get_context("fork")
-    shipped = _sized(train)
     children: list[tuple[BaseProcess, Connection]] = []
     _kept = children, workers, train
     for _ in range(workers - 1):
         mine, theirs = context.Pipe()
         process = context.Process(target=_serve, daemon=True, args=(
-            theirs, shipped, [conn for _, conn in children] + [mine]))
+            theirs, train, sizes, [conn for _, conn in children] + [mine]))
         try:
             process.start()
         except BaseException:
@@ -280,23 +270,20 @@ def _replies(sent: list[Connection]) -> list:
         raise BrokenProcessPool("a worker process ended during the call") from None
 
 
-def _map(fn: Callable, tasks: list, workers: int,
-         train: Optional[list[Graph]] = None) -> list:
-    """``fn`` over ``tasks`` in order, on ``workers`` processes: the caller
-    and ``workers - 1`` kept children.
+def _map(fn: Callable, tasks: list, workers: int, train: list[Graph]) -> list:
+    """``fn(task, train, sizes)`` over ``tasks`` in order, on ``workers``
+    processes: the caller and ``workers - 1`` kept children.
 
-    Without ``train`` each call is ``fn(task)``; with it, a list of
-    contracted training graphs, ``fn(task, train, sizes)`` with their
+    ``train`` is a list of contracted training graphs and ``sizes`` their
     (order, size) pairs. The tasks are cut into shares of
     ``ceil(len(tasks) / workers)``; the caller sends each child one share
     through its pipe, computes the first share itself and then reads the
     children's results, so it starts no thread. Children are forked on the
     first pooled call, inherit ``train`` and ``sizes`` with the forms the
-    caller built, and are kept for later calls: one without ``train`` can
-    use any kept children of its width, one with it needs the same graph
-    objects, which each training graph's memo returns until the graph
-    changes. A task's exception is raised in the caller, after every reply
-    is read, with the child's traceback as its cause, and the children
+    caller built, and are kept for later calls of the same width with the
+    same graph objects, which each training graph's memo returns until the
+    graph changes. A task's exception is raised in the caller, after every
+    reply is read, with the child's traceback as its cause, and the children
     stay kept; a child that ends fails the call with
     :class:`BrokenProcessPool`, and the next call forks afresh. No child is
     forked for an empty task list, and pooled calls from several threads
@@ -304,23 +291,23 @@ def _map(fn: Callable, tasks: list, workers: int,
     """
     if not tasks:
         return []
-    shipped = _sized(train)
+    sizes = [(h.order, h.size) for h in train]
     if workers == 1:
-        return [fn(t, *shipped) for t in tasks]
+        return [fn(t, train, sizes) for t in tasks]
     size = math.ceil(len(tasks) / workers)
     shares = [tasks[i:i + size] for i in range(0, len(tasks), size)]
     with _lock:
-        children = _workers(workers, train)
+        children = _workers(workers, train, sizes)
         sent = []
         try:
             for (_, conn), share in zip(children, shares[1:]):
-                conn.send((fn, share, train is not None))
+                conn.send((fn, share))
                 sent.append(conn)
         except OSError:
             _shut_down()
             raise BrokenProcessPool("a worker process ended before the call") from None
         try:
-            results = [fn(t, *shipped) for t in shares[0]]
+            results = [fn(t, train, sizes) for t in shares[0]]
         finally:
             # read even when the caller's share raised, so that no reply is
             # left for the next call to take as its own
@@ -342,8 +329,9 @@ def _walk(g: Graph, t: int, measure: CentralityMeasure) -> list[int]:
     return t_centrality_node_contraction(g, t, measure)[1].removed_ids if t else []
 
 
-def _benchmark_pair(args) -> list[BenchmarkRecord]:
-    pair_id, g1, g2, measures, levels, search, cm = args
+def _benchmark_pair(pair_id: str, g1: Graph, g2: Graph,
+                    measures: Sequence[CentralityMeasure], levels: Sequence[TLevel],
+                    search: SearchSpec, cm: CostModel) -> list[BenchmarkRecord]:
     if any(level is not TLevel.T0 for level in levels):
         lv1, lv2 = _levels(g1), _levels(g2)
     else:
@@ -397,7 +385,6 @@ def run_timing_benchmark(
     sample: int,
     seed: int,
     cm: Optional[CostModel] = None,
-    workers: int = 1,
 ) -> list[BenchmarkRecord]:
     """Run the (pair x measure x level) grid on a seeded pair sample.
 
@@ -410,25 +397,21 @@ def run_timing_benchmark(
     searched once and share their record fields (see
     :class:`BenchmarkRecord` for what ``elapsed`` covers). The budgets come
     from each graph's memo, but the walks are made on every call, since
-    ``elapsed`` includes them. Records come back sorted by (pair, measure,
-    level) regardless of worker count.
+    ``elapsed`` includes them. The pairs run one after another in the
+    calling process, and records come back sorted by (pair, measure, level).
     """
     if sample < 1:
         raise ValueError("sample must be >= 1")
-    _check_workers(workers)
     if not corpus.graphs:
         raise ValueError("corpus is empty")
     if not measures or not levels:
         raise ValueError("need at least one measure and one level")
     cm = cm or CostModel()
     graphs = corpus.graphs
-    pairs = sample_pairs(len(graphs), sample, seed)
-    tasks = [
-        (f"{k:05d}:{graphs[i].name}|{graphs[j].name}",
-         graphs[i], graphs[j], tuple(measures), tuple(levels), search, cm)
-        for k, (i, j) in enumerate(pairs)
-    ]
-    records = [r for chunk in _map(_benchmark_pair, tasks, workers) for r in chunk]
+    records = []
+    for k, (i, j) in enumerate(sample_pairs(len(graphs), sample, seed)):
+        records += _benchmark_pair(f"{k:05d}:{graphs[i].name}|{graphs[j].name}",
+                                   graphs[i], graphs[j], measures, levels, search, cm)
     level_order = {lv: i for i, lv in enumerate(TLevel)}
     records.sort(key=lambda r: (r.pair_id, r.measure.value, level_order[r.t_level]))
     return records
@@ -552,7 +535,8 @@ def nn_classify(
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")
-    _check_workers(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cm = cm or CostModel()
     train_contracted = [_contract(g, measure, level) for g in train.graphs]
     tasks = [(_contract(g, measure, level), search, cm) for g in test.graphs]

@@ -150,12 +150,13 @@ class _BoundTables:
 
 
 class _PairView:
-    """One graph pair in the layout :func:`kernels.extend_costs` reads,
-    taken from both graphs' :class:`~cged.graph.GraphArrays`, plus the
-    bound's tables when the search uses :attr:`Heuristic.BIPARTITE`."""
+    """One graph pair in the layout :func:`kernels.extend_costs` and
+    :func:`_reconstruct` read, taken from both graphs'
+    :class:`~cged.graph.GraphArrays`, plus the bound's tables when the
+    search uses :attr:`Heuristic.BIPARTITE`."""
 
     __slots__ = ("ids1", "ids2", "n1", "n2", "kind1", "val1", "kind2", "val2",
-                 "node_dist", "e2_masks", "bound")
+                 "edges1", "edges2", "node_dist", "e2_masks", "bound")
 
     def __init__(self, g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic):
         a1, a2 = g1.arrays(), g2.arrays()
@@ -163,6 +164,7 @@ class _PairView:
         self.n1, self.n2 = len(a1.ids), len(a2.ids)
         self.kind1, self.val1 = a1.kind, a1.val
         self.kind2, self.val2 = a2.kind, a2.val
+        self.edges1, self.edges2 = a1.edges, a2.edges
         self.node_dist = [[node_label_distance(a, b) for b in a2.labels]
                           for a in a1.labels]
         self.e2_masks = [(1 << i) | (1 << j) for i, j in a2.edges]
@@ -192,7 +194,7 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
     while heap:
         entry = heapq.heappop(heap)
         if -entry[1] == n1:
-            path = _reconstruct(view, g1, g2, cm, entry[2])
+            path = _reconstruct(view, cm, entry[2])
             elapsed = time.perf_counter() - t0
             return GedResult(cost=path.total_cost, path=path,
                              expanded_nodes=expanded, elapsed=elapsed)
@@ -207,39 +209,43 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
     raise RuntimeError("open list exhausted before a complete mapping")  # unreachable
 
 
-def _reconstruct(view: _PairView, g1: Graph, g2: Graph, cm: CostModel,
-                 mapping: tuple[int, ...]) -> EditPath:
-    """Expand a complete position mapping into an ordered operation list."""
+def _reconstruct(view: _PairView, cm: CostModel, mapping: tuple[int, ...]) -> EditPath:
+    """Expand a complete position mapping into an ordered operation list.
+
+    Positions ascend with ids, so the operations come in ascending id order,
+    and each cost is the float :meth:`CostModel.node_sub_cost` or
+    :meth:`CostModel.edge_sub_cost` gives for the same labels.
+    """
     ids1, ids2 = view.ids1, view.ids2
-    target_of: dict[int, Optional[int]] = {}
+    kind1, val1, kind2, val2 = view.kind1, view.val1, view.kind2, view.val2
     ops: list[EditOperation] = []
     for i, slot in enumerate(mapping):
-        u = ids1[i]
         if slot == EPS:
-            target_of[u] = None
-            ops.append(EditOperation.node_del(u, cm.x_node))
+            ops.append(EditOperation.node_del(ids1[i], cm.x_node))
         else:
-            v = ids2[slot]
-            target_of[u] = v
-            cost = cm.node_sub_cost(g1.node_label(u), g2.node_label(v))
-            ops.append(EditOperation.node_sub(u, v, cost))
-    mapped_targets = {v for v in target_of.values() if v is not None}
-    for v in ids2:
-        if v not in mapped_targets:
+            ops.append(EditOperation.node_sub(ids1[i], ids2[slot],
+                                              cm.y_node * view.node_dist[i][slot]))
+    mapped = set(mapping)
+    for j, v in enumerate(ids2):
+        if j not in mapped:
             ops.append(EditOperation.node_ins(v, cm.x_node))
     consumed: set[tuple[int, int]] = set()
-    for u, v, label in g1.edges():
-        a, b = target_of[u], target_of[v]
-        if a is not None and b is not None and g2.has_edge(a, b):
-            f = (a, b) if a < b else (b, a)
-            consumed.add(f)
-            cost = cm.edge_sub_cost(label, g2.edge_label(a, b))
-            ops.append(EditOperation.edge_sub((u, v), f, cost))
+    for i, j in view.edges1:
+        a, b = mapping[i], mapping[j]
+        e = (ids1[i], ids1[j])
+        if a != EPS and b != EPS and kind2[a][b]:
+            a, b = (a, b) if a < b else (b, a)
+            consumed.add((a, b))
+            k1, k2 = kind1[i][j], kind2[a][b]
+            # the edge label distance: |x - y| for two values, 0 for two
+            # unlabeled edges, 1 for one of each
+            d = abs(val1[i][j] - val2[a][b]) if k1 == k2 == 2 else float(k1 != k2)
+            ops.append(EditOperation.edge_sub(e, (ids2[a], ids2[b]), cm.y_edge * d))
         else:
-            ops.append(EditOperation.edge_del((u, v), cm.x_edge))
-    for a, b, _ in g2.edges():
+            ops.append(EditOperation.edge_del(e, cm.x_edge))
+    for a, b in view.edges2:
         if (a, b) not in consumed:
-            ops.append(EditOperation.edge_ins((a, b), cm.x_edge))
+            ops.append(EditOperation.edge_ins((ids2[a], ids2[b]), cm.x_edge))
     return EditPath.from_operations(ops, complete=True)
 
 

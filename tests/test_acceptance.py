@@ -104,7 +104,7 @@ def trend_records():
     t0 = time.perf_counter()
     records = run_timing_benchmark(
         corpus, list(CentralityMeasure), ALL_LEVELS,
-        SearchSpec.astar(), sample=100, seed=1337, workers=2)
+        SearchSpec.astar(), sample=100, seed=1337)
     return corpus.name, records, time.perf_counter() - t0
 
 

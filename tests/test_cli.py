@@ -160,16 +160,23 @@ def test_classify_perfect_at_zero_distortion(tmp_path, capsys):
     assert f"searched {payload['searches']} of 36 pairs, {payload['bounds']} bounds" in out
 
 
-@pytest.mark.parametrize("command", ["classify", "benchmark"])
-def test_workers_below_one_exit_config_error(tmp_path, capsys, command):
-    outputs = ["--out-json", str(tmp_path / "out.json")]
-    if command == "benchmark":
-        outputs += ["--out-csv", str(tmp_path / "out.csv"), "--sample", "2"]
+def test_workers_below_one_exit_config_error(tmp_path, capsys):
     for workers in ("0", "-3"):
-        rc = main([command, "--dataset", "synthetic", "--syn-count", "8",
-                   "--workers", workers, *outputs])
+        rc = main(["classify", "--dataset", "synthetic", "--syn-count", "8",
+                   "--workers", workers, "--out-json", str(tmp_path / "out.json")])
         assert rc == EXIT_CONFIG
         assert "workers must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_takes_no_workers_flag(tmp_path, capsys):
+    # the timing grid runs in the calling process only
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--dataset", "synthetic", "--syn-count", "8", "--sample", "2",
+              "--workers", "2", "--out-json", str(tmp_path / "out.json"),
+              "--out-csv", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -348,6 +348,14 @@ def test_debug_format_rejections():
         parse_debug_graph("graph - -\nnode 0 symbol C\nedge 0 1\n")
     with pytest.raises(ValueError, match="whitespace-free"):
         write_debug_graph(Graph(name="two words"))
+    # '-' is how the format writes an unset name or class
+    with pytest.raises(ValueError, match="cannot be '-'"):
+        write_debug_graph(Graph(name="-"))
+    with pytest.raises(ValueError, match="cannot be '-'"):
+        write_debug_graph(Graph(name="g", class_label="-"))
+    # a symbol '-' is no header field, so it still round-trips
+    dash = Graph.from_parts("g", None, [(0, "-")], [])
+    assert parse_debug_graph(write_debug_graph(dash)) == dash
 
 
 def test_load_graph_file_dispatch(tmp_path):

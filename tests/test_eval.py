@@ -97,27 +97,23 @@ def test_benchmark_t0_cost_identical_across_measures():
         assert len(costs) == 1
 
 
-def test_benchmark_deterministic_and_worker_independent():
+def test_benchmark_records_are_deterministic():
     corpus = synthesize_letter_like(seed=23, count=8, classes=2, distortion=0.3)
     args = (corpus, [DEG, CentralityMeasure.BETWEENNESS],
             [TLevel.T0, TLevel.T1STAR], SearchSpec.beam(10))
-    serial = run_timing_benchmark(*args, sample=6, seed=2, workers=1)
-    again = run_timing_benchmark(*args, sample=6, seed=2, workers=1)
-    pooled = run_timing_benchmark(*args, sample=6, seed=2, workers=3)
-    assert [record_key(r) for r in serial] == [record_key(r) for r in again]
-    assert [record_key(r) for r in serial] == [record_key(r) for r in pooled]
+    first = run_timing_benchmark(*args, sample=6, seed=2)
+    again = run_timing_benchmark(*args, sample=6, seed=2)
+    assert [record_key(r) for r in first] == [record_key(r) for r in again]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_shared_cells_equal_a_search_of_each_cells_own_contraction(workers):
+def test_shared_cells_equal_a_search_of_each_cells_own_contraction():
     # cells that remove the same node sets are searched once; each must still
     # read as if its own two contractions had been searched
     corpus = synthesize_letter_like(seed=29, count=10, classes=3, distortion=0.3)
     by_name = {g.name: g for g in corpus.graphs}
     cm = CostModel()
     records = run_timing_benchmark(corpus, list(CentralityMeasure), ALL_LEVELS,
-                                   SearchSpec.astar(), sample=6, seed=5, cm=cm,
-                                   workers=workers)
+                                   SearchSpec.astar(), sample=6, seed=5, cm=cm)
     assert len(records) == 6 * 4 * 4
     for r in records:
         name1, name2 = r.pair_id.split(":", 1)[1].split("|")
@@ -376,9 +372,6 @@ def test_workers_below_one_fail_before_any_work(monkeypatch, workers):
     monkeypatch.setattr(evaluation, "t_star_levels", no_work)
     with pytest.raises(ValueError, match="workers"):
         nn_classify(train, test, DEG, TLevel.T1STAR, SearchSpec.astar(), workers=workers)
-    with pytest.raises(ValueError, match="workers"):
-        run_timing_benchmark(corpus, [DEG], [TLevel.T1STAR], SearchSpec.astar(),
-                             sample=2, seed=1, workers=workers)
 
 
 def counting(monkeypatch, name: str) -> list:
@@ -494,17 +487,6 @@ def test_workers_count_the_caller(small_split, workers):
     assert pooled.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
 
 
-def test_timing_benchmark_runs_on_a_kept_classification_pool(small_split):
-    train, test = small_split
-    nn_classify(train, test, DEG, TLevel.T1STAR, SearchSpec.astar(), workers=2)
-    children = _children()
-    args = (train, [DEG], [TLevel.T0, TLevel.T1STAR], SearchSpec.astar())
-    pooled = run_timing_benchmark(*args, sample=5, seed=3, workers=2)
-    assert _children() is children
-    serial = run_timing_benchmark(*args, sample=5, seed=3, workers=1)
-    assert [record_key(r) for r in pooled] == [record_key(r) for r in serial]
-
-
 def test_a_broken_kept_pool_fails_one_call_and_is_replaced(small_split):
     train, test = small_split
     args = (DEG, TLevel.T1STAR, SearchSpec.astar())
@@ -522,7 +504,17 @@ def test_a_broken_kept_pool_fails_one_call_and_is_replaced(small_split):
     assert _children() is not children
 
 
-def _die_outside(caller: int) -> int:
+# a training list for the _map tests below: two graphs of 2 and 3 nodes
+TRAIN = [path_graph(2), path_graph(3)]
+
+
+def _scaled(task: int, train: list, sizes: list) -> int:
+    """task times the training graphs' node count: 5 * task for TRAIN."""
+    assert [(h.order, h.size) for h in train] == sizes
+    return task * sum(n for n, _ in sizes)
+
+
+def _die_outside(caller: int, train: list, sizes: list) -> int:
     if os.getpid() != caller:
         os.kill(os.getpid(), signal.SIGKILL)
     return caller
@@ -530,42 +522,42 @@ def _die_outside(caller: int) -> int:
 
 def test_a_worker_dying_during_a_call_fails_that_call():
     # with 2 workers the caller computes tasks 0-1 and the child tasks 2-3
-    assert evaluation._map(abs, [-1, -2, -3, -4], 2) == [1, 2, 3, 4]
+    assert evaluation._map(_scaled, [1, 2, 3, 4], 2, TRAIN) == [5, 10, 15, 20]
     with pytest.raises(BrokenProcessPool):
-        evaluation._map(_die_outside, [os.getpid()] * 4, 2)
+        evaluation._map(_die_outside, [os.getpid()] * 4, 2, TRAIN)
     assert evaluation._kept is None
-    assert evaluation._map(abs, [-5, -6, -7, -8], 2) == [5, 6, 7, 8]
+    assert evaluation._map(_scaled, [5, 6, 7, 8], 2, TRAIN) == [25, 30, 35, 40]
 
 
 class TaskFailed(Exception):
     pass
 
 
-def _double_or_fail(task: int) -> int:
+def _scaled_or_fail(task: int, train: list, sizes: list) -> int:
     if task < 0:
         raise TaskFailed(task)
-    return 2 * task
+    return _scaled(task, train, sizes)
 
 
 def test_a_task_raising_in_a_worker_raises_in_the_caller():
     # with 2 workers the caller computes tasks 0-1 and the child tasks 2-3
-    evaluation._map(_double_or_fail, [1, 2, 3, 4], 2)
+    evaluation._map(_scaled_or_fail, [1, 2, 3, 4], 2, TRAIN)
     children = _children()
     with pytest.raises(TaskFailed, match="-4") as raised:
-        evaluation._map(_double_or_fail, [1, 2, 3, -4], 2)
-    assert "in _double_or_fail" in str(raised.value.__cause__)
+        evaluation._map(_scaled_or_fail, [1, 2, 3, -4], 2, TRAIN)
+    assert "in _scaled_or_fail" in str(raised.value.__cause__)
     assert _children() is children
-    assert evaluation._map(_double_or_fail, [5, 6, 7, 8], 2) == [10, 12, 14, 16]
+    assert evaluation._map(_scaled_or_fail, [5, 6, 7, 8], 2, TRAIN) == [25, 30, 35, 40]
 
 
 def test_a_task_raising_in_the_callers_share_leaves_no_reply_unread():
-    evaluation._map(_double_or_fail, [1, 2, 3, 4], 2)
+    evaluation._map(_scaled_or_fail, [1, 2, 3, 4], 2, TRAIN)
     children = _children()
     with pytest.raises(TaskFailed, match="-1"):
-        evaluation._map(_double_or_fail, [-1, 2, 3, 4], 2)
+        evaluation._map(_scaled_or_fail, [-1, 2, 3, 4], 2, TRAIN)
     assert _children() is children
-    # an unread reply would give this call the last call's [6, 8]
-    assert evaluation._map(_double_or_fail, [5, 6, 7, 8], 2) == [10, 12, 14, 16]
+    # an unread reply would give this call the last call's [15, 20]
+    assert evaluation._map(_scaled_or_fail, [5, 6, 7, 8], 2, TRAIN) == [25, 30, 35, 40]
 
 
 def test_pooled_calls_from_several_threads_equal_serial_ones(small_split, tied_split):
