@@ -17,6 +17,7 @@ for CLI output and tests; it round-trips ids, labels, and counts exactly.
 
 from __future__ import annotations
 
+import math
 import string
 import xml.etree.ElementTree as ET
 from xml.parsers import expat
@@ -182,7 +183,7 @@ def parse_gxl(data: Union[bytes, str]) -> Graph:
     if len(graphs) != 1:
         raise GxlParseError(f"expected exactly one graph element, found {len(graphs)}")
     gel = graphs[0]
-    g = Graph(name=gel.get("id"))
+    g = Graph(name=gel.get("id") or None)  # an empty id is as good as none
     name_to_id: dict[str, int] = {}
     for el in gel:
         if el.tag == "node":
@@ -357,8 +358,8 @@ def synthesize_letter_like(
     """
     if count < 1 or classes < 1:
         raise ValueError("count and classes must be >= 1")
-    if not distortion >= 0:
-        raise ValueError(f"distortion must be >= 0, got {distortion!r}")
+    if not 0 <= distortion < math.inf:
+        raise ValueError(f"distortion must be finite and >= 0, got {distortion!r}")
     labels = _class_names(classes)
     protos = []
     for c in range(classes):
@@ -413,7 +414,7 @@ def write_debug_graph(g: Graph) -> str:
     """Serialize a graph, one node or edge per line.
 
     Format: a ``graph <name> <class>`` header ('-' for unset, so neither
-    can be '-'; names must be whitespace-free), then
+    can be '-'; names must be non-empty and whitespace-free), then
     ``node <id> point <x> <y>`` or ``node <id> symbol <s>`` lines, then
     ``edge <u> <v> [value]`` lines.
     Floats are written with repr so they round-trip exactly.
@@ -427,6 +428,8 @@ def write_debug_graph(g: Graph) -> str:
         if s == "-":
             raise ValueError("debug format writes '-' for an unset name or class; "
                              "a graph name or class cannot be '-'")
+        if s == "":
+            raise ValueError("debug format cannot write an empty graph name or class")
         return "-" if s is None else tok(s)
 
     lines = [f"graph {name(g.name)} {name(g.class_label)}"]

@@ -32,9 +32,7 @@ from . import kernels
 from .centrality import CentralityMeasure
 from .contraction import ContractionReport, t_centrality_node_contraction
 from .costs import CostModel, EditOperation, EditPath, node_label_distance
-from .graph import Graph, GraphArrays
-
-EPS = kernels.EPS_SLOT  # mapping value for "deleted"
+from .graph import Graph
 
 
 class Heuristic(Enum):
@@ -111,75 +109,39 @@ class GedResult:
         }
 
 
-class _BoundTables:
-    """The bipartite bound's tables for one search, built only for
-    :attr:`Heuristic.BIPARTITE`.
+class _PairView:
+    """One graph pair as :func:`kernels.extend_costs` and :func:`_reconstruct`
+    read it: both graphs' :class:`~cged.graph.GraphArrays` (``a1``, ``a2``),
+    their orders ``n1`` and ``n2``, ``node_dist[i][j]``, the label distance
+    of source position i and target position j, and ``rows0``.
 
-    With the first d source positions placed, the bound is the cost of
+    ``rows0`` is None unless the search uses :attr:`Heuristic.BIPARTITE`.
+    With the first d source positions placed, that bound is the cost of
     deleting every unplaced source and inserting every unused target, each
     with its unpaid edges (in full towards a placed node or used target,
     half at each end otherwise), plus :func:`kernels.assignment` over one
     row per unplaced source. Row i, column j holds ``y_node * d(l_i, l_j)``
     plus ``edge substitution - 2 * x_edge`` per placed neighbour of i mapped
     onto a neighbour of j, whose edge pair is substituted rather than
-    deleted and inserted.
-
-    ``rows0`` holds the rows of the empty prefix; ``del_sums[d]`` the
-    deletion cost of the sources at positions >= d; ``deg_r[d]`` each such
-    source's edge count towards the others; ``masks`` and ``adj2`` each
-    target's neighbours as a bitmask and as ascending positions.
+    deleted and inserted. ``rows0`` holds the rows of the empty prefix.
     """
 
-    __slots__ = ("rows0", "del_sums", "deg_r", "masks", "adj2")
-
-    def __init__(self, a1: GraphArrays, a2: GraphArrays, node_dist: list, cm: CostModel):
-        n1 = len(a1.ids)
-        y_node = cm.y_node
-        self.rows0 = tuple([y_node * d for d in row] for row in node_dist)
-        # edges that reach position d or later: those whose larger end does
-        reaching = [0] * (n1 + 1)
-        for _, j in a1.edges:
-            reaching[j] += 1
-        for d in range(n1 - 1, -1, -1):
-            reaching[d] += reaching[d + 1]
-        self.del_sums = [cm.x_node * (n1 - d) + cm.x_edge * reaching[d] for d in range(n1 + 1)]
-        self.deg_r = [[sum(1 for k in a1.adj[i] if k >= d) for i in range(d, n1)]
-                      for d in range(n1 + 1)]
-        self.masks = a2.masks
-        self.adj2 = a2.adj
-
-
-class _PairView:
-    """One graph pair in the layout :func:`kernels.extend_costs` and
-    :func:`_reconstruct` read, taken from both graphs'
-    :class:`~cged.graph.GraphArrays`, plus the bound's tables when the
-    search uses :attr:`Heuristic.BIPARTITE`."""
-
-    __slots__ = ("ids1", "ids2", "n1", "n2", "kind1", "val1", "kind2", "val2",
-                 "edges1", "edges2", "node_dist", "e2_masks", "bound")
+    __slots__ = ("a1", "a2", "n1", "n2", "node_dist", "rows0")
 
     def __init__(self, g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic):
-        a1, a2 = g1.arrays(), g2.arrays()
-        self.ids1, self.ids2 = a1.ids, a2.ids
+        a1, a2 = self.a1, self.a2 = g1.arrays(), g2.arrays()
         self.n1, self.n2 = len(a1.ids), len(a2.ids)
-        self.kind1, self.val1 = a1.kind, a1.val
-        self.kind2, self.val2 = a2.kind, a2.val
-        self.edges1, self.edges2 = a1.edges, a2.edges
         self.node_dist = [[node_label_distance(a, b) for b in a2.labels]
                           for a in a1.labels]
-        self.e2_masks = [(1 << i) | (1 << j) for i, j in a2.edges]
-        self.bound = None
+        self.rows0 = None
         if heuristic is Heuristic.BIPARTITE:
-            self.bound = _BoundTables(a1, a2, self.node_dist, cm)
+            self.rows0 = tuple([cm.y_node * d for d in row] for row in self.node_dist)
 
-    def root(self, cm: CostModel) -> tuple:
+    def root(self) -> tuple:
         """The open-list entry of the empty prefix (complete when g1 is empty)."""
-        if self.n1 == 0:
-            g = kernels.completion_cost(self, 0, cm)
-            return (g, 0, (), g, 0)
-        if self.bound is None:
+        if self.rows0 is None:
             return (0.0, 0, (), 0.0, 0)
-        return (0.0, 0, (), 0.0, 0, self.bound.rows0)
+        return (0.0, 0, (), 0.0, 0, self.rows0)
 
 
 def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
@@ -189,7 +151,7 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
     n1 = view.n1
     # entry: (f, -depth, mapping, g, used[, bound rows]); the first three
     # form the total order
-    heap = [view.root(cm)]
+    heap = [view.root()]
     expanded = 0
     while heap:
         entry = heapq.heappop(heap)
@@ -216,11 +178,13 @@ def _reconstruct(view: _PairView, cm: CostModel, mapping: tuple[int, ...]) -> Ed
     and each cost is the float :meth:`CostModel.node_sub_cost` or
     :meth:`CostModel.edge_sub_cost` gives for the same labels.
     """
-    ids1, ids2 = view.ids1, view.ids2
-    kind1, val1, kind2, val2 = view.kind1, view.val1, view.kind2, view.val2
+    a1, a2 = view.a1, view.a2
+    ids1, ids2 = a1.ids, a2.ids
+    kind1, val1, kind2, val2 = a1.kind, a1.val, a2.kind, a2.val
+    eps = kernels.EPS_SLOT
     ops: list[EditOperation] = []
     for i, slot in enumerate(mapping):
-        if slot == EPS:
+        if slot == eps:
             ops.append(EditOperation.node_del(ids1[i], cm.x_node))
         else:
             ops.append(EditOperation.node_sub(ids1[i], ids2[slot],
@@ -230,10 +194,10 @@ def _reconstruct(view: _PairView, cm: CostModel, mapping: tuple[int, ...]) -> Ed
         if j not in mapped:
             ops.append(EditOperation.node_ins(v, cm.x_node))
     consumed: set[tuple[int, int]] = set()
-    for i, j in view.edges1:
+    for i, j in a1.edges:
         a, b = mapping[i], mapping[j]
         e = (ids1[i], ids1[j])
-        if a != EPS and b != EPS and kind2[a][b]:
+        if a != eps and b != eps and kind2[a][b]:
             a, b = (a, b) if a < b else (b, a)
             consumed.add((a, b))
             k1, k2 = kind1[i][j], kind2[a][b]
@@ -243,7 +207,7 @@ def _reconstruct(view: _PairView, cm: CostModel, mapping: tuple[int, ...]) -> Ed
             ops.append(EditOperation.edge_sub(e, (ids2[a], ids2[b]), cm.y_edge * d))
         else:
             ops.append(EditOperation.edge_del(e, cm.x_edge))
-    for a, b in view.edges2:
+    for a, b in a2.edges:
         if (a, b) not in consumed:
             ops.append(EditOperation.edge_ins((ids2[a], ids2[b]), cm.x_edge))
     return EditPath.from_operations(ops, complete=True)

@@ -16,7 +16,11 @@ it pushes; :func:`assignment` solves that bound's node assignment, which
 
 Conventions shared with :mod:`cged.ged`:
 
-* edge kinds and values are those of :class:`cged.graph.GraphArrays`;
+* a pair view (``cged.ged._PairView``) has six fields: the two graphs'
+  forms ``a1`` and ``a2``, their orders ``n1`` and ``n2``, the node label
+  distances ``node_dist`` and the bipartite bound's empty-prefix rows
+  ``rows0`` (None without the bound); kinds, values, edges and masks are
+  read from the forms themselves;
 * a mapping is a tuple of target positions, one per placed source node in
   position order, with -1 marking a deleted source node;
 * a used-target set is an int bitmask over target positions;
@@ -36,29 +40,16 @@ EPS_SLOT = -1  # mapping value for "source node deleted"
 # edit-search expansion step
 # ----------------------------------------------------------------------
 
-def completion_cost(view, used: int, cm) -> float:
-    """Insert every unused target node, plus every target edge not yet charged.
-
-    An edge is charged during the search only once both endpoints are used.
-    """
-    unused = view.n2 - used.bit_count()
-    covered = 0
-    for mask in view.e2_masks:
-        if used & mask == mask:
-            covered += 1
-    return cm.x_node * unused + cm.x_edge * (len(view.e2_masks) - covered)
-
-
-def assignment(rows, deg_r, cols, x_node: float, x_edge: float) -> tuple[float, list]:
+def assignment(rows, degs, cols, x_node: float, x_edge: float) -> tuple[float, list]:
     """The assignment part of the bipartite bound, on the reduced matrix.
 
     ``rows`` holds one list per unplaced source node, indexed by target
-    position; ``deg_r`` gives each such node's edges towards unplaced source
+    position; ``degs`` gives each such node's edges towards unplaced source
     nodes, and ``cols`` one ``(target position, edges towards unused
     targets)`` pair per unused target. Cell (i, j) is
     ``min(rows[i][j] - x_edge * min(deg_i, deg_j) - 2 * x_node, 0)``: the
     substitution cost of the (r + c)-square epsilon-padded assignment less
-    i's deletion and j's insertion cost (see :class:`cged.ged._BoundTables`),
+    i's deletion and j's insertion cost (see ``cged.ged._PairView``),
     clipped at 0. Returns the minimum-cost assignment's value (at most 0)
     and its negative cells as (row index, target position) pairs.
 
@@ -72,7 +63,7 @@ def assignment(rows, deg_r, cols, x_node: float, x_edge: float) -> tuple[float, 
     two_x = x_node + x_node
     terms = [(j, dc, x_edge * dc + two_x) for j, dc in cols]
     neg = []
-    for k, (row, dr) in enumerate(zip(rows, deg_r)):
+    for k, (row, dr) in enumerate(zip(rows, degs)):
         xr = x_edge * dr + two_x
         cells = [c if (c := row[j] - (xr if dr < dc else xc)) < 0.0 else 0.0
                  for j, dc, xc in terms]
@@ -113,27 +104,30 @@ def extend_costs(view, cm, heap: list, entry: tuple) -> None:
     ``f`` is its ``g``.
 
     Below the last level ``f`` is ``g`` alone, unless the view carries the
-    bipartite bound's tables (``view.bound``). Then ``f`` is ``g + h``, with
-    ``h`` the bound of what is left (see :class:`cged.ged._BoundTables`),
-    and entries carry the bound's rows as a sixth element. A child copies
-    only the rows of its newly placed node's unplaced neighbours, and in
-    them updates only the cells of the chosen target's neighbours.
+    bipartite bound's empty-prefix rows (``view.rows0``). Then ``f`` is
+    ``g + h``, with ``h`` the bound of what is left (see
+    ``cged.ged._PairView``), and entries carry the bound's rows as a sixth
+    element. A child copies only the rows of its newly placed node's
+    unplaced neighbours, and in them updates only the cells of the chosen
+    target's neighbours. The unplaced sources' deletion cost and degrees
+    come from ``a1.masks``, the unused targets' from ``a2.masks``.
 
-    ``view`` provides n1, n2, kind1/val1/kind2/val2 (the ``kind`` and
-    ``val`` rows of both graphs' forms), node_dist, e2_masks (one two-bit
-    mask per target edge) and bound (None, or the tables described in
-    :class:`cged.ged._BoundTables`).
+    ``view`` provides ``a1`` and ``a2`` (both graphs'
+    :class:`~cged.graph.GraphArrays`, whose ``kind``, ``val``, ``masks``,
+    ``adj`` and ``edges`` the step reads), ``n1``, ``n2``, ``node_dist``
+    and ``rows0``.
     """
-    bound = view.bound
-    if bound is None:
-        _, negd, mapping, g, used = entry
-    else:
+    bound = view.rows0 is not None
+    if bound:
         _, negd, mapping, g, used, rows = entry
+    else:
+        _, negd, mapping, g, used = entry
     depth = -negd
-    kind_row = view.kind1[depth]
-    val_row = view.val1[depth]
-    kind2 = view.kind2
-    val2 = view.val2
+    a1, a2 = view.a1, view.a2
+    kind_row = a1.kind[depth]
+    val_row = a1.val[depth]
+    kind2 = a2.kind
+    val2 = a2.val
     node_dist = view.node_dist[depth]
     x_node, y_node, x_edge, y_edge = cm.x_node, cm.y_node, cm.x_edge, cm.y_edge
 
@@ -149,21 +143,32 @@ def extend_costs(view, cm, heap: list, entry: tuple) -> None:
         if k1:
             neighbours += 1
     child_depth = negd - 1
-    final = depth + 1 == view.n1
-    n2 = view.n2
+    n1, n2 = view.n1, view.n2
+    final = depth + 1 == n1
+    masks = a2.masks
 
-    if bound is not None and not final:
-        masks, adj2 = bound.masks, bound.adj2
-        rows = rows[1:]  # the rows of the sources placed after this one
-        linked = [(k, kind_row[i], val_row[i])
-                  for k, i in enumerate(range(depth + 1, view.n1)) if kind_row[i]]
+    if final or bound:
+        # completing the mapping here inserts the unused targets and every
+        # target edge not between two used ones (each of those is seen from
+        # both ends), which is also the bound's insertion part; a child that
+        # uses target v also closes v's edges towards used targets
+        unused = n2 - used.bit_count()
+        unpaid = len(a2.edges) - sum((masks[j] & used).bit_count()
+                                     for j in range(n2) if used >> j & 1) // 2
+        completion = x_node * unused + x_edge * unpaid
+
+    if bound and not final:
+        adj2 = a2.adj
+        rest = range(depth + 1, n1)  # the sources placed after this one
+        rows = rows[1:]
+        linked = [(k, kind_row[i], val_row[i]) for k, i in enumerate(rest) if kind_row[i]]
         free = [(j, (masks[j] & ~used).bit_count())
                 for j in range(n2) if not used >> j & 1]
-        h_del = bound.del_sums[depth + 1]
-        # inserting the unused targets with their unpaid edges is exactly
-        # what completing the mapping here would add
-        h_ins = completion_cost(view, used, cm)
-        deg_r = bound.deg_r[depth + 1]
+        # the rest's degrees towards each other, which count each edge among
+        # them twice, and the edges that reach the rest, which deleting it pays
+        degs = [(a1.masks[i] >> depth + 1).bit_count() for i in rest]
+        reaching = sum(a1.masks[i].bit_count() for i in rest) - sum(degs) // 2
+        h_del = x_node * len(rest) + x_edge * reaching
         two_x_edge = x_edge + x_edge
 
     for v in range(n2 + 1):
@@ -193,10 +198,14 @@ def extend_costs(view, cm, heap: list, entry: tuple) -> None:
             cost = y_node * node_dist[v] + y_edge * sub + x_edge * indel
         child_g = g + cost
         if final:
-            child_g += completion_cost(view, child_used, cm)
-        elif bound is not None:
             if v == n2:
-                child_rows, cols, ins = rows, free, h_ins
+                child_g += completion
+            else:
+                child_g += (x_node * (unused - 1)
+                            + x_edge * (unpaid - (masks[v] & used).bit_count()))
+        elif bound:
+            if v == n2:
+                child_rows, cols, ins = rows, free, completion
             else:
                 mask = masks[v]
                 child_rows = rows
@@ -216,8 +225,8 @@ def extend_costs(view, cm, heap: list, entry: tuple) -> None:
                                 row[j] -= two_x_edge
                         child_rows[k] = row
                 cols = [(j, dc - 1 if mask >> j & 1 else dc) for j, dc in free if j != v]
-                ins = h_ins - x_node - x_edge * (mask & used).bit_count()
-            h = h_del + ins + assignment(child_rows, deg_r, cols, x_node, x_edge)[0]
+                ins = completion - x_node - x_edge * (mask & used).bit_count()
+            h = h_del + ins + assignment(child_rows, degs, cols, x_node, x_edge)[0]
             heappush(heap, (child_g + h, child_depth, mapping + (slot,), child_g, child_used,
                             child_rows))
             continue

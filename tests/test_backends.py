@@ -72,7 +72,7 @@ def price_from_scratch(g1: Graph, g2: Graph, cm: CostModel, mapping) -> float:
 def descend(view, cm, mapping):
     """The open-list entry of a prefix, reached from the root through the
     expansion step, so that it carries what the step derived on the way."""
-    entry = view.root(cm)
+    entry = view.root()
     for depth in range(len(mapping)):
         heap = []
         kernels.extend_costs(view, cm, heap, entry)

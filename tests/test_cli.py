@@ -63,6 +63,19 @@ def test_contract_t0_round_trips(tmp_path, graph_files):
     assert parse_debug_graph(out_g.read_text()) == path_graph(3)
 
 
+def test_contract_round_trips_a_gxl_graph_with_an_empty_id(tmp_path, capsys):
+    gxl = tmp_path / "e.gxl"
+    gxl.write_text('<gxl><graph id=""><node id="a"><attr name="symbol">'
+                   '<string>C</string></attr></node></graph></gxl>')
+    out_g = tmp_path / "e.txt"
+    assert main(["contract", str(gxl), "--out-graph", str(out_g),
+                 "--out-report", str(tmp_path / "r.json")]) == 0
+    assert main(["contract", str(out_g), "--out-report", str(tmp_path / "r2.json")]) == 0
+    back = parse_debug_graph(capsys.readouterr().out)
+    assert back.name == "e"  # named after the file, as a GXL graph without an id
+    assert back == load_graph_file(gxl)
+
+
 def test_ged_human_output(capsys, graph_files):
     rc = main(["ged", str(graph_files["a"]), str(graph_files["b"])])
     assert rc == 0

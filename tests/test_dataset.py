@@ -293,6 +293,8 @@ def test_synthesize_validation():
         synthesize_letter_like(seed=1, count=4, classes=0, distortion=0.1)
     with pytest.raises(ValueError):
         synthesize_letter_like(seed=1, count=4, classes=2, distortion=-0.5)
+    with pytest.raises(ValueError, match="distortion must be finite"):
+        synthesize_letter_like(seed=1, count=4, classes=2, distortion=float("inf"))
 
 
 def test_synthesize_many_classes_get_distinct_names():
@@ -353,6 +355,11 @@ def test_debug_format_rejections():
         write_debug_graph(Graph(name="-"))
     with pytest.raises(ValueError, match="cannot be '-'"):
         write_debug_graph(Graph(name="g", class_label="-"))
+    # an empty header field would not read back
+    with pytest.raises(ValueError, match="empty graph name or class"):
+        write_debug_graph(Graph(name=""))
+    with pytest.raises(ValueError, match="empty graph name or class"):
+        write_debug_graph(Graph(name="g", class_label=""))
     # a symbol '-' is no header field, so it still round-trips
     dash = Graph.from_parts("g", None, [(0, "-")], [])
     assert parse_debug_graph(write_debug_graph(dash)) == dash

@@ -196,6 +196,23 @@ def test_expanded_nodes_accounting():
     assert res.elapsed >= 0.0
 
 
+@pytest.mark.parametrize("search", [SearchSpec.astar(Heuristic.ZERO), SearchSpec.astar(),
+                                    SearchSpec.beam(1)], ids=SearchSpec.describe)
+def test_empty_source_inserts_the_whole_target_in_id_order(search):
+    g2 = Graph()
+    for symbol in "CON":
+        g2.add_node(symbol)
+    g2.add_edge(0, 2, 1.5)
+    g2.add_edge(1, 2)
+    cm = MODELS[1]
+    res = run_search(Graph(), g2, cm, search)
+    assert res.cost == pytest.approx(3 * cm.x_node + 2 * cm.x_edge, abs=1e-12)
+    assert res.expanded_nodes == 0
+    assert [(op.kind, op.source, op.target) for op in res.path.operations] == [
+        (OpKind.NODE_INS, None, 0), (OpKind.NODE_INS, None, 1), (OpKind.NODE_INS, None, 2),
+        (OpKind.EDGE_INS, None, (0, 2)), (OpKind.EDGE_INS, None, (1, 2))]
+
+
 def test_brute_force_size_guard():
     with pytest.raises(ValueError):
         brute_force_ged(complete_graph(5), complete_graph(5))
