@@ -13,19 +13,23 @@ mapping lexicographic), which makes costs, edit paths, and expansion
 counts reproducible. The exact solver pops entries until a complete one
 surfaces, guided by default by the bipartite bound of what is left to
 place (:attr:`Heuristic.BIPARTITE`; :func:`bipartite_lower_bound` is the
-same bound at the empty prefix). The beam variant runs without a
-heuristic and prunes the open list to the best ``w`` entries after each
-expansion, trading optimality for speed while never returning less than
-the true distance.
+same bound at the empty prefix). The exact solver keeps its open list as a
+heap. The beam variant runs without a heuristic and keeps its open list as
+an ascending list of at most ``w`` entries: it pops the first, inserts
+each child in order and drops whatever falls past ``w``, trading
+optimality for speed while never returning less than the true distance.
+A beam wider than its open list ever grows prunes nothing and costs more
+per step than the heap; that search is ``astar_ged(..., Heuristic.ZERO)``.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Optional, Tuple
 
 from . import kernels
@@ -47,10 +51,19 @@ class Heuristic(Enum):
         return self.value
 
 
+def _check_width(w) -> None:
+    """A beam width is an int >= 1, checked before any search work: nan
+    would never prune, 2.5 would fail mid-search and True would be reported
+    as ``beam(w=True)``."""
+    if isinstance(w, bool) or not isinstance(w, int) or w < 1:
+        raise ValueError(f"beam width must be an int >= 1, got {w!r}")
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     """Which solver to run: exact best-first (``astar``, with a heuristic and
-    no width) or width-limited ``beam`` (a width w >= 1 and no heuristic).
+    no width) or width-limited ``beam`` (an int width w >= 1 and no
+    heuristic).
 
     An unset heuristic means ``BIPARTITE`` for astar and ``ZERO`` for beam.
     """
@@ -67,8 +80,8 @@ class SearchSpec:
             object.__setattr__(self, "heuristic", default)
         if self.kind == "astar" and self.w:
             raise ValueError(f"astar search takes no width, got {self.w}")
-        if self.kind == "beam" and self.w < 1:
-            raise ValueError(f"beam width must be >= 1, got {self.w}")
+        if self.kind == "beam":
+            _check_width(self.w)
         if self.kind == "beam" and self.heuristic is not Heuristic.ZERO:
             raise ValueError(f"heuristic {self.heuristic} applies only to astar; "
                              "beam search runs without one")
@@ -150,11 +163,14 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
     view = _PairView(g1, g2, cm, heuristic)
     n1 = view.n1
     # entry: (f, -depth, mapping, g, used[, bound rows]); the first three
-    # form the total order
-    heap = [view.root()]
+    # form the total order. A* keeps its open list as a heap; beam keeps an
+    # ascending list of at most ``width`` entries. Every entry short of
+    # complete has a child (its deletion), so the list never runs dry.
+    frontier = [view.root()]
+    children: list = []
     expanded = 0
-    while heap:
-        entry = heapq.heappop(heap)
+    while True:
+        entry = heappop(frontier) if width is None else frontier.pop(0)
         if -entry[1] == n1:
             path = _reconstruct(view, cm, entry[2])
             elapsed = time.perf_counter() - t0
@@ -162,13 +178,17 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
                              expanded_nodes=expanded, elapsed=elapsed)
         expanded += 1
         # looked up per call, so the step can be wrapped (e.g. traced) at runtime
-        kernels.extend_costs(view, cm, heap, entry)
-        if width is not None and len(heap) > width:
-            # entries are unique and totally ordered, so this keeps the same
-            # w entries as a partial selection, and a sorted list is a heap
-            heap.sort()
-            del heap[width:]
-    raise RuntimeError("open list exhausted before a complete mapping")  # unreachable
+        kernels.extend_costs(view, cm, children, entry)
+        if width is None:
+            for child in children:
+                heappush(frontier, child)
+        else:
+            # entries are unique and totally ordered, so this keeps exactly
+            # the ``width`` best of the old beam and the new children
+            for child in children:
+                insort(frontier, child)
+            del frontier[width:]
+        children.clear()
 
 
 def _reconstruct(view: _PairView, cm: CostModel, mapping: tuple[int, ...]) -> EditPath:
@@ -227,8 +247,7 @@ def astar_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
 def beam_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
              w: int = 10) -> GedResult:
     """Width-limited search; cost is an upper bound on the exact distance."""
-    if w < 1:
-        raise ValueError(f"beam width must be >= 1, got {w}")
+    _check_width(w)
     return _search(g1, g2, cm or CostModel(), Heuristic.ZERO, width=w)
 
 

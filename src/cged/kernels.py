@@ -11,7 +11,7 @@ that :mod:`cged.ged` assembles once per search from both graphs' forms,
 they see are small (letters and molecules of a few to a few dozen nodes),
 where Python sequences and int bitmasks beat numpy's per-call overhead.
 The expansion step also prices exact A*'s bipartite bound for every child
-it pushes; :func:`assignment` solves that bound's node assignment, which
+it appends; :func:`assignment` solves that bound's node assignment, which
 :func:`cged.ged.bipartite_lower_bound` shares.
 
 Conventions shared with :mod:`cged.ged`:
@@ -27,11 +27,11 @@ Conventions shared with :mod:`cged.ged`:
 * an open-list entry is ``(f, -depth, mapping, g, used)``, followed under
   the bipartite bound by the rows of the bound's assignment matrix.
   Mappings are unique, so tuple comparison never reaches ``g`` or later.
+  The step appends children in no useful order; :mod:`cged.ged` orders
+  them in its open list.
 """
 
 from __future__ import annotations
-
-from heapq import heappush
 
 EPS_SLOT = -1  # mapping value for "source node deleted"
 
@@ -86,8 +86,9 @@ def assignment(rows, degs, cols, x_node: float, x_edge: float) -> tuple[float, l
     return total, matched
 
 
-def extend_costs(view, cm, heap: list, entry: tuple) -> None:
-    """Expand one open-list entry: price every child and push it onto ``heap``.
+def extend_costs(view, cm, children: list, entry: tuple) -> None:
+    """Expand one open-list entry: price every child and append it to
+    ``children``, unordered; the caller orders them.
 
     Source node number ``depth`` (the length of the entry's mapping) is
     placed on every unused target position in ascending order and, last,
@@ -227,10 +228,10 @@ def extend_costs(view, cm, heap: list, entry: tuple) -> None:
                 cols = [(j, dc - 1 if mask >> j & 1 else dc) for j, dc in free if j != v]
                 ins = completion - x_node - x_edge * (mask & used).bit_count()
             h = h_del + ins + assignment(child_rows, degs, cols, x_node, x_edge)[0]
-            heappush(heap, (child_g + h, child_depth, mapping + (slot,), child_g, child_used,
-                            child_rows))
+            children.append((child_g + h, child_depth, mapping + (slot,), child_g, child_used,
+                             child_rows))
             continue
-        heappush(heap, (child_g, child_depth, mapping + (slot,), child_g, child_used))
+        children.append((child_g, child_depth, mapping + (slot,), child_g, child_used))
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,15 @@ into tests were produced by these, never by the code under test.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from collections import deque
 
 import numpy as np
 
+from cged import kernels
+from cged.ged import GedResult, Heuristic, _PairView, _reconstruct
 from cged.graph import Graph, Point2D
 
 
@@ -249,6 +252,35 @@ def padded_bipartite_bound(g1: Graph, g2: Graph, cm, mapping=()) -> float:
         matrix[r + b, b] = cm.x_node + cm.x_edge * degree(g2, v, used) + half * degree(g2, v, cols)
     picked_rows, picked_cols = linear_sum_assignment(matrix)
     return float(matrix[picked_rows, picked_cols].sum())
+
+
+# ----------------------------------------------------------------------
+# beam search on a pruned heap
+# ----------------------------------------------------------------------
+
+def heap_beam_ged(g1: Graph, g2: Graph, cm, w: int) -> GedResult:
+    """Beam search with its open list kept as a heap: each expansion's
+    children are pushed and, when more than ``w`` entries are open, the
+    heap is sorted and cut to its first ``w``. The library keeps a sorted
+    list of at most ``w`` entries instead; as entries are unique and
+    totally ordered, both must pop the same entries in the same order."""
+    view = _PairView(g1, g2, cm, Heuristic.ZERO)
+    heap = [view.root()]
+    expanded = 0
+    while True:
+        entry = heapq.heappop(heap)
+        if -entry[1] == view.n1:
+            path = _reconstruct(view, cm, entry[2])
+            return GedResult(cost=path.total_cost, path=path,
+                             expanded_nodes=expanded, elapsed=0.0)
+        expanded += 1
+        children = []
+        kernels.extend_costs(view, cm, children, entry)
+        for child in children:
+            heapq.heappush(heap, child)
+        if len(heap) > w:
+            heap.sort()
+            del heap[w:]
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Kernels: the search expansion step against a from-scratch pricing, and
-the betweenness loop against a path-enumeration oracle."""
+"""Kernels: the search expansion step against a from-scratch pricing, beam
+search's sorted open list against a pruned heap, and the betweenness loop
+against a path-enumeration oracle."""
 
 import random
 import sys
@@ -8,10 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cged import CostModel, kernels
+from cged import CostModel, beam_ged, kernels
 from cged.graph import Graph, Point2D
 from cged.ged import Heuristic, _PairView
-from helpers import betweenness_by_path_enumeration, padded_bipartite_bound, random_graph
+from helpers import (
+    betweenness_by_path_enumeration,
+    heap_beam_ged,
+    padded_bipartite_bound,
+    random_graph,
+)
 
 
 @st.composite
@@ -142,6 +148,20 @@ def test_bipartite_children_never_overestimate_their_cheapest_completion(pair, d
     for f, _, child, child_g, *_ in heap:
         assert child_g <= f + 1e-12
         assert f <= cheapest_completion(g1, g2, cm, child) + 1e-9
+
+
+def outcome(result) -> tuple:
+    """A search result to the bit: cost, operations and expansion count."""
+    ops = [(op.kind, op.source, op.target, float(op.cost).hex()) for op in result.path.operations]
+    return float(result.cost).hex(), ops, result.expanded_nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=graph_pairs(), cm=st.builds(CostModel, *[st.floats(0.0, 3.0)] * 4),
+       w=st.sampled_from((1, 2, 3, 10, 10**6)))
+def test_sorted_beam_pops_what_the_pruned_heap_pops(pair, cm, w):
+    g1, g2 = pair
+    assert outcome(beam_ged(g1, g2, cm, w)) == outcome(heap_beam_ged(g1, g2, cm, w))
 
 
 def test_betweenness_kernel_matches_the_oracle():

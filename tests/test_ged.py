@@ -139,8 +139,13 @@ def test_beam_is_an_upper_bound():
             assert res.path.complete
             assert_path_consistent(res, g1, g2)
             last = res.cost
-        # a beam wider than the whole open set can never prune: exact result
-        assert beam_ged(g1, g2, cm, 10**6).cost == pytest.approx(exact, abs=1e-9)
+        # a beam wider than the whole open set never prunes, so it pops what
+        # unguided A* pops: the same cost, edit path and expansion count
+        wide = beam_ged(g1, g2, cm, 10**6)
+        plain = astar_ged(g1, g2, cm, Heuristic.ZERO)
+        assert wide.cost == plain.cost == pytest.approx(exact, abs=1e-9)
+        assert wide.path.operations == plain.path.operations
+        assert wide.expanded_nodes == plain.expanded_nodes
         assert last is not None
 
 
@@ -149,6 +154,15 @@ def test_beam_width_validation():
         beam_ged(path_graph(2), path_graph(2), w=0)
     with pytest.raises(ValueError):
         SearchSpec.beam(0)
+    # nan would never prune, 2.5 would fail mid-search, True would print as
+    # beam(w=True): only an int >= 1 is a width
+    for bad in (float("nan"), 2.5, True):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            beam_ged(path_graph(2), path_graph(2), w=bad)
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            SearchSpec.beam(bad)
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            SearchSpec("beam", bad)
     with pytest.raises(ValueError):
         SearchSpec(kind="dfs")
 
