@@ -8,9 +8,15 @@ of every search and skips the training graphs whose bound shows they
 cannot be the nearest; since the bound never exceeds the exact distance,
 and beam never returns less than it, the predictions are those of
 searching every training graph, under either search. A cheaper size bound
-decides which bipartite bounds are worth computing, and each graph's
-contraction is kept in the graph's memo, so the training set is contracted
-once however many calls classify against it.
+decides which bipartite bounds are worth computing.
+
+Both experiments keep what they derive from a graph in the graph's memo
+until the graph changes: its T-level budgets, one contraction walk per
+centrality measure at its T3* budget (the largest), and one contracted
+graph per removed-node set. Every level takes a prefix of the measure's
+walk, so a graph is walked once per measure however many calls, levels or
+pairs use it, and a training set is contracted once however many calls
+classify against it.
 
 Levels follow the iterated-degree convention: level Tk* contracts, per
 graph, as many nodes as a degree-1..k contraction chain of that graph
@@ -19,7 +25,7 @@ different t values.
 
 Everything is deterministic under a fixed seed: pair sampling and search
 tie-breaking follow a total order. The timing grid runs in the calling
-process, so no transfer to another process enters its ``elapsed`` fields.
+process, so no transfer to another process enters its timings.
 Classification can search on several processes (``workers=N``: the caller
 and N - 1 children forked on the first such call and kept for later ones,
 see :func:`_map`); each task depends only on its own inputs and on the
@@ -104,15 +110,59 @@ def _levels(g: Graph) -> dict[TLevel, int]:
     return levels
 
 
+def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[TLevel, tuple[int, ...]], float]:
+    """The sorted ids that contracting g with ``measure`` removes at each
+    level, and the seconds the one walk behind them took; kept in g's memo
+    until g changes.
+
+    Contraction ranks once, on the input graph, so a smaller budget stops
+    the same walk earlier: g is walked once, at its T3* budget (the largest
+    any level uses), and each level removes the first t ids of that walk.
+    A graph whose T3* budget is 0 is not walked (no centrality is computed)
+    and takes 0.0 s. The walk's contracted graph is kept too (see
+    :func:`_without`).
+    """
+    walk = g._memo.get(("walk", measure))
+    if walk is None:
+        levels = _levels(g)
+        ids: list[int] = []
+        seconds = 0.0
+        if levels[TLevel.T3STAR]:
+            start = time.perf_counter()
+            h, report = t_centrality_node_contraction(g, levels[TLevel.T3STAR], measure)
+            seconds = time.perf_counter() - start
+            ids = report.removed_ids
+            g._memo[("without", tuple(sorted(ids)))] = h
+        removed = {level: tuple(sorted(ids[:t])) for level, t in levels.items()}
+        walk = g._memo[("walk", measure)] = removed, seconds
+    return walk
+
+
+def _without(g: Graph, ids: tuple[int, ...]) -> Graph:
+    """g minus the sorted node ids ``ids``, kept in g's memo until g changes,
+    so its array form is built once; g itself when ``ids`` is empty.
+    Callers must not modify the result."""
+    if not ids:
+        return g
+    h = g._memo.get(("without", ids))
+    if h is None:
+        h = g._memo[("without", ids)] = g.without(ids)
+    return h
+
+
 @dataclass
 class BenchmarkRecord:
     """One (pair, measure, level) cell of the benchmark grid.
 
-    ``elapsed`` is the time to build the cell's contracted pair and search
-    it, plus, when the cell removes any node, the time its measure took to
-    contract both graphs. Cells of one pair that remove the same node sets
-    share one search, so they carry the same ``cost``, ``elapsed`` and
-    ``expanded_nodes``; every T0 cell of a pair is one such group.
+    ``contraction_seconds`` is what the cell's measure took to walk both
+    graphs at their T3* budgets when those walks were made, which may be
+    on an earlier call (the walks are kept in each graph's memo), or 0.0
+    when the cell removes no node. ``search_seconds`` is the time to search
+    the cell's contracted pair; it includes building the contracted graphs
+    and their array forms the first time they are searched. Cells of one
+    pair that remove the same node sets share one search, so they carry the
+    same ``cost``, ``search_seconds`` and ``expanded_nodes``; every T0 cell
+    of a pair is one such group.
     """
 
     pair_id: str
@@ -122,16 +172,18 @@ class BenchmarkRecord:
     t_used_2: int
     search: str
     cost: float
-    elapsed: float
+    contraction_seconds: float
+    search_seconds: float
     expanded_nodes: int
 
-    CSV_HEADER = ("pair_id", "measure", "level", "t_used_1", "t_used_2",
-                  "search", "cost", "elapsed_seconds", "expanded_nodes")
+    CSV_HEADER = ("pair_id", "measure", "level", "t_used_1", "t_used_2", "search",
+                  "cost", "contraction_seconds", "search_seconds", "expanded_nodes")
 
     def csv_row(self) -> tuple:
         return (self.pair_id, self.measure.value, self.t_level.value,
-                self.t_used_1, self.t_used_2, self.search,
-                repr(self.cost), repr(self.elapsed), self.expanded_nodes)
+                self.t_used_1, self.t_used_2, self.search, repr(self.cost),
+                repr(self.contraction_seconds), repr(self.search_seconds),
+                self.expanded_nodes)
 
 
 @dataclass
@@ -324,42 +376,30 @@ def _map(fn: Callable, tasks: list, workers: int, train: list[Graph]) -> list:
 # timing benchmark
 # ----------------------------------------------------------------------
 
-def _walk(g: Graph, t: int, measure: CentralityMeasure) -> list[int]:
-    """The ids one contraction of g at budget t removes, in deletion order."""
-    return t_centrality_node_contraction(g, t, measure)[1].removed_ids if t else []
-
-
 def _benchmark_pair(pair_id: str, g1: Graph, g2: Graph,
                     measures: Sequence[CentralityMeasure], levels: Sequence[TLevel],
                     search: SearchSpec, cm: CostModel) -> list[BenchmarkRecord]:
-    if any(level is not TLevel.T0 for level in levels):
-        lv1, lv2 = _levels(g1), _levels(g2)
-    else:
-        lv1 = lv2 = {TLevel.T0: 0}
-    # contraction ranks once, on the input graph, so a smaller budget stops
-    # the same walk earlier: one walk per graph and measure serves every level
+    tstar = any(level is not TLevel.T0 for level in levels)
+    lv1, lv2 = (_levels(g1), _levels(g2)) if tstar else ({TLevel.T0: 0},) * 2
+    unwalked: tuple[dict[TLevel, tuple[int, ...]], float] = ({TLevel.T0: ()}, 0.0)
     cells: dict[tuple, tuple[float, float, int]] = {}
     records = []
     for measure in measures:
-        start = time.perf_counter()
-        walk1 = _walk(g1, max(lv1[level] for level in levels), measure)
-        walk2 = _walk(g2, max(lv2[level] for level in levels), measure)
-        walked = time.perf_counter() - start
+        removed1, s1 = _walk(g1, measure) if tstar else unwalked
+        removed2, s2 = _walk(g2, measure) if tstar else unwalked
         for level in levels:
             t1, t2 = lv1[level], lv2[level]
-            key = (tuple(sorted(walk1[:t1])), tuple(sorted(walk2[:t2])))
+            key = (removed1[level], removed2[level])
             if key not in cells:
                 start = time.perf_counter()
-                result = run_search(g1.without(key[0]), g2.without(key[1]), cm, search)
-                elapsed = time.perf_counter() - start
-                if any(key):
-                    elapsed += walked
-                cells[key] = (result.cost, elapsed, result.expanded_nodes)
-            cost, elapsed, expanded = cells[key]
+                result = run_search(_without(g1, key[0]), _without(g2, key[1]), cm, search)
+                cells[key] = (result.cost, time.perf_counter() - start, result.expanded_nodes)
+            cost, seconds, expanded = cells[key]
             records.append(BenchmarkRecord(
                 pair_id=pair_id, measure=measure, t_level=level,
-                t_used_1=t1, t_used_2=t2, search=search.describe(),
-                cost=cost, elapsed=elapsed, expanded_nodes=expanded,
+                t_used_1=t1, t_used_2=t2, search=search.describe(), cost=cost,
+                contraction_seconds=s1 + s2 if any(key) else 0.0,
+                search_seconds=seconds, expanded_nodes=expanded,
             ))
     return records
 
@@ -389,16 +429,19 @@ def run_timing_benchmark(
     """Run the (pair x measure x level) grid on a seeded pair sample.
 
     Each cell contracts both graphs at that graph's own level budget with
-    the cell's measure, runs the selected search, and records cost, wall
-    time, and expansion count. Per pair, each graph is contracted once per
-    measure, at its largest budget among ``levels``, and each cell takes
-    the first t removals of that walk (a smaller budget stops the same walk
-    earlier). Cells that remove the same node sets from both graphs are
-    searched once and share their record fields (see
-    :class:`BenchmarkRecord` for what ``elapsed`` covers). The budgets come
-    from each graph's memo, but the walks are made on every call, since
-    ``elapsed`` includes them. The pairs run one after another in the
-    calling process, and records come back sorted by (pair, measure, level).
+    the cell's measure, runs the selected search, and records cost,
+    contraction and search time, and expansion count. Each graph is walked
+    once per measure, at its T3* budget, the first time a call with a Tk*
+    level needs it; the walk is kept in the graph's memo, and each cell
+    takes the first t removals of it (a smaller budget stops the same walk
+    earlier). A call with only T0 walks nothing. The contracted graphs are
+    kept in the memo too, one per removed-node set, so a later call on the
+    same graphs only searches. Cells that remove the same node sets from
+    both graphs are searched once and share their record fields (see
+    :class:`BenchmarkRecord` for what the two timings cover). The pairs run
+    one after another in the calling process, and records come back sorted
+    by (pair, measure, level). A repeated measure or level raises
+    ``ValueError``.
     """
     if sample < 1:
         raise ValueError("sample must be >= 1")
@@ -406,6 +449,10 @@ def run_timing_benchmark(
         raise ValueError("corpus is empty")
     if not measures or not levels:
         raise ValueError("need at least one measure and one level")
+    for kind, values in (("measure", measures), ("level", levels)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{kind} {repeated[0]} is given more than once")
     cm = cm or CostModel()
     graphs = corpus.graphs
     records = []
@@ -418,7 +465,8 @@ def run_timing_benchmark(
 
 
 def summarize_benchmark(records: Sequence[BenchmarkRecord]) -> dict:
-    """Per-(measure, level) means of cost, wall time, and expansion count."""
+    """Per-(measure, level) means of cost, contraction and search time, and
+    expansion count."""
     groups: dict[tuple[str, str], list[BenchmarkRecord]] = {}
     for r in records:
         groups.setdefault((r.measure.value, r.t_level.value), []).append(r)
@@ -429,7 +477,8 @@ def summarize_benchmark(records: Sequence[BenchmarkRecord]) -> dict:
             "level": level,
             "pairs": len(rs),
             "mean_cost": float(np.mean([r.cost for r in rs])),
-            "mean_elapsed_seconds": float(np.mean([r.elapsed for r in rs])),
+            "mean_contraction_seconds": float(np.mean([r.contraction_seconds for r in rs])),
+            "mean_search_seconds": float(np.mean([r.search_seconds for r in rs])),
             "mean_expanded_nodes": float(np.mean([r.expanded_nodes for r in rs])),
         })
     return {"records": len(records), "means": means}
@@ -449,12 +498,21 @@ def write_benchmark_csv(records: Sequence[BenchmarkRecord],
 # ----------------------------------------------------------------------
 
 def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
-    """g contracted at its own budget for the level, kept in g's memo until
-    g changes; callers must not modify the result."""
+    """g contracted at its own budget for the level, as the timing grid
+    contracts it: g itself at T0, otherwise the contracted graph that g's
+    memo keeps for the level's prefix of g's walk (see :func:`_walk` and
+    :func:`_without`). Callers must not modify the result.
+
+    Every call looks up each training graph, so the memo also keeps that
+    graph under (measure, level): one lookup instead of three.
+    """
+    if level is TLevel.T0:
+        return g
     h = g._memo.get((measure, level))
     if h is None:
-        h = t_centrality_node_contraction(g, _levels(g)[level], measure)[0]
-        g._memo[(measure, level)] = h
+        h = _without(g, _walk(g, measure)[0][level])
+        if h is not g:  # g's memo holding g would be a reference cycle
+            g._memo[(measure, level)] = h
     return h
 
 

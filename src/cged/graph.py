@@ -113,8 +113,8 @@ class Graph:
     metadata and do not participate in equality.
 
     ``_memo`` is a dict where :mod:`cged.evaluation` keeps what it derived
-    from this graph (T-level budgets, contracted graphs). Every mutator
-    empties it; copies and pickles start without it.
+    from this graph (T-level budgets, contraction walks, contracted
+    graphs). Every mutator empties it; copies and pickles start without it.
     """
 
     __slots__ = ("name", "class_label", "_labels", "_adj", "_next_id", "_arrays", "_memo")

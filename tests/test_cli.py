@@ -157,6 +157,21 @@ def test_benchmark_outputs(tmp_path, capsys):
     assert "degree" in table and "pagerank" in table
 
 
+@pytest.mark.parametrize("flag, values, repeated", [
+    ("--levels", "T1,T1*", "level T1*"),
+    ("--levels", "T0,t2star,T2*", "level T2*"),
+    ("--measures", "degree,pagerank,degree", "measure degree"),
+])
+def test_benchmark_rejects_a_repeated_measure_or_level(tmp_path, capsys, flag, values,
+                                                       repeated):
+    out_csv, out_json = tmp_path / "bench.csv", tmp_path / "bench.json"
+    rc = main(["benchmark", "--dataset", "synthetic", "--syn-count", "6", "--sample", "3",
+               flag, values, "--out-csv", str(out_csv), "--out-json", str(out_json)])
+    assert rc == EXIT_CONFIG
+    assert f"{repeated} is given more than once" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classify_perfect_at_zero_distortion(tmp_path, capsys):
     out_json = tmp_path / "cls.json"
     rc = main(["classify", "--dataset", "synthetic", "--syn-count", "12",

@@ -3,6 +3,7 @@
 import csv
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -30,16 +31,21 @@ from cged.evaluation import (
 )
 from cged.ged import SearchSpec, bipartite_lower_bound, run_search
 from cged.graph import Graph, Point2D
-from helpers import cycle_graph, path_graph
+from helpers import complete_graph, cycle_graph, path_graph
 
 DEG = CentralityMeasure.DEGREE
 ALL_LEVELS = [TLevel.T0, TLevel.T1STAR, TLevel.T2STAR, TLevel.T3STAR]
 
 
 def record_key(r: BenchmarkRecord):
-    # everything except the wall-clock field
+    # everything except the wall-clock fields
     return (r.pair_id, r.measure, r.t_level, r.t_used_1, r.t_used_2,
             r.search, r.cost, r.expanded_nodes)
+
+
+def without_search_time(r: BenchmarkRecord):
+    # every field except the one a later call re-measures
+    return record_key(r) + (r.contraction_seconds,)
 
 
 def test_t_star_levels_hand_cases():
@@ -139,6 +145,15 @@ def test_benchmark_validation():
     with pytest.raises(ValueError):
         run_timing_benchmark(corpus, [DEG], [TLevel.T0], SearchSpec.astar(),
                              sample=0, seed=0)
+    # a repeated measure or level would multiply the records and inflate the
+    # summary's pairs
+    for measures, levels, repeated in (
+            ([DEG, DEG], [TLevel.T1STAR], "measure degree"),
+            ([DEG], [TLevel.T1STAR, TLevel.T0, TLevel.T1STAR], "level T1*"),
+            ([DEG, CentralityMeasure.PAGERANK, DEG], [TLevel.T0, TLevel.T0], "measure degree")):
+        with pytest.raises(ValueError, match=re.escape(f"{repeated} is given more than once")):
+            run_timing_benchmark(corpus, measures, levels, SearchSpec.astar(),
+                                 sample=3, seed=0)
 
 
 def test_contraction_budgets_recorded_per_graph():
@@ -163,33 +178,42 @@ def test_expanded_nodes_shrink_with_contraction():
 
 
 def test_summarize_benchmark():
-    mk = lambda level, cost, exp: BenchmarkRecord(
-        "p", DEG, level, 0, 0, "astar", cost, 0.0, exp)
+    mk = lambda level, cost, contracting, searching, exp: BenchmarkRecord(
+        "p", DEG, level, 0, 0, "astar", cost, contracting, searching, exp)
     summary = summarize_benchmark([
-        mk(TLevel.T0, 2.0, 100), mk(TLevel.T0, 4.0, 200), mk(TLevel.T1STAR, 1.0, 10)])
+        mk(TLevel.T0, 2.0, 0.0, 0.5, 100), mk(TLevel.T0, 4.0, 0.0, 1.5, 200),
+        mk(TLevel.T1STAR, 1.0, 0.25, 0.125, 10)])
     assert summary["records"] == 3
     means = {(m["measure"], m["level"]): m for m in summary["means"]}
     cell = means[("degree", "T0")]
     assert cell["pairs"] == 2
     assert cell["mean_cost"] == 3.0
+    assert (cell["mean_contraction_seconds"], cell["mean_search_seconds"]) == (0.0, 1.0)
     assert cell["mean_expanded_nodes"] == 150.0
-    assert means[("degree", "T1*")]["mean_cost"] == 1.0
+    cell = means[("degree", "T1*")]
+    assert cell["mean_cost"] == 1.0
+    assert (cell["mean_contraction_seconds"], cell["mean_search_seconds"]) == (0.25, 0.125)
 
 
 def test_csv_round_trip(tmp_path):
     corpus = synthesize_letter_like(seed=25, count=6, classes=2, distortion=0.2)
-    records = run_timing_benchmark(corpus, [DEG], [TLevel.T0],
+    records = run_timing_benchmark(corpus, [DEG], [TLevel.T0, TLevel.T1STAR],
                                    SearchSpec.astar(), sample=3, seed=0)
     out = tmp_path / "bench.csv"
     write_benchmark_csv(records, out)
     with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = list(csv.DictReader(fh))
     assert tuple(rows[0]) == BenchmarkRecord.CSV_HEADER
-    assert len(rows) == 1 + len(records)
-    for row, rec in zip(rows[1:], records):
-        assert row[0] == rec.pair_id
-        assert float(row[6]) == rec.cost  # repr floats parse back exactly
-        assert int(row[8]) == rec.expanded_nodes
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        assert row["pair_id"] == rec.pair_id
+        # repr floats parse back exactly
+        assert float(row["cost"]) == rec.cost
+        assert float(row["contraction_seconds"]) == rec.contraction_seconds
+        assert float(row["search_seconds"]) == rec.search_seconds
+        assert int(row["expanded_nodes"]) == rec.expanded_nodes
+    assert any(float(row["contraction_seconds"]) > 0.0 for row in rows)
+    assert all(float(row["contraction_seconds"]) == 0.0 for row in rows if row["level"] == "T0")
 
 
 def test_nn_classify_perfect_on_seen_graphs():
@@ -403,6 +427,19 @@ def test_a_second_call_derives_only_its_new_test_graphs(monkeypatch):
         assert fresh.to_json_dict() == result.to_json_dict()
 
 
+def mutate(g: Graph, mutation: str) -> None:
+    """Change g through one mutator, which must empty g's memo."""
+    if mutation == "add_node":
+        g.add_edge(g.nodes()[0], g.add_node(Point2D(9.0, 9.0)))
+    elif mutation == "add_edge":
+        free = [(u, v) for u in g.nodes() for v in g.nodes()
+                if u < v and not g.has_edge(u, v)]
+        if free:
+            g.add_edge(*free[0])
+    else:
+        g.delete_node(g.nodes()[0])
+
+
 @pytest.mark.parametrize("mutation", ["add_node", "add_edge", "delete_node"])
 def test_a_mutated_graph_is_derived_afresh(mutation):
     corpus = synthesize_letter_like(seed=35, count=24, classes=4, distortion=0.3)
@@ -410,30 +447,86 @@ def test_a_mutated_graph_is_derived_afresh(mutation):
     args = (DEG, TLevel.T1STAR, SearchSpec.astar())
     nn_classify(train, test, *args)
     for g in train.graphs + test.graphs:
-        if mutation == "add_node":
-            g.add_edge(g.nodes()[0], g.add_node(Point2D(9.0, 9.0)))
-        elif mutation == "add_edge":
-            free = [(u, v) for u in g.nodes() for v in g.nodes()
-                    if u < v and not g.has_edge(u, v)]
-            if free:
-                g.add_edge(*free[0])
-        else:
-            g.delete_node(g.nodes()[0])
+        mutate(g, mutation)
     again = nn_classify(train, test, *args)
     fresh = nn_classify(Corpus("tr", [g.copy() for g in train.graphs]),
                         Corpus("te", [g.copy() for g in test.graphs]), *args)
     assert again.to_json_dict() == fresh.to_json_dict()
 
 
-def test_timing_benchmark_contracts_on_every_call(monkeypatch):
-    # BenchmarkRecord.elapsed includes the contraction walk, so no call may skip it
-    corpus = Corpus("two", [path_graph(4), path_graph(5)])
+def walked(calls: list) -> list[tuple[str, int, str]]:
+    """(graph name, budget, measure) of each counted contraction call."""
+    return sorted((g.name, t, m.value) for g, t, m in calls)
+
+
+def every_walk(graphs, measures) -> list[tuple[str, int, str]]:
+    """One T3*-budget walk per (graph with a non-zero T3* budget, measure)."""
+    budgets = {g.name: t_star_levels(g)[TLevel.T3STAR] for g in graphs}
+    return sorted((name, t, m.value) for name, t in budgets.items() if t for m in measures)
+
+
+def test_a_second_timing_call_walks_nothing_and_repeats_its_records(monkeypatch):
+    # each graph's walks and contracted graphs are kept in its memo, and a
+    # record reports the seconds its walks took when they were made
+    corpus = synthesize_letter_like(seed=36, count=8, classes=4, distortion=0.3)
+    args = (corpus, list(CentralityMeasure), ALL_LEVELS, SearchSpec.astar())
     contractions = counting(monkeypatch, "t_centrality_node_contraction")
-    for _ in range(2):
-        contractions.clear()
-        run_timing_benchmark(corpus, list(CentralityMeasure), [TLevel.T1STAR],
-                             SearchSpec.astar(), sample=1, seed=1)
-        assert len(contractions) == 2 * len(CentralityMeasure)
+    first = run_timing_benchmark(*args, sample=6, seed=4)
+    assert contractions
+    contractions.clear()
+    second = run_timing_benchmark(*args, sample=6, seed=4)
+    assert contractions == []
+    assert [without_search_time(r) for r in second] == [without_search_time(r) for r in first]
+    removing = [r for r in first if r.t_used_1 or r.t_used_2]
+    assert removing and all(r.contraction_seconds > 0.0 for r in removing)
+    assert all(r.contraction_seconds == 0.0 for r in first if r.t_level is TLevel.T0)
+
+
+def test_a_cold_timing_call_walks_each_graph_once_per_measure(monkeypatch):
+    corpus = synthesize_letter_like(seed=37, count=6, classes=3, distortion=0.3)
+    sample, seed = 10, 2
+    used = {k for pair in sample_pairs(6, sample, seed) for k in pair}
+    assert len(used) < 2 * sample  # the sampled pairs repeat graphs
+    measures = [DEG, CentralityMeasure.BETWEENNESS]
+    contractions = counting(monkeypatch, "t_centrality_node_contraction")
+    run_timing_benchmark(corpus, measures, [TLevel.T1STAR, TLevel.T2STAR],
+                         SearchSpec.astar(), sample=sample, seed=seed)
+    assert walked(contractions) == every_walk([corpus.graphs[k] for k in used], measures)
+
+
+def test_t0_calls_and_unbudgeted_graphs_walk_nothing(monkeypatch):
+    levels = counting(monkeypatch, "t_star_levels")
+    contractions = counting(monkeypatch, "t_centrality_node_contraction")
+    corpus = synthesize_letter_like(seed=38, count=6, classes=3, distortion=0.3)
+    t0 = run_timing_benchmark(corpus, list(CentralityMeasure), [TLevel.T0],
+                              SearchSpec.astar(), sample=4, seed=0)
+    assert (levels, contractions) == ([], [])
+    assert all(r.contraction_seconds == 0.0 for r in t0)
+    # every node of K5 has degree 4, so no degree-1..3 pass removes any:
+    # its T3* budget is 0, and no centrality is computed for it
+    dense = Corpus("dense", [complete_graph(5), complete_graph(5)])
+    tk = run_timing_benchmark(dense, list(CentralityMeasure), ALL_LEVELS,
+                              SearchSpec.astar(), sample=2, seed=0)
+    assert contractions == []
+    assert {(r.t_used_1, r.t_used_2, r.contraction_seconds, r.cost) for r in tk} == \
+        {(0, 0, 0.0, 0.0)}
+
+
+@pytest.mark.parametrize("mutation", ["add_node", "add_edge", "delete_node"])
+def test_a_mutated_graph_is_walked_afresh(monkeypatch, mutation):
+    corpus = synthesize_letter_like(seed=39, count=8, classes=4, distortion=0.3)
+    args = (list(CentralityMeasure), ALL_LEVELS, SearchSpec.astar())
+    before = run_timing_benchmark(corpus, *args, sample=6, seed=5)
+    for g in corpus.graphs:
+        mutate(g, mutation)
+    used = [corpus.graphs[k] for k in {k for pair in sample_pairs(8, 6, 5) for k in pair}]
+    contractions = counting(monkeypatch, "t_centrality_node_contraction")
+    again = run_timing_benchmark(corpus, *args, sample=6, seed=5)
+    assert walked(contractions) == every_walk(used, CentralityMeasure)
+    fresh = run_timing_benchmark(Corpus("copies", [g.copy() for g in corpus.graphs]),
+                                 *args, sample=6, seed=5)
+    assert [record_key(r) for r in again] == [record_key(r) for r in fresh]
+    assert [record_key(r) for r in again] != [record_key(r) for r in before]
 
 
 # ----------------------------------------------------------------------
