@@ -110,59 +110,80 @@ def _levels(g: Graph) -> dict[TLevel, int]:
     return levels
 
 
-def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[TLevel, tuple[int, ...]], float]:
-    """The sorted ids that contracting g with ``measure`` removes at each
-    level, and the seconds the one walk behind them took; kept in g's memo
-    until g changes.
+def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[TLevel, Graph], float]:
+    """g contracted with ``measure`` at each level, and the seconds that
+    contraction took; kept in g's memo until g changes.
 
     Contraction ranks once, on the input graph, so a smaller budget stops
     the same walk earlier: g is walked once, at its T3* budget (the largest
     any level uses), and each level removes the first t ids of that walk.
-    A graph whose T3* budget is 0 is not walked (no centrality is computed)
-    and takes 0.0 s. The walk's contracted graph is kept too (see
-    :func:`_without`).
+    Each level's graph comes from :func:`_without`, so levels and measures
+    that remove the same nodes share one graph object. The seconds cover
+    the centrality, the walk and building the levels' contracted graphs,
+    but not g's own array form, which is built before the clock starts (a
+    search of g needs it too). A graph whose T3* budget is 0 is not walked
+    (no centrality is computed): every level is :func:`_without`'s copy of
+    g, and the walk takes 0.0 s.
     """
-    walk = g._memo.get(("walk", measure))
+    walk = g._memo.get(measure)
     if walk is None:
         levels = _levels(g)
-        ids: list[int] = []
-        seconds = 0.0
         if levels[TLevel.T3STAR]:
+            g.arrays()
             start = time.perf_counter()
             h, report = t_centrality_node_contraction(g, levels[TLevel.T3STAR], measure)
-            seconds = time.perf_counter() - start
             ids = report.removed_ids
-            g._memo[("without", tuple(sorted(ids)))] = h
-        removed = {level: tuple(sorted(ids[:t])) for level, t in levels.items()}
-        walk = g._memo[("walk", measure)] = removed, seconds
+            g._memo.setdefault(("without", tuple(sorted(ids))), h)
+            contracted = {level: _without(g, tuple(sorted(ids[:t])))
+                          for level, t in levels.items()}
+            walk = contracted, time.perf_counter() - start
+        else:
+            walk = dict.fromkeys(levels, _without(g, ())), 0.0
+        g._memo[measure] = walk
     return walk
 
 
 def _without(g: Graph, ids: tuple[int, ...]) -> Graph:
     """g minus the sorted node ids ``ids``, kept in g's memo until g changes,
-    so its array form is built once; g itself when ``ids`` is empty.
-    Callers must not modify the result."""
-    if not ids:
-        return g
+    so its array form is built once. For no ids it is a copy of g that
+    shares g's array form: a new object after every change to g, as the
+    kept classification workers need (see :func:`_workers`), without the
+    reference cycle that g's memo holding g would make. Callers must not
+    modify the result."""
     h = g._memo.get(("without", ids))
     if h is None:
+        if not ids:
+            g.arrays()  # built first, so that the copy shares it
         h = g._memo[("without", ids)] = g.without(ids)
     return h
+
+
+def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
+    """g contracted at its own budget for the level with ``measure``, kept
+    in g's memo until g changes (see :func:`_walk`); at T0, the copy of g
+    that :func:`_without` keeps, for which no walk is made. Callers must
+    not modify the result."""
+    if level is TLevel.T0:
+        return _without(g, ())
+    return _walk(g, measure)[0][level]
 
 
 @dataclass
 class BenchmarkRecord:
     """One (pair, measure, level) cell of the benchmark grid.
 
-    ``contraction_seconds`` is what the cell's measure took to walk both
-    graphs at their T3* budgets when those walks were made, which may be
-    on an earlier call (the walks are kept in each graph's memo), or 0.0
-    when the cell removes no node. ``search_seconds`` is the time to search
-    the cell's contracted pair; it includes building the contracted graphs
-    and their array forms the first time they are searched. Cells of one
-    pair that remove the same node sets share one search, so they carry the
-    same ``cost``, ``search_seconds`` and ``expanded_nodes``; every T0 cell
-    of a pair is one such group.
+    ``contraction_seconds`` is what the cell's measure took to contract
+    both graphs when they were first contracted with it, or 0.0 when the
+    cell removes no node. For each graph that is one walk at its T3* budget
+    (whatever levels the call asks for), plus building its contracted graph
+    for every level; the walk is kept in the graph's memo, so a later call
+    reports the seconds of that first, cold walk, and every level of a
+    (graph, measure) reports the same figure. ``search_seconds`` is the time
+    to search the cell's contracted pair; the first search of a contracted
+    graph also builds its array form. Cells of one pair that remove the
+    same node sets share one search, so they carry the same ``cost``,
+    ``search_seconds`` and ``expanded_nodes``; every T0 cell of a pair is
+    one such group.
     """
 
     pair_id: str
@@ -379,27 +400,30 @@ def _map(fn: Callable, tasks: list, workers: int, train: list[Graph]) -> list:
 def _benchmark_pair(pair_id: str, g1: Graph, g2: Graph,
                     measures: Sequence[CentralityMeasure], levels: Sequence[TLevel],
                     search: SearchSpec, cm: CostModel) -> list[BenchmarkRecord]:
-    tstar = any(level is not TLevel.T0 for level in levels)
-    lv1, lv2 = (_levels(g1), _levels(g2)) if tstar else ({TLevel.T0: 0},) * 2
-    unwalked: tuple[dict[TLevel, tuple[int, ...]], float] = ({TLevel.T0: ()}, 0.0)
-    cells: dict[tuple, tuple[float, float, int]] = {}
+    if any(level is not TLevel.T0 for level in levels):
+        lv1, lv2 = _levels(g1), _levels(g2)
+    else:
+        lv1 = lv2 = {TLevel.T0: 0}
+    # the memo keeps one contracted graph per removed-node set, so cells
+    # whose contracted pairs are the same objects share one search
+    cells: dict[tuple[int, int], tuple[float, float, int]] = {}
     records = []
     for measure in measures:
-        removed1, s1 = _walk(g1, measure) if tstar else unwalked
-        removed2, s2 = _walk(g2, measure) if tstar else unwalked
         for level in levels:
-            t1, t2 = lv1[level], lv2[level]
-            key = (removed1[level], removed2[level])
+            h1, h2 = _contract(g1, measure, level), _contract(g2, measure, level)
+            key = id(h1), id(h2)
             if key not in cells:
                 start = time.perf_counter()
-                result = run_search(_without(g1, key[0]), _without(g2, key[1]), cm, search)
+                result = run_search(h1, h2, cm, search)
                 cells[key] = (result.cost, time.perf_counter() - start, result.expanded_nodes)
             cost, seconds, expanded = cells[key]
+            removes = h1.order < g1.order or h2.order < g2.order
             records.append(BenchmarkRecord(
                 pair_id=pair_id, measure=measure, t_level=level,
-                t_used_1=t1, t_used_2=t2, search=search.describe(), cost=cost,
-                contraction_seconds=s1 + s2 if any(key) else 0.0,
-                search_seconds=seconds, expanded_nodes=expanded,
+                t_used_1=lv1[level], t_used_2=lv2[level], search=search.describe(),
+                cost=cost, search_seconds=seconds, expanded_nodes=expanded,
+                contraction_seconds=(_walk(g1, measure)[1] + _walk(g2, measure)[1]
+                                     if removes else 0.0),
             ))
     return records
 
@@ -432,10 +456,10 @@ def run_timing_benchmark(
     the cell's measure, runs the selected search, and records cost,
     contraction and search time, and expansion count. Each graph is walked
     once per measure, at its T3* budget, the first time a call with a Tk*
-    level needs it; the walk is kept in the graph's memo, and each cell
-    takes the first t removals of it (a smaller budget stops the same walk
-    earlier). A call with only T0 walks nothing. The contracted graphs are
-    kept in the memo too, one per removed-node set, so a later call on the
+    level needs it; each cell takes the first t removals of that walk (a
+    smaller budget stops the same walk earlier). A call with only T0 walks
+    nothing. The walk and the contracted graphs it gives, one per
+    removed-node set, are kept in the graph's memo, so a later call on the
     same graphs only searches. Cells that remove the same node sets from
     both graphs are searched once and share their record fields (see
     :class:`BenchmarkRecord` for what the two timings cover). The pairs run
@@ -496,25 +520,6 @@ def write_benchmark_csv(records: Sequence[BenchmarkRecord],
 # ----------------------------------------------------------------------
 # nearest-neighbor classification
 # ----------------------------------------------------------------------
-
-def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
-    """g contracted at its own budget for the level, as the timing grid
-    contracts it: g itself at T0, otherwise the contracted graph that g's
-    memo keeps for the level's prefix of g's walk (see :func:`_walk` and
-    :func:`_without`). Callers must not modify the result.
-
-    Every call looks up each training graph, so the memo also keeps that
-    graph under (measure, level): one lookup instead of three.
-    """
-    if level is TLevel.T0:
-        return g
-    h = g._memo.get((measure, level))
-    if h is None:
-        h = _without(g, _walk(g, measure)[0][level])
-        if h is not g:  # g's memo holding g would be a reference cycle
-            g._memo[(measure, level)] = h
-    return h
-
 
 def _nearest(task, train: list[Graph], sizes: list[tuple[int, int]]) -> tuple[int, int, int]:
     """The index of the training graph nearest to one contracted test graph,
@@ -581,15 +586,18 @@ def nn_classify(
     ``bounds`` and ``pairs`` in the result count the searches run, the
     bipartite bounds computed and the (test, training) pairs.
 
-    Each graph's budgets and contraction are kept in the graph's memo until
-    it changes, so a later call with the same training corpus contracts
-    only its own test graphs. ``workers`` processes search, the calling
-    process among them. Test graphs are contracted in the calling process,
-    so the other workers receive them contracted; those workers are forked
-    with the contracted training graphs and kept for later calls with the
-    same ``workers`` and training graphs (see :func:`_map`). Workers return
-    the index of the nearest training graph, and its class is read in the
-    calling process, so a relabelled training graph is never served stale.
+    Each graph's budgets, walk and contracted graph are kept in the graph's
+    memo until it changes, as the timing grid keeps them (see
+    :func:`_contract`), so a later call with the same training corpus
+    contracts only its own test graphs. ``workers`` processes search, the
+    calling process among them. Test graphs are contracted in the calling
+    process, so the other workers receive them contracted; those workers
+    are forked with the contracted training graphs and kept for later calls
+    with the same ``workers`` and training graphs (see :func:`_map`); a
+    changed training graph is contracted to a new object, so it ends them.
+    Workers return the index of the nearest training graph, and its class
+    is read in the calling process, so a relabelled training graph is never
+    served stale.
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")

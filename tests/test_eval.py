@@ -570,6 +570,31 @@ def test_kept_pool_serves_relabelled_and_mutated_training_graphs(small_split):
     assert mutated.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
 
 
+@pytest.mark.parametrize("level", [TLevel.T0, TLevel.T1STAR], ids=str)
+def test_kept_pool_serves_a_training_graph_changed_without_a_removal(level):
+    # no graph here has a node of degree 1, so T1* removes nothing before or
+    # after the change: the contraction is a copy of the graph either way,
+    # and the change must still give the workers a new object
+    near, far = cycle_graph(4), cycle_graph(4)
+    far.add_edge(0, 2)
+    for g, label in ((near, "near"), (far, "far")):
+        g.class_label = label
+    train = Corpus("tr", [near, far])
+    test = Corpus("te", [cycle_graph(4) for _ in range(4)])
+    args = (DEG, level, SearchSpec.astar())
+    first = nn_classify(train, test, *args, workers=2)
+    children = _children()
+    assert {p for _, _, p in first.predictions} == {"near"}
+    assert first.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
+
+    near.add_edge(0, 2)
+    near.add_edge(1, 3)  # now K4, two edges from each test graph; far is one
+    changed = nn_classify(train, test, *args, workers=2)
+    assert _children() is not children
+    assert {p for _, _, p in changed.predictions} == {"far"}
+    assert changed.to_json_dict() == nn_classify(train, test, *args).to_json_dict()
+
+
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_workers_count_the_caller(small_split, workers):
     train, test = small_split
