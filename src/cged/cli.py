@@ -244,7 +244,8 @@ def cmd_classify(args) -> int:
     _write_json(payload, args.out_json)
     print(f"accuracy: {result.accuracy:.4f} "
           f"({payload['correct']}/{payload['total']}) at {level} with {measure}; "
-          f"searched {result.searches} of {result.pairs} pairs, {result.bounds} bounds")
+          f"searched {result.searches} of {result.pairs} pairs, {result.bounds} bounds, "
+          f"{result.hausdorff_bounds} Hausdorff bounds")
     return EXIT_OK
 
 

@@ -7,8 +7,9 @@ Classification puts the bipartite lower bound of :mod:`cged.ged` in front
 of every search and skips the training graphs whose bound shows they
 cannot be the nearest; since the bound never exceeds the exact distance,
 and beam never returns less than it, the predictions are those of
-searching every training graph, under either search. A cheaper size bound
-decides which bipartite bounds are worth computing.
+searching every training graph, under either search. Two cheaper bounds
+that never exceed it, a size bound and then the Hausdorff bound, decide
+which bipartite bounds are worth computing.
 
 Both experiments keep what they derive from a graph in the graph's memo
 until the graph changes: its T-level budgets, one contraction walk per
@@ -16,7 +17,8 @@ centrality measure at its T3* budget (the largest), and one contracted
 graph per removed-node set. Every level takes a prefix of the measure's
 walk, so a graph is walked once per measure however many calls, levels or
 pairs use it, and a training set is contracted once however many calls
-classify against it.
+classify against it. Each contracted graph in turn keeps the node rows
+its Hausdorff bounds read, so a later call prices only the bound's cells.
 
 Levels follow the iterated-degree convention: level Tk* contracts, per
 graph, as many nodes as a degree-1..k contraction chain of that graph
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import atexit
 import csv
+import functools
 import heapq
 import math
 import multiprocessing
@@ -57,7 +60,7 @@ from .centrality import CentralityMeasure
 from .contraction import k_star_node_contraction, t_centrality_node_contraction
 from .costs import CostModel
 from .dataset import Corpus
-from .ged import SearchSpec, bipartite_lower_bound, run_search
+from .ged import SearchSpec, bipartite_lower_bound, hausdorff_lower_bound, run_search
 from .graph import Graph
 
 
@@ -110,9 +113,10 @@ def _levels(g: Graph) -> dict[TLevel, int]:
     return levels
 
 
-def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[TLevel, Graph], float]:
-    """g contracted with ``measure`` at each level, and the seconds that
-    contraction took; kept in g's memo until g changes.
+def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[str, Graph], float]:
+    """g contracted with ``measure`` at each level, keyed by the level's
+    value, and the seconds that contraction took; kept in g's memo under the
+    measure's value until g changes.
 
     Contraction ranks once, on the input graph, so a smaller budget stops
     the same walk earlier: g is walked once, at its T3* budget (the largest
@@ -124,8 +128,12 @@ def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[TLevel, Graph], fl
     search of g needs it too). A graph whose T3* budget is 0 is not walked
     (no centrality is computed): every level is :func:`_without`'s copy of
     g, and the walk takes 0.0 s.
+
+    The memo and the levels are keyed by the members' ``_value_`` strings:
+    hashing an enum member, or reading its ``value``, runs Python code, and
+    :func:`_contract` looks a walk up for every graph of every call.
     """
-    walk = g._memo.get(measure)
+    walk = g._memo.get(measure._value_)
     if walk is None:
         levels = _levels(g)
         if levels[TLevel.T3STAR]:
@@ -134,12 +142,12 @@ def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[TLevel, Graph], fl
             h, report = t_centrality_node_contraction(g, levels[TLevel.T3STAR], measure)
             ids = report.removed_ids
             g._memo.setdefault(("without", tuple(sorted(ids))), h)
-            contracted = {level: _without(g, tuple(sorted(ids[:t])))
+            contracted = {level._value_: _without(g, tuple(sorted(ids[:t])))
                           for level, t in levels.items()}
             walk = contracted, time.perf_counter() - start
         else:
-            walk = dict.fromkeys(levels, _without(g, ())), 0.0
-        g._memo[measure] = walk
+            walk = dict.fromkeys([level._value_ for level in levels], _without(g, ())), 0.0
+        g._memo[measure._value_] = walk
     return walk
 
 
@@ -165,7 +173,7 @@ def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
     not modify the result."""
     if level is TLevel.T0:
         return _without(g, ())
-    return _walk(g, measure)[0][level]
+    return _walk(g, measure)[0][level._value_]
 
 
 @dataclass
@@ -211,29 +219,35 @@ class BenchmarkRecord:
 class ClassificationResult:
     """Per-graph predictions plus accuracy and confusion counts.
 
-    ``pairs`` counts the (test, training) graph pairs, ``bounds`` the
-    bipartite lower bounds computed and ``searches`` the edit-distance
-    searches run, so ``searches <= bounds <= pairs``; the size bound rules
-    out the pairs left unbounded, the bipartite bound those left unsearched.
+    ``pairs`` counts the (test, training) graph pairs, ``hausdorff_bounds``
+    the Hausdorff lower bounds computed, ``bounds`` the bipartite lower
+    bounds computed and ``searches`` the edit-distance searches run, so
+    ``searches <= bounds <= hausdorff_bounds <= pairs``: the size bound rules
+    out the pairs left without a Hausdorff bound, the Hausdorff bound those
+    left without a bipartite bound, and the bipartite bound those left
+    unsearched.
     """
 
     predictions: list[tuple[str, str, str]]  # (graph name, true, predicted)
     accuracy: float
     searches: int
     bounds: int
+    hausdorff_bounds: int
     pairs: int
     confusion: dict[tuple[str, str], int] = field(default_factory=dict)
 
     @classmethod
     def from_predictions(cls, preds: list[tuple[str, str, str]], *, searches: int,
-                         bounds: int, pairs: int) -> "ClassificationResult":
+                         bounds: int, hausdorff_bounds: int,
+                         pairs: int) -> "ClassificationResult":
         confusion: dict[tuple[str, str], int] = {}
         correct = 0
         for _, true, predicted in preds:
             confusion[(true, predicted)] = confusion.get((true, predicted), 0) + 1
             correct += true == predicted
         accuracy = correct / len(preds) if preds else 0.0
-        return cls(list(preds), accuracy, searches, bounds, pairs, confusion)
+        return cls(list(preds), accuracy, searches, bounds, hausdorff_bounds, pairs,
+                   confusion)
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,6 +256,7 @@ class ClassificationResult:
             "correct": sum(t == p for _, t, p in self.predictions),
             "searches": self.searches,
             "bounds": self.bounds,
+            "hausdorff_bounds": self.hausdorff_bounds,
             "pairs": self.pairs,
             "predictions": [
                 {"graph": g, "true": t, "predicted": p}
@@ -429,7 +444,14 @@ def _benchmark_pair(pair_id: str, g1: Graph, g2: Graph,
 
 
 def sample_pairs(n: int, sample: int, seed: int) -> list[tuple[int, int]]:
-    """Seeded sample of index pairs; distinct indices whenever n > 1."""
+    """Seeded sample of index pairs; distinct indices whenever n > 1. The
+    pairs of each (n, sample, seed) are kept, so a repeat call only copies
+    them."""
+    return list(_sampled_pairs(n, sample, seed))
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _sampled_pairs(n: int, sample: int, seed: int) -> tuple[tuple[int, int], ...]:
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(sample):
@@ -438,7 +460,7 @@ def sample_pairs(n: int, sample: int, seed: int) -> list[tuple[int, int]]:
         while n > 1 and j == i:
             j = int(rng.integers(n))
         pairs.append((i, j))
-    return pairs
+    return tuple(pairs)
 
 
 def run_timing_benchmark(
@@ -521,43 +543,55 @@ def write_benchmark_csv(records: Sequence[BenchmarkRecord],
 # nearest-neighbor classification
 # ----------------------------------------------------------------------
 
-def _nearest(task, train: list[Graph], sizes: list[tuple[int, int]]) -> tuple[int, int, int]:
+def _nearest(task, train: list[Graph],
+             sizes: list[tuple[int, int]]) -> tuple[int, int, int, int]:
     """The index of the training graph nearest to one contracted test graph,
-    and the searches and bounds it took; ``train`` holds the contracted
-    training graphs and ``sizes`` their (order, size) pairs.
+    and the searches, bipartite bounds and Hausdorff bounds it took;
+    ``train`` holds the contracted training graphs and ``sizes`` their
+    (order, size) pairs.
 
     Every training graph enters a heap under its size bound,
-    ``x_node * |n1 - n2| + x_edge * |m1 - m2|``, which never exceeds its
-    bipartite bound. The top entry is examined until its key exceeds the
+    ``x_node * |n1 - n2| + x_edge * |m1 - m2|``, as an (key, index, tier)
+    entry of tier 0. The top entry is examined until its key exceeds the
     best cost so far (with a relative margin of 1e-9 for rounding): a size
-    bound is replaced by the graph's bipartite bound, and a bipartite bound
-    is popped and its graph searched. Bipartite bounds thus leave the heap
-    in (bound, index) order, and are computed only for graphs whose size
-    bound does not rule them out. Every graph left unsearched lies strictly
-    farther than the best, so the (cost, index) argmin is the one that
-    searching every training graph would give.
+    bound is replaced by the larger of it and the graph's
+    :func:`~cged.ged.hausdorff_lower_bound` (tier 1), a Hausdorff key by
+    the graph's :func:`~cged.ged.bipartite_lower_bound` (tier 2), and a
+    bipartite bound is popped and its graph searched. The size and
+    Hausdorff bounds never exceed the bipartite bound; the Hausdorff key is
+    lowered by a relative 1e-12, more than the rounding of its sums, so that
+    it stays below a bipartite bound it equals in exact arithmetic. Every
+    key thus lies at or below its graph's bipartite bound, so bipartite
+    bounds leave the heap in (bound, index) order, and each tier is computed
+    only for graphs the tier below does not rule out. Every graph left
+    unsearched lies strictly farther than the best, so the (cost, index)
+    argmin is the one that searching every training graph would give.
     """
     h, search, cm = task
     n, m = h.order, h.size
-    heap = [(cm.x_node * abs(n - ni) + cm.x_edge * abs(m - mi), i, False)
+    heap = [(cm.x_node * abs(n - ni) + cm.x_edge * abs(m - mi), i, 0)
             for i, (ni, mi) in enumerate(sizes)]
     heapq.heapify(heap)
     best_cost, nearest = math.inf, -1
-    searches = bounds = 0
+    searches = bounds = hausdorff = 0
     while heap:
-        key, i, assigned = heap[0]
+        key, i, tier = heap[0]
         if key > best_cost + 1e-9 * (1.0 + best_cost):
             break
-        if not assigned:
-            heapq.heapreplace(heap, (bipartite_lower_bound(h, train[i], cm), i, True))
+        if tier == 0:
+            low = hausdorff_lower_bound(h, train[i], cm) * (1.0 - 1e-12)
+            heapq.heapreplace(heap, (low if low > key else key, i, 1))
+            hausdorff += 1
+        elif tier == 1:
+            heapq.heapreplace(heap, (bipartite_lower_bound(h, train[i], cm), i, 2))
             bounds += 1
-            continue
-        heapq.heappop(heap)
-        cost = run_search(h, train[i], cm, search).cost
-        searches += 1
-        if (cost, i) < (best_cost, nearest):
-            best_cost, nearest = cost, i
-    return nearest, searches, bounds
+        else:
+            heapq.heappop(heap)
+            cost = run_search(h, train[i], cm, search).cost
+            searches += 1
+            if (cost, i) < (best_cost, nearest):
+                best_cost, nearest = cost, i
+    return nearest, searches, bounds, hausdorff
 
 
 def nn_classify(
@@ -577,27 +611,31 @@ def nn_classify(
 
     A training graph is searched only while its
     :func:`~cged.ged.bipartite_lower_bound` against the test graph does not
-    exceed the best cost found so far, and that bound is computed only when
-    the cheaper size bound does not already exceed it (see
-    :func:`_nearest`). Both are lower bounds on the exact distance,
-    and beam's cost is never below the exact distance, so every skipped
-    graph is strictly farther than the best under either search: the
-    predictions equal those of searching every training graph. ``searches``,
-    ``bounds`` and ``pairs`` in the result count the searches run, the
-    bipartite bounds computed and the (test, training) pairs.
+    exceed the best cost found so far. That bound is computed only when the
+    cheaper :func:`~cged.ged.hausdorff_lower_bound` does not already exceed
+    it, and the Hausdorff bound only when the cheaper size bound does not
+    (see :func:`_nearest`). All three are lower bounds on the exact
+    distance, and beam's cost is never below the exact distance, so every
+    skipped graph is strictly farther than the best under either search:
+    the predictions equal those of searching every training graph.
+    ``searches``, ``bounds``, ``hausdorff_bounds`` and ``pairs`` in the
+    result count the searches run, the bipartite and the Hausdorff bounds
+    computed and the (test, training) pairs.
 
     Each graph's budgets, walk and contracted graph are kept in the graph's
     memo until it changes, as the timing grid keeps them (see
     :func:`_contract`), so a later call with the same training corpus
-    contracts only its own test graphs. ``workers`` processes search, the
-    calling process among them. Test graphs are contracted in the calling
-    process, so the other workers receive them contracted; those workers
-    are forked with the contracted training graphs and kept for later calls
-    with the same ``workers`` and training graphs (see :func:`_map`); a
-    changed training graph is contracted to a new object, so it ends them.
-    Workers return the index of the nearest training graph, and its class
-    is read in the calling process, so a relabelled training graph is never
-    served stale.
+    contracts only its own test graphs; each contracted graph keeps the node
+    rows of its Hausdorff bounds in its own memo (pooled workers keep their
+    own), so a later call prices only the Hausdorff cells. ``workers``
+    processes search, the calling process among them. Test graphs are
+    contracted in the calling process, so the other workers receive them
+    contracted; those workers are forked with the contracted training graphs
+    and kept for later calls with the same ``workers`` and training graphs
+    (see :func:`_map`); a changed training graph is contracted to a new
+    object, so it ends them. Workers return the index of the nearest
+    training graph, and its class is read in the calling process, so a
+    relabelled training graph is never served stale.
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")
@@ -609,6 +647,7 @@ def nn_classify(
     outcomes = _map(_nearest, tasks, workers, train_contracted)
     return ClassificationResult.from_predictions(
         [(g.name or "", g.class_label or "", train.graphs[i].class_label or "")
-         for g, (i, _, _) in zip(test.graphs, outcomes)],
-        searches=sum(n for _, n, _ in outcomes),
-        bounds=sum(b for _, _, b in outcomes), pairs=len(test.graphs) * len(train.graphs))
+         for g, (i, _, _, _) in zip(test.graphs, outcomes)],
+        searches=sum(o[1] for o in outcomes), bounds=sum(o[2] for o in outcomes),
+        hausdorff_bounds=sum(o[3] for o in outcomes),
+        pairs=len(test.graphs) * len(train.graphs))

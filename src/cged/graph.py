@@ -112,9 +112,10 @@ class Graph:
     labels and the same labeled edges; ``name`` and ``class_label`` are
     metadata and do not participate in equality.
 
-    ``_memo`` is a dict where :mod:`cged.evaluation` keeps what it derived
-    from this graph (T-level budgets, contraction walks, contracted
-    graphs). Every mutator empties it; copies and pickles start without it.
+    ``_memo`` is a dict where :mod:`cged.evaluation` and :mod:`cged.ged`
+    keep what they derived from this graph (T-level budgets, contraction
+    walks, contracted graphs, the node rows of the Hausdorff bound). Every
+    mutator empties it; copies and pickles start without it.
     """
 
     __slots__ = ("name", "class_label", "_labels", "_adj", "_next_id", "_arrays", "_memo")
@@ -238,7 +239,7 @@ class Graph:
     @property
     def size(self) -> int:
         """Number of edges."""
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return sum(map(len, self._adj.values())) // 2
 
     def has_node(self, u: int) -> bool:
         return u in self._labels

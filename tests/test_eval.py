@@ -324,7 +324,8 @@ def test_filtered_nn_classify_equals_searching_every_training_graph(
     assert serial.predictions == want
     assert pooled.to_json_dict() == serial.to_json_dict()
     assert serial.pairs == len(train.graphs) * len(test.graphs)
-    assert len(test.graphs) <= serial.searches <= serial.bounds <= serial.pairs
+    assert (len(test.graphs) <= serial.searches <= serial.bounds
+            <= serial.hausdorff_bounds <= serial.pairs)
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +351,7 @@ def test_lazy_bounds_search_what_eager_bounds_search(
     result = nn_classify(train, test, measure, level, search, cm, workers=workers)
     assert (result.predictions, result.searches) == eagerly_bounded(
         train, test, measure, level, search, cm)
-    assert result.searches <= result.bounds < result.pairs
+    assert result.searches <= result.bounds <= result.hausdorff_bounds < result.pairs
 
 
 def test_filter_skips_searches_on_separated_classes():
@@ -360,6 +361,9 @@ def test_filter_skips_searches_on_separated_classes():
     assert result.pairs == 400
     assert result.searches < result.pairs // 4
     assert result.to_json_dict()["searches"] == result.searches
+    # the Hausdorff tier rules out most graphs the size bound leaves
+    assert result.bounds < result.hausdorff_bounds // 2
+    assert result.to_json_dict()["hausdorff_bounds"] == result.hausdorff_bounds
 
 
 def test_filter_tie_goes_to_lowest_index_despite_a_higher_bound():

@@ -13,6 +13,7 @@ from cged.ged import (
     SearchSpec,
     bipartite_lower_bound,
     brute_force_ged,
+    hausdorff_lower_bound,
     run_search,
 )
 from cged.graph import Graph, Point2D
@@ -416,3 +417,65 @@ def test_bipartite_bound_is_zero_for_a_copy(cm):
                for k in range(12)]
     for g in graphs:
         assert bipartite_lower_bound(g, g.copy(), cm) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Hausdorff lower bound
+# ----------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(g1=labelled_graphs(max_nodes=5), g2=labelled_graphs(max_nodes=4),
+       cm=st.sampled_from(BOUND_MODELS))
+def test_hausdorff_bound_never_exceeds_the_bipartite_bound(g1, g2, cm):
+    exact = brute_force_ged(g1, g2, cm)
+    for a, b in ((g1, g2), (g2, g1)):
+        bound = hausdorff_lower_bound(a, b, cm)
+        assert 0.0 <= bound <= bipartite_lower_bound(a, b, cm) + 1e-12 <= exact + 1e-9
+
+
+@pytest.mark.parametrize("cm", BOUND_MODELS)
+def test_hausdorff_bound_exact_cases(cm):
+    rng = random.Random(71)
+    graphs = [Graph(), path_graph(1), star_graph(4), complete_graph(5)]
+    graphs += [random_graph(rng, n_max=8, symbolic=k % 2 == 0, numeric_edge_p=0.5)
+               for k in range(12)]
+    for g in graphs:
+        assert hausdorff_lower_bound(g, g.copy(), cm) == 0.0
+        # against an empty graph every node is deleted or inserted with all its edges
+        want = cm.x_node * g.order + cm.x_edge * g.size
+        assert hausdorff_lower_bound(Graph(), g, cm) == pytest.approx(want, abs=1e-12)
+        assert hausdorff_lower_bound(g, Graph(), cm) == pytest.approx(want, abs=1e-12)
+    assert hausdorff_lower_bound(Graph(), Graph(), cm) == 0.0
+
+
+def test_hausdorff_bound_hand_case():
+    star, lone = Graph(), Graph()
+    centre = star.add_node("C")
+    for _ in range(3):
+        star.add_edge(centre, star.add_node("C"))
+    lone.add_node("C")
+    # every cell is a degree gap at half an edge: each leaf pays half its
+    # cell, 0.25; the centre half of its gap of 3, 0.75; the lone node half
+    # a leaf's cell, 0.25. The assignment maps the centre and deletes the
+    # leaves with their edges, as the edit distance does.
+    assert hausdorff_lower_bound(star, lone, CostModel()) == 1.75
+    assert hausdorff_lower_bound(lone, star, CostModel()) == 1.75
+    assert bipartite_lower_bound(star, lone, CostModel()) == 6.0
+    assert brute_force_ged(star, lone) == 6.0
+    # relabelled, each cell costs 1 more: 1.25 + 3 * 0.75 + 0.75
+    other = Graph()
+    other.add_node("N")
+    assert hausdorff_lower_bound(star, other, CostModel()) == 4.25
+
+
+def test_hausdorff_bound_prices_labels_like_substitution():
+    origin, far, symbol = Graph(), Graph(), Graph()
+    origin.add_node(Point2D(0.0, 0.0))
+    far.add_node(Point2D(3.0, 4.0))
+    symbol.add_node("C")
+    cm = CostModel(y_node=0.2)
+    # each node pays half of the one cell, 0.2 times the label distance
+    assert hausdorff_lower_bound(origin, far, cm) == pytest.approx(1.0, abs=1e-12)
+    assert hausdorff_lower_bound(far, symbol, cm) == pytest.approx(0.2, abs=1e-12)
+    # at the default costs the cell is dearer than deleting and inserting
+    assert hausdorff_lower_bound(origin, far, CostModel()) == 2.0
