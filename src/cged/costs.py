@@ -64,6 +64,11 @@ class CostModel:
         return self.y_edge * edge_label_distance(a, b)
 
 
+# The model every search and experiment uses when given none; frozen, so
+# one instance serves every call.
+DEFAULT_COST_MODEL = CostModel()
+
+
 class OpKind(Enum):
     NODE_SUB = "node_sub"
     NODE_DEL = "node_del"

@@ -58,7 +58,7 @@ import numpy as np
 
 from .centrality import CentralityMeasure
 from .contraction import k_star_node_contraction, t_centrality_node_contraction
-from .costs import CostModel
+from .costs import DEFAULT_COST_MODEL, CostModel
 from .dataset import Corpus
 from .ged import SearchSpec, bipartite_lower_bound, hausdorff_lower_bound, run_search
 from .graph import Graph
@@ -113,21 +113,22 @@ def _levels(g: Graph) -> dict[TLevel, int]:
     return levels
 
 
-def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[str, Graph], float]:
-    """g contracted with ``measure`` at each level, keyed by the level's
-    value, and the seconds that contraction took; kept in g's memo under the
-    measure's value until g changes.
+def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[str, Graph], float, tuple]:
+    """g's contraction walk with ``measure``, kept in g's memo under the
+    measure's value until g changes: the contracted graphs of the levels
+    read so far, keyed by the level's value, the seconds the walk took, and
+    the removed ids in walk order.
 
     Contraction ranks once, on the input graph, so a smaller budget stops
     the same walk earlier: g is walked once, at its T3* budget (the largest
     any level uses), and each level removes the first t ids of that walk.
-    Each level's graph comes from :func:`_without`, so levels and measures
-    that remove the same nodes share one graph object. The seconds cover
-    the centrality, the walk and building the levels' contracted graphs,
-    but not g's own array form, which is built before the clock starts (a
-    search of g needs it too). A graph whose T3* budget is 0 is not walked
-    (no centrality is computed): every level is :func:`_without`'s copy of
-    g, and the walk takes 0.0 s.
+    :func:`_contract` builds a level's graph the first time it reads the
+    level and keeps it here. The seconds cover the centrality and the walk
+    (which also builds the T3* graph, kept for :func:`_without`), but not
+    g's own array form, which is built before the clock starts (a search of
+    g needs it too), nor the other levels' graphs. A graph whose T3* budget
+    is 0 is not walked (no centrality is computed): it removes no id, and
+    the walk takes 0.0 s.
 
     The memo and the levels are keyed by the members' ``_value_`` strings:
     hashing an enum member, or reading its ``value``, runs Python code, and
@@ -135,18 +136,17 @@ def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[str, Graph], float
     """
     walk = g._memo.get(measure._value_)
     if walk is None:
-        levels = _levels(g)
-        if levels[TLevel.T3STAR]:
+        budget = _levels(g)[TLevel.T3STAR]
+        if budget:
             g.arrays()
             start = time.perf_counter()
-            h, report = t_centrality_node_contraction(g, levels[TLevel.T3STAR], measure)
-            ids = report.removed_ids
+            h, report = t_centrality_node_contraction(g, budget, measure)
+            seconds = time.perf_counter() - start
+            ids = tuple(report.removed_ids)
             g._memo.setdefault(("without", tuple(sorted(ids))), h)
-            contracted = {level._value_: _without(g, tuple(sorted(ids[:t])))
-                          for level, t in levels.items()}
-            walk = contracted, time.perf_counter() - start
+            walk = {}, seconds, ids
         else:
-            walk = dict.fromkeys([level._value_ for level in levels], _without(g, ())), 0.0
+            walk = {}, 0.0, ()
         g._memo[measure._value_] = walk
     return walk
 
@@ -169,11 +169,17 @@ def _without(g: Graph, ids: tuple[int, ...]) -> Graph:
 def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
     """g contracted at its own budget for the level with ``measure``, kept
     in g's memo until g changes (see :func:`_walk`); at T0, the copy of g
-    that :func:`_without` keeps, for which no walk is made. Callers must
-    not modify the result."""
+    that :func:`_without` keeps, for which no walk is made. A level's graph
+    is built on its first read, through :func:`_without`, so levels and
+    measures that remove the same nodes share one graph object. Callers
+    must not modify the result."""
     if level is TLevel.T0:
         return _without(g, ())
-    return _walk(g, measure)[0][level._value_]
+    graphs, _, ids = _walk(g, measure)
+    h = graphs.get(level._value_)
+    if h is None:
+        h = graphs[level._value_] = _without(g, tuple(sorted(ids[:_levels(g)[level]])))
+    return h
 
 
 @dataclass
@@ -183,10 +189,11 @@ class BenchmarkRecord:
     ``contraction_seconds`` is what the cell's measure took to contract
     both graphs when they were first contracted with it, or 0.0 when the
     cell removes no node. For each graph that is one walk at its T3* budget
-    (whatever levels the call asks for), plus building its contracted graph
-    for every level; the walk is kept in the graph's memo, so a later call
-    reports the seconds of that first, cold walk, and every level of a
-    (graph, measure) reports the same figure. ``search_seconds`` is the time
+    (whatever levels the call asks for): the centrality and the walk, but
+    not building the levels' contracted graphs, which happens on each
+    level's first read. The walk is kept in the graph's memo, so a later
+    call reports the seconds of that first, cold walk, and every level of
+    a (graph, measure) reports the same figure. ``search_seconds`` is the time
     to search the cell's contracted pair; the first search of a contracted
     graph also builds its array form. Cells of one pair that remove the
     same node sets share one search, so they carry the same ``cost``,
@@ -414,32 +421,46 @@ def _map(fn: Callable, tasks: list, workers: int, train: list[Graph]) -> list:
 
 def _benchmark_pair(pair_id: str, g1: Graph, g2: Graph,
                     measures: Sequence[CentralityMeasure], levels: Sequence[TLevel],
-                    search: SearchSpec, cm: CostModel) -> list[BenchmarkRecord]:
-    if any(level is not TLevel.T0 for level in levels):
+                    search: SearchSpec, described: str,
+                    cm: CostModel) -> list[BenchmarkRecord]:
+    """The pair's records, in the order of ``measures`` and then ``levels``;
+    ``described`` is ``search.describe()``."""
+    walked = any(level is not TLevel.T0 for level in levels)
+    if walked:
         lv1, lv2 = _levels(g1), _levels(g2)
+        budgets = [(level, lv1[level], lv2[level]) for level in levels]
     else:
-        lv1 = lv2 = {TLevel.T0: 0}
+        budgets = [(level, 0, 0) for level in levels]
+    n1, n2 = g1.order, g2.order
     # the memo keeps one contracted graph per removed-node set, so cells
     # whose contracted pairs are the same objects share one search
     cells: dict[tuple[int, int], tuple[float, float, int]] = {}
     records = []
     for measure in measures:
-        for level in levels:
-            h1, h2 = _contract(g1, measure, level), _contract(g2, measure, level)
+        if walked:
+            (graphs1, seconds1, _), (graphs2, seconds2, _) = _walk(g1, measure), _walk(g2, measure)
+            walk_seconds = seconds1 + seconds2
+        else:
+            graphs1 = graphs2 = {}
+            walk_seconds = 0.0
+        for level, t1, t2 in budgets:
+            # a level read before is one dict read in the walk
+            h1 = graphs1.get(level._value_)
+            if h1 is None:
+                h1 = _contract(g1, measure, level)
+            h2 = graphs2.get(level._value_)
+            if h2 is None:
+                h2 = _contract(g2, measure, level)
             key = id(h1), id(h2)
             if key not in cells:
                 start = time.perf_counter()
                 result = run_search(h1, h2, cm, search)
                 cells[key] = (result.cost, time.perf_counter() - start, result.expanded_nodes)
             cost, seconds, expanded = cells[key]
-            removes = h1.order < g1.order or h2.order < g2.order
+            removes = h1.order < n1 or h2.order < n2
             records.append(BenchmarkRecord(
-                pair_id=pair_id, measure=measure, t_level=level,
-                t_used_1=lv1[level], t_used_2=lv2[level], search=search.describe(),
-                cost=cost, search_seconds=seconds, expanded_nodes=expanded,
-                contraction_seconds=(_walk(g1, measure)[1] + _walk(g2, measure)[1]
-                                     if removes else 0.0),
-            ))
+                pair_id, measure, level, t1, t2, described, cost,
+                walk_seconds if removes else 0.0, seconds, expanded))
     return records
 
 
@@ -485,9 +506,11 @@ def run_timing_benchmark(
     same graphs only searches. Cells that remove the same node sets from
     both graphs are searched once and share their record fields (see
     :class:`BenchmarkRecord` for what the two timings cover). The pairs run
-    one after another in the calling process, and records come back sorted
-    by (pair, measure, level). A repeated measure or level raises
-    ``ValueError``.
+    one after another in the calling process, in sample order, and each
+    pair runs its measures in the order of their values and its levels in
+    T-level order, so the records are produced in (pair, measure, level)
+    order, whatever the sample size or the order the arguments give. A
+    repeated measure or level raises ``ValueError``.
     """
     if sample < 1:
         raise ValueError("sample must be >= 1")
@@ -499,14 +522,16 @@ def run_timing_benchmark(
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"{kind} {repeated[0]} is given more than once")
-    cm = cm or CostModel()
+    cm = cm or DEFAULT_COST_MODEL
+    measures = sorted(measures, key=lambda m: m.value)
+    levels = [level for level in TLevel if level in levels]
+    described = search.describe()
     graphs = corpus.graphs
     records = []
     for k, (i, j) in enumerate(sample_pairs(len(graphs), sample, seed)):
         records += _benchmark_pair(f"{k:05d}:{graphs[i].name}|{graphs[j].name}",
-                                   graphs[i], graphs[j], measures, levels, search, cm)
-    level_order = {lv: i for i, lv in enumerate(TLevel)}
-    records.sort(key=lambda r: (r.pair_id, r.measure.value, level_order[r.t_level]))
+                                   graphs[i], graphs[j], measures, levels, search,
+                                   described, cm)
     return records
 
 
@@ -641,7 +666,7 @@ def nn_classify(
         raise ValueError("training corpus is empty")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cm = cm or CostModel()
+    cm = cm or DEFAULT_COST_MODEL
     train_contracted = [_contract(g, measure, level) for g in train.graphs]
     tasks = [(_contract(g, measure, level), search, cm) for g in test.graphs]
     outcomes = _map(_nearest, tasks, workers, train_contracted)

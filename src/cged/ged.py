@@ -24,7 +24,6 @@ per step than the heap; that search is ``astar_ged(..., Heuristic.ZERO)``.
 
 from __future__ import annotations
 
-import itertools
 import time
 from bisect import insort
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from typing import Optional, Tuple
 from . import kernels
 from .centrality import CentralityMeasure
 from .contraction import ContractionReport, t_centrality_node_contraction
-from .costs import CostModel, EditOperation, EditPath, node_label_distance
+from .costs import DEFAULT_COST_MODEL, CostModel, EditOperation, EditPath, node_label_distance
 from .graph import Graph, Point2D
 
 
@@ -242,14 +241,14 @@ def astar_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
     prefixes are expanded and, among equally cheap edit paths, which one is
     returned.
     """
-    return _search(g1, g2, cm or CostModel(), heuristic, width=None)
+    return _search(g1, g2, cm or DEFAULT_COST_MODEL, heuristic, width=None)
 
 
 def beam_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
              w: int = 10) -> GedResult:
     """Width-limited search; cost is an upper bound on the exact distance."""
     _check_width(w)
-    return _search(g1, g2, cm or CostModel(), Heuristic.ZERO, width=w)
+    return _search(g1, g2, cm or DEFAULT_COST_MODEL, Heuristic.ZERO, width=w)
 
 
 def run_search(g1: Graph, g2: Graph, cm: CostModel, search: SearchSpec) -> GedResult:
@@ -272,7 +271,7 @@ def t_centrality_ged(
     searched pair, so they contribute nothing to the returned cost; the two
     contraction reports ride along in the result.
     """
-    cm = cm or CostModel()
+    cm = cm or DEFAULT_COST_MODEL
     t0 = time.perf_counter()
     h1, rep1 = t_centrality_node_contraction(g1, t, measure)
     h2, rep2 = t_centrality_node_contraction(g2, t, measure)
@@ -362,39 +361,3 @@ def hausdorff_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
                 best2[j] = c
         total += low
     return 0.5 * (total + sum(best2))
-
-
-def brute_force_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None) -> float:
-    """Exhaustive reference distance; usable only for tiny pairs.
-
-    Enumerates every injective partial mapping between the node sets,
-    prices it with the plain graph API (shared with nothing in the search
-    path), and returns the minimum.
-    """
-    cm = cm or CostModel()
-    if g1.order + g2.order > 9:
-        raise ValueError("brute_force_ged is limited to |V1| + |V2| <= 9")
-    ids1, ids2 = g1.nodes(), g2.nodes()
-    edges1, edges2 = g1.edges(), g2.edges()
-    best = float("inf")
-    for r in range(min(len(ids1), len(ids2)) + 1):
-        for sources in itertools.combinations(ids1, r):
-            for targets in itertools.permutations(ids2, r):
-                m = dict(zip(sources, targets))
-                cost = (len(ids1) - r + len(ids2) - r) * cm.x_node
-                for u, v in m.items():
-                    cost += cm.node_sub_cost(g1.node_label(u), g2.node_label(v))
-                consumed = set()
-                for u, v, label in edges1:
-                    a, b = m.get(u), m.get(v)
-                    if a is not None and b is not None and g2.has_edge(a, b):
-                        consumed.add((a, b) if a < b else (b, a))
-                        cost += cm.edge_sub_cost(label, g2.edge_label(a, b))
-                    else:
-                        cost += cm.x_edge
-                for a, b, _ in edges2:
-                    if (a, b) not in consumed:
-                        cost += cm.x_edge
-                if cost < best:
-                    best = cost
-    return best

@@ -409,16 +409,3 @@ def reach(masks: Sequence[int], alive: int, seed: int) -> int:
         frontier = nxt & alive & ~seen
         seen |= frontier
     return seen
-
-
-def is_cut_vertex_by_recount(g: Graph, u: int) -> bool:
-    """Cut-vertex check by deleting u and recounting components.
-
-    Independent of the depth-first low-link pass; the two must always agree.
-    """
-    if not g.has_node(u):
-        raise MissingNodeError(f"node {u} is not in the graph")
-    before = g.component_count()
-    probe = g.copy()
-    probe.delete_node(u)
-    return probe.component_count() > before

@@ -11,8 +11,18 @@ that :mod:`cged.ged` assembles once per search from both graphs' forms,
 they see are small (letters and molecules of a few to a few dozen nodes),
 where Python sequences and int bitmasks beat numpy's per-call overhead.
 The expansion step also prices exact A*'s bipartite bound for every child
-it appends; :func:`assignment` solves that bound's node assignment, which
-:func:`cged.ged.bipartite_lower_bound` shares.
+it appends, and reads only the value of the bound's node assignment. Four
+exact certificates give that value without a solver: no row with a
+negative cell, one row or one column, every row's cheapest cell in a
+column of its own, and two rows wanting one column where moving one of
+them is provably optimal (see :func:`_value`). Each returns the float
+that scipy's matching gives when summed in row order, so costs, paths and
+expansion counts are those of solving every assignment; scipy is reached
+only when three or more rows contest columns, or when two do and neither
+way of moving one is certain. ``scipy.optimize`` is imported once, on the
+first assignment that needs it (see :func:`_solver`). :func:`assignment`
+returns the matching itself, for :func:`cged.ged.bipartite_lower_bound`,
+from the same cell builder and solver.
 
 Conventions shared with :mod:`cged.ged`:
 
@@ -33,12 +43,125 @@ Conventions shared with :mod:`cged.ged`:
 
 from __future__ import annotations
 
+import functools
+
 EPS_SLOT = -1  # mapping value for "source node deleted"
 
 
 # ----------------------------------------------------------------------
 # edit-search expansion step
 # ----------------------------------------------------------------------
+
+def _reduced(rows, degs, terms, x_node: float, x_edge: float) -> tuple[list, list, list, list]:
+    """The reduced matrix's rows that hold a negative cell (see
+    :func:`assignment`), in row order: their indexes into ``rows``, their
+    cells clipped at 0, their minima and each minimum's first column.
+    ``terms`` holds one ``(target position, degree, x_edge * degree + 2 *
+    x_node)`` triple per column. A row without a negative cell cannot gain
+    from a matching, so it is dropped."""
+    two_x = x_node + x_node
+    keep, neg, mins, wants = [], [], [], []
+    for k, (row, dr) in enumerate(zip(rows, degs)):
+        xr = x_edge * dr + two_x
+        cells = [c if (c := row[j] - (xr if dr < dc else xc)) < 0.0 else 0.0
+                 for j, dc, xc in terms]
+        if cells and (m := min(cells)) < 0.0:
+            keep.append(k)
+            neg.append(cells)
+            mins.append(m)
+            wants.append(cells.index(m))
+    return keep, neg, mins, wants
+
+
+@functools.cache
+def _solver():
+    """``scipy.optimize.linear_sum_assignment``, imported on first use: the
+    import takes most of a second, and most bounds never need it."""
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment
+
+
+def _matching(matrix: list) -> zip:
+    """scipy's minimum-cost matching of ``matrix`` (equally long rows) as
+    (row, column) pairs in ascending row order."""
+    picked_rows, picked_cols = _solver()(matrix)
+    return zip(picked_rows.tolist(), picked_cols.tolist())
+
+
+def _mover(neg: list, mins: list, wants: list, taken: set) -> tuple[int, float]:
+    """For rows that want distinct columns but for one column j that two
+    rows a < b want: the row that moves off j and the cell it moves to, if
+    that is the optimum; else (-1, 0.0).
+
+    Any matching leaves j to at most one of a and b, so it costs at least
+    the sum of the minima with a's (or b's) replaced by that row's
+    cheapest cell in another column (0.0 if none is negative: it stays
+    unmatched). When one of the two is cheaper by more than rounding, and
+    its row finds that cell in a column no other row wants (or stays
+    unmatched), the matching that moves it attains the bound, and in exact
+    arithmetic every matching that attains it pays the same cell in each
+    row.
+    """
+    j = sum(wants) - sum(taken)
+    a = wants.index(j)
+    b = wants.index(j, a + 1)
+    rest_a = neg[a][:j] + neg[a][j + 1:]
+    rest_b = neg[b][:j] + neg[b][j + 1:]
+    sa, sb = min(rest_a), min(rest_b)
+    da, db = sa - mins[a], sb - mins[b]
+    # every cell is at most 0, so the margin is 1e-12 of their magnitudes
+    if abs(da - db) > -1e-12 * (sa + sb + mins[a] + mins[b]):
+        mover, rest, s = (a, rest_a, sa) if da < db else (b, rest_b, sb)
+        col = rest.index(s)
+        if s == 0.0 or col + (col >= j) not in taken:
+            return mover, s
+    return -1, 0.0
+
+
+def _value(neg: list, mins: list, wants: list) -> float:
+    """The assignment's value over the clipped cell rows ``neg``, each with
+    a negative cell, whose minima are ``mins`` and first cheapest columns
+    ``wants``: the float that scipy's matching gives when its negative
+    cells are summed in row order.
+
+    Four certificates answer without scipy:
+
+    * no row: 0.0;
+    * one row or one column: the smallest cell;
+    * every row's first cheapest cell in a column of its own: the sum of
+      the minima in row order;
+    * two rows wanting the same column and the others distinct ones: the
+      same sum with one of the two rows moved to its next-cheapest column,
+      when :func:`_mover` shows that to be the optimum.
+
+    Each certificate forces the optimum's cell value in every row (in exact
+    arithmetic, a matching that pays another value in any row costs more),
+    so its sum in row order is the one scipy's matching gives. Three or
+    more rows contesting columns, or two whose ways tie or whose mover is
+    blocked, go to scipy.
+    """
+    n = len(wants)
+    if n < 2 or len(neg[0]) == 1:
+        return min(mins, default=0.0)
+    taken = set(wants)
+    mover, s = -1, 0.0
+    if len(taken) == n - 1:
+        mover, s = _mover(neg, mins, wants, taken)
+    if len(taken) == n or mover >= 0:
+        total = 0.0
+        for i, m in enumerate(mins):
+            if i == mover:
+                m = s
+            if m < 0.0:
+                total += m
+        return total
+    total = 0.0
+    for i, j in _matching(neg):
+        c = neg[i][j]
+        if c < 0.0:
+            total += c
+    return total
+
 
 def assignment(rows, degs, cols, x_node: float, x_edge: float) -> tuple[float, list]:
     """The assignment part of the bipartite bound, on the reduced matrix.
@@ -57,32 +180,28 @@ def assignment(rows, degs, cols, x_node: float, x_edge: float) -> tuple[float, l
     leaves unmatched keeps its deletion or insertion, so the padded optimum
     is the sum of all deletions and insertions plus this value, exactly.
     Rows without a negative cell are dropped and a single row or column is
-    solved directly; ``scipy.optimize`` (slow to import) is loaded only for
-    the rest.
+    solved directly; the rest go to scipy (imported once, on the first
+    call that needs it), whose matching this returns:
+    :func:`cged.ged.bipartite_lower_bound` prices the matched cells itself,
+    so the matching must be the solver's. The expansion step needs only the
+    value, which :func:`_value` gives from the same cells through four
+    exact certificates, and reaches scipy only when three or more rows
+    contest columns, or two do and moving neither is certain.
     """
     two_x = x_node + x_node
     terms = [(j, dc, x_edge * dc + two_x) for j, dc in cols]
-    neg = []
-    for k, (row, dr) in enumerate(zip(rows, degs)):
-        xr = x_edge * dr + two_x
-        cells = [c if (c := row[j] - (xr if dr < dc else xc)) < 0.0 else 0.0
-                 for j, dc, xc in terms]
-        if cells and min(cells) < 0.0:
-            neg.append((k, cells))
+    keep, neg, mins, _ = _reduced(rows, degs, terms, x_node, x_edge)
     if not neg:
         return 0.0, []
-    if len(neg) == 1 or len(terms) == 1:
-        best, k, at = min((min(cells), k, cells) for k, cells in neg)
-        return best, [(k, terms[at.index(best)][0])]
-    from scipy.optimize import linear_sum_assignment
-
-    picked_rows, picked_cols = linear_sum_assignment([cells for _, cells in neg])
+    if len(neg) == 1 or len(cols) == 1:
+        best, k, at = min(zip(mins, keep, neg))
+        return best, [(k, cols[at.index(best)][0])]
     total, matched = 0.0, []
-    for i, j in zip(picked_rows.tolist(), picked_cols.tolist()):
-        k, cells = neg[i]
-        if cells[j] < 0.0:
-            total += cells[j]
-            matched.append((k, terms[j][0]))
+    for i, j in _matching(neg):
+        c = neg[i][j]
+        if c < 0.0:
+            total += c
+            matched.append((keep[i], cols[j][0]))
     return total, matched
 
 
@@ -163,14 +282,20 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
         rest = range(depth + 1, n1)  # the sources placed after this one
         rows = rows[1:]
         linked = [(k, kind_row[i], val_row[i]) for k, i in enumerate(rest) if kind_row[i]]
-        free = [(j, (masks[j] & ~used).bit_count())
-                for j in range(n2) if not used >> j & 1]
         # the rest's degrees towards each other, which count each edge among
         # them twice, and the edges that reach the rest, which deleting it pays
         degs = [(a1.masks[i] >> depth + 1).bit_count() for i in rest]
         reaching = sum(a1.masks[i].bit_count() for i in rest) - sum(degs) // 2
         h_del = x_node * len(rest) + x_edge * reaching
         two_x_edge = x_edge + x_edge
+        two_x = x_node + x_node
+        # the bound's columns: (unused target, its degree towards unused
+        # targets, x_edge * that degree + 2 * x_node)
+        free = []
+        for j in range(n2):
+            if not used >> j & 1:
+                dc = (masks[j] & ~used).bit_count()
+                free.append((j, dc, x_edge * dc + two_x))
 
     for v in range(n2 + 1):
         if v == n2:
@@ -206,7 +331,7 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
                             + x_edge * (unpaid - (masks[v] & used).bit_count()))
         elif bound:
             if v == n2:
-                child_rows, cols, ins = rows, free, completion
+                child_rows, terms, ins = rows, free, completion
             else:
                 mask = masks[v]
                 child_rows = rows
@@ -225,9 +350,10 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
                             else:
                                 row[j] -= two_x_edge
                         child_rows[k] = row
-                cols = [(j, dc - 1 if mask >> j & 1 else dc) for j, dc in free if j != v]
+                terms = [(j, dc - 1, x_edge * (dc - 1) + two_x) if mask >> j & 1 else (j, dc, xc)
+                         for j, dc, xc in free if j != v]
                 ins = completion - x_node - x_edge * (mask & used).bit_count()
-            h = h_del + ins + assignment(child_rows, degs, cols, x_node, x_edge)[0]
+            h = h_del + ins + _value(*_reduced(child_rows, degs, terms, x_node, x_edge)[1:])
             children.append((child_g + h, child_depth, mapping + (slot,), child_g, child_used,
                              child_rows))
             continue
@@ -281,6 +407,6 @@ def backend_name() -> str:
 
 def warm_up() -> None:
     """Import ``scipy.optimize`` ahead of timing, so that the first bound
-    that needs :func:`assignment`'s solver does not pay the import (most of
-    a second). Both kernels are plain Python with nothing to compile."""
-    import scipy.optimize
+    that needs the assignment solver does not pay the import (most of a
+    second). Both kernels are plain Python with nothing to compile."""
+    _solver()

@@ -17,9 +17,12 @@ from collections import deque
 
 import numpy as np
 
+from typing import Optional
+
 from cged import kernels
+from cged.costs import CostModel
 from cged.ged import GedResult, Heuristic, _PairView, _reconstruct
-from cged.graph import Graph, Point2D
+from cged.graph import Graph, MissingNodeError, Point2D
 
 
 # ----------------------------------------------------------------------
@@ -329,3 +332,56 @@ def assert_path_consistent(result, g1: Graph, g2: Graph) -> None:
             u, v = op.source
             pair = {mapping.get(u), mapping.get(v)}
             assert pair == set(op.target)
+
+
+# ----------------------------------------------------------------------
+# exhaustive oracles
+# ----------------------------------------------------------------------
+
+def brute_force_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None) -> float:
+    """Exhaustive reference distance; usable only for tiny pairs.
+
+    Enumerates every injective partial mapping between the node sets,
+    prices it with the plain graph API (shared with nothing in the search
+    path), and returns the minimum.
+    """
+    cm = cm or CostModel()
+    if g1.order + g2.order > 9:
+        raise ValueError("brute_force_ged is limited to |V1| + |V2| <= 9")
+    ids1, ids2 = g1.nodes(), g2.nodes()
+    edges1, edges2 = g1.edges(), g2.edges()
+    best = float("inf")
+    for r in range(min(len(ids1), len(ids2)) + 1):
+        for sources in itertools.combinations(ids1, r):
+            for targets in itertools.permutations(ids2, r):
+                m = dict(zip(sources, targets))
+                cost = (len(ids1) - r + len(ids2) - r) * cm.x_node
+                for u, v in m.items():
+                    cost += cm.node_sub_cost(g1.node_label(u), g2.node_label(v))
+                consumed = set()
+                for u, v, label in edges1:
+                    a, b = m.get(u), m.get(v)
+                    if a is not None and b is not None and g2.has_edge(a, b):
+                        consumed.add((a, b) if a < b else (b, a))
+                        cost += cm.edge_sub_cost(label, g2.edge_label(a, b))
+                    else:
+                        cost += cm.x_edge
+                for a, b, _ in edges2:
+                    if (a, b) not in consumed:
+                        cost += cm.x_edge
+                if cost < best:
+                    best = cost
+    return best
+
+
+def is_cut_vertex_by_recount(g: Graph, u: int) -> bool:
+    """Cut-vertex check by deleting u and recounting components.
+
+    Independent of the depth-first low-link pass; the two must always agree.
+    """
+    if not g.has_node(u):
+        raise MissingNodeError(f"node {u} is not in the graph")
+    before = g.component_count()
+    probe = g.copy()
+    probe.delete_node(u)
+    return probe.component_count() > before

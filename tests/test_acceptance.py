@@ -33,7 +33,7 @@ from cged.dataset import (
     synthesize_letter_like,
 )
 from cged.evaluation import TLevel, nn_classify, run_timing_benchmark, t_star_levels
-from cged.ged import SearchSpec, brute_force_ged
+from cged.ged import SearchSpec
 from cged.centrality import (
     betweenness_centrality,
     eigenvector_centrality,
@@ -42,6 +42,7 @@ from cged.centrality import (
 from helpers import (
     adjacency_matrix,
     betweenness_by_path_enumeration,
+    brute_force_ged,
     cycle_graph,
     path_graph,
     random_graph,

@@ -1,6 +1,7 @@
-"""Kernels: the search expansion step against a from-scratch pricing, beam
-search's sorted open list against a pruned heap, and the betweenness loop
-against a path-enumeration oracle."""
+"""Kernels: the search expansion step against a from-scratch pricing, the
+assignment's certificates against scipy's matching, beam search's sorted
+open list against a pruned heap, and the betweenness loop against a
+path-enumeration oracle."""
 
 import random
 import sys
@@ -148,6 +149,76 @@ def test_bipartite_children_never_overestimate_their_cheapest_completion(pair, d
     for f, _, child, child_g, *_ in heap:
         assert child_g <= f + 1e-12
         assert f <= cheapest_completion(g1, g2, cm, child) + 1e-9
+
+
+def as_kernel_input(matrix):
+    """A reduced matrix as :func:`kernels.assignment` takes it: with no
+    deletion or insertion cost, cell (i, j) is ``min(matrix[i][j], 0)``."""
+    return matrix, [0] * len(matrix), [(j, 0) for j in range(len(matrix[0]))], 0.0, 0.0
+
+
+def certified_value(matrix) -> float:
+    """The expansion step's value of a reduced matrix (see
+    :func:`as_kernel_input`)."""
+    terms = [(j, 0, 0.0) for j in range(len(matrix[0]))]
+    _, neg, mins, wants = kernels._reduced(matrix, [0] * len(matrix), terms, 0.0, 0.0)
+    return kernels._value(neg, mins, wants)
+
+
+def scipy_value(matrix) -> float:
+    """The value of scipy's matching of the clipped matrix, its negative
+    cells summed in row order."""
+    from scipy.optimize import linear_sum_assignment
+
+    clipped = [[min(c, 0.0) for c in row] for row in matrix]
+    total = 0.0
+    for i, j in zip(*linear_sum_assignment(clipped)):
+        if clipped[i][j] < 0.0:
+            total += clipped[i][j]
+    return total
+
+
+@st.composite
+def reduced_matrices(draw):
+    """1-6 x 1-6 cells, each from {0.0, -0.5, -1.0, -2.0} (ties and zeros)
+    or a negative float."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell = st.one_of(st.sampled_from((0.0, -0.5, -1.0, -2.0)),
+                     st.floats(max_value=0.0, exclude_max=True, allow_infinity=False,
+                               allow_nan=False, allow_subnormal=False))
+    return [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(matrix=reduced_matrices())
+def test_certificates_give_scipys_value_to_the_bit(matrix):
+    want = scipy_value(matrix)
+    assert certified_value(matrix).hex() == want.hex()
+    value, matched = kernels.assignment(*as_kernel_input(matrix))
+    assert value.hex() == want.hex()
+    priced = 0.0
+    for k, j in matched:
+        priced += matrix[k][j]
+    assert priced.hex() == value.hex()
+
+
+@pytest.mark.parametrize("matrix, want", [
+    # rows 0 and 1 both want column 0; row 0 moving to column 1 costs 1.0 more,
+    # row 1 moving to column 2 costs 1.5 more
+    ([[-2.0, -1.0, 0.0], [-2.0, 0.0, -0.5]], -3.0),
+    # the mover's next-cheapest cell is 0: it stays unmatched
+    ([[-2.0, 0.0], [-3.0, 0.0], [0.0, -1.0]], -4.0),
+    # every row's cheapest cell in its own column
+    ([[-1.0, -0.5, 0.0], [0.0, -2.0, -0.5], [-0.5, 0.0, -3.0]], -6.0),
+])
+def test_certified_matrices_never_reach_scipy(matrix, want, monkeypatch):
+    assert scipy_value(matrix) == want
+
+    def refuse(matrix):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(kernels, "_matching", refuse)
+    assert certified_value(matrix) == want
 
 
 def outcome(result) -> tuple:

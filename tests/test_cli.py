@@ -9,10 +9,10 @@ import pytest
 
 from cged import CostModel, cli
 from cged.dataset import load_graph_file, load_iam_corpus, parse_debug_graph, write_debug_graph
-from cged.ged import Heuristic, SearchSpec, brute_force_ged, run_search
+from cged.ged import Heuristic, SearchSpec, run_search
 from cged.graph import Graph, Point2D
 from cged.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_PARSE, main
-from helpers import path_graph, star_graph
+from helpers import brute_force_ged, path_graph, star_graph
 
 
 def validate_against(payload: dict, schema_name: str) -> None:

@@ -8,8 +8,15 @@ from cged import CentralityMeasure, t_centrality_node_contraction
 from cged.centrality import compute_centrality, rank_ascending
 from cged.contraction import k_degree_node_contraction, k_star_node_contraction
 from cged.evaluation import TLevel, t_star_levels
-from cged.graph import Graph, is_cut_vertex_by_recount
-from helpers import cycle_graph, path_graph, random_connected_graph, random_graph, star_graph
+from cged.graph import Graph
+from helpers import (
+    cycle_graph,
+    is_cut_vertex_by_recount,
+    path_graph,
+    random_connected_graph,
+    random_graph,
+    star_graph,
+)
 
 DEG = CentralityMeasure.DEGREE
 

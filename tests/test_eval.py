@@ -516,6 +516,34 @@ def test_t0_calls_and_unbudgeted_graphs_walk_nothing(monkeypatch):
         {(0, 0, 0.0, 0.0)}
 
 
+def test_records_follow_the_pair_order_past_99999_pairs(monkeypatch):
+    # the pair id's number has five digits; pair 100000 must still come last
+    g1, g2 = Graph(name="a"), Graph(name="b")
+    g1.add_node("C")
+    g2.add_node("N")
+    monkeypatch.setattr(evaluation, "sample_pairs", lambda n, sample, seed: [(0, 1)] * sample)
+    records = run_timing_benchmark(Corpus("tiny", [g1, g2]), [DEG], [TLevel.T0],
+                                   SearchSpec.astar(), sample=100_001, seed=0)
+    assert [int(r.pair_id.split(":")[0]) for r in records] == list(range(100_001))
+
+
+def test_a_cold_call_builds_only_the_level_graphs_it_reads(monkeypatch):
+    # a T1*-only call contracts each graph with one walk and builds at most
+    # its T1* graph; the other levels' graphs are never built
+    corpus = synthesize_letter_like(seed=7, count=48, classes=24, distortion=0.12)
+    train, test = split_corpus(corpus)
+    built = []
+    without = Graph.without
+
+    def counted(self, ids):
+        built.append(sys._getframe(1).f_code.co_name)
+        return without(self, ids)
+
+    monkeypatch.setattr(Graph, "without", counted)
+    nn_classify(train, test, CentralityMeasure.BETWEENNESS, TLevel.T1STAR, SearchSpec.astar())
+    assert 0 < built.count("_without") <= len(corpus.graphs)
+
+
 @pytest.mark.parametrize("mutation", ["add_node", "add_edge", "delete_node"])
 def test_a_mutated_graph_is_walked_afresh(monkeypatch, mutation):
     corpus = synthesize_letter_like(seed=39, count=8, classes=4, distortion=0.3)

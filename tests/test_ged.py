@@ -12,13 +12,13 @@ from cged.ged import (
     Heuristic,
     SearchSpec,
     bipartite_lower_bound,
-    brute_force_ged,
     hausdorff_lower_bound,
     run_search,
 )
 from cged.graph import Graph, Point2D
 from helpers import (
     assert_path_consistent,
+    brute_force_ged,
     complete_graph,
     cycle_graph,
     padded_bipartite_bound,

@@ -11,7 +11,19 @@ numpy expansion kernel that the fused step replaced, the
 change to pricing order, tie-breaking or pruning shows up here as a
 mismatch.
 
-Recording keeps every entry already in the table, records the searches it
+Two more tables freeze the harness on a seeded letter-like corpus.
+``data/grid_golden.json`` holds, per search, every record that
+``run_timing_benchmark`` returns over all measures and levels, in the
+order it returns them: pair id, measure, level, both budgets, the search
+string, the cost as ``float.hex`` and the expansion count.
+``data/classify_golden.json`` holds, per (search, measure, level), the
+predictions of ``nn_classify`` and its ``searches``, ``bounds`` and
+``hausdorff_bounds`` counts. Both were recorded before the harness's
+per-cell bookkeeping and the assignment solver's shortcuts went in, so
+neither may change the grid's records, their order or the classifier's
+work.
+
+Recording keeps every entry already in a table, records the entries it
 lacks and drops those no longer listed::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -26,10 +38,15 @@ from pathlib import Path
 import pytest
 
 from cged import CostModel, astar_ged, beam_ged
-from cged.ged import Heuristic
+from cged.centrality import CentralityMeasure
+from cged.dataset import split_corpus, synthesize_letter_like
+from cged.evaluation import TLevel, nn_classify, run_timing_benchmark
+from cged.ged import Heuristic, SearchSpec
 from cged.graph import Graph, Point2D
 
 GOLDEN = Path(__file__).parent / "data" / "ged_golden.json"
+GRID_GOLDEN = Path(__file__).parent / "data" / "grid_golden.json"
+CLASSIFY_GOLDEN = Path(__file__).parent / "data" / "classify_golden.json"
 
 MODELS = [
     CostModel(),
@@ -101,7 +118,54 @@ def golden_inputs() -> list[tuple[Graph, Graph, CostModel]]:
     return out
 
 
+HARNESS_SEARCHES = {"astar/bipartite": SearchSpec.astar(),
+                    "astar/zero": SearchSpec.astar(Heuristic.ZERO),
+                    "beam/3": SearchSpec.beam(3)}
+
+
+def grid_records(search: SearchSpec) -> list[list]:
+    """The timing grid on a fresh seeded corpus, one row per record."""
+    corpus = synthesize_letter_like(23, 30, 6, 0.4)
+    records = run_timing_benchmark(corpus, list(CentralityMeasure), list(TLevel), search,
+                                   40, 5)
+    return [[r.pair_id, r.measure.value, r.t_level.value, r.t_used_1, r.t_used_2,
+             r.search, r.cost.hex(), r.expanded_nodes] for r in records]
+
+
+def classify_outcomes(search: SearchSpec) -> dict[str, dict]:
+    """``nn_classify`` on a fresh seeded split, per (measure, level)."""
+    train, test = split_corpus(synthesize_letter_like(31, 40, 5, 0.5))
+    out = {}
+    for measure in CentralityMeasure:
+        for level in TLevel:
+            res = nn_classify(train, test, measure, level, search)
+            out[f"{measure.value}/{level.value}"] = {
+                "predictions": [list(p) for p in res.predictions],
+                "searches": res.searches, "bounds": res.bounds,
+                "hausdorff_bounds": res.hausdorff_bounds}
+    return out
+
+
+def _record_table(path: Path, compute) -> None:
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    table = {name: old[name] if name in old else compute(spec)
+             for name, spec in HARNESS_SEARCHES.items()}
+    # one record or (measure, level) entry a line
+    parts = []
+    for name, rows in table.items():
+        items = rows.items() if isinstance(rows, dict) else enumerate(rows)
+        lines = [json.dumps(v, separators=(",", ":")) if isinstance(rows, list)
+                 else f"{json.dumps(k)}:{json.dumps(v, separators=(',', ':'))}"
+                 for k, v in items]
+        brackets = "[]" if isinstance(rows, list) else "{}"
+        parts.append(f"{json.dumps(name)}:{brackets[0]}\n" + ",\n".join(lines)
+                     + f"\n{brackets[1]}")
+    path.write_text("{\n" + ",\n".join(parts) + "\n}\n", encoding="utf-8")
+
+
 def record() -> None:
+    _record_table(GRID_GOLDEN, grid_records)
+    _record_table(CLASSIFY_GOLDEN, classify_outcomes)
     recorded = _rows() if GOLDEN.exists() else [{"results": {}}] * 40
     rows = []
     for (g1, g2, cm), old in zip(golden_inputs(), recorded):
@@ -138,6 +202,18 @@ def test_search_matches_golden_table(index):
         assert res.cost == want["cost"], name
         assert res.expanded_nodes == want["expanded_nodes"], name
         assert res.path.to_json_dict() == want["path"], name
+
+
+@pytest.mark.parametrize("name", sorted(HARNESS_SEARCHES))
+def test_grid_matches_golden_table(name):
+    want = json.loads(GRID_GOLDEN.read_text(encoding="utf-8"))[name]
+    assert grid_records(HARNESS_SEARCHES[name]) == want
+
+
+@pytest.mark.parametrize("name", sorted(HARNESS_SEARCHES))
+def test_classification_matches_golden_table(name):
+    want = json.loads(CLASSIFY_GOLDEN.read_text(encoding="utf-8"))[name]
+    assert classify_outcomes(HARNESS_SEARCHES[name]) == want
 
 
 if __name__ == "__main__":

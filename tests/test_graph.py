@@ -17,9 +17,8 @@ from cged.graph import (
     MissingNodeError,
     Point2D,
     SelfLoopError,
-    is_cut_vertex_by_recount,
 )
-from helpers import cycle_graph, path_graph, random_graph, star_graph
+from helpers import cycle_graph, is_cut_vertex_by_recount, path_graph, random_graph, star_graph
 
 
 def test_ids_are_dense_and_never_reused():
