@@ -86,10 +86,11 @@ def _delete_walk(form: GraphArrays, alive: int, candidates: Iterable[tuple[int, 
     return alive
 
 
-def _contracted(g: Graph, report: ContractionReport) -> Graph:
-    """g minus the nodes the report removed, with the report's result order set."""
+def _contracted(g: Graph, report: ContractionReport) -> tuple[Graph, ContractionReport]:
+    """g minus the nodes the report removed, and the report with its result
+    order set."""
     report.result_order = g.order - len(report.removed)
-    return g.without(report.removed_ids)
+    return g.without(report.removed_ids), report
 
 
 def t_centrality_node_contraction(
@@ -110,11 +111,12 @@ def t_centrality_node_contraction(
         scores = compute_centrality(g, measure)
         candidates = ((u, scores.scores[u]) for u in rank_ascending(scores))
         _delete_walk(g.arrays(), (1 << g.order) - 1, candidates, min(t, g.order - 1), report)
-    return _contracted(g, report), report
+    return _contracted(g, report)
 
 
-def _degree_passes(g: Graph, degrees: Iterable[int]) -> tuple[Graph, ContractionReport]:
-    """One degree pass per k in ``degrees``, in turn, on one walk over g.
+def _degree_passes(g: Graph, degrees: Iterable[int]) -> ContractionReport:
+    """The report of one degree pass per k in ``degrees``, in turn, on one
+    walk over g; no graph is built, and the result order is left unset.
 
     A pass's candidates are the live nodes whose live degree equals k when
     the pass starts, visited in ascending id order, each scored k; they are
@@ -129,7 +131,7 @@ def _degree_passes(g: Graph, degrees: Iterable[int]) -> tuple[Graph, Contraction
                       if alive >> p & 1 and (masks[p] & alive).bit_count() == k]
         report.t_requested += len(candidates)
         alive = _delete_walk(form, alive, candidates, len(candidates), report)
-    return _contracted(g, report), report
+    return report
 
 
 def k_degree_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]:
@@ -141,7 +143,7 @@ def k_degree_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionRepor
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _degree_passes(g, [k])
+    return _contracted(g, _degree_passes(g, [k]))
 
 
 def k_star_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]:
@@ -150,4 +152,4 @@ def k_star_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]
     removals and skips in pass order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _degree_passes(g, range(1, k + 1))
+    return _contracted(g, _degree_passes(g, range(1, k + 1)))

@@ -57,7 +57,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .centrality import CentralityMeasure
-from .contraction import k_star_node_contraction, t_centrality_node_contraction
+from .contraction import _degree_passes, t_centrality_node_contraction
 from .costs import DEFAULT_COST_MODEL, CostModel
 from .dataset import Corpus
 from .ged import SearchSpec, bipartite_lower_bound, hausdorff_lower_bound, run_search
@@ -93,9 +93,10 @@ def t_star_levels(g: Graph) -> dict[TLevel, int]:
     degree-1..k contraction chain at Tk*.
 
     The degree-1..3 chain contains the shorter ones, so one run of it gives
-    every budget: Tk* counts the removals of its first k passes.
+    every budget: Tk* counts the removals of its first k passes. Only the
+    chain's report is read, so no contracted graph is built.
     """
-    _, report = k_star_node_contraction(g, 3)
+    report = _degree_passes(g, range(1, 4))
     passes = [int(k) for _, k in report.removed]  # the degree pass of each removal
     return {
         TLevel.T0: 0,

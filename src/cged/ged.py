@@ -136,7 +136,8 @@ class _PairView:
     row per unplaced source. Row i, column j holds ``y_node * d(l_i, l_j)``
     plus ``edge substitution - 2 * x_edge`` per placed neighbour of i mapped
     onto a neighbour of j, whose edge pair is substituted rather than
-    deleted and inserted. ``rows0`` holds the rows of the empty prefix.
+    deleted and inserted. ``rows0`` holds the rows of the empty prefix,
+    which are also the cells of :func:`bipartite_lower_bound`.
     """
 
     __slots__ = ("a1", "a2", "n1", "n2", "node_dist", "rows0")
@@ -293,17 +294,16 @@ def bipartite_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
     onto another needs at least the difference of their degrees in edge
     deletions and insertions, and each edge operation touches only two
     stars, so half its cost per star never overcounts, whatever the labels
-    and cost model. The assignment is solved on the reduced n1 x n2 matrix
-    of :func:`kernels.assignment`, and its matching is priced on these
-    costs, so a graph against a copy of itself gives exactly 0.0, and two
-    empty graphs give 0.0.
+    and cost model. The ``y_node * d(l_i, l_j)`` cells are the search's own
+    empty-prefix rows (``_PairView.rows0``), the assignment is solved on
+    the reduced n1 x n2 matrix of :func:`kernels.assignment`, and its
+    matching is priced on these costs, so a graph against a copy of itself
+    gives exactly 0.0, and two empty graphs give 0.0.
     """
-    a1, a2 = g1.arrays(), g2.arrays()
-    y_node, half = cm.y_node, 0.5 * cm.x_edge
-    deg1 = [len(row) for row in a1.adj]
-    deg2 = [len(row) for row in a2.adj]
-    sub = [[y_node * node_label_distance(a, b) for b in a2.labels] for a in a1.labels]
-    _, matched = kernels.assignment(sub, deg1, list(enumerate(deg2)), cm.x_node, cm.x_edge)
+    sub, half = _PairView(g1, g2, cm, Heuristic.BIPARTITE).rows0, 0.5 * cm.x_edge
+    _, deg1 = _node_rows(g1)
+    _, deg2 = _node_rows(g2)
+    matched = kernels.assignment(sub, deg1, list(enumerate(deg2)), cm.x_node, cm.x_edge)
     mapped1 = {i for i, _ in matched}
     mapped2 = {j for _, j in matched}
     return (sum((sub[i][j] + half * abs(deg1[i] - deg2[j]) for i, j in matched), 0.0)

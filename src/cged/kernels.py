@@ -11,18 +11,17 @@ that :mod:`cged.ged` assembles once per search from both graphs' forms,
 they see are small (letters and molecules of a few to a few dozen nodes),
 where Python sequences and int bitmasks beat numpy's per-call overhead.
 The expansion step also prices exact A*'s bipartite bound for every child
-it appends, and reads only the value of the bound's node assignment. Four
+it appends, and reads only the value of the bound's node assignment. Three
 exact certificates give that value without a solver: no row with a
-negative cell, one row or one column, every row's cheapest cell in a
-column of its own, and two rows wanting one column where moving one of
-them is provably optimal (see :func:`_value`). Each returns the float
-that scipy's matching gives when summed in row order, so costs, paths and
+negative cell, one row or one column, and every row's cheapest cell in a
+column of its own (see :func:`_value`). Each returns the float that
+scipy's matching gives when summed in row order, so costs, paths and
 expansion counts are those of solving every assignment; scipy is reached
-only when three or more rows contest columns, or when two do and neither
-way of moving one is certain. ``scipy.optimize`` is imported once, on the
-first assignment that needs it (see :func:`_solver`). :func:`assignment`
-returns the matching itself, for :func:`cged.ged.bipartite_lower_bound`,
-from the same cell builder and solver.
+whenever two or more rows want one column. ``scipy.optimize`` is imported
+once, on the first assignment that needs it (see :func:`_solver`).
+:func:`assignment` returns the matching itself, for
+:func:`cged.ged.bipartite_lower_bound`, from the same cell builder and
+solver.
 
 Conventions shared with :mod:`cged.ged`:
 
@@ -88,74 +87,35 @@ def _matching(matrix: list) -> zip:
     return zip(picked_rows.tolist(), picked_cols.tolist())
 
 
-def _mover(neg: list, mins: list, wants: list, taken: set) -> tuple[int, float]:
-    """For rows that want distinct columns but for one column j that two
-    rows a < b want: the row that moves off j and the cell it moves to, if
-    that is the optimum; else (-1, 0.0).
-
-    Any matching leaves j to at most one of a and b, so it costs at least
-    the sum of the minima with a's (or b's) replaced by that row's
-    cheapest cell in another column (0.0 if none is negative: it stays
-    unmatched). When one of the two is cheaper by more than rounding, and
-    its row finds that cell in a column no other row wants (or stays
-    unmatched), the matching that moves it attains the bound, and in exact
-    arithmetic every matching that attains it pays the same cell in each
-    row.
-    """
-    j = sum(wants) - sum(taken)
-    a = wants.index(j)
-    b = wants.index(j, a + 1)
-    rest_a = neg[a][:j] + neg[a][j + 1:]
-    rest_b = neg[b][:j] + neg[b][j + 1:]
-    sa, sb = min(rest_a), min(rest_b)
-    da, db = sa - mins[a], sb - mins[b]
-    # every cell is at most 0, so the margin is 1e-12 of their magnitudes
-    if abs(da - db) > -1e-12 * (sa + sb + mins[a] + mins[b]):
-        mover, rest, s = (a, rest_a, sa) if da < db else (b, rest_b, sb)
-        col = rest.index(s)
-        if s == 0.0 or col + (col >= j) not in taken:
-            return mover, s
-    return -1, 0.0
-
-
 def _value(neg: list, mins: list, wants: list) -> float:
     """The assignment's value over the clipped cell rows ``neg``, each with
     a negative cell, whose minima are ``mins`` and first cheapest columns
     ``wants``: the float that scipy's matching gives when its negative
     cells are summed in row order.
 
-    Four certificates answer without scipy:
+    Three certificates answer without scipy:
 
     * no row: 0.0;
     * one row or one column: the smallest cell;
     * every row's first cheapest cell in a column of its own: the sum of
-      the minima in row order;
-    * two rows wanting the same column and the others distinct ones: the
-      same sum with one of the two rows moved to its next-cheapest column,
-      when :func:`_mover` shows that to be the optimum.
+      the minima in row order.
 
     Each certificate forces the optimum's cell value in every row (in exact
     arithmetic, a matching that pays another value in any row costs more),
-    so its sum in row order is the one scipy's matching gives. Three or
-    more rows contesting columns, or two whose ways tie or whose mover is
-    blocked, go to scipy.
+    so its sum in row order is the one scipy's matching gives. Two or more
+    rows wanting one column go to scipy: a check that moving one of two
+    such rows is optimal cost more than the solver call it saved.
     """
     n = len(wants)
     if n < 2 or len(neg[0]) == 1:
         return min(mins, default=0.0)
-    taken = set(wants)
-    mover, s = -1, 0.0
-    if len(taken) == n - 1:
-        mover, s = _mover(neg, mins, wants, taken)
-    if len(taken) == n or mover >= 0:
-        total = 0.0
-        for i, m in enumerate(mins):
-            if i == mover:
-                m = s
-            if m < 0.0:
-                total += m
-        return total
     total = 0.0
+    if len(set(wants)) == n:
+        # left to right, as scipy's matching is summed: from Python 3.12,
+        # sum() of floats is compensated and would differ in the last bit
+        for m in mins:
+            total += m
+        return total
     for i, j in _matching(neg):
         c = neg[i][j]
         if c < 0.0:
@@ -163,8 +123,8 @@ def _value(neg: list, mins: list, wants: list) -> float:
     return total
 
 
-def assignment(rows, degs, cols, x_node: float, x_edge: float) -> tuple[float, list]:
-    """The assignment part of the bipartite bound, on the reduced matrix.
+def assignment(rows, degs, cols, x_node: float, x_edge: float) -> list:
+    """The matching of the bipartite bound's assignment, on the reduced matrix.
 
     ``rows`` holds one list per unplaced source node, indexed by target
     position; ``degs`` gives each such node's edges towards unplaced source
@@ -173,36 +133,30 @@ def assignment(rows, degs, cols, x_node: float, x_edge: float) -> tuple[float, l
     ``min(rows[i][j] - x_edge * min(deg_i, deg_j) - 2 * x_node, 0)``: the
     substitution cost of the (r + c)-square epsilon-padded assignment less
     i's deletion and j's insertion cost (see ``cged.ged._PairView``),
-    clipped at 0. Returns the minimum-cost assignment's value (at most 0)
-    and its negative cells as (row index, target position) pairs.
+    clipped at 0. Returns the minimum-cost assignment's negative cells as
+    (row index, target position) pairs in ascending row order.
 
     A matching gains only from negative cells, and a row or column it
     leaves unmatched keeps its deletion or insertion, so the padded optimum
-    is the sum of all deletions and insertions plus this value, exactly.
-    Rows without a negative cell are dropped and a single row or column is
-    solved directly; the rest go to scipy (imported once, on the first
-    call that needs it), whose matching this returns:
+    is the sum of all deletions and insertions plus the matched cells,
+    exactly. Rows without a negative cell are dropped and a single row or
+    column is solved directly; the rest go to scipy (imported once, on the
+    first call that needs it), whose matching this returns:
     :func:`cged.ged.bipartite_lower_bound` prices the matched cells itself,
     so the matching must be the solver's. The expansion step needs only the
-    value, which :func:`_value` gives from the same cells through four
-    exact certificates, and reaches scipy only when three or more rows
-    contest columns, or two do and moving neither is certain.
+    value, which :func:`_value` gives from the same cells through three
+    exact certificates, and reaches scipy whenever two or more rows want
+    one column.
     """
     two_x = x_node + x_node
     terms = [(j, dc, x_edge * dc + two_x) for j, dc in cols]
     keep, neg, mins, _ = _reduced(rows, degs, terms, x_node, x_edge)
     if not neg:
-        return 0.0, []
+        return []
     if len(neg) == 1 or len(cols) == 1:
         best, k, at = min(zip(mins, keep, neg))
-        return best, [(k, cols[at.index(best)][0])]
-    total, matched = 0.0, []
-    for i, j in _matching(neg):
-        c = neg[i][j]
-        if c < 0.0:
-            total += c
-            matched.append((keep[i], cols[j][0]))
-    return total, matched
+        return [(k, cols[at.index(best)][0])]
+    return [(keep[i], cols[j][0]) for i, j in _matching(neg) if neg[i][j] < 0.0]
 
 
 def extend_costs(view, cm, children: list, entry: tuple) -> None:

@@ -544,6 +544,33 @@ def test_a_cold_call_builds_only_the_level_graphs_it_reads(monkeypatch):
     assert 0 < built.count("_without") <= len(corpus.graphs)
 
 
+def test_budgets_build_no_contracted_graph(monkeypatch):
+    # t_star_levels reads only the degree chain's report, so working out a
+    # graph's budgets builds no graph
+    corpus = synthesize_letter_like(seed=7, count=48, classes=24, distortion=0.12)
+    train, test = split_corpus(corpus)
+    levels, without = evaluation.t_star_levels, Graph.without
+    inside, calls, built = [], [], []
+
+    def counted_levels(g):
+        inside.append(g)
+        calls.append(g)
+        try:
+            return levels(g)
+        finally:
+            inside.pop()
+
+    def counted(self, ids):
+        built.append(bool(inside))
+        return without(self, ids)
+
+    monkeypatch.setattr(evaluation, "t_star_levels", counted_levels)
+    monkeypatch.setattr(Graph, "without", counted)
+    nn_classify(train, test, CentralityMeasure.BETWEENNESS, TLevel.T1STAR, SearchSpec.astar())
+    assert calls and built
+    assert not any(built)
+
+
 @pytest.mark.parametrize("mutation", ["add_node", "add_edge", "delete_node"])
 def test_a_mutated_graph_is_walked_afresh(monkeypatch, mutation):
     corpus = synthesize_letter_like(seed=39, count=8, classes=4, distortion=0.3)

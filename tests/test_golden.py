@@ -23,8 +23,16 @@ per-cell bookkeeping and the assignment solver's shortcuts went in, so
 neither may change the grid's records, their order or the classifier's
 work.
 
+``data/bound_golden.json`` holds, for both orders of each of the 40 pairs
+of ``ged_golden.json`` under its cost model, the value of
+``bipartite_lower_bound`` and ``hausdorff_lower_bound`` as ``float.hex``.
+It was recorded before the bipartite bound's fourth assignment
+certificate was dropped and its cells were taken from the search's own
+cell builder, so neither change may move a bound by a bit.
+
 Recording keeps every entry already in a table, records the entries it
-lacks and drops those no longer listed::
+lacks and drops those no longer listed; the bound table is written only
+when it is missing::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -41,12 +49,13 @@ from cged import CostModel, astar_ged, beam_ged
 from cged.centrality import CentralityMeasure
 from cged.dataset import split_corpus, synthesize_letter_like
 from cged.evaluation import TLevel, nn_classify, run_timing_benchmark
-from cged.ged import Heuristic, SearchSpec
+from cged.ged import Heuristic, SearchSpec, bipartite_lower_bound, hausdorff_lower_bound
 from cged.graph import Graph, Point2D
 
 GOLDEN = Path(__file__).parent / "data" / "ged_golden.json"
 GRID_GOLDEN = Path(__file__).parent / "data" / "grid_golden.json"
 CLASSIFY_GOLDEN = Path(__file__).parent / "data" / "classify_golden.json"
+BOUND_GOLDEN = Path(__file__).parent / "data" / "bound_golden.json"
 
 MODELS = [
     CostModel(),
@@ -146,6 +155,16 @@ def classify_outcomes(search: SearchSpec) -> dict[str, dict]:
     return out
 
 
+def bound_values() -> list[dict]:
+    """Both lower bounds as ``float.hex``, per golden pair and argument order."""
+    rows = []
+    for g1, g2, cm in golden_inputs():
+        rows.append({order: {"bipartite": bipartite_lower_bound(a, b, cm).hex(),
+                             "hausdorff": hausdorff_lower_bound(a, b, cm).hex()}
+                     for order, (a, b) in (("forward", (g1, g2)), ("backward", (g2, g1)))})
+    return rows
+
+
 def _record_table(path: Path, compute) -> None:
     old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     table = {name: old[name] if name in old else compute(spec)
@@ -166,6 +185,10 @@ def _record_table(path: Path, compute) -> None:
 def record() -> None:
     _record_table(GRID_GOLDEN, grid_records)
     _record_table(CLASSIFY_GOLDEN, classify_outcomes)
+    if not BOUND_GOLDEN.exists():
+        BOUND_GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r, separators=(",", ":"))
+                                                    for r in bound_values()) + "\n]\n",
+                                encoding="utf-8")
     recorded = _rows() if GOLDEN.exists() else [{"results": {}}] * 40
     rows = []
     for (g1, g2, cm), old in zip(golden_inputs(), recorded):
@@ -214,6 +237,10 @@ def test_grid_matches_golden_table(name):
 def test_classification_matches_golden_table(name):
     want = json.loads(CLASSIFY_GOLDEN.read_text(encoding="utf-8"))[name]
     assert classify_outcomes(HARNESS_SEARCHES[name]) == want
+
+
+def test_bounds_match_golden_table():
+    assert bound_values() == json.loads(BOUND_GOLDEN.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":
