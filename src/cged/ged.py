@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 from . import kernels
 from .centrality import CentralityMeasure
 from .contraction import ContractionReport, t_centrality_node_contraction
-from .costs import DEFAULT_COST_MODEL, CostModel, EditOperation, EditPath, node_label_distance
+from .costs import DEFAULT_COST_MODEL, CostModel, EditOperation, EditPath
 from .graph import Graph, Point2D
 
 
@@ -49,6 +49,13 @@ class Heuristic(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+def _check_heuristic(heuristic) -> None:
+    """A heuristic is a :class:`Heuristic` member: the search compares it by
+    identity, so a string or None would otherwise run unguided."""
+    if not isinstance(heuristic, Heuristic):
+        raise ValueError(f"heuristic must be a Heuristic member, got {heuristic!r}")
 
 
 def _check_width(w) -> None:
@@ -78,6 +85,7 @@ class SearchSpec:
         if self.heuristic is None:
             default = Heuristic.BIPARTITE if self.kind == "astar" else Heuristic.ZERO
             object.__setattr__(self, "heuristic", default)
+        _check_heuristic(self.heuristic)
         if self.kind == "astar" and self.w:
             raise ValueError(f"astar search takes no width, got {self.w}")
         if self.kind == "beam":
@@ -126,7 +134,8 @@ class _PairView:
     """One graph pair as :func:`kernels.extend_costs` and :func:`_reconstruct`
     read it: both graphs' :class:`~cged.graph.GraphArrays` (``a1``, ``a2``),
     their orders ``n1`` and ``n2``, ``node_dist[i][j]``, the label distance
-    of source position i and target position j, and ``rows0``.
+    of source position i and target position j (from both graphs'
+    :func:`_node_rows`), ``rows0`` and ``depth_terms``.
 
     ``rows0`` is None unless the search uses :attr:`Heuristic.BIPARTITE`.
     With the first d source positions placed, that bound is the cost of
@@ -138,18 +147,50 @@ class _PairView:
     onto a neighbour of j, whose edge pair is substituted rather than
     deleted and inserted. ``rows0`` holds the rows of the empty prefix,
     which are also the cells of :func:`bipartite_lower_bound`.
+
+    ``depth_terms[d]`` holds what the bound needs of the sources after
+    source d, which depends on d alone, for every d below the last: the
+    ``(row index, edge kind, edge value)`` of each of them linked to d, their
+    degrees towards each other, their row terms ``x_edge * degree + 2 *
+    x_node``, and the cost of deleting them all with every edge that reaches
+    them. It is built once per search, and is None under
+    :attr:`Heuristic.ZERO` and when ``search`` is false (the view of
+    :func:`bipartite_lower_bound`, which reads only ``rows0``).
     """
 
-    __slots__ = ("a1", "a2", "n1", "n2", "node_dist", "rows0")
+    __slots__ = ("a1", "a2", "n1", "n2", "node_dist", "rows0", "depth_terms")
 
-    def __init__(self, g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic):
+    def __init__(self, g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
+                 search: bool = True):
         a1, a2 = self.a1, self.a2 = g1.arrays(), g2.arrays()
-        self.n1, self.n2 = len(a1.ids), len(a2.ids)
-        self.node_dist = [[node_label_distance(a, b) for b in a2.labels]
-                          for a in a1.labels]
-        self.rows0 = None
-        if heuristic is Heuristic.BIPARTITE:
-            self.rows0 = tuple([cm.y_node * d for d in row] for row in self.node_dist)
+        n1 = self.n1 = len(a1.ids)
+        self.n2 = len(a2.ids)
+        labels2 = _node_rows(g2)[0]
+        # node_label_distance on the stored forms: a symbol never equals a pair
+        self.node_dist = [[hypot(a[0] - b[0], a[1] - b[1]) if type(b) is tuple else 1.0
+                           for b in labels2] if type(a) is tuple
+                          else [0.0 if a == b else 1.0 for b in labels2]
+                          for a in _node_rows(g1)[0]]
+        self.rows0 = self.depth_terms = None
+        if heuristic is not Heuristic.BIPARTITE:
+            return
+        self.rows0 = tuple([cm.y_node * d for d in row] for row in self.node_dist)
+        if not search:
+            return
+        x_node, x_edge = cm.x_node, cm.x_edge
+        two_x = x_node + x_node
+        masks = a1.masks
+        ends = sum(m.bit_count() for m in masks)  # less d's and those before: the rest's
+        self.depth_terms = terms = []
+        for d in range(n1 - 1):
+            kind_row, val_row = a1.kind[d], a1.val[d]
+            ends -= masks[d].bit_count()
+            # the rest's degrees towards each other count each edge among
+            # them twice; deleting the rest pays every edge that reaches it
+            degs = [(masks[i] >> d + 1).bit_count() for i in range(d + 1, n1)]
+            terms.append(([(i - d - 1, kind_row[i], val_row[i]) for i in a1.adj[d] if i > d],
+                          degs, [x_edge * dr + two_x for dr in degs],
+                          x_node * (n1 - d - 1) + x_edge * (ends - sum(degs) // 2)))
 
     def root(self) -> tuple:
         """The open-list entry of the empty prefix (complete when g1 is empty)."""
@@ -240,8 +281,9 @@ def astar_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
 
     Every heuristic gives the same cost; ``heuristic`` changes only how many
     prefixes are expanded and, among equally cheap edit paths, which one is
-    returned.
+    returned. A ``heuristic`` that is not a :class:`Heuristic` member fails.
     """
+    _check_heuristic(heuristic)
     return _search(g1, g2, cm or DEFAULT_COST_MODEL, heuristic, width=None)
 
 
@@ -300,7 +342,8 @@ def bipartite_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
     matching is priced on these costs, so a graph against a copy of itself
     gives exactly 0.0, and two empty graphs give 0.0.
     """
-    sub, half = _PairView(g1, g2, cm, Heuristic.BIPARTITE).rows0, 0.5 * cm.x_edge
+    sub = _PairView(g1, g2, cm, Heuristic.BIPARTITE, search=False).rows0
+    half = 0.5 * cm.x_edge
     _, deg1 = _node_rows(g1)
     _, deg2 = _node_rows(g2)
     matched = kernels.assignment(sub, deg1, list(enumerate(deg2)), cm.x_node, cm.x_edge)

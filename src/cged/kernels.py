@@ -11,7 +11,9 @@ that :mod:`cged.ged` assembles once per search from both graphs' forms,
 they see are small (letters and molecules of a few to a few dozen nodes),
 where Python sequences and int bitmasks beat numpy's per-call overhead.
 The expansion step also prices exact A*'s bipartite bound for every child
-it appends, and reads only the value of the bound's node assignment. Three
+it appends, and reads only the value of the bound's node assignment. It
+builds the bound's clipped cells once per expansion, and each child
+rebuilds only the columns it changes (see :func:`extend_costs`). Three
 exact certificates give that value without a solver: no row with a
 negative cell, one row or one column, and every row's cheapest cell in a
 column of its own (see :func:`_value`). Each returns the float that
@@ -25,11 +27,12 @@ solver.
 
 Conventions shared with :mod:`cged.ged`:
 
-* a pair view (``cged.ged._PairView``) has six fields: the two graphs'
+* a pair view (``cged.ged._PairView``) has seven fields: the two graphs'
   forms ``a1`` and ``a2``, their orders ``n1`` and ``n2``, the node label
-  distances ``node_dist`` and the bipartite bound's empty-prefix rows
-  ``rows0`` (None without the bound); kinds, values, edges and masks are
-  read from the forms themselves;
+  distances ``node_dist``, the bipartite bound's empty-prefix rows
+  ``rows0`` and its per-depth terms ``depth_terms`` (both None without the
+  bound); kinds, values, edges and masks are read from the forms
+  themselves;
 * a mapping is a tuple of target positions, one per placed source node in
   position order, with -1 marking a deleted source node;
 * a used-target set is an int bitmask over target positions;
@@ -51,25 +54,39 @@ EPS_SLOT = -1  # mapping value for "source node deleted"
 # edit-search expansion step
 # ----------------------------------------------------------------------
 
-def _reduced(rows, degs, terms, x_node: float, x_edge: float) -> tuple[list, list, list, list]:
-    """The reduced matrix's rows that hold a negative cell (see
-    :func:`assignment`), in row order: their indexes into ``rows``, their
-    cells clipped at 0, their minima and each minimum's first column.
-    ``terms`` holds one ``(target position, degree, x_edge * degree + 2 *
-    x_node)`` triple per column. A row without a negative cell cannot gain
-    from a matching, so it is dropped."""
-    two_x = x_node + x_node
+def _cells(row, xr: float, dr: int, terms) -> list:
+    """One row of the reduced matrix (see :func:`assignment`), clipped at 0:
+    per ``(target position j, degree dc, x_edge * dc + 2 * x_node)`` triple
+    of ``terms``, ``row[j]`` less the row term ``xr`` (``x_edge * dr + 2 *
+    x_node``) when ``dr < dc`` and the column term otherwise. Every cell of
+    the bound is this expression on these operands, so a cell is the same
+    float however it is reached; :func:`extend_costs` repeats it inline for
+    the few columns a child rebuilds, where a call per row costs more than
+    the cells."""
+    return [c if (c := row[j] - (xr if dr < dc else xc)) < 0.0 else 0.0 for j, dc, xc in terms]
+
+
+def _minima(cell_rows) -> tuple[list, list, list, list]:
+    """The cell rows that hold a negative cell, in row order: their indexes,
+    the rows themselves, their minima and each minimum's first column. A
+    row without a negative cell cannot gain from a matching, so it is
+    dropped."""
     keep, neg, mins, wants = [], [], [], []
-    for k, (row, dr) in enumerate(zip(rows, degs)):
-        xr = x_edge * dr + two_x
-        cells = [c if (c := row[j] - (xr if dr < dc else xc)) < 0.0 else 0.0
-                 for j, dc, xc in terms]
+    for k, cells in enumerate(cell_rows):
         if cells and (m := min(cells)) < 0.0:
             keep.append(k)
             neg.append(cells)
             mins.append(m)
             wants.append(cells.index(m))
     return keep, neg, mins, wants
+
+
+def _reduced(rows, degs, terms, x_node: float, x_edge: float) -> tuple[list, list, list, list]:
+    """:func:`_minima` of the reduced matrix's clipped rows: one row of
+    :func:`_cells` per row of ``rows``, whose degree ``degs`` gives, over
+    the columns of ``terms``."""
+    two_x = x_node + x_node
+    return _minima([_cells(row, x_edge * dr + two_x, dr, terms) for row, dr in zip(rows, degs)])
 
 
 @functools.cache
@@ -172,24 +189,35 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
         + x_edge * (edge insertions and deletions)
 
     and a deletion costs ``x_node`` plus ``x_edge`` per placed neighbour.
-    Substitution distances are added in source-position order, so costs
-    and tie-breaking are reproducible to the bit. At the last level a child
-    also pays for inserting every target node and edge left over, and its
-    ``f`` is its ``g``.
+    Only the placed neighbours of the new node are walked, in source-position
+    order, so substitution distances are added in that order and costs and
+    tie-breaking are reproducible to the bit; the targets of the other
+    mapped sources form one bitmask, and each of their edges towards the
+    chosen target is an insertion. At the last level a child also pays for
+    inserting every target node and edge left over, and its ``f`` is its
+    ``g``.
 
     Below the last level ``f`` is ``g`` alone, unless the view carries the
     bipartite bound's empty-prefix rows (``view.rows0``). Then ``f`` is
     ``g + h``, with ``h`` the bound of what is left (see
     ``cged.ged._PairView``), and entries carry the bound's rows as a sixth
-    element. A child copies only the rows of its newly placed node's
-    unplaced neighbours, and in them updates only the cells of the chosen
-    target's neighbours. The unplaced sources' deletion cost and degrees
-    come from ``a1.masks``, the unused targets' from ``a2.masks``.
+    element. The clipped cells of every unplaced row over the unused
+    targets are built once per expansion by :func:`_cells`, and the
+    deletion child reads them as they are. A child that maps the new node
+    onto target v differs from them only in the columns of v's unused
+    neighbours, whose degree drops by one and where the rows linked to the
+    new node gain the mapped edge pair: it copies each cell row, rebuilds
+    those columns with :func:`_cells`'s expression and operands, and drops
+    v's column, so every cell is the float a full rebuild gives. Its rows
+    are copies only where linked, updated in those same columns (the used
+    columns are never read again). The rows' degrees and terms and the
+    deletion cost of the unplaced sources come from ``view.depth_terms``,
+    the unused targets' degrees from ``a2.masks``.
 
     ``view`` provides ``a1`` and ``a2`` (both graphs'
     :class:`~cged.graph.GraphArrays`, whose ``kind``, ``val``, ``masks``,
-    ``adj`` and ``edges`` the step reads), ``n1``, ``n2``, ``node_dist``
-    and ``rows0``.
+    ``adj`` and ``edges`` the step reads), ``n1``, ``n2``, ``node_dist``,
+    ``rows0`` and ``depth_terms``.
     """
     bound = view.rows0 is not None
     if bound:
@@ -205,17 +233,21 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
     node_dist = view.node_dist[depth]
     x_node, y_node, x_edge, y_edge = cm.x_node, cm.y_node, cm.x_edge, cm.y_edge
 
-    live = []  # (edge kind, edge value, target) per mapped placed source node
-    dead = 0   # edges towards deleted placed source nodes
-    neighbours = 0  # edges towards any placed source node
-    for i, w in enumerate(mapping):
-        k1 = kind_row[i]
+    live = []  # (edge kind, edge value, target) per mapped placed neighbour
+    dead = 0   # edges towards deleted placed neighbours
+    near = 0   # the targets of the mapped placed neighbours
+    for i in a1.adj[depth]:
+        if i >= depth:
+            break
+        w = mapping[i]
         if w >= 0:
-            live.append((k1, val_row[i], w))
-        elif k1:
+            live.append((kind_row[i], val_row[i], w))
+            near |= 1 << w
+        else:
             dead += 1
-        if k1:
-            neighbours += 1
+    # the targets of the mapped placed sources that are not neighbours: each
+    # of their edges towards a child's target is an insertion
+    far = used ^ near
     child_depth = negd - 1
     n1, n2 = view.n1, view.n2
     final = depth + 1 == n1
@@ -233,47 +265,49 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
 
     if bound and not final:
         adj2 = a2.adj
-        rest = range(depth + 1, n1)  # the sources placed after this one
         rows = rows[1:]
-        linked = [(k, kind_row[i], val_row[i]) for k, i in enumerate(rest) if kind_row[i]]
-        # the rest's degrees towards each other, which count each edge among
-        # them twice, and the edges that reach the rest, which deleting it pays
-        degs = [(a1.masks[i] >> depth + 1).bit_count() for i in rest]
-        reaching = sum(a1.masks[i].bit_count() for i in rest) - sum(degs) // 2
-        h_del = x_node * len(rest) + x_edge * reaching
+        linked, degs, xrs, h_del = view.depth_terms[depth]
         two_x_edge = x_edge + x_edge
         two_x = x_node + x_node
         # the bound's columns: (unused target, its degree towards unused
-        # targets, x_edge * that degree + 2 * x_node)
+        # targets, x_edge * that degree + 2 * x_node); and per unused target
+        # j, the column (its place, j, and its degree and term one lower)
+        # that a child mapped onto one of j's neighbours rebuilds
         free = []
+        lowered = [None] * n2
         for j in range(n2):
             if not used >> j & 1:
                 dc = (masks[j] & ~used).bit_count()
+                lowered[j] = (len(free), j, dc - 1, x_edge * (dc - 1) + two_x)
                 free.append((j, dc, x_edge * dc + two_x))
+        base = [_cells(row, xr, dr, free) for row, dr, xr in zip(rows, degs, xrs)]
+        deleted = _minima(base)[1:]  # the deletion child's assignment
 
+    p = -1  # v's place among the unused targets
     for v in range(n2 + 1):
         if v == n2:
             slot = EPS_SLOT
             child_used = used
-            cost = x_node + x_edge * neighbours
+            cost = x_node + x_edge * (len(live) + dead)  # one per placed neighbour
         else:
             bit = 1 << v
             if used & bit:
                 continue
+            p += 1
             slot = v
             child_used = used | bit
             kinds = kind2[v]
             vals = val2[v]
             sub = 0.0
-            indel = dead
+            indel = dead + (masks[v] & far).bit_count()
             for k1, x1, w in live:
                 k2 = kinds[w]
-                if k1 and k2:
+                if k2:
                     if k1 != k2:
                         sub += 1.0
                     elif k1 == 2:
                         sub += abs(vals[w] - x1)
-                elif k1 or k2:
+                else:
                     indel += 1
             cost = y_node * node_dist[v] + y_edge * sub + x_edge * indel
         child_g = g + cost
@@ -284,18 +318,19 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
                 child_g += (x_node * (unused - 1)
                             + x_edge * (unpaid - (masks[v] & used).bit_count()))
         elif bound:
+            child_rows = rows
             if v == n2:
-                child_rows, terms, ins = rows, free, completion
+                h = h_del + completion + _value(*deleted)
             else:
-                mask = masks[v]
-                child_rows = rows
-                if linked and mask:
-                    # a mapped edge pair replaces the deletion and the insertion
-                    # that the row and column terms charge for it
+                # v's unused neighbours: their degree drops by one, and a
+                # mapped edge pair replaces the deletion and the insertion
+                # that the row and column terms charge for it
+                patch = [col for j in adj2[v] if (col := lowered[j]) is not None]
+                if linked and patch:
                     child_rows = list(rows)
                     for k, k1, x1 in linked:
                         row = rows[k][:]
-                        for j in adj2[v]:
+                        for _, j, _, _ in patch:
                             k2 = kinds[j]
                             if k1 != k2:
                                 row[j] += y_edge - two_x_edge
@@ -304,10 +339,21 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
                             else:
                                 row[j] -= two_x_edge
                         child_rows[k] = row
-                terms = [(j, dc - 1, x_edge * (dc - 1) + two_x) if mask >> j & 1 else (j, dc, xc)
-                         for j, dc, xc in free if j != v]
-                ins = completion - x_node - x_edge * (mask & used).bit_count()
-            h = h_del + ins + _value(*_reduced(child_rows, degs, terms, x_node, x_edge)[1:])
+                # each row's cells with those columns rebuilt, by the
+                # expression of _cells, and v's column dropped
+                neg, mins, wants = [], [], []
+                for cells, row, dr, xr in zip(base, child_rows, degs, xrs):
+                    cells = cells[:]
+                    for s, j, dc, xc in patch:
+                        c = row[j] - (xr if dr < dc else xc)
+                        cells[s] = c if c < 0.0 else 0.0
+                    del cells[p]
+                    if cells and (m := min(cells)) < 0.0:
+                        neg.append(cells)
+                        mins.append(m)
+                        wants.append(cells.index(m))
+                h = (h_del + (completion - x_node - x_edge * (masks[v] & used).bit_count())
+                     + _value(neg, mins, wants))
             children.append((child_g + h, child_depth, mapping + (slot,), child_g, child_used,
                              child_rows))
             continue

@@ -22,14 +22,14 @@ from helpers import (
 
 
 @st.composite
-def graph_pairs(draw):
+def graph_pairs(draw, max_nodes=5):
     """Two small graphs with coordinate or symbolic labels, unlabeled or
     fractional numeric edges, and possibly sparse node ids."""
     symbolic = draw(st.booleans())
     graphs = []
     for _ in range(2):
         g = Graph()
-        for _ in range(draw(st.integers(0, 5))):
+        for _ in range(draw(st.integers(0, max_nodes))):
             if symbolic:
                 g.add_node(draw(st.sampled_from("CNOS")))
             else:
@@ -149,6 +149,53 @@ def test_bipartite_children_never_overestimate_their_cheapest_completion(pair, d
     for f, _, child, child_g, *_ in heap:
         assert child_g <= f + 1e-12
         assert f <= cheapest_completion(g1, g2, cm, child) + 1e-9
+
+
+def bound_from_scratch(view, cm, child) -> float:
+    """The bound of a child below the last level, rebuilt without the
+    expansion step's patched cells: the unplaced sources' degrees and
+    deletion cost and the unused targets' terms counted afresh, then the
+    child's own rows through :func:`kernels._reduced` and
+    :func:`kernels._value`, in the operand order of a step that built every
+    child's cells anew."""
+    _, negd, mapping, _, child_used, rows = child
+    a1, a2, n1, n2 = view.a1, view.a2, view.n1, view.n2
+    x_node, x_edge = cm.x_node, cm.x_edge
+    d = -negd
+    v = mapping[-1]
+    used = child_used & ~(1 << v) if v >= 0 else child_used
+    rest = range(d, n1)
+    degs = [(a1.masks[i] >> d).bit_count() for i in rest]
+    reaching = sum(a1.masks[i].bit_count() for i in rest) - sum(degs) // 2
+    h_del = x_node * len(rest) + x_edge * reaching
+    masks = a2.masks
+    unused = n2 - used.bit_count()
+    unpaid = len(a2.edges) - sum((masks[j] & used).bit_count()
+                                 for j in range(n2) if used >> j & 1) // 2
+    completion = x_node * unused + x_edge * unpaid
+    two_x = x_node + x_node
+    free = [(j, dc, x_edge * dc + two_x)
+            for j in range(n2) if not used >> j & 1 for dc in [(masks[j] & ~used).bit_count()]]
+    if v < 0:
+        terms, ins = free, completion
+    else:
+        terms = [(j, dc - 1, x_edge * (dc - 1) + two_x) if masks[v] >> j & 1 else (j, dc, xc)
+                 for j, dc, xc in free if j != v]
+        ins = completion - x_node - x_edge * (masks[v] & used).bit_count()
+    return h_del + ins + kernels._value(*kernels._reduced(rows, degs, terms, x_node, x_edge)[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=graph_pairs(8), data=st.data(),
+       cm=st.builds(CostModel, *[st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 3.0))] * 4))
+def test_every_childs_bound_is_the_one_built_from_scratch_to_the_bit(pair, data, cm):
+    g1, g2 = pair
+    assume(g1.order > 1)
+    view = _PairView(g1, g2, cm, Heuristic.BIPARTITE)
+    heap = []
+    kernels.extend_costs(view, cm, heap, descend(view, cm, random_prefix(data, view, view.n1 - 2)))
+    for child in heap:
+        assert child[0] == child[3] + bound_from_scratch(view, cm, child)
 
 
 def as_kernel_input(matrix):

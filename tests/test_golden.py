@@ -30,9 +30,20 @@ It was recorded before the bipartite bound's fourth assignment
 certificate was dropped and its cells were taken from the search's own
 cell builder, so neither change may move a bound by a bit.
 
+``data/ged_golden_large.json`` holds 24 seeded pairs of 8 to 10 nodes,
+larger than the first table's graphs of at most 6: connected graphs with
+symbolic labels and numeric bonds, or coordinate labels and mostly
+unlabeled edges, each paired with an edited and renumbered copy of itself
+or with an unrelated graph, under five cost models (two with a zero
+constant, so prices tie). For ``astar/bipartite`` and ``beam/10`` it holds
+the cost as ``float.hex``, the expansion count and the edit path. It was
+recorded before the expansion step patched the bound's cells per child
+and priced edges against placed neighbours only, so neither may move a
+cost, an expansion count or a path.
+
 Recording keeps every entry already in a table, records the entries it
-lacks and drops those no longer listed; the bound table is written only
-when it is missing::
+lacks and drops those no longer listed; the bound table and the large
+table are written only when they are missing::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -56,6 +67,7 @@ GOLDEN = Path(__file__).parent / "data" / "ged_golden.json"
 GRID_GOLDEN = Path(__file__).parent / "data" / "grid_golden.json"
 CLASSIFY_GOLDEN = Path(__file__).parent / "data" / "classify_golden.json"
 BOUND_GOLDEN = Path(__file__).parent / "data" / "bound_golden.json"
+LARGE_GOLDEN = Path(__file__).parent / "data" / "ged_golden_large.json"
 
 MODELS = [
     CostModel(),
@@ -127,6 +139,84 @@ def golden_inputs() -> list[tuple[Graph, Graph, CostModel]]:
     return out
 
 
+LARGE_MODELS = MODELS + [CostModel(1.0, 1.0, 1.0, 0.0), CostModel(1.0, 0.0, 1.0, 1.0)]
+LARGE_SEARCHES = ("astar/bipartite", "beam/10")
+
+
+def _large_label(rng: random.Random, symbolic: bool):
+    if symbolic:
+        return rng.choice("CCCNOS")
+    return Point2D(round(rng.uniform(0.0, 3.0), 3), round(rng.uniform(0.0, 3.0), 3))
+
+
+def _large_edge(rng: random.Random, symbolic: bool):
+    if symbolic:
+        return float(rng.choice((1, 1, 2, 3)))
+    return None if rng.random() < 0.7 else round(rng.uniform(0.1, 3.3), 3)
+
+
+def _connected_graph(rng: random.Random, n: int, symbolic: bool) -> Graph:
+    """A random spanning tree plus a few more edges."""
+    g = Graph()
+    for _ in range(n):
+        g.add_node(_large_label(rng, symbolic))
+    for v in range(1, n):
+        g.add_edge(rng.randrange(v), v, _large_edge(rng, symbolic))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not g.has_edge(u, v) and rng.random() < 0.15:
+                g.add_edge(u, v, _large_edge(rng, symbolic))
+    return g
+
+
+def _edited_copy(rng: random.Random, g: Graph, symbolic: bool) -> Graph:
+    """g with two nodes relabelled, two edges dropped or relabelled, maybe
+    one node deleted, and its node ids shuffled."""
+    nodes = list(g.node_items())
+    edges = list(g.edges())
+    for _ in range(2):
+        k = rng.randrange(len(nodes))
+        nodes[k] = (nodes[k][0], _large_label(rng, symbolic))
+    for _ in range(2):
+        k = rng.randrange(len(edges))
+        if rng.random() < 0.5:
+            edges.pop(k)
+        else:
+            u, v, _ = edges[k]
+            edges[k] = (u, v, _large_edge(rng, symbolic))
+    if rng.random() < 0.5:
+        gone = rng.choice(nodes)[0]
+        nodes = [(u, x) for u, x in nodes if u != gone]
+        edges = [e for e in edges if gone not in e[:2]]
+    ids = [u for u, _ in nodes]
+    shuffled = ids[:]
+    rng.shuffle(shuffled)
+    new = dict(zip(ids, shuffled))
+    return Graph.from_parts(None, None, sorted((new[u], x) for u, x in nodes),
+                            [(new[u], new[v], w) for u, v, w in edges])
+
+
+def large_inputs() -> list[tuple[Graph, Graph, CostModel]]:
+    rng = random.Random(20261019)
+    out = []
+    for i in range(24):
+        symbolic = i % 2 == 0
+        g1 = _connected_graph(rng, 8 + i % 3, symbolic)
+        g2 = (_edited_copy(rng, g1, symbolic) if i % 4 < 2
+              else _connected_graph(rng, rng.randint(8, 10), symbolic))
+        out.append((g1, g2, LARGE_MODELS[i % len(LARGE_MODELS)]))
+    return out
+
+
+def large_outcomes(g1: Graph, g2: Graph, cm: CostModel) -> dict[str, dict]:
+    out = {}
+    for name in LARGE_SEARCHES:
+        res = run(name, g1, g2, cm)
+        out[name] = {"cost": res.cost.hex(), "expanded_nodes": res.expanded_nodes,
+                     "path": res.path.to_json_dict()}
+    return out
+
+
 HARNESS_SEARCHES = {"astar/bipartite": SearchSpec.astar(),
                     "astar/zero": SearchSpec.astar(Heuristic.ZERO),
                     "beam/3": SearchSpec.beam(3)}
@@ -189,6 +279,13 @@ def record() -> None:
         BOUND_GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r, separators=(",", ":"))
                                                     for r in bound_values()) + "\n]\n",
                                 encoding="utf-8")
+    if not LARGE_GOLDEN.exists():
+        rows = [{"g1": encode_graph(g1), "g2": encode_graph(g2),
+                 "cost_model": [cm.x_node, cm.y_node, cm.x_edge, cm.y_edge],
+                 "results": large_outcomes(g1, g2, cm)} for g1, g2, cm in large_inputs()]
+        LARGE_GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r, separators=(",", ":"))
+                                                    for r in rows) + "\n]\n",
+                                encoding="utf-8")
     recorded = _rows() if GOLDEN.exists() else [{"results": {}}] * 40
     rows = []
     for (g1, g2, cm), old in zip(golden_inputs(), recorded):
@@ -237,6 +334,14 @@ def test_grid_matches_golden_table(name):
 def test_classification_matches_golden_table(name):
     want = json.loads(CLASSIFY_GOLDEN.read_text(encoding="utf-8"))[name]
     assert classify_outcomes(HARNESS_SEARCHES[name]) == want
+
+
+def test_large_searches_match_golden_table():
+    rows = json.loads(LARGE_GOLDEN.read_text(encoding="utf-8"))
+    assert len(rows) == 24
+    for row in rows:
+        g1, g2 = decode_graph(row["g1"]), decode_graph(row["g2"])
+        assert large_outcomes(g1, g2, CostModel(*row["cost_model"])) == row["results"]
 
 
 def test_bounds_match_golden_table():
