@@ -54,8 +54,8 @@ class CentralityScores:
 
 
 def degree_centrality(g: Graph) -> CentralityScores:
-    scores = {u: float(g.degree(u)) for u in g.nodes()}
-    return CentralityScores(CentralityMeasure.DEGREE, scores)
+    form = g.arrays()
+    return CentralityScores(CentralityMeasure.DEGREE, dict(zip(form.ids, map(float, form.deg))))
 
 
 def betweenness_centrality(g: Graph) -> CentralityScores:

@@ -13,10 +13,10 @@ All three walk over the input graph's cached
 present, and delete a candidate only when that leaves the number of
 connected components unchanged: cut vertices are skipped (removing one
 splits a component) and so are isolated nodes, the last node of the graph
-included (removing one drops a component). A candidate with live
-neighbours is a cut vertex exactly when they do not all lie in one
-component once it is gone, which one flood fill over the remaining nodes
-decides, so no graph is copied or modified during the walk. The contracted
+included (removing one drops a component). A cut vertex of the live nodes
+is decided by :func:`~cged.graph.is_cut_vertex`, the rule
+:meth:`~cged.graph.Graph.articulation_points` applies too, with one flood
+fill, so no graph is copied or modified during the walk. The contracted
 graph is built once, at the end, and keeps the surviving nodes' original
 ids; a report of what happened comes with it.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .centrality import CentralityMeasure, compute_centrality, rank_ascending
-from .graph import Graph, GraphArrays, reach
+from .graph import Graph, GraphArrays, is_cut_vertex
 
 
 @dataclass
@@ -75,15 +75,22 @@ def _delete_walk(form: GraphArrays, alive: int, candidates: Iterable[tuple[int, 
         if deleted >= budget:
             break
         p = pos[u]
-        nb = masks[p] & alive
-        rest = alive & ~(1 << p)
-        if nb and (nb & (nb - 1) == 0 or nb & ~reach(masks, rest, nb & -nb) == 0):
-            alive = rest
+        if masks[p] & alive and not is_cut_vertex(masks, alive, p):
+            alive &= ~(1 << p)
             deleted += 1
             report.removed.append((u, score))
         else:
             report.skipped_cut_vertices.append(u)
     return alive
+
+
+def _check_budget(value, name: str, least: int) -> None:
+    """A budget is an int >= ``least``, checked before any centrality runs:
+    1.5 would be rounded up by one flavor and remove nothing in another, nan
+    would remove nothing, inf would remove n - 1 nodes and be reported as
+    Infinity, and True would count as 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def _contracted(g: Graph, report: ContractionReport) -> tuple[Graph, ContractionReport]:
@@ -104,8 +111,7 @@ def t_centrality_node_contraction(
     At most n - 1 nodes can go (only a connected graph shrinks to one
     node), so the walk stops there and never logs a last remaining node.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_budget(t, "t", 0)
     report = ContractionReport(measure=measure, t_requested=t)
     if t > 0 and g.order > 0:
         scores = compute_centrality(g, measure)
@@ -141,8 +147,7 @@ def k_degree_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionRepor
     order; each is deleted iff the deletion preserves the component count
     of the graph as it stands at that moment.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_budget(k, "k", 1)
     return _contracted(g, _degree_passes(g, [k]))
 
 
@@ -150,6 +155,5 @@ def k_star_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]
     """Degree-i contraction for i = 1..k in turn, each pass on what the
     passes before it left; the report lists every pass's candidates,
     removals and skips in pass order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_budget(k, "k", 1)
     return _contracted(g, _degree_passes(g, range(1, k + 1)))

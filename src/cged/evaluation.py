@@ -17,8 +17,8 @@ centrality measure at its T3* budget (the largest), and one contracted
 graph per removed-node set. Every level takes a prefix of the measure's
 walk, so a graph is walked once per measure however many calls, levels or
 pairs use it, and a training set is contracted once however many calls
-classify against it. Each contracted graph in turn keeps the node rows
-its Hausdorff bounds read, so a later call prices only the bound's cells.
+classify against it. Each contracted graph's array form holds the labels
+and degrees its bounds read, so a later call prices only the bound's cells.
 
 Levels follow the iterated-degree convention: level Tk* contracts, per
 graph, as many nodes as a degree-1..k contraction chain of that graph
@@ -114,22 +114,21 @@ def _levels(g: Graph) -> dict[TLevel, int]:
     return levels
 
 
-def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[str, Graph], float, tuple]:
+def _walk(g: Graph, measure: CentralityMeasure) -> tuple[float, dict[str, tuple[int, ...]]]:
     """g's contraction walk with ``measure``, kept in g's memo under the
-    measure's value until g changes: the contracted graphs of the levels
-    read so far, keyed by the level's value, the seconds the walk took, and
-    the removed ids in walk order.
+    measure's value until g changes: the seconds the walk took, and each
+    level's removed ids, sorted, keyed by the level's value (the key
+    :func:`_without` keeps that level's graph under).
 
     Contraction ranks once, on the input graph, so a smaller budget stops
     the same walk earlier: g is walked once, at its T3* budget (the largest
     any level uses), and each level removes the first t ids of that walk.
-    :func:`_contract` builds a level's graph the first time it reads the
-    level and keeps it here. The seconds cover the centrality and the walk
-    (which also builds the T3* graph, kept for :func:`_without`), but not
-    g's own array form, which is built before the clock starts (a search of
-    g needs it too), nor the other levels' graphs. A graph whose T3* budget
-    is 0 is not walked (no centrality is computed): it removes no id, and
-    the walk takes 0.0 s.
+    The seconds cover the centrality and the walk (which also builds the
+    T3* graph, kept for :func:`_without`), but not g's own array form,
+    which is built before the clock starts (a search of g needs it too),
+    nor the other levels' graphs, which :func:`_without` builds on their
+    first read. A graph whose T3* budget is 0 is not walked (no centrality
+    is computed): it removes no id, and the walk takes 0.0 s.
 
     The memo and the levels are keyed by the members' ``_value_`` strings:
     hashing an enum member, or reading its ``value``, runs Python code, and
@@ -137,24 +136,25 @@ def _walk(g: Graph, measure: CentralityMeasure) -> tuple[dict[str, Graph], float
     """
     walk = g._memo.get(measure._value_)
     if walk is None:
-        budget = _levels(g)[TLevel.T3STAR]
-        if budget:
+        levels = _levels(g)
+        ids: list[int] = []
+        seconds = 0.0
+        if levels[TLevel.T3STAR]:
             g.arrays()
             start = time.perf_counter()
-            h, report = t_centrality_node_contraction(g, budget, measure)
+            h, report = t_centrality_node_contraction(g, levels[TLevel.T3STAR], measure)
             seconds = time.perf_counter() - start
-            ids = tuple(report.removed_ids)
+            ids = report.removed_ids
             g._memo.setdefault(("without", tuple(sorted(ids))), h)
-            walk = {}, seconds, ids
-        else:
-            walk = {}, 0.0, ()
-        g._memo[measure._value_] = walk
+        walk = g._memo[measure._value_] = seconds, {
+            level._value_: tuple(sorted(ids[:t])) for level, t in levels.items()}
     return walk
 
 
 def _without(g: Graph, ids: tuple[int, ...]) -> Graph:
     """g minus the sorted node ids ``ids``, kept in g's memo until g changes,
-    so its array form is built once. For no ids it is a copy of g that
+    so its array form is built once and levels and measures that remove the
+    same nodes share one graph object. For no ids it is a copy of g that
     shares g's array form: a new object after every change to g, as the
     kept classification workers need (see :func:`_workers`), without the
     reference cycle that g's memo holding g would make. Callers must not
@@ -168,19 +168,12 @@ def _without(g: Graph, ids: tuple[int, ...]) -> Graph:
 
 
 def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
-    """g contracted at its own budget for the level with ``measure``, kept
-    in g's memo until g changes (see :func:`_walk`); at T0, the copy of g
-    that :func:`_without` keeps, for which no walk is made. A level's graph
-    is built on its first read, through :func:`_without`, so levels and
-    measures that remove the same nodes share one graph object. Callers
-    must not modify the result."""
+    """g contracted at its own budget for the level with ``measure``,
+    through :func:`_without` (see :func:`_walk`); at T0, g's copy, for which
+    no walk is made. Callers must not modify the result."""
     if level is TLevel.T0:
         return _without(g, ())
-    graphs, _, ids = _walk(g, measure)
-    h = graphs.get(level._value_)
-    if h is None:
-        h = graphs[level._value_] = _without(g, tuple(sorted(ids[:_levels(g)[level]])))
-    return h
+    return _without(g, _walk(g, measure)[1][level._value_])
 
 
 @dataclass
@@ -439,19 +432,14 @@ def _benchmark_pair(pair_id: str, g1: Graph, g2: Graph,
     records = []
     for measure in measures:
         if walked:
-            (graphs1, seconds1, _), (graphs2, seconds2, _) = _walk(g1, measure), _walk(g2, measure)
+            (seconds1, keys1), (seconds2, keys2) = _walk(g1, measure), _walk(g2, measure)
             walk_seconds = seconds1 + seconds2
         else:
-            graphs1 = graphs2 = {}
+            keys1 = keys2 = {TLevel.T0._value_: ()}
             walk_seconds = 0.0
         for level, t1, t2 in budgets:
-            # a level read before is one dict read in the walk
-            h1 = graphs1.get(level._value_)
-            if h1 is None:
-                h1 = _contract(g1, measure, level)
-            h2 = graphs2.get(level._value_)
-            if h2 is None:
-                h2 = _contract(g2, measure, level)
+            h1 = _without(g1, keys1[level._value_])
+            h2 = _without(g2, keys2[level._value_])
             key = id(h1), id(h2)
             if key not in cells:
                 start = time.perf_counter()
@@ -651,9 +639,9 @@ def nn_classify(
     Each graph's budgets, walk and contracted graph are kept in the graph's
     memo until it changes, as the timing grid keeps them (see
     :func:`_contract`), so a later call with the same training corpus
-    contracts only its own test graphs; each contracted graph keeps the node
-    rows of its Hausdorff bounds in its own memo (pooled workers keep their
-    own), so a later call prices only the Hausdorff cells. ``workers``
+    contracts only its own test graphs; each contracted graph's array form
+    holds the labels and degrees its bounds read (pooled workers build their
+    own), so a later call prices only the bounds' cells. ``workers``
     processes search, the calling process among them. Test graphs are
     contracted in the calling process, so the other workers receive them
     contracted; those workers are forked with the contracted training graphs

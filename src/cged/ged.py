@@ -36,7 +36,7 @@ from . import kernels
 from .centrality import CentralityMeasure
 from .contraction import ContractionReport, t_centrality_node_contraction
 from .costs import DEFAULT_COST_MODEL, CostModel, EditOperation, EditPath
-from .graph import Graph, Point2D
+from .graph import Graph
 
 
 class Heuristic(Enum):
@@ -134,8 +134,8 @@ class _PairView:
     """One graph pair as :func:`kernels.extend_costs` and :func:`_reconstruct`
     read it: both graphs' :class:`~cged.graph.GraphArrays` (``a1``, ``a2``),
     their orders ``n1`` and ``n2``, ``node_dist[i][j]``, the label distance
-    of source position i and target position j (from both graphs'
-    :func:`_node_rows`), ``rows0`` and ``depth_terms``.
+    of source position i and target position j (from both forms' stored
+    ``labels``), ``rows0`` and ``depth_terms``.
 
     ``rows0`` is None unless the search uses :attr:`Heuristic.BIPARTITE`.
     With the first d source positions placed, that bound is the cost of
@@ -165,12 +165,12 @@ class _PairView:
         a1, a2 = self.a1, self.a2 = g1.arrays(), g2.arrays()
         n1 = self.n1 = len(a1.ids)
         self.n2 = len(a2.ids)
-        labels2 = _node_rows(g2)[0]
+        labels2 = a2.labels
         # node_label_distance on the stored forms: a symbol never equals a pair
         self.node_dist = [[hypot(a[0] - b[0], a[1] - b[1]) if type(b) is tuple else 1.0
                            for b in labels2] if type(a) is tuple
                           else [0.0 if a == b else 1.0 for b in labels2]
-                          for a in _node_rows(g1)[0]]
+                          for a in a1.labels]
         self.rows0 = self.depth_terms = None
         if heuristic is not Heuristic.BIPARTITE:
             return
@@ -344,26 +344,13 @@ def bipartite_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
     """
     sub = _PairView(g1, g2, cm, Heuristic.BIPARTITE, search=False).rows0
     half = 0.5 * cm.x_edge
-    _, deg1 = _node_rows(g1)
-    _, deg2 = _node_rows(g2)
+    deg1, deg2 = g1.arrays().deg, g2.arrays().deg
     matched = kernels.assignment(sub, deg1, list(enumerate(deg2)), cm.x_node, cm.x_edge)
     mapped1 = {i for i, _ in matched}
     mapped2 = {j for _, j in matched}
     return (sum((sub[i][j] + half * abs(deg1[i] - deg2[j]) for i, j in matched), 0.0)
             + sum(cm.x_node + half * d for i, d in enumerate(deg1) if i not in mapped1)
             + sum(cm.x_node + half * d for j, d in enumerate(deg2) if j not in mapped2))
-
-
-def _node_rows(g: Graph) -> tuple[tuple, tuple[int, ...]]:
-    """g's node labels in position order, each an (x, y) float pair or a
-    symbol, and their degrees; kept in g's memo until g changes."""
-    rows = g._memo.get("node_rows")
-    if rows is None:
-        a = g.arrays()
-        rows = g._memo["node_rows"] = (
-            tuple((lab.x, lab.y) if isinstance(lab, Point2D) else lab for lab in a.labels),
-            tuple(len(adj) for adj in a.adj))
-    return rows
 
 
 def hausdorff_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
@@ -379,16 +366,16 @@ def hausdorff_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
     deletion or insertion, so the sum is at most the bipartite bound. A
     graph against a copy of itself gives exactly 0.0, two empty graphs give
     0.0, and an empty graph against g gives ``x_node * n + x_edge * m`` (up
-    to rounding). Each graph's labels and degrees are kept in its memo, so
-    a later call on the same graph only prices cells.
+    to rounding). The labels and degrees come from each graph's array form,
+    so a later call on the same graph only prices cells.
     """
-    labels1, deg1 = _node_rows(g1)
-    labels2, deg2 = _node_rows(g2)
+    a1, a2 = g1.arrays(), g2.arrays()
+    labels2, deg2 = a2.labels, a2.deg
     y_node, half, x_node = cm.y_node, 0.5 * cm.x_edge, cm.x_node
     # twice each node's share, halved once at the end (halving is exact)
     total = 0.0
     best2 = [2.0 * (x_node + half * d) for d in deg2]
-    for a, da in zip(labels1, deg1):
+    for a, da in zip(a1.labels, a1.deg):
         low = 2.0 * (x_node + half * da)
         point = type(a) is tuple
         for j, (b, db) in enumerate(zip(labels2, deg2)):

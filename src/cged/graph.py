@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 class GraphError(ValueError):
@@ -84,7 +84,9 @@ class GraphArrays:
     """A graph indexed by node position: position i holds the i-th smallest id.
 
     ``ids`` lists the ids ascending and ``pos`` maps each id to its position;
-    ``labels`` holds the node labels and ``adj`` the ascending neighbour
+    ``labels`` holds the node labels in the form the kernels compare, an
+    ``(x, y)`` float pair for a :class:`Point2D` and the string itself for
+    a symbol, ``deg`` the degrees and ``adj`` the ascending neighbour
     positions of each node, which ``masks[i]`` holds again as an int with
     bit j set for each neighbour position j. ``kind[i][j]`` is 0 when
     positions i and j share no edge, 1 when their edge is unlabeled and 2
@@ -97,7 +99,8 @@ class GraphArrays:
 
     ids: tuple[int, ...]
     pos: dict[int, int]
-    labels: tuple[NodeLabel, ...]
+    labels: tuple[Union[tuple[float, float], str], ...]
+    deg: tuple[int, ...]
     adj: tuple[tuple[int, ...], ...]
     masks: tuple[int, ...]
     kind: tuple[tuple[int, ...], ...]
@@ -112,9 +115,9 @@ class Graph:
     labels and the same labeled edges; ``name`` and ``class_label`` are
     metadata and do not participate in equality.
 
-    ``_memo`` is a dict where :mod:`cged.evaluation` and :mod:`cged.ged`
-    keep what they derived from this graph (T-level budgets, contraction
-    walks, contracted graphs, the node rows of the Hausdorff bound). Every
+    ``_memo`` is a dict where :mod:`cged.evaluation` keeps what it derived
+    from this graph (T-level budgets, contraction walks, contracted graphs);
+    the labels and degrees the bounds read live in :meth:`arrays`. Every
     mutator empties it; copies and pickles start without it.
     """
 
@@ -307,8 +310,10 @@ class Graph:
                 kind.append(tuple(krow))
                 val.append(tuple(vrow))
                 adj.append(tuple(row))
+            labels = tuple([(lab.x, lab.y) if isinstance(lab, Point2D) else lab
+                            for lab in map(self._labels.__getitem__, ids)])
             self._arrays = GraphArrays(
-                tuple(ids), pos, tuple([self._labels[u] for u in ids]), tuple(adj),
+                tuple(ids), pos, labels, tuple([len(row) for row in adj]), tuple(adj),
                 tuple([sum(1 << j for j in row) for row in adj]), tuple(kind), tuple(val),
                 tuple([(i, j) for i, row in enumerate(adj) for j in row if j > i]))
         return self._arrays
@@ -340,45 +345,10 @@ class Graph:
         return len(self.connected_components())
 
     def articulation_points(self) -> set[int]:
-        """All cut vertices, via one iterative depth-first low-link pass."""
-        disc: dict[int, int] = {}
-        low: dict[int, int] = {}
-        parent: dict[int, int | None] = {}
-        aps: set[int] = set()
-        counter = 0
-        for root in self.nodes():
-            if root in disc:
-                continue
-            parent[root] = None
-            root_children = 0
-            disc[root] = low[root] = counter
-            counter += 1
-            stack: list[tuple[int, Iterator[int]]] = [(root, iter(self.neighbors(root)))]
-            while stack:
-                u, it = stack[-1]
-                descended = False
-                for v in it:
-                    if v not in disc:
-                        parent[v] = u
-                        if u == root:
-                            root_children += 1
-                        disc[v] = low[v] = counter
-                        counter += 1
-                        stack.append((v, iter(self.neighbors(v))))
-                        descended = True
-                        break
-                    if v != parent[u]:
-                        low[u] = min(low[u], disc[v])
-                if not descended:
-                    stack.pop()
-                    if stack:
-                        p = stack[-1][0]
-                        low[p] = min(low[p], low[u])
-                        if p != root and low[u] >= disc[p]:
-                            aps.add(p)
-            if root_children > 1:
-                aps.add(root)
-        return aps
+        """All cut vertices, each decided by :func:`is_cut_vertex`."""
+        form = self.arrays()
+        alive = (1 << len(form.ids)) - 1
+        return {u for p, u in enumerate(form.ids) if is_cut_vertex(form.masks, alive, p)}
 
     # ------------------------------------------------------------------
     # equality
@@ -409,3 +379,11 @@ def reach(masks: Sequence[int], alive: int, seed: int) -> int:
         frontier = nxt & alive & ~seen
         seen |= frontier
     return seen
+
+
+def is_cut_vertex(masks: Sequence[int], alive: int, p: int) -> bool:
+    """Whether removing live position p splits the live positions' graph
+    (``alive`` and ``masks`` as in :func:`reach`): p needs two or more live
+    neighbours, and :func:`reach` must not join them once p is gone."""
+    nb = masks[p] & alive
+    return nb & (nb - 1) != 0 and nb & ~reach(masks, alive & ~(1 << p), nb & -nb) != 0

@@ -377,7 +377,9 @@ def brute_force_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None) -> flo
 def is_cut_vertex_by_recount(g: Graph, u: int) -> bool:
     """Cut-vertex check by deleting u and recounting components.
 
-    Independent of the depth-first low-link pass; the two must always agree.
+    Independent of :func:`cged.graph.is_cut_vertex`, which decides cut
+    vertices for the contraction walk and ``Graph.articulation_points``;
+    the two must always agree.
     """
     if not g.has_node(u):
         raise MissingNodeError(f"node {u} is not in the graph")

@@ -51,6 +51,13 @@ def test_empty_graph_identity():
 def test_negative_t_rejected():
     with pytest.raises(ValueError):
         t_centrality_node_contraction(path_graph(2), -1, DEG)
+    # a budget that is not an int fails, naming itself, before any centrality runs
+    for bad in (1.5, float("nan"), float("inf"), True, "2"):
+        with pytest.raises(ValueError, match="t must be an int >= 0, got " + repr(bad)):
+            t_centrality_node_contraction(path_graph(4), bad, CentralityMeasure.BETWEENNESS)
+    for bad in (1.5, float("nan"), True):
+        with pytest.raises(ValueError, match="k must be an int >= 1, got " + repr(bad)):
+            k_star_node_contraction(path_graph(4), bad)
 
 
 def test_p3_trace_removes_both_leaves_keeps_center():
@@ -127,6 +134,9 @@ def test_k_degree_no_candidates():
     assert rep.t_requested == 0 and rep.removed == []
     with pytest.raises(ValueError):
         k_degree_node_contraction(g, 0)
+    for bad in (1.5, 2.0, float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="k must be an int >= 1, got " + repr(bad)):
+            k_degree_node_contraction(g, bad)
 
 
 def test_k_star_equals_k_degree_at_one():

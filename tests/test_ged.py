@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cged import CentralityMeasure, CostModel, astar_ged, beam_ged, t_centrality_ged
+from cged.centrality import compute_centrality
 from cged.costs import OpKind
 from cged.ged import (
     Heuristic,
@@ -494,3 +495,18 @@ def test_hausdorff_bound_prices_labels_like_substitution():
     assert hausdorff_lower_bound(far, symbol, cm) == pytest.approx(0.2, abs=1e-12)
     # at the default costs the cell is dearer than deleting and inserting
     assert hausdorff_lower_bound(origin, far, CostModel()) == 2.0
+
+
+def test_searches_bounds_and_centrality_leave_the_memo_empty():
+    # what they derive lives in the array form; the memo is evaluation's own
+    rng = random.Random(83)
+    for symbolic in (True, False):
+        g1 = random_graph(rng, n_min=3, n_max=7, symbolic=symbolic)
+        g2 = random_graph(rng, n_min=3, n_max=7, symbolic=symbolic)
+        astar_ged(g1, g2)
+        beam_ged(g1, g2, w=3)
+        bipartite_lower_bound(g1, g2, CostModel())
+        hausdorff_lower_bound(g1, g2, CostModel())
+        for measure in CentralityMeasure:
+            compute_centrality(g1, measure)
+        assert g1._memo == {} and g2._memo == {}

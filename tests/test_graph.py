@@ -186,6 +186,11 @@ def test_articulation_hand_cases():
     for u, v in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]:
         g.add_edge(u, v)
     assert g.articulation_points() == {2}
+    # a path 0-1-2 beside isolated node 3: leaves 0 and 2 and node 3 have
+    # fewer than two neighbours, so only 1 cuts
+    g = Graph.from_parts(None, None, [(i, "C") for i in range(4)],
+                         [(0, 1, None), (1, 2, None)])
+    assert g.articulation_points() == {1}
 
 
 def test_cut_vertex_missing_node():
@@ -242,7 +247,10 @@ def test_arrays_agree_with_the_graph_api(g):
     assert g.arrays() is a
     assert list(a.ids) == g.nodes()
     assert len(a.pos) == len(a.ids) and all(a.ids[a.pos[u]] == u for u in a.ids)
-    assert list(a.labels) == [g.node_label(u) for u in a.ids]
+    # the stored forms: an (x, y) float pair per point, the string per symbol
+    assert list(a.labels) == [(lab.x, lab.y) if isinstance(lab, Point2D) else lab
+                              for lab in map(g.node_label, a.ids)]
+    assert list(a.deg) == [g.degree(u) for u in a.ids]
     assert [[a.ids[j] for j in row] for row in a.adj] == [g.neighbors(u) for u in a.ids]
     # masks[i] holds adj[i] as bits
     assert [[j for j in range(len(a.ids)) if m >> j & 1] for m in a.masks] \
@@ -257,7 +265,7 @@ def test_arrays_agree_with_the_graph_api(g):
             else:
                 want = (2, g.edge_label(u, v))
             assert (a.kind[i][j], a.val[i][j]) == want
-    for rows in (a.ids, a.labels, a.adj, a.masks, a.kind, a.val, a.edges):
+    for rows in (a.ids, a.labels, a.deg, a.adj, a.masks, a.kind, a.val, a.edges):
         assert type(rows) is tuple
     assert all(type(row) is tuple for rows in (a.adj, a.kind, a.val) for row in rows)
 
