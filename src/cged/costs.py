@@ -81,7 +81,7 @@ class OpKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EditOperation:
     """One edit step. ``source`` refers to the first graph, ``target`` to the second.
 

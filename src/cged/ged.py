@@ -14,10 +14,17 @@ counts reproducible. The exact solver pops entries until a complete one
 surfaces, guided by default by the bipartite bound of what is left to
 place (:attr:`Heuristic.BIPARTITE`; :func:`bipartite_lower_bound` is the
 same bound at the empty prefix). The exact solver keeps its open list as a
-heap. The beam variant runs without a heuristic and keeps its open list as
-an ascending list of at most ``w`` entries: it pops the first, inserts
-each child in order and drops whatever falls past ``w``, trading
-optimality for speed while never returning less than the true distance.
+heap. Under the bound, the expansion step leaves a child's assignment
+unsolved where no certificate answers it, keys the child by a floor of
+its ``f`` and marks it in the entry's seventh element (see
+:func:`kernels.extend_costs`). The search settles such an entry when it
+reaches the top of the heap, through :func:`kernels.settle`, and pushes it
+back keyed by its ``f``; only settled entries are expanded or returned, so
+they pop in the order of solving every assignment at once. The beam
+variant runs without a heuristic and keeps its open list as an ascending
+list of at most ``w`` entries: it pops the first, inserts each child in
+order and drops whatever falls past ``w``, trading optimality for speed
+while never returning less than the true distance.
 A beam wider than its open list ever grows prunes nothing and costs more
 per step than the heap; that search is ``astar_ged(..., Heuristic.ZERO)``.
 """
@@ -28,15 +35,21 @@ import time
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from math import hypot
 from typing import Optional, Tuple
 
 from . import kernels
 from .centrality import CentralityMeasure
 from .contraction import ContractionReport, t_centrality_node_contraction
-from .costs import DEFAULT_COST_MODEL, CostModel, EditOperation, EditPath
+from .costs import DEFAULT_COST_MODEL, CostModel, EditOperation, EditPath, OpKind
 from .graph import Graph
+
+
+# the operation kinds, read once: a member lookup on the enum class costs
+# more than building the operation
+_NODE_SUB, _NODE_DEL, _NODE_INS = OpKind.NODE_SUB, OpKind.NODE_DEL, OpKind.NODE_INS
+_EDGE_SUB, _EDGE_DEL, _EDGE_INS = OpKind.EDGE_SUB, OpKind.EDGE_DEL, OpKind.EDGE_INS
 
 
 class Heuristic(Enum):
@@ -133,9 +146,8 @@ class GedResult:
 class _PairView:
     """One graph pair as :func:`kernels.extend_costs` and :func:`_reconstruct`
     read it: both graphs' :class:`~cged.graph.GraphArrays` (``a1``, ``a2``),
-    their orders ``n1`` and ``n2``, ``node_dist[i][j]``, the label distance
-    of source position i and target position j (from both forms' stored
-    ``labels``), ``rows0`` and ``depth_terms``.
+    their orders ``n1`` and ``n2``, ``node_cost`` (from both forms' stored
+    ``labels``), ``rows0``, ``depth_terms`` and ``kept``.
 
     ``rows0`` is None unless the search uses :attr:`Heuristic.BIPARTITE`.
     With the first d source positions placed, that bound is the cost of
@@ -148,6 +160,12 @@ class _PairView:
     deleted and inserted. ``rows0`` holds the rows of the empty prefix,
     which are also the cells of :func:`bipartite_lower_bound`.
 
+    ``node_cost[i][j]`` is ``y_node`` times the label distance of source
+    position i and target position j; it prices node substitutions in the
+    search and the edit path, and is ``rows0`` under the bound. ``kept`` is
+    the list of cell rows that the last expansion left unsolved (see
+    :func:`kernels.extend_costs`).
+
     ``depth_terms[d]`` holds what the bound needs of the sources after
     source d, which depends on d alone, for every d below the last: the
     ``(row index, edge kind, edge value)`` of each of them linked to d, their
@@ -158,7 +176,7 @@ class _PairView:
     :func:`bipartite_lower_bound`, which reads only ``rows0``).
     """
 
-    __slots__ = ("a1", "a2", "n1", "n2", "node_dist", "rows0", "depth_terms")
+    __slots__ = ("a1", "a2", "n1", "n2", "node_cost", "rows0", "depth_terms", "kept")
 
     def __init__(self, g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
                  search: bool = True):
@@ -166,15 +184,18 @@ class _PairView:
         n1 = self.n1 = len(a1.ids)
         self.n2 = len(a2.ids)
         labels2 = a2.labels
+        y_node = cm.y_node
         # node_label_distance on the stored forms: a symbol never equals a pair
-        self.node_dist = [[hypot(a[0] - b[0], a[1] - b[1]) if type(b) is tuple else 1.0
-                           for b in labels2] if type(a) is tuple
-                          else [0.0 if a == b else 1.0 for b in labels2]
-                          for a in a1.labels]
+        self.node_cost = tuple(
+            [y_node * (hypot(a[0] - b[0], a[1] - b[1]) if type(b) is tuple else 1.0)
+             for b in labels2] if type(a) is tuple
+            else [y_node * (0.0 if a == b else 1.0) for b in labels2]
+            for a in a1.labels)
         self.rows0 = self.depth_terms = None
+        self.kept = []
         if heuristic is not Heuristic.BIPARTITE:
             return
-        self.rows0 = tuple([cm.y_node * d for d in row] for row in self.node_dist)
+        self.rows0 = self.node_cost
         if not search:
             return
         x_node, x_edge = cm.x_node, cm.x_edge
@@ -196,7 +217,7 @@ class _PairView:
         """The open-list entry of the empty prefix (complete when g1 is empty)."""
         if self.rows0 is None:
             return (0.0, 0, (), 0.0, 0)
-        return (0.0, 0, (), 0.0, 0, self.rows0)
+        return (0.0, 0, (), 0.0, 0, self.rows0, None)
 
 
 def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
@@ -204,15 +225,23 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
     t0 = time.perf_counter()
     view = _PairView(g1, g2, cm, heuristic)
     n1 = view.n1
-    # entry: (f, -depth, mapping, g, used[, bound rows]); the first three
-    # form the total order. A* keeps its open list as a heap; beam keeps an
-    # ascending list of at most ``width`` entries. Every entry short of
-    # complete has a child (its deletion), so the list never runs dry.
+    bound = view.rows0 is not None
+    # entry: (f, -depth, mapping, g, used[, bound rows, unsolved]); the first
+    # three form the total order. A* keeps its open list as a heap; beam
+    # keeps an ascending list of at most ``width`` entries. Every entry short
+    # of complete has a child (its deletion), so the list never runs dry.
     frontier = [view.root()]
     children: list = []
     expanded = 0
     while True:
-        entry = heappop(frontier) if width is None else frontier.pop(0)
+        if width is None:
+            entry = heappop(frontier)
+            # an entry whose bound still waits on the solver is keyed below
+            # its f: settled, it is expanded only if it still comes first
+            while bound and entry[6] is not None:
+                entry = heappushpop(frontier, kernels.settle(view, cm, entry))
+        else:
+            entry = frontier.pop(0)
         if -entry[1] == n1:
             path = _reconstruct(view, cm, entry[2])
             elapsed = time.perf_counter() - t0
@@ -226,8 +255,11 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
                 heappush(frontier, child)
         else:
             # entries are unique and totally ordered, so this keeps exactly
-            # the ``width`` best of the old beam and the new children
+            # the ``width`` best of the old beam and the new children; a beam
+            # orders by exact keys only, so each child is settled first
             for child in children:
+                if bound and child[6] is not None:
+                    child = kernels.settle(view, cm, child)
                 insort(frontier, child)
             del frontier[width:]
         children.clear()
@@ -243,18 +275,19 @@ def _reconstruct(view: _PairView, cm: CostModel, mapping: tuple[int, ...]) -> Ed
     a1, a2 = view.a1, view.a2
     ids1, ids2 = a1.ids, a2.ids
     kind1, val1, kind2, val2 = a1.kind, a1.val, a2.kind, a2.val
+    node_cost = view.node_cost
+    x_node, x_edge, y_edge = cm.x_node, cm.x_edge, cm.y_edge
     eps = kernels.EPS_SLOT
     ops: list[EditOperation] = []
     for i, slot in enumerate(mapping):
         if slot == eps:
-            ops.append(EditOperation.node_del(ids1[i], cm.x_node))
+            ops.append(EditOperation(_NODE_DEL, ids1[i], None, x_node))
         else:
-            ops.append(EditOperation.node_sub(ids1[i], ids2[slot],
-                                              cm.y_node * view.node_dist[i][slot]))
+            ops.append(EditOperation(_NODE_SUB, ids1[i], ids2[slot], node_cost[i][slot]))
     mapped = set(mapping)
     for j, v in enumerate(ids2):
         if j not in mapped:
-            ops.append(EditOperation.node_ins(v, cm.x_node))
+            ops.append(EditOperation(_NODE_INS, None, v, x_node))
     consumed: set[tuple[int, int]] = set()
     for i, j in a1.edges:
         a, b = mapping[i], mapping[j]
@@ -266,12 +299,12 @@ def _reconstruct(view: _PairView, cm: CostModel, mapping: tuple[int, ...]) -> Ed
             # the edge label distance: |x - y| for two values, 0 for two
             # unlabeled edges, 1 for one of each
             d = abs(val1[i][j] - val2[a][b]) if k1 == k2 == 2 else float(k1 != k2)
-            ops.append(EditOperation.edge_sub(e, (ids2[a], ids2[b]), cm.y_edge * d))
+            ops.append(EditOperation(_EDGE_SUB, e, (ids2[a], ids2[b]), y_edge * d))
         else:
-            ops.append(EditOperation.edge_del(e, cm.x_edge))
+            ops.append(EditOperation(_EDGE_DEL, e, None, x_edge))
     for a, b in a2.edges:
         if (a, b) not in consumed:
-            ops.append(EditOperation.edge_ins((ids2[a], ids2[b]), cm.x_edge))
+            ops.append(EditOperation(_EDGE_INS, None, (ids2[a], ids2[b]), x_edge))
     return EditPath.from_operations(ops, complete=True)
 
 

@@ -17,27 +17,33 @@ rebuilds only the columns it changes (see :func:`extend_costs`). Three
 exact certificates give that value without a solver: no row with a
 negative cell, one row or one column, and every row's cheapest cell in a
 column of its own (see :func:`_value`). Each returns the float that
-scipy's matching gives when summed in row order, so costs, paths and
-expansion counts are those of solving every assignment; scipy is reached
-whenever two or more rows want one column. ``scipy.optimize`` is imported
-once, on the first assignment that needs it (see :func:`_solver`).
+scipy's matching gives when summed in row order. Where two or more rows
+want one column, the step keys the child by a floor of that value
+instead, and :func:`settle` calls scipy for it when the search settles
+it: exact A* once the child reaches the top of its open list, beam before
+inserting it. Costs, paths and expansion counts are those of solving
+every assignment at once. ``scipy.optimize`` is imported once, on the
+first assignment that needs it (see :func:`_solver`).
 :func:`assignment` returns the matching itself, for
 :func:`cged.ged.bipartite_lower_bound`, from the same cell builder and
 solver.
 
 Conventions shared with :mod:`cged.ged`:
 
-* a pair view (``cged.ged._PairView``) has seven fields: the two graphs'
+* a pair view (``cged.ged._PairView``) has eight fields: the two graphs'
   forms ``a1`` and ``a2``, their orders ``n1`` and ``n2``, the node label
-  distances ``node_dist``, the bipartite bound's empty-prefix rows
-  ``rows0`` and its per-depth terms ``depth_terms`` (both None without the
-  bound); kinds, values, edges and masks are read from the forms
-  themselves;
+  costs ``node_cost``, the bipartite bound's empty-prefix rows ``rows0``
+  and its per-depth terms ``depth_terms`` (both None without the bound),
+  and ``kept``, the cell rows of the last expansion's unsettled children;
+  kinds, values, edges and masks are read from the forms themselves;
 * a mapping is a tuple of target positions, one per placed source node in
   position order, with -1 marking a deleted source node;
 * a used-target set is an int bitmask over target positions;
 * an open-list entry is ``(f, -depth, mapping, g, used)``, followed under
-  the bipartite bound by the rows of the bound's assignment matrix.
+  the bipartite bound by the rows of the bound's assignment matrix and by
+  None, or, on an unsettled entry, by what :func:`settle` needs to solve
+  its assignment; an unsettled entry's first element is a floor of its
+  ``f``, and :mod:`cged.ged` settles it before it expands or returns it.
   Mappings are unique, so tuple comparison never reaches ``g`` or later.
   The step appends children in no useful order; :mod:`cged.ged` orders
   them in its open list.
@@ -104,11 +110,13 @@ def _matching(matrix: list) -> zip:
     return zip(picked_rows.tolist(), picked_cols.tolist())
 
 
-def _value(neg: list, mins: list, wants: list) -> float:
+def _value(neg: list, mins: list, wants: list) -> tuple[float, bool]:
     """The assignment's value over the clipped cell rows ``neg``, each with
     a negative cell, whose minima are ``mins`` and first cheapest columns
-    ``wants``: the float that scipy's matching gives when its negative
-    cells are summed in row order.
+    ``wants``, as ``(value, True)`` where a certificate gives it, and
+    otherwise as ``(floor, False)``, the value left to :func:`_solved`. The
+    value is the float that scipy's matching gives when its negative cells
+    are summed in row order.
 
     Three certificates answer without scipy:
 
@@ -120,24 +128,57 @@ def _value(neg: list, mins: list, wants: list) -> float:
     Each certificate forces the optimum's cell value in every row (in exact
     arithmetic, a matching that pays another value in any row costs more),
     so its sum in row order is the one scipy's matching gives. Two or more
-    rows wanting one column go to scipy: a check that moving one of two
-    such rows is optimal cost more than the solver call it saved.
+    rows wanting one column need scipy: a check that moving one of two such
+    rows is optimal cost more than the solver call it saved. Their floor is
+    still the minima summed in row order, which is at most the value to the
+    bit: each row's minimum is at most its matched cell (or the 0.0 of a
+    row left unmatched), and adding floats left to right is monotone in
+    every term.
     """
     n = len(wants)
     if n < 2 or len(neg[0]) == 1:
-        return min(mins, default=0.0)
+        return min(mins, default=0.0), True
+    # left to right, as scipy's matching is summed: from Python 3.12,
+    # sum() of floats is compensated and would differ in the last bit
     total = 0.0
-    if len(set(wants)) == n:
-        # left to right, as scipy's matching is summed: from Python 3.12,
-        # sum() of floats is compensated and would differ in the last bit
-        for m in mins:
-            total += m
-        return total
+    for m in mins:
+        total += m
+    return total, len(set(wants)) == n
+
+
+def _solved(neg: list) -> float:
+    """The value of the assignment over the clipped cell rows ``neg``:
+    scipy's matching, its negative cells summed in row order."""
+    total = 0.0
     for i, j in _matching(neg):
         c = neg[i][j]
         if c < 0.0:
             total += c
     return total
+
+
+def settle(view, cm, entry: tuple) -> tuple:
+    """An open-list entry whose bound waits on the solver (see
+    :func:`extend_costs`), keyed by its exact ``f``: ``g + (rest +
+    value)``, the float the expansion step gives a bound it solves at once.
+
+    The entry holds ``(rest, kept, i)``: its clipped cell rows are
+    ``kept[i]`` until the next expansion empties ``kept``. An older entry's
+    are built here again, by :func:`_cells` over the entry's own rows with
+    the row degrees and terms of its depth and the columns of its unused
+    targets: the operands and expression the expansion step patched them
+    from, so every cell is the same float."""
+    _, negd, mapping, g, used, rows, (rest, kept, i) = entry
+    if kept:
+        neg = kept[i]
+    else:
+        x_node, x_edge = cm.x_node, cm.x_edge
+        two_x = x_node + x_node
+        masks = view.a2.masks
+        terms = [(j, dc, x_edge * dc + two_x) for j in range(view.n2) if not used >> j & 1
+                 for dc in [(masks[j] & ~used).bit_count()]]
+        neg = _reduced(rows, view.depth_terms[-negd - 1][1], terms, x_node, x_edge)[1]
+    return (g + (rest + _solved(neg)), negd, mapping, g, used, rows, None)
 
 
 def assignment(rows, degs, cols, x_node: float, x_edge: float) -> list:
@@ -162,8 +203,8 @@ def assignment(rows, degs, cols, x_node: float, x_edge: float) -> list:
     :func:`cged.ged.bipartite_lower_bound` prices the matched cells itself,
     so the matching must be the solver's. The expansion step needs only the
     value, which :func:`_value` gives from the same cells through three
-    exact certificates, and reaches scipy whenever two or more rows want
-    one column.
+    exact certificates; where two or more rows want one column, it leaves
+    the solve to :func:`settle`.
     """
     two_x = x_node + x_node
     terms = [(j, dc, x_edge * dc + two_x) for j, dc in cols]
@@ -185,7 +226,7 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
     deleted. A child's ``g`` adds the node operation and the edges it closes
     towards the already-placed source nodes. A target slot costs
 
-        y_node * node_dist + y_edge * (sum of edge-substitution distances)
+        node_cost + y_edge * (sum of edge-substitution distances)
         + x_edge * (edge insertions and deletions)
 
     and a deletion costs ``x_node`` plus ``x_edge`` per placed neighbour.
@@ -199,9 +240,16 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
 
     Below the last level ``f`` is ``g`` alone, unless the view carries the
     bipartite bound's empty-prefix rows (``view.rows0``). Then ``f`` is
-    ``g + h``, with ``h`` the bound of what is left (see
-    ``cged.ged._PairView``), and entries carry the bound's rows as a sixth
-    element. The clipped cells of every unplaced row over the unused
+    ``g + (rest + value)``: the bound of what is left (see
+    ``cged.ged._PairView``), its deletions and insertions ``rest`` plus its
+    assignment's ``value``. Entries then carry the bound's rows as a sixth
+    element and, as a seventh, None, unless no certificate of :func:`_value`
+    answers the child's assignment. Such a child is keyed by ``g + (rest +
+    floor)`` instead, with :func:`_value`'s floor, and carries ``(rest,
+    kept, i)`` for :func:`settle`, which gives it its ``f``: its cell rows
+    are ``kept[i]``, where ``kept`` is the list this expansion puts in
+    ``view.kept`` and the next one empties. The step itself never calls
+    the solver. The clipped cells of every unplaced row over the unused
     targets are built once per expansion by :func:`_cells`, and the
     deletion child reads them as they are. A child that maps the new node
     onto target v differs from them only in the columns of v's unused
@@ -216,12 +264,12 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
 
     ``view`` provides ``a1`` and ``a2`` (both graphs'
     :class:`~cged.graph.GraphArrays`, whose ``kind``, ``val``, ``masks``,
-    ``adj`` and ``edges`` the step reads), ``n1``, ``n2``, ``node_dist``,
-    ``rows0`` and ``depth_terms``.
+    ``adj`` and ``edges`` the step reads), ``n1``, ``n2``, ``node_cost``,
+    ``rows0``, ``depth_terms`` and ``kept``.
     """
     bound = view.rows0 is not None
     if bound:
-        _, negd, mapping, g, used, rows = entry
+        _, negd, mapping, g, used, rows, _ = entry
     else:
         _, negd, mapping, g, used = entry
     depth = -negd
@@ -230,8 +278,8 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
     val_row = a1.val[depth]
     kind2 = a2.kind
     val2 = a2.val
-    node_dist = view.node_dist[depth]
-    x_node, y_node, x_edge, y_edge = cm.x_node, cm.y_node, cm.x_edge, cm.y_edge
+    node_cost = view.node_cost[depth]
+    x_node, x_edge, y_edge = cm.x_node, cm.x_edge, cm.y_edge
 
     live = []  # (edge kind, edge value, target) per mapped placed neighbour
     dead = 0   # edges towards deleted placed neighbours
@@ -282,6 +330,10 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
                 free.append((j, dc, x_edge * dc + two_x))
         base = [_cells(row, xr, dr, free) for row, dr, xr in zip(rows, degs, xrs)]
         deleted = _minima(base)[1:]  # the deletion child's assignment
+        # the cells of this expansion's children that wait on the solver,
+        # kept for settle() until the next expansion
+        view.kept.clear()
+        kept = view.kept = []
 
     p = -1  # v's place among the unused targets
     for v in range(n2 + 1):
@@ -309,7 +361,7 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
                         sub += abs(vals[w] - x1)
                 else:
                     indel += 1
-            cost = y_node * node_dist[v] + y_edge * sub + x_edge * indel
+            cost = node_cost[v] + y_edge * sub + x_edge * indel
         child_g = g + cost
         if final:
             if v == n2:
@@ -317,10 +369,15 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
             else:
                 child_g += (x_node * (unused - 1)
                             + x_edge * (unpaid - (masks[v] & used).bit_count()))
+            if bound:
+                children.append((child_g, child_depth, mapping + (slot,), child_g, child_used,
+                                 None, None))
+                continue
         elif bound:
             child_rows = rows
             if v == n2:
-                h = h_del + completion + _value(*deleted)
+                rest = h_del + completion
+                neg, mins, wants = deleted
             else:
                 # v's unused neighbours: their degree drops by one, and a
                 # mapped edge pair replaces the deletion and the insertion
@@ -352,10 +409,16 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
                         neg.append(cells)
                         mins.append(m)
                         wants.append(cells.index(m))
-                h = (h_del + (completion - x_node - x_edge * (masks[v] & used).bit_count())
-                     + _value(neg, mins, wants))
-            children.append((child_g + h, child_depth, mapping + (slot,), child_g, child_used,
-                             child_rows))
+                rest = h_del + (completion - x_node - x_edge * (masks[v] & used).bit_count())
+            low, exact = _value(neg, mins, wants)
+            if exact:
+                unsolved = None
+            else:
+                # keyed by its floor; settle() solves it
+                unsolved = (rest, kept, len(kept))
+                kept.append(neg)
+            children.append((child_g + (rest + low), child_depth, mapping + (slot,), child_g,
+                             child_used, child_rows, unsolved))
             continue
         children.append((child_g, child_depth, mapping + (slot,), child_g, child_used))
 

@@ -1,7 +1,7 @@
 """Kernels: the search expansion step against a from-scratch pricing, the
-assignment's certificates against scipy's matching, beam search's sorted
-open list against a pruned heap, and the betweenness loop against a
-path-enumeration oracle."""
+assignment's certificates against scipy's matching, the search's settling
+of deferred bounds, beam search's sorted open list against a pruned heap,
+and the betweenness loop against a path-enumeration oracle."""
 
 import random
 import sys
@@ -10,13 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cged import CostModel, beam_ged, kernels
+from cged import CostModel, astar_ged, beam_ged, kernels
 from cged.graph import Graph, Point2D
-from cged.ged import Heuristic, _PairView
+from cged.ged import Heuristic, _PairView, _search
 from helpers import (
     betweenness_by_path_enumeration,
     heap_beam_ged,
     padded_bipartite_bound,
+    random_connected_graph,
     random_graph,
 )
 
@@ -76,6 +77,21 @@ def price_from_scratch(g1: Graph, g2: Graph, cm: CostModel, mapping) -> float:
     return cost
 
 
+def settled(view, cm, child):
+    """A child keyed by its ``f``: settled by :func:`kernels.settle` as the
+    search settles it, if its bound waits on the solver."""
+    if len(child) == 7 and child[6] is not None:
+        return kernels.settle(view, cm, child)
+    return child
+
+
+def expand(view, cm, entry) -> list:
+    """The children of one entry, each settled right after the expansion."""
+    heap = []
+    kernels.extend_costs(view, cm, heap, entry)
+    return [settled(view, cm, child) for child in heap]
+
+
 def descend(view, cm, mapping):
     """The open-list entry of a prefix, reached from the root through the
     expansion step, so that it carries what the step derived on the way."""
@@ -119,8 +135,7 @@ def test_every_child_prices_like_a_fresh_graph_walk(pair, data, cm, heuristic):
     entry = descend(view, cm, mapping)
     assert entry[3] == pytest.approx(price_from_scratch(g1, g2, cm, mapping), abs=1e-9)
     assert entry[4] == used
-    heap = []
-    kernels.extend_costs(view, cm, heap, entry)
+    heap = expand(view, cm, entry)
 
     free = [w for w in range(view.n2) if not used >> w & 1]
     assert sorted(child[2] for child in heap) == sorted(mapping + (w,) for w in
@@ -144,8 +159,7 @@ def test_bipartite_children_never_overestimate_their_cheapest_completion(pair, d
     g1, g2 = pair
     assume(g1.order > 1)
     view = _PairView(g1, g2, cm, Heuristic.BIPARTITE)
-    heap = []
-    kernels.extend_costs(view, cm, heap, descend(view, cm, random_prefix(data, view, view.n1 - 2)))
+    heap = expand(view, cm, descend(view, cm, random_prefix(data, view, view.n1 - 2)))
     for f, _, child, child_g, *_ in heap:
         assert child_g <= f + 1e-12
         assert f <= cheapest_completion(g1, g2, cm, child) + 1e-9
@@ -156,9 +170,10 @@ def bound_from_scratch(view, cm, child) -> float:
     expansion step's patched cells: the unplaced sources' degrees and
     deletion cost and the unused targets' terms counted afresh, then the
     child's own rows through :func:`kernels._reduced` and
-    :func:`kernels._value`, in the operand order of a step that built every
+    :func:`kernels._value` (and :func:`kernels._solved` where no
+    certificate answers), in the operand order of a step that built every
     child's cells anew."""
-    _, negd, mapping, _, child_used, rows = child
+    _, negd, mapping, _, child_used, rows, _ = child
     a1, a2, n1, n2 = view.a1, view.a2, view.n1, view.n2
     x_node, x_edge = cm.x_node, cm.x_edge
     d = -negd
@@ -182,7 +197,9 @@ def bound_from_scratch(view, cm, child) -> float:
         terms = [(j, dc - 1, x_edge * (dc - 1) + two_x) if masks[v] >> j & 1 else (j, dc, xc)
                  for j, dc, xc in free if j != v]
         ins = completion - x_node - x_edge * (masks[v] & used).bit_count()
-    return h_del + ins + kernels._value(*kernels._reduced(rows, degs, terms, x_node, x_edge)[1:])
+    _, neg, mins, wants = kernels._reduced(rows, degs, terms, x_node, x_edge)
+    value, exact = kernels._value(neg, mins, wants)
+    return h_del + ins + (value if exact else kernels._solved(neg))
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,8 +211,79 @@ def test_every_childs_bound_is_the_one_built_from_scratch_to_the_bit(pair, data,
     view = _PairView(g1, g2, cm, Heuristic.BIPARTITE)
     heap = []
     kernels.extend_costs(view, cm, heap, descend(view, cm, random_prefix(data, view, view.n1 - 2)))
+    # settled from the cells the expansion kept, and again from cells built
+    # anew once the next expansion has dropped them
+    fresh = [settled(view, cm, child) for child in heap]
+    kernels.extend_costs(view, cm, [], view.root())
+    rebuilt = [settled(view, cm, child) for child in heap]
+    for child, first, second in zip(heap, fresh, rebuilt):
+        want = child[3] + bound_from_scratch(view, cm, child)
+        assert first[0] == want
+        assert second[0] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=graph_pairs(8), data=st.data(),
+       cm=st.builds(CostModel, *[st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 3.0))] * 4))
+def test_a_childs_key_is_at_most_its_settled_f_and_equal_when_nothing_waits(pair, data, cm):
+    g1, g2 = pair
+    assume(g1.order > 0)
+    view = _PairView(g1, g2, cm, Heuristic.BIPARTITE)
+    heap = []
+    kernels.extend_costs(view, cm, heap, descend(view, cm, random_prefix(data, view, view.n1 - 1)))
     for child in heap:
-        assert child[0] == child[3] + bound_from_scratch(view, cm, child)
+        done = settled(view, cm, child)
+        assert done[1:6] == child[1:6]
+        assert done[6] is None
+        if child[6] is None:
+            assert child[0].hex() == done[0].hex()
+        else:
+            assert child[0] <= done[0]
+
+
+def symbolic_tree(rng, n: int) -> Graph:
+    """A tree of symbolic atoms with numeric bonds: tied labels make rows
+    want one column, so its searches need the solver."""
+    g = Graph()
+    for _ in range(n):
+        g.add_node(rng.choice("CCNO"))
+    for v in range(1, n):
+        g.add_edge(rng.randrange(v), v, float(rng.choice((1, 2))))
+    return g
+
+
+def test_a_search_reaches_the_solver_only_while_settling(monkeypatch):
+    """Every scipy call of a search is made inside :func:`kernels.settle`,
+    one per settled entry, for exact A* and for beam under the bound."""
+    matching, settle = kernels._matching, kernels.settle
+    calls = {"solver": 0, "settled": 0, "inside": False}
+
+    def counted_matching(matrix):
+        assert calls["inside"], "the solver was called outside settle()"
+        calls["solver"] += 1
+        return matching(matrix)
+
+    def counted_settle(view, cm, entry):
+        calls["settled"] += 1
+        calls["inside"] = True
+        try:
+            return settle(view, cm, entry)
+        finally:
+            calls["inside"] = False
+
+    monkeypatch.setattr(kernels, "_matching", counted_matching)
+    monkeypatch.setattr(kernels, "settle", counted_settle)
+    rng = random.Random(149)
+    for k in range(12):
+        if k % 2:
+            g1, g2 = (random_connected_graph(rng, rng.randint(6, 8)) for _ in range(2))
+        else:
+            g1, g2 = (symbolic_tree(rng, rng.randint(6, 8)) for _ in range(2))
+        cm = CostModel(1.0, 1.0, 1.0, 0.5 * (k % 3))
+        astar_ged(g1, g2, cm)
+        _search(g1, g2, cm, Heuristic.BIPARTITE, 1 + k % 3)
+    assert calls["settled"] > 0
+    assert calls["solver"] == calls["settled"]
 
 
 def as_kernel_input(matrix):
@@ -209,7 +297,8 @@ def certified_value(matrix) -> float:
     :func:`as_kernel_input`)."""
     terms = [(j, 0, 0.0) for j in range(len(matrix[0]))]
     _, neg, mins, wants = kernels._reduced(matrix, [0] * len(matrix), terms, 0.0, 0.0)
-    return kernels._value(neg, mins, wants)
+    value, exact = kernels._value(neg, mins, wants)
+    return value if exact else kernels._solved(neg)
 
 
 def scipy_value(matrix) -> float:

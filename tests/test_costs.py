@@ -1,6 +1,9 @@
 """Edit-operation pricing, label distances and config parsing."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -69,6 +72,19 @@ def test_edit_operation_json_round_shape():
     assert d == {"kind": "edge_sub", "source": [0, 1], "target": [2, 3], "cost": 1.25}
     d = EditOperation.node_ins(4, 1.0).to_json_dict()
     assert d == {"kind": "node_ins", "source": None, "target": 4, "cost": 1.0}
+
+
+@pytest.mark.parametrize("op", [EditOperation.node_sub(0, 3, 0.5),
+                                EditOperation.edge_del((1, 2), 1.0),
+                                EditOperation(OpKind.EDGE_INS, None, (4, 5), 2.0)])
+def test_edit_operation_survives_pickle_and_deepcopy_and_stays_frozen(op):
+    for twin in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op), copy.copy(op)):
+        assert twin == op
+        assert hash(twin) == hash(op)
+        assert twin.kind is op.kind
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.cost = 0.0
+    assert not hasattr(op, "__dict__")  # slotted
 
 
 def test_edit_path_total():
