@@ -158,8 +158,6 @@ def _write_json(obj: dict, path: Optional[str]) -> None:
 
 def cmd_contract(args) -> int:
     g = load_graph_file(args.graph)
-    if args.t < 0:
-        raise ValueError(f"t must be >= 0, got {args.t}")
     measure = CentralityMeasure(args.measure)
     contracted, report = t_centrality_node_contraction(g, args.t, measure)
     text = write_debug_graph(contracted)
@@ -177,8 +175,6 @@ def cmd_ged(args) -> int:
     cm, search = _search_from_args(args)
     if args.out is not None and not args.json:
         raise ValueError("--out applies only with --json")
-    if args.t < 0:
-        raise ValueError(f"t must be >= 0, got {args.t}")
     g1 = load_graph_file(args.graph1)
     g2 = load_graph_file(args.graph2)
     measure = CentralityMeasure(args.measure)

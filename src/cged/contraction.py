@@ -84,11 +84,13 @@ def _delete_walk(form: GraphArrays, alive: int, candidates: Iterable[tuple[int, 
     return alive
 
 
-def _check_budget(value, name: str, least: int) -> None:
-    """A budget is an int >= ``least``, checked before any centrality runs:
-    1.5 would be rounded up by one flavor and remove nothing in another, nan
-    would remove nothing, inf would remove n - 1 nodes and be reported as
-    Infinity, and True would count as 1."""
+def _check_int(value, name: str, least: int) -> None:
+    """A count (a contraction budget, a beam width, a number of workers or
+    of sampled pairs) is an int >= ``least`` and not a bool, checked before
+    any work starts. Otherwise 1.5 would be rounded up by one contraction
+    flavor and remove nothing in another, nan would never prune a beam, inf
+    would remove n - 1 nodes and be reported as Infinity, 2.5 would fail
+    midway, and True would count as 1."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
@@ -111,7 +113,7 @@ def t_centrality_node_contraction(
     At most n - 1 nodes can go (only a connected graph shrinks to one
     node), so the walk stops there and never logs a last remaining node.
     """
-    _check_budget(t, "t", 0)
+    _check_int(t, "t", 0)
     report = ContractionReport(measure=measure, t_requested=t)
     if t > 0 and g.order > 0:
         scores = compute_centrality(g, measure)
@@ -147,7 +149,7 @@ def k_degree_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionRepor
     order; each is deleted iff the deletion preserves the component count
     of the graph as it stands at that moment.
     """
-    _check_budget(k, "k", 1)
+    _check_int(k, "k", 1)
     return _contracted(g, _degree_passes(g, [k]))
 
 
@@ -155,5 +157,5 @@ def k_star_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]
     """Degree-i contraction for i = 1..k in turn, each pass on what the
     passes before it left; the report lists every pass's candidates,
     removals and skips in pass order."""
-    _check_budget(k, "k", 1)
+    _check_int(k, "k", 1)
     return _contracted(g, _degree_passes(g, range(1, k + 1)))

@@ -57,11 +57,11 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .centrality import CentralityMeasure
-from .contraction import _degree_passes, t_centrality_node_contraction
+from .contraction import _check_int, _degree_passes, t_centrality_node_contraction
 from .costs import DEFAULT_COST_MODEL, CostModel
 from .dataset import Corpus
 from .ged import SearchSpec, bipartite_lower_bound, hausdorff_lower_bound, run_search
-from .graph import Graph
+from .graph import Graph, GraphArrays
 
 
 class TLevel(Enum):
@@ -124,10 +124,10 @@ def _walk(g: Graph, measure: CentralityMeasure) -> tuple[float, dict[str, tuple[
     the same walk earlier: g is walked once, at its T3* budget (the largest
     any level uses), and each level removes the first t ids of that walk.
     The seconds cover the centrality and the walk (which also builds the
-    T3* graph, kept for :func:`_without`), but not g's own array form,
-    which is built before the clock starts (a search of g needs it too),
-    nor the other levels' graphs, which :func:`_without` builds on their
-    first read. A graph whose T3* budget is 0 is not walked (no centrality
+    T3* graph, kept for :func:`_without` when it removes a node), but not
+    g's own array form, which is built before the clock starts (a search of
+    g needs it too), nor the other levels' graphs, which :func:`_without`
+    builds on their first read. A graph whose T3* budget is 0 is not walked (no centrality
     is computed): it removes no id, and the walk takes 0.0 s.
 
     The memo and the levels are keyed by the members' ``_value_`` strings:
@@ -145,34 +145,32 @@ def _walk(g: Graph, measure: CentralityMeasure) -> tuple[float, dict[str, tuple[
             h, report = t_centrality_node_contraction(g, levels[TLevel.T3STAR], measure)
             seconds = time.perf_counter() - start
             ids = report.removed_ids
-            g._memo.setdefault(("without", tuple(sorted(ids))), h)
+            if ids:
+                g._memo.setdefault(("without", tuple(sorted(ids))), h)
         walk = g._memo[measure._value_] = seconds, {
             level._value_: tuple(sorted(ids[:t])) for level, t in levels.items()}
     return walk
 
 
 def _without(g: Graph, ids: tuple[int, ...]) -> Graph:
-    """g minus the sorted node ids ``ids``, kept in g's memo until g changes,
-    so its array form is built once and levels and measures that remove the
-    same nodes share one graph object. For no ids it is a copy of g that
-    shares g's array form: a new object after every change to g, as the
-    kept classification workers need (see :func:`_workers`), without the
-    reference cycle that g's memo holding g would make. Callers must not
-    modify the result."""
+    """g minus the sorted node ids ``ids``: g itself for no ids, and
+    otherwise a graph kept in g's memo until g changes, so its array form is
+    built once and levels and measures that remove the same nodes share one
+    graph object. Callers must not modify the result."""
+    if not ids:
+        return g
     h = g._memo.get(("without", ids))
     if h is None:
-        if not ids:
-            g.arrays()  # built first, so that the copy shares it
         h = g._memo[("without", ids)] = g.without(ids)
     return h
 
 
 def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
     """g contracted at its own budget for the level with ``measure``,
-    through :func:`_without` (see :func:`_walk`); at T0, g's copy, for which
+    through :func:`_without` (see :func:`_walk`); at T0, g itself, for which
     no walk is made. Callers must not modify the result."""
     if level is TLevel.T0:
-        return _without(g, ())
+        return g
     return _without(g, _walk(g, measure)[1][level._value_])
 
 
@@ -270,12 +268,12 @@ class ClassificationResult:
         }
 
 
-# The workers _map keeps between calls: (children, workers, the training
-# graphs they inherited), where children holds the process and the caller's
-# pipe end of each of the workers - 1 forked children. Holding the graphs
-# keeps them alive, so no other graph can take their ids while the children
-# are kept.
-_kept: Optional[tuple[list[tuple[BaseProcess, Connection]], int, list[Graph]]] = None
+# The workers _map keeps between calls: (children, workers, the array forms
+# of the training graphs they inherited), where children holds the process
+# and the caller's pipe end of each of the workers - 1 forked children.
+# Holding the forms keeps them alive, so no other form can take their ids
+# while the children are kept.
+_kept: Optional[tuple[list[tuple[BaseProcess, Connection]], int, list[GraphArrays]]] = None
 # Held by a pooled call from choosing the children until their replies are
 # in, so that no call shuts down children another thread is using.
 _lock = threading.Lock()
@@ -316,36 +314,41 @@ def _shut_down() -> None:
 atexit.register(_shut_down)
 
 
-def _workers(workers: int, train: list[Graph],
+def _workers(workers: int, train: list[Graph], forms: list[GraphArrays],
              sizes: list[tuple[int, int]]) -> list[tuple[BaseProcess, Connection]]:
     """The kept children, if there are ``workers - 1`` of them and they
-    inherited the same graph objects as ``train``; otherwise ``workers - 1``
-    new ones, forked after the kept ones are shut down."""
+    inherited the same form objects as ``forms``, the array forms of
+    ``train``; otherwise ``workers - 1`` new ones, forked after the kept
+    ones are shut down. An exception while forking shuts down the children
+    forked so far, so that no later call is served by a partial set."""
     global _kept
     if _kept is not None:
         children, width, shipped = _kept
-        if width == workers and len(shipped) == len(train) and all(
-                a is b for a, b in zip(shipped, train)):
+        if width == workers and len(shipped) == len(forms) and all(
+                a is b for a, b in zip(shipped, forms)):
             return children
         _shut_down()
     # fork, so that children inherit the training graphs with the forms the
     # caller built, and import nothing again
     context = multiprocessing.get_context("fork")
     children: list[tuple[BaseProcess, Connection]] = []
-    _kept = children, workers, train
-    for _ in range(workers - 1):
-        mine, theirs = context.Pipe()
-        process = context.Process(target=_serve, daemon=True, args=(
-            theirs, train, sizes, [conn for _, conn in children] + [mine]))
-        try:
-            process.start()
-        except BaseException:
-            mine.close()
-            _shut_down()
-            raise
-        finally:
-            theirs.close()
-        children.append((process, mine))
+    _kept = children, workers, forms
+    try:
+        for _ in range(workers - 1):
+            mine, theirs = context.Pipe()
+            try:
+                process = context.Process(target=_serve, daemon=True, args=(
+                    theirs, train, sizes, [conn for _, conn in children] + [mine]))
+                process.start()
+            except BaseException:
+                mine.close()
+                raise
+            finally:
+                theirs.close()
+            children.append((process, mine))
+    except BaseException:
+        _shut_down()
+        raise
     return children
 
 
@@ -368,15 +371,15 @@ def _map(fn: Callable, tasks: list, workers: int, train: list[Graph]) -> list:
     ``ceil(len(tasks) / workers)``; the caller sends each child one share
     through its pipe, computes the first share itself and then reads the
     children's results, so it starts no thread. Children are forked on the
-    first pooled call, inherit ``train`` and ``sizes`` with the forms the
-    caller built, and are kept for later calls of the same width with the
-    same graph objects, which each training graph's memo returns until the
-    graph changes. A task's exception is raised in the caller, after every
-    reply is read, with the child's traceback as its cause, and the children
-    stay kept; a child that ends fails the call with
-    :class:`BrokenProcessPool`, and the next call forks afresh. No child is
-    forked for an empty task list, and pooled calls from several threads
-    run one at a time.
+    first pooled call and inherit ``train`` and ``sizes`` with the array
+    forms the caller builds before it forks. They are kept for later calls
+    of the same width whose training graphs have the same form objects:
+    every change to a graph replaces its form. A task's exception is raised
+    in the caller, after every reply is read, with the child's traceback as
+    its cause, and the children stay kept; a child that ends fails the call
+    with :class:`BrokenProcessPool`, and the next call forks afresh. No
+    child is forked for an empty task list, and pooled calls from several
+    threads run one at a time.
     """
     if not tasks:
         return []
@@ -385,8 +388,9 @@ def _map(fn: Callable, tasks: list, workers: int, train: list[Graph]) -> list:
         return [fn(t, train, sizes) for t in tasks]
     size = math.ceil(len(tasks) / workers)
     shares = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    forms = [h.arrays() for h in train]
     with _lock:
-        children = _workers(workers, train, sizes)
+        children = _workers(workers, train, forms, sizes)
         sent = []
         try:
             for (_, conn), share in zip(children, shares[1:]):
@@ -501,8 +505,7 @@ def run_timing_benchmark(
     order, whatever the sample size or the order the arguments give. A
     repeated measure or level raises ``ValueError``.
     """
-    if sample < 1:
-        raise ValueError("sample must be >= 1")
+    _check_int(sample, "sample", 1)
     if not corpus.graphs:
         raise ValueError("corpus is empty")
     if not measures or not levels:
@@ -640,21 +643,20 @@ def nn_classify(
     memo until it changes, as the timing grid keeps them (see
     :func:`_contract`), so a later call with the same training corpus
     contracts only its own test graphs; each contracted graph's array form
-    holds the labels and degrees its bounds read (pooled workers build their
-    own), so a later call prices only the bounds' cells. ``workers``
-    processes search, the calling process among them. Test graphs are
+    holds the labels and degrees its bounds read, so a later call prices
+    only the bounds' cells. ``workers`` (an int >= 1, checked before any
+    work) processes search, the calling process among them. Test graphs are
     contracted in the calling process, so the other workers receive them
     contracted; those workers are forked with the contracted training graphs
-    and kept for later calls with the same ``workers`` and training graphs
-    (see :func:`_map`); a changed training graph is contracted to a new
-    object, so it ends them. Workers return the index of the nearest
-    training graph, and its class is read in the calling process, so a
-    relabelled training graph is never served stale.
+    and their array forms, and kept for later calls with the same
+    ``workers`` and the same forms (see :func:`_map`); any change to a
+    training graph replaces its form, so it ends them. Workers return the
+    index of the nearest training graph, and its class is read in the
+    calling process, so a relabelled training graph is never served stale.
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_int(workers, "workers", 1)
     cm = cm or DEFAULT_COST_MODEL
     train_contracted = [_contract(g, measure, level) for g in train.graphs]
     tasks = [(_contract(g, measure, level), search, cm) for g in test.graphs]

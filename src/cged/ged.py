@@ -41,9 +41,9 @@ from typing import Optional, Tuple
 
 from . import kernels
 from .centrality import CentralityMeasure
-from .contraction import ContractionReport, t_centrality_node_contraction
+from .contraction import ContractionReport, _check_int, t_centrality_node_contraction
 from .costs import DEFAULT_COST_MODEL, CostModel, EditOperation, EditPath, OpKind
-from .graph import Graph
+from .graph import Graph, GraphArrays
 
 
 # the operation kinds, read once: a member lookup on the enum class costs
@@ -71,14 +71,6 @@ def _check_heuristic(heuristic) -> None:
         raise ValueError(f"heuristic must be a Heuristic member, got {heuristic!r}")
 
 
-def _check_width(w) -> None:
-    """A beam width is an int >= 1, checked before any search work: nan
-    would never prune, 2.5 would fail mid-search and True would be reported
-    as ``beam(w=True)``."""
-    if isinstance(w, bool) or not isinstance(w, int) or w < 1:
-        raise ValueError(f"beam width must be an int >= 1, got {w!r}")
-
-
 @dataclass(frozen=True)
 class SearchSpec:
     """Which solver to run: exact best-first (``astar``, with a heuristic and
@@ -102,7 +94,7 @@ class SearchSpec:
         if self.kind == "astar" and self.w:
             raise ValueError(f"astar search takes no width, got {self.w}")
         if self.kind == "beam":
-            _check_width(self.w)
+            _check_int(self.w, "beam width", 1)
         if self.kind == "beam" and self.heuristic is not Heuristic.ZERO:
             raise ValueError(f"heuristic {self.heuristic} applies only to astar; "
                              "beam search runs without one")
@@ -143,60 +135,57 @@ class GedResult:
         }
 
 
+def _node_costs(a1: GraphArrays, a2: GraphArrays, y_node: float) -> tuple:
+    """The label-cost table of two graph forms: row i, column j holds
+    ``y_node`` times the label distance of source position i and target
+    position j (:func:`~cged.costs.node_label_distance` on the stored
+    labels)."""
+    labels2 = a2.labels
+    # a symbol never equals a pair
+    return tuple(
+        [y_node * (hypot(a[0] - b[0], a[1] - b[1]) if type(b) is tuple else 1.0)
+         for b in labels2] if type(a) is tuple
+        else [y_node * (0.0 if a == b else 1.0) for b in labels2]
+        for a in a1.labels)
+
+
 class _PairView:
     """One graph pair as :func:`kernels.extend_costs` and :func:`_reconstruct`
     read it: both graphs' :class:`~cged.graph.GraphArrays` (``a1``, ``a2``),
-    their orders ``n1`` and ``n2``, ``node_cost`` (from both forms' stored
-    ``labels``), ``rows0``, ``depth_terms`` and ``kept``.
+    their orders ``n1`` and ``n2``, ``node_cost`` (:func:`_node_costs` of
+    both forms), ``depth_terms`` and ``kept``.
 
-    ``rows0`` is None unless the search uses :attr:`Heuristic.BIPARTITE`.
-    With the first d source positions placed, that bound is the cost of
-    deleting every unplaced source and inserting every unused target, each
-    with its unpaid edges (in full towards a placed node or used target,
-    half at each end otherwise), plus :func:`kernels.assignment` over one
-    row per unplaced source. Row i, column j holds ``y_node * d(l_i, l_j)``
-    plus ``edge substitution - 2 * x_edge`` per placed neighbour of i mapped
-    onto a neighbour of j, whose edge pair is substituted rather than
-    deleted and inserted. ``rows0`` holds the rows of the empty prefix,
-    which are also the cells of :func:`bipartite_lower_bound`.
-
-    ``node_cost[i][j]`` is ``y_node`` times the label distance of source
-    position i and target position j; it prices node substitutions in the
-    search and the edit path, and is ``rows0`` under the bound. ``kept`` is
-    the list of cell rows that the last expansion left unsolved (see
-    :func:`kernels.extend_costs`).
+    ``depth_terms`` is None unless the search uses
+    :attr:`Heuristic.BIPARTITE`. With the first d source positions placed,
+    that bound is the cost of deleting every unplaced source and inserting
+    every unused target, each with its unpaid edges (in full towards a
+    placed node or used target, half at each end otherwise), plus
+    :func:`kernels.assignment` over one row per unplaced source. Row i,
+    column j holds ``node_cost[i][j]`` plus ``edge substitution - 2 *
+    x_edge`` per placed neighbour of i mapped onto a neighbour of j, whose
+    edge pair is substituted rather than deleted and inserted; at the empty
+    prefix the rows are ``node_cost`` itself, the cells of
+    :func:`bipartite_lower_bound`.
 
     ``depth_terms[d]`` holds what the bound needs of the sources after
     source d, which depends on d alone, for every d below the last: the
     ``(row index, edge kind, edge value)`` of each of them linked to d, their
     degrees towards each other, their row terms ``x_edge * degree + 2 *
     x_node``, and the cost of deleting them all with every edge that reaches
-    them. It is built once per search, and is None under
-    :attr:`Heuristic.ZERO` and when ``search`` is false (the view of
-    :func:`bipartite_lower_bound`, which reads only ``rows0``).
+    them. It is built once per search. ``kept`` is the list of cell rows
+    that the last expansion left unsolved (see :func:`kernels.extend_costs`).
     """
 
-    __slots__ = ("a1", "a2", "n1", "n2", "node_cost", "rows0", "depth_terms", "kept")
+    __slots__ = ("a1", "a2", "n1", "n2", "node_cost", "depth_terms", "kept")
 
-    def __init__(self, g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
-                 search: bool = True):
+    def __init__(self, g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic):
         a1, a2 = self.a1, self.a2 = g1.arrays(), g2.arrays()
         n1 = self.n1 = len(a1.ids)
         self.n2 = len(a2.ids)
-        labels2 = a2.labels
-        y_node = cm.y_node
-        # node_label_distance on the stored forms: a symbol never equals a pair
-        self.node_cost = tuple(
-            [y_node * (hypot(a[0] - b[0], a[1] - b[1]) if type(b) is tuple else 1.0)
-             for b in labels2] if type(a) is tuple
-            else [y_node * (0.0 if a == b else 1.0) for b in labels2]
-            for a in a1.labels)
-        self.rows0 = self.depth_terms = None
+        self.node_cost = _node_costs(a1, a2, cm.y_node)
+        self.depth_terms = None
         self.kept = []
         if heuristic is not Heuristic.BIPARTITE:
-            return
-        self.rows0 = self.node_cost
-        if not search:
             return
         x_node, x_edge = cm.x_node, cm.x_edge
         two_x = x_node + x_node
@@ -214,10 +203,10 @@ class _PairView:
                           x_node * (n1 - d - 1) + x_edge * (ends - sum(degs) // 2)))
 
     def root(self) -> tuple:
-        """The open-list entry of the empty prefix (complete when g1 is empty)."""
-        if self.rows0 is None:
-            return (0.0, 0, (), 0.0, 0)
-        return (0.0, 0, (), 0.0, 0, self.rows0, None)
+        """The open-list entry of the empty prefix (complete when g1 is
+        empty), which carries the bound's empty-prefix rows under the
+        bound."""
+        return (0.0, 0, (), 0.0, 0, None if self.depth_terms is None else self.node_cost, None)
 
 
 def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
@@ -225,11 +214,11 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
     t0 = time.perf_counter()
     view = _PairView(g1, g2, cm, heuristic)
     n1 = view.n1
-    bound = view.rows0 is not None
-    # entry: (f, -depth, mapping, g, used[, bound rows, unsolved]); the first
-    # three form the total order. A* keeps its open list as a heap; beam
-    # keeps an ascending list of at most ``width`` entries. Every entry short
-    # of complete has a child (its deletion), so the list never runs dry.
+    # entry: (f, -depth, mapping, g, used, bound rows, unsolved); the first
+    # three form the total order, and the last two are None without the
+    # bound. A* keeps its open list as a heap; beam keeps an ascending list
+    # of at most ``width`` entries. Every entry short of complete has a
+    # child (its deletion), so the list never runs dry.
     frontier = [view.root()]
     children: list = []
     expanded = 0
@@ -238,7 +227,7 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
             entry = heappop(frontier)
             # an entry whose bound still waits on the solver is keyed below
             # its f: settled, it is expanded only if it still comes first
-            while bound and entry[6] is not None:
+            while entry[6] is not None:
                 entry = heappushpop(frontier, kernels.settle(view, cm, entry))
         else:
             entry = frontier.pop(0)
@@ -258,7 +247,7 @@ def _search(g1: Graph, g2: Graph, cm: CostModel, heuristic: Heuristic,
             # the ``width`` best of the old beam and the new children; a beam
             # orders by exact keys only, so each child is settled first
             for child in children:
-                if bound and child[6] is not None:
+                if child[6] is not None:
                     child = kernels.settle(view, cm, child)
                 insort(frontier, child)
             del frontier[width:]
@@ -323,7 +312,7 @@ def astar_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
 def beam_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
              w: int = 10) -> GedResult:
     """Width-limited search; cost is an upper bound on the exact distance."""
-    _check_width(w)
+    _check_int(w, "beam width", 1)
     return _search(g1, g2, cm or DEFAULT_COST_MODEL, Heuristic.ZERO, width=w)
 
 
@@ -370,15 +359,16 @@ def bipartite_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
     deletions and insertions, and each edge operation touches only two
     stars, so half its cost per star never overcounts, whatever the labels
     and cost model. The ``y_node * d(l_i, l_j)`` cells are the search's own
-    empty-prefix rows (``_PairView.rows0``), the assignment is solved on
+    empty-prefix rows (:func:`_node_costs`), the assignment is solved on
     the reduced n1 x n2 matrix of :func:`kernels.assignment`, and its
     matching is priced on these costs, so a graph against a copy of itself
     gives exactly 0.0, and two empty graphs give 0.0.
     """
-    sub = _PairView(g1, g2, cm, Heuristic.BIPARTITE, search=False).rows0
+    a1, a2 = g1.arrays(), g2.arrays()
+    sub = _node_costs(a1, a2, cm.y_node)
     half = 0.5 * cm.x_edge
-    deg1, deg2 = g1.arrays().deg, g2.arrays().deg
-    matched = kernels.assignment(sub, deg1, list(enumerate(deg2)), cm.x_node, cm.x_edge)
+    deg1, deg2 = a1.deg, a2.deg
+    matched = kernels.assignment(sub, deg1, deg2, cm.x_node, cm.x_edge)
     mapped1 = {i for i, _ in matched}
     mapped2 = {j for _, j in matched}
     return (sum((sub[i][j] + half * abs(deg1[i] - deg2[j]) for i, j in matched), 0.0)

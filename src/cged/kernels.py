@@ -30,21 +30,23 @@ solver.
 
 Conventions shared with :mod:`cged.ged`:
 
-* a pair view (``cged.ged._PairView``) has eight fields: the two graphs'
+* a pair view (``cged.ged._PairView``) has seven fields: the two graphs'
   forms ``a1`` and ``a2``, their orders ``n1`` and ``n2``, the node label
-  costs ``node_cost``, the bipartite bound's empty-prefix rows ``rows0``
-  and its per-depth terms ``depth_terms`` (both None without the bound),
-  and ``kept``, the cell rows of the last expansion's unsettled children;
+  costs ``node_cost`` (also the bipartite bound's empty-prefix rows), the
+  bound's per-depth terms ``depth_terms`` (None without the bound) and
+  ``kept``, the cell rows of the last expansion's unsettled children;
   kinds, values, edges and masks are read from the forms themselves;
 * a mapping is a tuple of target positions, one per placed source node in
   position order, with -1 marking a deleted source node;
 * a used-target set is an int bitmask over target positions;
-* an open-list entry is ``(f, -depth, mapping, g, used)``, followed under
-  the bipartite bound by the rows of the bound's assignment matrix and by
-  None, or, on an unsettled entry, by what :func:`settle` needs to solve
-  its assignment; an unsettled entry's first element is a floor of its
-  ``f``, and :mod:`cged.ged` settles it before it expands or returns it.
-  Mappings are unique, so tuple comparison never reaches ``g`` or later.
+* every open-list entry is ``(f, -depth, mapping, g, used, rows,
+  unsolved)``: ``rows`` holds the rows of the bipartite bound's assignment
+  matrix and ``unsolved`` is None, or, on an unsettled entry, what
+  :func:`settle` needs to solve its assignment; both are None without the
+  bound and on a complete entry. An unsettled entry's first element is a
+  floor of its ``f``, and :mod:`cged.ged` settles it before it expands or
+  returns it. Mappings are unique, so tuple comparison never reaches
+  ``g`` or later.
   The step appends children in no useful order; :mod:`cged.ged` orders
   them in its open list.
 """
@@ -184,10 +186,9 @@ def settle(view, cm, entry: tuple) -> tuple:
 def assignment(rows, degs, cols, x_node: float, x_edge: float) -> list:
     """The matching of the bipartite bound's assignment, on the reduced matrix.
 
-    ``rows`` holds one list per unplaced source node, indexed by target
-    position; ``degs`` gives each such node's edges towards unplaced source
-    nodes, and ``cols`` one ``(target position, edges towards unused
-    targets)`` pair per unused target. Cell (i, j) is
+    ``rows`` holds one list per source node, indexed by target position;
+    ``degs`` gives each source node's degree and ``cols`` each target
+    node's, by position. Cell (i, j) is
     ``min(rows[i][j] - x_edge * min(deg_i, deg_j) - 2 * x_node, 0)``: the
     substitution cost of the (r + c)-square epsilon-padded assignment less
     i's deletion and j's insertion cost (see ``cged.ged._PairView``),
@@ -207,14 +208,14 @@ def assignment(rows, degs, cols, x_node: float, x_edge: float) -> list:
     the solve to :func:`settle`.
     """
     two_x = x_node + x_node
-    terms = [(j, dc, x_edge * dc + two_x) for j, dc in cols]
+    terms = [(j, dc, x_edge * dc + two_x) for j, dc in enumerate(cols)]
     keep, neg, mins, _ = _reduced(rows, degs, terms, x_node, x_edge)
     if not neg:
         return []
     if len(neg) == 1 or len(cols) == 1:
         best, k, at = min(zip(mins, keep, neg))
-        return [(k, cols[at.index(best)][0])]
-    return [(keep[i], cols[j][0]) for i, j in _matching(neg) if neg[i][j] < 0.0]
+        return [(k, at.index(best))]
+    return [(keep[i], j) for i, j in _matching(neg) if neg[i][j] < 0.0]
 
 
 def extend_costs(view, cm, children: list, entry: tuple) -> None:
@@ -238,19 +239,20 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
     inserting every target node and edge left over, and its ``f`` is its
     ``g``.
 
-    Below the last level ``f`` is ``g`` alone, unless the view carries the
-    bipartite bound's empty-prefix rows (``view.rows0``). Then ``f`` is
-    ``g + (rest + value)``: the bound of what is left (see
-    ``cged.ged._PairView``), its deletions and insertions ``rest`` plus its
-    assignment's ``value``. Entries then carry the bound's rows as a sixth
-    element and, as a seventh, None, unless no certificate of :func:`_value`
-    answers the child's assignment. Such a child is keyed by ``g + (rest +
-    floor)`` instead, with :func:`_value`'s floor, and carries ``(rest,
-    kept, i)`` for :func:`settle`, which gives it its ``f``: its cell rows
-    are ``kept[i]``, where ``kept`` is the list this expansion puts in
-    ``view.kept`` and the next one empties. The step itself never calls
-    the solver. The clipped cells of every unplaced row over the unused
-    targets are built once per expansion by :func:`_cells`, and the
+    Every child has the seven fields of an open-list entry. Below the last
+    level ``f`` is ``g`` alone and ``rows`` and ``unsolved`` are None,
+    unless the view carries the bipartite bound's terms (``depth_terms``
+    is not None). Then ``f`` is ``g + (rest + value)``: the bound of what
+    is left (see ``cged.ged._PairView``), its deletions and insertions
+    ``rest`` plus its assignment's ``value``. The child carries the bound's
+    rows as ``rows``, and ``unsolved`` is None unless no certificate of
+    :func:`_value` answers its assignment. Such a child is keyed by ``g +
+    (rest + floor)`` instead, with :func:`_value`'s floor, and carries
+    ``(rest, kept, i)`` for :func:`settle`, which gives it its ``f``: its
+    cell rows are ``kept[i]``, where ``kept`` is the list this expansion
+    puts in ``view.kept`` and the next one empties. The step itself never
+    calls the solver. The clipped cells of every unplaced row over the
+    unused targets are built once per expansion by :func:`_cells`, and the
     deletion child reads them as they are. A child that maps the new node
     onto target v differs from them only in the columns of v's unused
     neighbours, whose degree drops by one and where the rows linked to the
@@ -265,13 +267,10 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
     ``view`` provides ``a1`` and ``a2`` (both graphs'
     :class:`~cged.graph.GraphArrays`, whose ``kind``, ``val``, ``masks``,
     ``adj`` and ``edges`` the step reads), ``n1``, ``n2``, ``node_cost``,
-    ``rows0``, ``depth_terms`` and ``kept``.
+    ``depth_terms`` and ``kept``.
     """
-    bound = view.rows0 is not None
-    if bound:
-        _, negd, mapping, g, used, rows, _ = entry
-    else:
-        _, negd, mapping, g, used = entry
+    _, negd, mapping, g, used, rows, _ = entry
+    bound = view.depth_terms is not None
     depth = -negd
     a1, a2 = view.a1, view.a2
     kind_row = a1.kind[depth]
@@ -369,10 +368,6 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
             else:
                 child_g += (x_node * (unused - 1)
                             + x_edge * (unpaid - (masks[v] & used).bit_count()))
-            if bound:
-                children.append((child_g, child_depth, mapping + (slot,), child_g, child_used,
-                                 None, None))
-                continue
         elif bound:
             child_rows = rows
             if v == n2:
@@ -420,7 +415,8 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
             children.append((child_g + (rest + low), child_depth, mapping + (slot,), child_g,
                              child_used, child_rows, unsolved))
             continue
-        children.append((child_g, child_depth, mapping + (slot,), child_g, child_used))
+        children.append((child_g, child_depth, mapping + (slot,), child_g, child_used,
+                         None, None))
 
 
 # ----------------------------------------------------------------------

@@ -80,7 +80,7 @@ def price_from_scratch(g1: Graph, g2: Graph, cm: CostModel, mapping) -> float:
 def settled(view, cm, child):
     """A child keyed by its ``f``: settled by :func:`kernels.settle` as the
     search settles it, if its bound waits on the solver."""
-    if len(child) == 7 and child[6] is not None:
+    if child[6] is not None:
         return kernels.settle(view, cm, child)
     return child
 
@@ -286,10 +286,40 @@ def test_a_search_reaches_the_solver_only_while_settling(monkeypatch):
     assert calls["solver"] == calls["settled"]
 
 
+@pytest.mark.parametrize("run", [
+    lambda g1, g2: astar_ged(g1, g2, heuristic=Heuristic.ZERO),
+    lambda g1, g2: astar_ged(g1, g2, heuristic=Heuristic.BIPARTITE),
+    lambda g1, g2: beam_ged(g1, g2, w=3),
+], ids=["astar-zero", "astar-bipartite", "beam"])
+def test_every_open_list_entry_has_seven_fields(monkeypatch, run):
+    """Every entry a search expands, and every child the step appends or
+    :func:`kernels.settle` returns, is ``(f, -depth, mapping, g, used, rows,
+    unsolved)``, with or without the bound."""
+    extend, settle = kernels.extend_costs, kernels.settle
+    seen = []
+
+    def recorded_extend(view, cm, children, entry):
+        extend(view, cm, children, entry)
+        seen.append(entry)
+        seen.extend(children)
+
+    def recorded_settle(view, cm, entry):
+        seen.append(settle(view, cm, entry))
+        return seen[-1]
+
+    monkeypatch.setattr(kernels, "extend_costs", recorded_extend)
+    monkeypatch.setattr(kernels, "settle", recorded_settle)
+    rng = random.Random(101)
+    for _ in range(6):
+        g1, g2 = (random_connected_graph(rng, rng.randint(4, 6)) for _ in range(2))
+        run(g1, g2)
+    assert seen and {len(entry) for entry in seen} == {7}
+
+
 def as_kernel_input(matrix):
     """A reduced matrix as :func:`kernels.assignment` takes it: with no
     deletion or insertion cost, cell (i, j) is ``min(matrix[i][j], 0)``."""
-    return matrix, [0] * len(matrix), [(j, 0) for j in range(len(matrix[0]))], 0.0, 0.0
+    return matrix, [0] * len(matrix), [0] * len(matrix[0]), 0.0, 0.0
 
 
 def certified_value(matrix) -> float:

@@ -195,7 +195,7 @@ def test_workers_below_one_exit_config_error(tmp_path, capsys):
         rc = main(["classify", "--dataset", "synthetic", "--syn-count", "8",
                    "--workers", workers, "--out-json", str(tmp_path / "out.json")])
         assert rc == EXIT_CONFIG
-        assert "workers must be >= 1" in capsys.readouterr().err
+        assert "workers must be an int >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

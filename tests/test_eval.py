@@ -389,7 +389,7 @@ def test_filter_tie_goes_to_lowest_index_despite_a_higher_bound():
         assert (result.searches, result.pairs) == (2, 2)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True, float("nan")], ids=repr)
 def test_workers_below_one_fail_before_any_work(monkeypatch, workers):
     corpus = synthesize_letter_like(seed=33, count=8, classes=2, distortion=0.2)
     train, test = split_corpus(corpus)
@@ -632,8 +632,8 @@ def test_kept_pool_serves_relabelled_and_mutated_training_graphs(small_split):
 @pytest.mark.parametrize("level", [TLevel.T0, TLevel.T1STAR], ids=str)
 def test_kept_pool_serves_a_training_graph_changed_without_a_removal(level):
     # no graph here has a node of degree 1, so T1* removes nothing before or
-    # after the change: the contraction is a copy of the graph either way,
-    # and the change must still give the workers a new object
+    # after the change: the contraction is the graph itself either way, and
+    # the change must still give the workers a new form
     near, far = cycle_graph(4), cycle_graph(4)
     far.add_edge(0, 2)
     for g, label in ((near, "near"), (far, "far")):
@@ -679,6 +679,53 @@ def test_a_broken_kept_pool_fails_one_call_and_is_replaced(small_split):
     assert evaluation._kept is None
     assert nn_classify(train, test, *args, workers=2).to_json_dict() == want
     assert _children() is not children
+
+
+@pytest.mark.parametrize("fails", ["Pipe", "start"])
+def test_a_fork_that_fails_midway_leaves_no_partial_pool(monkeypatch, small_split, fails):
+    # the second of two children cannot be made: the first is shut down with
+    # it, so that the next call forks a full set and answers every test graph
+    train, test = small_split
+    args = (DEG, TLevel.T1STAR, SearchSpec.astar())
+    want = nn_classify(train, test, *args).to_json_dict()
+    evaluation._shut_down()
+    context = multiprocessing.get_context("fork")
+    owner = type(context) if fails == "Pipe" else context.Process
+    original = getattr(owner, fails)
+    calls = []
+
+    def second_fails(self, *rest):
+        calls.append(self)
+        if len(calls) == 2:
+            raise OSError("no second child")
+        return original(self, *rest)
+
+    monkeypatch.setattr(owner, fails, second_fails)
+    with pytest.raises(OSError, match="no second child"):
+        nn_classify(train, test, *args, workers=3)
+    monkeypatch.undo()
+    assert evaluation._kept is None
+    assert multiprocessing.active_children() == []
+    again = nn_classify(train, test, *args, workers=3)
+    assert len(_children()) == 2
+    assert again.to_json_dict() == want
+
+
+def test_a_level_that_removes_nothing_is_the_graph_itself(monkeypatch):
+    # K5 has no node of degree 1 to 3, so every level's budget is 0 and no
+    # graph is walked or copied, at T0 or at any Tk*
+    g = complete_graph(5)
+
+    def no_copy(self, ids):
+        raise AssertionError("a graph was copied")
+
+    monkeypatch.setattr(Graph, "without", no_copy)
+    for level in TLevel:
+        assert evaluation._contract(g, DEG, level) is g
+    train = Corpus("tr", [complete_graph(5), path_graph(3)])
+    test = Corpus("te", [complete_graph(4)])
+    result = nn_classify(train, test, DEG, TLevel.T0, SearchSpec.astar())
+    assert result.pairs == 2 and len(result.predictions) == 1
 
 
 # a training list for the _map tests below: two graphs of 2 and 3 nodes
