@@ -32,6 +32,7 @@ from .dataset import (
     DatasetError,
     GxlParseError,
     Split,
+    _IAM_LAYOUTS,
     corpus_stats,
     load_graph_file,
     load_iam_corpus,
@@ -54,7 +55,7 @@ EXIT_PARSE = 3
 EXIT_CONFIG = 4
 EXIT_DATASET = 5
 
-_DATASETS = ("synthetic", "letter-high", "letter-med", "letter-low", "aids")
+_DATASETS = ("synthetic", *_IAM_LAYOUTS)
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
-from typing import Optional, Tuple
+from typing import Optional
 
 from .graph import EdgeLabel, NodeLabel, Point2D
-
-Edge = Tuple[int, int]
 
 
 def node_label_distance(a: NodeLabel, b: NodeLabel) -> float:
@@ -93,30 +91,6 @@ class EditOperation:
     source: Optional[object]
     target: Optional[object]
     cost: float
-
-    @classmethod
-    def node_sub(cls, u: int, v: int, cost: float) -> "EditOperation":
-        return cls(OpKind.NODE_SUB, u, v, cost)
-
-    @classmethod
-    def node_del(cls, u: int, cost: float) -> "EditOperation":
-        return cls(OpKind.NODE_DEL, u, None, cost)
-
-    @classmethod
-    def node_ins(cls, v: int, cost: float) -> "EditOperation":
-        return cls(OpKind.NODE_INS, None, v, cost)
-
-    @classmethod
-    def edge_sub(cls, e: Edge, f: Edge, cost: float) -> "EditOperation":
-        return cls(OpKind.EDGE_SUB, e, f, cost)
-
-    @classmethod
-    def edge_del(cls, e: Edge, cost: float) -> "EditOperation":
-        return cls(OpKind.EDGE_DEL, e, None, cost)
-
-    @classmethod
-    def edge_ins(cls, f: Edge, cost: float) -> "EditOperation":
-        return cls(OpKind.EDGE_INS, None, f, cost)
 
     def to_json_dict(self) -> dict:
         def enc(x):

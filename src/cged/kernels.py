@@ -1,65 +1,263 @@
-"""Hot inner loops: the search expansion step and the betweenness kernel.
+"""The edit-distance search and the betweenness kernel.
 
 Two inner loops dominate the toolkit's runtime: the expansion step of the
-edit-distance tree search (called once per open-list pop) and the
-per-source accumulation of betweenness centrality.
+edit-distance search (called once per open-list pop) and the per-source
+accumulation of betweenness centrality. Both are plain Python and read the
+tuple rows of :class:`cged.graph.GraphArrays`. The graphs they see are
+small (letters and molecules of a few to a few dozen nodes), where Python
+sequences and int bitmasks beat numpy's per-call overhead. :mod:`cged.ged`
+says which search runs and what it returns; this module is where a search
+is laid out and run.
 
-Both are plain Python and read the tuple rows of
-:class:`cged.graph.GraphArrays`: :func:`extend_costs` through the pair view
-that :mod:`cged.ged` assembles once per search from both graphs' forms,
-:func:`betweenness_counts` through the neighbour rows ``adj``. The graphs
-they see are small (letters and molecules of a few to a few dozen nodes),
-where Python sequences and int bitmasks beat numpy's per-call overhead.
-The expansion step also prices exact A*'s bipartite bound for every child
-it appends, and reads only the value of the bound's node assignment. It
-builds the bound's clipped cells once per expansion, and each child
-rebuilds only the columns it changes (see :func:`extend_costs`). Three
-exact certificates give that value without a solver: no row with a
-negative cell, one row or one column, and every row's cheapest cell in a
-column of its own (see :func:`_value`). Each returns the float that
-scipy's matching gives when summed in row order. Where two or more rows
-want one column, the step keys the child by a floor of that value
-instead, and :func:`settle` calls scipy for it when the search settles
-it: exact A* once the child reaches the top of its open list, beam before
-inserting it. Costs, paths and expansion counts are those of solving
-every assignment at once. ``scipy.optimize`` is imported once, on the
-first assignment that needs it (see :func:`_solver`).
-:func:`assignment` returns the matching itself, for
-:func:`cged.ged.bipartite_lower_bound`, from the same cell builder and
-solver.
+:func:`search` is a best-first search over partial node mappings. It places
+the first graph's nodes in ascending position (and so id) order. Every
+open-list entry is a prefix mapping: each placed node is either mapped onto
+a distinct node of the second graph or deleted. Expanding an entry
+(:func:`extend_costs`) places the next node every possible way; edge
+operations are charged as soon as both endpoints are placed, so the
+accumulated cost ``g`` of a prefix is exact. Placing the last source node
+also inserts the leftover target nodes and their edges, making the entry
+complete. The first complete entry to come off the open list is expanded
+into an edit path by :func:`_reconstruct`.
 
-Conventions shared with :mod:`cged.ged`:
+The pair view (:class:`_PairView`), built once per search, holds what the
+search reads of the pair: the two graphs' forms ``a1`` and ``a2`` (whose
+``kind``, ``val``, ``masks``, ``adj`` and ``edges`` it reads), their orders
+``n1`` and ``n2``, the node label costs ``node_cost`` (also the bipartite
+bound's empty-prefix rows), the bound's per-depth terms ``depth_terms``
+(None without the bound) and ``kept``, the cell rows of the last
+expansion's unsettled children.
 
-* a pair view (``cged.ged._PairView``) has seven fields: the two graphs'
-  forms ``a1`` and ``a2``, their orders ``n1`` and ``n2``, the node label
-  costs ``node_cost`` (also the bipartite bound's empty-prefix rows), the
-  bound's per-depth terms ``depth_terms`` (None without the bound) and
-  ``kept``, the cell rows of the last expansion's unsettled children;
-  kinds, values, edges and masks are read from the forms themselves;
-* a mapping is a tuple of target positions, one per placed source node in
-  position order, with -1 marking a deleted source node;
-* a used-target set is an int bitmask over target positions;
-* every open-list entry is ``(f, -depth, mapping, g, used, rows,
-  unsolved)``: ``rows`` holds the rows of the bipartite bound's assignment
-  matrix and ``unsolved`` is None, or, on an unsettled entry, what
-  :func:`settle` needs to solve its assignment; both are None without the
-  bound and on a complete entry. An unsettled entry's first element is a
-  floor of its ``f``, and :mod:`cged.ged` settles it before it expands or
-  returns it. Mappings are unique, so tuple comparison never reaches
-  ``g`` or later.
-  The step appends children in no useful order; :mod:`cged.ged` orders
-  them in its open list.
+An open-list entry is ``(f, -depth, mapping, g, used, rows, unsolved)``.
+``mapping`` is a tuple of target positions, one per placed source in
+position order, with :data:`EPS_SLOT` marking a deleted source; ``used`` is
+an int bitmask of the target positions it uses. The first three fields
+form the total order (cheapest first, then deeper, then the mapping
+lexicographic); mappings are unique, so comparison never reaches ``g``,
+and costs, edit paths and expansion counts are reproducible. The step
+appends children in no useful order, and the search orders them. Exact A*
+keeps its open list as a heap and pops until a complete entry surfaces.
+Beam keeps an ascending list of at most ``w`` entries: it pops the first,
+inserts each child in order and drops whatever falls past ``w``. A beam
+wider than its open list ever grows prunes nothing and costs more per
+step than the heap; that search is exact A* under :attr:`Heuristic.ZERO`.
+
+Without the bound, ``f`` is ``g`` and ``rows`` and ``unsolved`` are None.
+Under :attr:`Heuristic.BIPARTITE`, ``f`` adds to ``g`` the bipartite bound
+of what is left to place (see :class:`_PairView`), ``rows`` holds the rows
+of the bound's assignment matrix, and the step reads only the value of
+that assignment. It builds the bound's clipped cells once per expansion,
+and each child rebuilds only the columns it changes. Three exact
+certificates give the value without a solver: no row with a negative
+cell, one row or one column, and every row's cheapest cell in a column of
+its own (see :func:`_value`). Each returns the float that scipy's matching
+gives when summed in row order. Where two or more rows want one column,
+the child is unsettled: its first field is a floor of its ``f`` and
+``unsolved`` holds what :func:`settle` needs to solve its assignment.
+:func:`settle` gives the entry its ``f`` and sets ``unsolved`` to None.
+Exact A* settles an entry when it reaches the top of the heap and pushes
+it back; beam settles each child before inserting it. Only settled entries
+are expanded or returned, so costs, paths and expansion counts are those
+of solving every assignment at once. A complete entry carries neither
+``rows`` nor ``unsolved``. ``scipy.optimize`` is imported once, on the
+first assignment that needs it (see :func:`_solver`). :func:`assignment`
+returns the matching itself, for :func:`cged.ged.bipartite_lower_bound`,
+from the same cell builder and solver.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import insort
+from enum import Enum
+from heapq import heappop, heappush, heappushpop
+from math import hypot
+from typing import Optional
+
+from .costs import CostModel, EditOperation, EditPath, OpKind
 
 EPS_SLOT = -1  # mapping value for "source node deleted"
 
+# the operation kinds, read once: a member lookup on the enum class costs
+# more than building the operation
+_NODE_SUB, _NODE_DEL, _NODE_INS = OpKind.NODE_SUB, OpKind.NODE_DEL, OpKind.NODE_INS
+_EDGE_SUB, _EDGE_DEL, _EDGE_INS = OpKind.EDGE_SUB, OpKind.EDGE_DEL, OpKind.EDGE_INS
+
+
+class Heuristic(Enum):
+    """What exact A* adds to a prefix's accumulated cost: ``BIPARTITE`` (the
+    default) the assignment bound of what is left to place, ``ZERO`` nothing
+    (the unguided reference). Beam search always runs with ``ZERO``."""
+
+    ZERO = "zero"
+    BIPARTITE = "bipartite"
+
+    def __str__(self) -> str:
+        return self.value
+
 
 # ----------------------------------------------------------------------
-# edit-search expansion step
+# edit search: the pair view, the open-list loop and the edit path
+# ----------------------------------------------------------------------
+
+def _node_costs(a1, a2, y_node: float) -> tuple:
+    """The label-cost table of two graph forms: row i, column j holds
+    ``y_node`` times the label distance of source position i and target
+    position j (:func:`~cged.costs.node_label_distance` on the stored
+    labels)."""
+    labels2 = a2.labels
+    # a symbol never equals a pair
+    return tuple(
+        [y_node * (hypot(a[0] - b[0], a[1] - b[1]) if type(b) is tuple else 1.0)
+         for b in labels2] if type(a) is tuple
+        else [y_node * (0.0 if a == b else 1.0) for b in labels2]
+        for a in a1.labels)
+
+
+class _PairView:
+    """One graph pair as the search reads it (its fields are listed in the
+    module docstring).
+
+    ``depth_terms`` is None unless the search uses
+    :attr:`Heuristic.BIPARTITE`. With the first d source positions placed,
+    that bound is the cost of deleting every unplaced source and inserting
+    every unused target, each with its unpaid edges (in full towards a
+    placed node or used target, half at each end otherwise), plus
+    :func:`assignment` over one row per unplaced source. Row i, column j
+    holds ``node_cost[i][j]`` plus ``edge substitution - 2 * x_edge`` per
+    placed neighbour of i mapped onto a neighbour of j, whose edge pair is
+    substituted rather than deleted and inserted; at the empty prefix the
+    rows are ``node_cost`` itself, the cells of
+    :func:`cged.ged.bipartite_lower_bound`.
+
+    ``depth_terms[d]`` holds what the bound needs of the sources after
+    source d, which depends on d alone, for every d below the last: the
+    ``(row index, edge kind, edge value)`` of each of them linked to d, their
+    degrees towards each other, their row terms ``x_edge * degree + 2 *
+    x_node``, and the cost of deleting them all with every edge that reaches
+    them.
+    """
+
+    __slots__ = ("a1", "a2", "n1", "n2", "node_cost", "depth_terms", "kept")
+
+    def __init__(self, g1, g2, cm: CostModel, heuristic: Heuristic):
+        a1, a2 = self.a1, self.a2 = g1.arrays(), g2.arrays()
+        n1 = self.n1 = len(a1.ids)
+        self.n2 = len(a2.ids)
+        self.node_cost = _node_costs(a1, a2, cm.y_node)
+        self.depth_terms = None
+        self.kept = []
+        if heuristic is not Heuristic.BIPARTITE:
+            return
+        x_node, x_edge = cm.x_node, cm.x_edge
+        two_x = x_node + x_node
+        masks = a1.masks
+        ends = sum(m.bit_count() for m in masks)  # less d's and those before: the rest's
+        self.depth_terms = terms = []
+        for d in range(n1 - 1):
+            kind_row, val_row = a1.kind[d], a1.val[d]
+            ends -= masks[d].bit_count()
+            # the rest's degrees towards each other count each edge among
+            # them twice; deleting the rest pays every edge that reaches it
+            degs = [(masks[i] >> d + 1).bit_count() for i in range(d + 1, n1)]
+            terms.append(([(i - d - 1, kind_row[i], val_row[i]) for i in a1.adj[d] if i > d],
+                          degs, [x_edge * dr + two_x for dr in degs],
+                          x_node * (n1 - d - 1) + x_edge * (ends - sum(degs) // 2)))
+
+    def root(self) -> tuple:
+        """The open-list entry of the empty prefix (complete when g1 is
+        empty), which carries the bound's empty-prefix rows under the
+        bound."""
+        return (0.0, 0, (), 0.0, 0, None if self.depth_terms is None else self.node_cost, None)
+
+
+def search(g1, g2, cm: CostModel, heuristic: Heuristic,
+           width: Optional[int]) -> tuple[EditPath, int]:
+    """The edit path of the first complete entry to leave the open list, and
+    the number of entries expanded, under ``heuristic``: exact A* when
+    ``width`` is None, and otherwise beam of that width.
+
+    :func:`extend_costs` and :func:`settle` are looked up in this module on
+    every call, so either can be wrapped (e.g. traced) at runtime."""
+    view = _PairView(g1, g2, cm, heuristic)
+    n1 = view.n1
+    # every entry short of complete has a child (its deletion), so the
+    # open list never runs dry
+    frontier = [view.root()]
+    children: list = []
+    expanded = 0
+    while True:
+        if width is None:
+            entry = heappop(frontier)
+            # an unsettled entry is keyed below its f: settled, it is
+            # expanded only if it still comes first
+            while entry[6] is not None:
+                entry = heappushpop(frontier, settle(view, cm, entry))
+        else:
+            entry = frontier.pop(0)
+        if -entry[1] == n1:
+            return _reconstruct(view, cm, entry[2]), expanded
+        expanded += 1
+        extend_costs(view, cm, children, entry)
+        if width is None:
+            for child in children:
+                heappush(frontier, child)
+        else:
+            # entries are unique and totally ordered, so this keeps exactly
+            # the ``width`` best of the old beam and the new children; a beam
+            # orders by exact keys only, so each child is settled first
+            for child in children:
+                if child[6] is not None:
+                    child = settle(view, cm, child)
+                insort(frontier, child)
+            del frontier[width:]
+        children.clear()
+
+
+def _reconstruct(view: _PairView, cm: CostModel, mapping: tuple[int, ...]) -> EditPath:
+    """Expand a complete position mapping into an ordered operation list.
+
+    Positions ascend with ids, so the operations come in ascending id order,
+    and each cost is the float :meth:`CostModel.node_sub_cost` or
+    :meth:`CostModel.edge_sub_cost` gives for the same labels.
+    """
+    a1, a2 = view.a1, view.a2
+    ids1, ids2 = a1.ids, a2.ids
+    kind1, val1, kind2, val2 = a1.kind, a1.val, a2.kind, a2.val
+    node_cost = view.node_cost
+    x_node, x_edge, y_edge = cm.x_node, cm.x_edge, cm.y_edge
+    ops: list[EditOperation] = []
+    for i, slot in enumerate(mapping):
+        if slot == EPS_SLOT:
+            ops.append(EditOperation(_NODE_DEL, ids1[i], None, x_node))
+        else:
+            ops.append(EditOperation(_NODE_SUB, ids1[i], ids2[slot], node_cost[i][slot]))
+    mapped = set(mapping)
+    for j, v in enumerate(ids2):
+        if j not in mapped:
+            ops.append(EditOperation(_NODE_INS, None, v, x_node))
+    consumed: set[tuple[int, int]] = set()
+    for i, j in a1.edges:
+        a, b = mapping[i], mapping[j]
+        e = (ids1[i], ids1[j])
+        if a != EPS_SLOT and b != EPS_SLOT and kind2[a][b]:
+            a, b = (a, b) if a < b else (b, a)
+            consumed.add((a, b))
+            k1, k2 = kind1[i][j], kind2[a][b]
+            # the edge label distance: |x - y| for two values, 0 for two
+            # unlabeled edges, 1 for one of each
+            d = abs(val1[i][j] - val2[a][b]) if k1 == k2 == 2 else float(k1 != k2)
+            ops.append(EditOperation(_EDGE_SUB, e, (ids2[a], ids2[b]), y_edge * d))
+        else:
+            ops.append(EditOperation(_EDGE_DEL, e, None, x_edge))
+    for a, b in a2.edges:
+        if (a, b) not in consumed:
+            ops.append(EditOperation(_EDGE_INS, None, (ids2[a], ids2[b]), x_edge))
+    return EditPath.from_operations(ops, complete=True)
+
+
+# ----------------------------------------------------------------------
+# edit search: the expansion step and the bound's assignment
 # ----------------------------------------------------------------------
 
 def _cells(row, xr: float, dr: int, terms) -> list:
@@ -160,8 +358,7 @@ def _solved(neg: list) -> float:
 
 
 def settle(view, cm, entry: tuple) -> tuple:
-    """An open-list entry whose bound waits on the solver (see
-    :func:`extend_costs`), keyed by its exact ``f``: ``g + (rest +
+    """An unsettled open-list entry, keyed by its exact ``f``: ``g + (rest +
     value)``, the float the expansion step gives a bound it solves at once.
 
     The entry holds ``(rest, kept, i)``: its clipped cell rows are
@@ -191,7 +388,7 @@ def assignment(rows, degs, cols, x_node: float, x_edge: float) -> list:
     node's, by position. Cell (i, j) is
     ``min(rows[i][j] - x_edge * min(deg_i, deg_j) - 2 * x_node, 0)``: the
     substitution cost of the (r + c)-square epsilon-padded assignment less
-    i's deletion and j's insertion cost (see ``cged.ged._PairView``),
+    i's deletion and j's insertion cost (see :class:`_PairView`),
     clipped at 0. Returns the minimum-cost assignment's negative cells as
     (row index, target position) pairs in ascending row order.
 
@@ -199,13 +396,9 @@ def assignment(rows, degs, cols, x_node: float, x_edge: float) -> list:
     leaves unmatched keeps its deletion or insertion, so the padded optimum
     is the sum of all deletions and insertions plus the matched cells,
     exactly. Rows without a negative cell are dropped and a single row or
-    column is solved directly; the rest go to scipy (imported once, on the
-    first call that needs it), whose matching this returns:
-    :func:`cged.ged.bipartite_lower_bound` prices the matched cells itself,
-    so the matching must be the solver's. The expansion step needs only the
-    value, which :func:`_value` gives from the same cells through three
-    exact certificates; where two or more rows want one column, it leaves
-    the solve to :func:`settle`.
+    column is solved directly; the rest go to scipy, whose matching this
+    returns: :func:`cged.ged.bipartite_lower_bound` prices the matched
+    cells itself, so the matching must be the solver's.
     """
     two_x = x_node + x_node
     terms = [(j, dc, x_edge * dc + two_x) for j, dc in enumerate(cols)]
@@ -220,7 +413,7 @@ def assignment(rows, degs, cols, x_node: float, x_edge: float) -> list:
 
 def extend_costs(view, cm, children: list, entry: tuple) -> None:
     """Expand one open-list entry: price every child and append it to
-    ``children``, unordered; the caller orders them.
+    ``children``, unordered.
 
     Source node number ``depth`` (the length of the entry's mapping) is
     placed on every unused target position in ascending order and, last,
@@ -239,35 +432,25 @@ def extend_costs(view, cm, children: list, entry: tuple) -> None:
     inserting every target node and edge left over, and its ``f`` is its
     ``g``.
 
-    Every child has the seven fields of an open-list entry. Below the last
-    level ``f`` is ``g`` alone and ``rows`` and ``unsolved`` are None,
-    unless the view carries the bipartite bound's terms (``depth_terms``
-    is not None). Then ``f`` is ``g + (rest + value)``: the bound of what
-    is left (see ``cged.ged._PairView``), its deletions and insertions
-    ``rest`` plus its assignment's ``value``. The child carries the bound's
-    rows as ``rows``, and ``unsolved`` is None unless no certificate of
-    :func:`_value` answers its assignment. Such a child is keyed by ``g +
-    (rest + floor)`` instead, with :func:`_value`'s floor, and carries
-    ``(rest, kept, i)`` for :func:`settle`, which gives it its ``f``: its
-    cell rows are ``kept[i]``, where ``kept`` is the list this expansion
-    puts in ``view.kept`` and the next one empties. The step itself never
-    calls the solver. The clipped cells of every unplaced row over the
-    unused targets are built once per expansion by :func:`_cells`, and the
-    deletion child reads them as they are. A child that maps the new node
-    onto target v differs from them only in the columns of v's unused
-    neighbours, whose degree drops by one and where the rows linked to the
-    new node gain the mapped edge pair: it copies each cell row, rebuilds
-    those columns with :func:`_cells`'s expression and operands, and drops
-    v's column, so every cell is the float a full rebuild gives. Its rows
-    are copies only where linked, updated in those same columns (the used
-    columns are never read again). The rows' degrees and terms and the
-    deletion cost of the unplaced sources come from ``view.depth_terms``,
-    the unused targets' degrees from ``a2.masks``.
-
-    ``view`` provides ``a1`` and ``a2`` (both graphs'
-    :class:`~cged.graph.GraphArrays`, whose ``kind``, ``val``, ``masks``,
-    ``adj`` and ``edges`` the step reads), ``n1``, ``n2``, ``node_cost``,
-    ``depth_terms`` and ``kept``.
+    Under the bound (``view.depth_terms`` is not None), a child below the
+    last level has ``f = g + (rest + value)``: the bound's deletions and
+    insertions ``rest`` plus its assignment's ``value``. An unsettled child
+    is keyed by ``g + (rest + floor)``, with :func:`_value`'s floor, and
+    carries ``(rest, kept, i)`` for :func:`settle`: its cell rows are
+    ``kept[i]``, where ``kept`` is the list this expansion puts in
+    ``view.kept`` and the next one empties. The step itself never calls the
+    solver. The clipped cells of every unplaced row over the unused targets
+    are built once per expansion by :func:`_cells`, and the deletion child
+    reads them as they are. A child that maps the new node onto target v
+    differs from them only in the columns of v's unused neighbours, whose
+    degree drops by one and where the rows linked to the new node gain the
+    mapped edge pair: it copies each cell row, rebuilds those columns with
+    :func:`_cells`'s expression and operands, and drops v's column, so every
+    cell is the float a full rebuild gives. Its rows are copies only where
+    linked, updated in those same columns (the used columns are never read
+    again). The rows' degrees and terms and the deletion cost of the
+    unplaced sources come from ``view.depth_terms``, the unused targets'
+    degrees from ``a2.masks``.
     """
     _, negd, mapping, g, used, rows, _ = entry
     bound = view.depth_terms is not None

@@ -21,7 +21,8 @@ from typing import Optional
 
 from cged import kernels
 from cged.costs import CostModel
-from cged.ged import GedResult, Heuristic, _PairView, _reconstruct
+from cged.ged import GedResult, Heuristic
+from cged.kernels import _PairView, _reconstruct
 from cged.graph import Graph, MissingNodeError, Point2D
 
 

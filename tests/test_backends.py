@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from cged import CostModel, astar_ged, beam_ged, kernels
 from cged.graph import Graph, Point2D
-from cged.ged import Heuristic, _PairView, _search
+from cged.ged import Heuristic, _search
+from cged.kernels import _PairView
 from helpers import (
     betweenness_by_path_enumeration,
     heap_beam_ged,

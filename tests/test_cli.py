@@ -8,10 +8,11 @@ import jsonschema
 import pytest
 
 from cged import CostModel, cli
-from cged.dataset import load_graph_file, load_iam_corpus, parse_debug_graph, write_debug_graph
+from cged.dataset import (DatasetError, load_graph_file, load_iam_corpus, locate_iam_indexes,
+                          parse_debug_graph, write_debug_graph)
 from cged.ged import Heuristic, SearchSpec, run_search
 from cged.graph import Graph, Point2D
-from cged.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_PARSE, main
+from cged.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_PARSE, build_parser, main
 from helpers import brute_force_ged, path_graph, star_graph
 
 
@@ -309,6 +310,24 @@ def test_exit_code_dataset_errors(tmp_path, capsys, monkeypatch, graph_files):
     rc = main(["classify", "--dataset", "synthetic", "--train-index", "only.cxl"])
     assert rc == EXIT_DATASET
     assert "together" in capsys.readouterr().err
+
+
+def test_dataset_choices_are_the_iam_layouts(tmp_path):
+    """Every ``--dataset`` choice but ``synthetic`` is a name
+    :func:`locate_iam_indexes` knows, and it knows no other."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    choices = {name: action.choices for name, p in commands.items()
+               for action in p._actions if "--dataset" in action.option_strings}
+    assert set(choices) == {"benchmark", "classify", "stats"}
+    with pytest.raises(DatasetError, match="unknown dataset") as unknown:
+        locate_iam_indexes(tmp_path, "no-such-corpus")
+    known = str(unknown.value).split("known: ", 1)[1].split(", ")
+    for names in choices.values():
+        assert names[0] == "synthetic"
+        assert sorted(names[1:]) == sorted(known)
+        for name in names[1:]:
+            with pytest.raises(DatasetError, match="not found under"):
+                locate_iam_indexes(tmp_path, name)
 
 
 def test_exit_code_config_errors(tmp_path, capsys, graph_files):

@@ -67,15 +67,15 @@ def test_cost_model_validation():
 
 
 def test_edit_operation_json_round_shape():
-    op = EditOperation.edge_sub((0, 1), (2, 3), 1.25)
+    op = EditOperation(OpKind.EDGE_SUB, (0, 1), (2, 3), 1.25)
     d = op.to_json_dict()
     assert d == {"kind": "edge_sub", "source": [0, 1], "target": [2, 3], "cost": 1.25}
-    d = EditOperation.node_ins(4, 1.0).to_json_dict()
+    d = EditOperation(OpKind.NODE_INS, None, 4, 1.0).to_json_dict()
     assert d == {"kind": "node_ins", "source": None, "target": 4, "cost": 1.0}
 
 
-@pytest.mark.parametrize("op", [EditOperation.node_sub(0, 3, 0.5),
-                                EditOperation.edge_del((1, 2), 1.0),
+@pytest.mark.parametrize("op", [EditOperation(OpKind.NODE_SUB, 0, 3, 0.5),
+                                EditOperation(OpKind.EDGE_DEL, (1, 2), None, 1.0),
                                 EditOperation(OpKind.EDGE_INS, None, (4, 5), 2.0)])
 def test_edit_operation_survives_pickle_and_deepcopy_and_stays_frozen(op):
     for twin in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op), copy.copy(op)):
@@ -88,7 +88,8 @@ def test_edit_operation_survives_pickle_and_deepcopy_and_stays_frozen(op):
 
 
 def test_edit_path_total():
-    ops = [EditOperation.node_del(0, 1.0), EditOperation.node_ins(1, 0.5)]
+    ops = [EditOperation(OpKind.NODE_DEL, 0, None, 1.0),
+           EditOperation(OpKind.NODE_INS, None, 1, 0.5)]
     path = EditPath.from_operations(ops, complete=True)
     assert path.total_cost == 1.5
     assert path.complete

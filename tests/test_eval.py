@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cged import CentralityMeasure, evaluation, t_centrality_node_contraction
+from cged import CentralityMeasure, evaluation, kernels, t_centrality_node_contraction
 from cged.costs import CostModel
 from cged.dataset import Corpus, split_corpus, synthesize_letter_like
 from cged.evaluation import (
@@ -514,6 +514,22 @@ def test_t0_calls_and_unbudgeted_graphs_walk_nothing(monkeypatch):
     assert contractions == []
     assert {(r.t_used_1, r.t_used_2, r.contraction_seconds, r.cost) for r in tk} == \
         {(0, 0, 0.0, 0.0)}
+
+
+def test_the_timing_grid_imports_the_solver_before_its_first_search(monkeypatch):
+    # the assignment solver's one-time import would otherwise land in the
+    # first search_seconds whose bound needs it
+    kernels._solver.cache_clear()
+    cached = []
+
+    def watched(*args):
+        cached.append(kernels._solver.cache_info().currsize)
+        return run_search(*args)
+
+    monkeypatch.setattr(evaluation, "run_search", watched)
+    corpus = synthesize_letter_like(seed=39, count=6, classes=3, distortion=0.3)
+    run_timing_benchmark(corpus, [DEG], [TLevel.T0], SearchSpec.astar(), sample=2, seed=0)
+    assert cached and cached[0] == 1
 
 
 def test_records_follow_the_pair_order_past_99999_pairs(monkeypatch):
