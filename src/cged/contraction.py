@@ -85,14 +85,23 @@ def _delete_walk(form: GraphArrays, alive: int, candidates: Iterable[tuple[int, 
 
 
 def _check_int(value, name: str, least: int) -> None:
-    """A count (a contraction budget, a beam width, a number of workers or
-    of sampled pairs) is an int >= ``least`` and not a bool, checked before
-    any work starts. Otherwise 1.5 would be rounded up by one contraction
-    flavor and remove nothing in another, nan would never prune a beam, inf
-    would remove n - 1 nodes and be reported as Infinity, 2.5 would fail
-    midway, and True would count as 1."""
+    """A count (a contraction budget, a beam width, or a number of workers,
+    sampled pairs, synthesized graphs or classes) is an int >= ``least``
+    and not a bool, checked before any work starts. Otherwise 1.5 would be
+    rounded up by one contraction flavor and remove nothing in another, nan
+    would never prune a beam, inf would remove n - 1 nodes and be reported
+    as Infinity, 2.5 would fail midway, and True would count as 1."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def _check_type(value, kind: type, name: str) -> None:
+    """An argument that selects what runs (a heuristic, a measure, a level
+    or a search) is a ``kind``, checked before any work starts. Otherwise a
+    string or a member of another enum would run something else, run
+    nothing, or fail only after work was done."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def _contracted(g: Graph, report: ContractionReport) -> tuple[Graph, ContractionReport]:

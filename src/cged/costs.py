@@ -41,7 +41,8 @@ def edge_label_distance(a: EdgeLabel, b: EdgeLabel) -> float:
 
 @dataclass(frozen=True)
 class CostModel:
-    """The four pricing constants. All must be finite and non-negative."""
+    """The four pricing constants. All must be finite and non-negative real
+    numbers; a bool is not taken for 0 or 1."""
 
     x_node: float = 1.0
     y_node: float = 1.0
@@ -51,7 +52,7 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in ("x_node", "y_node", "x_edge", "y_edge"):
             v = getattr(self, name)
-            if not (isinstance(v, Real) and math.isfinite(v) and v >= 0):
+            if isinstance(v, bool) or not (isinstance(v, Real) and math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
             object.__setattr__(self, name, float(v))
 

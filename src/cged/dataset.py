@@ -28,6 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .contraction import _check_int
 from .graph import EdgeLabel, Graph, GraphError, NodeLabel, Point2D
 
 
@@ -356,8 +357,8 @@ def synthesize_letter_like(
     min(1, distortion), one edge is added or removed. At distortion 0
     every instance equals its class prototype exactly.
     """
-    if count < 1 or classes < 1:
-        raise ValueError("count and classes must be >= 1")
+    _check_int(count, "count", 1)
+    _check_int(classes, "classes", 1)
     if not 0 <= distortion < math.inf:
         raise ValueError(f"distortion must be finite and >= 0, got {distortion!r}")
     labels = _class_names(classes)

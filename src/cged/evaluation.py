@@ -58,7 +58,7 @@ import numpy as np
 
 from . import kernels
 from .centrality import CentralityMeasure
-from .contraction import _check_int, _degree_passes, t_centrality_node_contraction
+from .contraction import _check_int, _check_type, _degree_passes, t_centrality_node_contraction
 from .costs import DEFAULT_COST_MODEL, CostModel
 from .dataset import Corpus
 from .ged import SearchSpec, bipartite_lower_bound, hausdorff_lower_bound, run_search
@@ -321,8 +321,8 @@ def _workers(workers: int, train: list[Graph], forms: list[GraphArrays],
     """The kept children, if there are ``workers - 1`` of them and they
     inherited the same form objects as ``forms``, the array forms of
     ``train``; otherwise ``workers - 1`` new ones, forked after the kept
-    ones are shut down. An exception while forking shuts down the children
-    forked so far, so that no later call is served by a partial set."""
+    ones are shut down. The new set is kept before the first fork, so that
+    :func:`_map` shuts down a partly forked one."""
     global _kept
     if _kept is not None:
         children, width, shipped = _kept
@@ -335,32 +335,27 @@ def _workers(workers: int, train: list[Graph], forms: list[GraphArrays],
     context = multiprocessing.get_context("fork")
     children: list[tuple[BaseProcess, Connection]] = []
     _kept = children, workers, forms
-    try:
-        for _ in range(workers - 1):
-            mine, theirs = context.Pipe()
-            try:
-                process = context.Process(target=_serve, daemon=True, args=(
-                    theirs, train, sizes, [conn for _, conn in children] + [mine]))
-                process.start()
-            except BaseException:
-                mine.close()
-                raise
-            finally:
-                theirs.close()
-            children.append((process, mine))
-    except BaseException:
-        _shut_down()
-        raise
+    for _ in range(workers - 1):
+        mine, theirs = context.Pipe()
+        try:
+            process = context.Process(target=_serve, daemon=True, args=(
+                theirs, train, sizes, [conn for _, conn in children] + [mine]))
+            process.start()
+        except BaseException:
+            mine.close()
+            raise
+        finally:
+            theirs.close()
+        children.append((process, mine))
     return children
 
 
-def _replies(sent: list[Connection]) -> list:
-    """One reply from each of ``sent``, in order; a child that ended instead
-    fails the call and drops every kept worker."""
+def _pipe(call: Callable, *args):
+    """``call(*args)``, a send or receive on a child's pipe; a child that
+    ended fails the call with :class:`BrokenProcessPool`."""
     try:
-        return [conn.recv() for conn in sent]
+        return call(*args)
     except (EOFError, OSError):
-        _shut_down()
         raise BrokenProcessPool("a worker process ended during the call") from None
 
 
@@ -376,12 +371,15 @@ def _map(fn: Callable, tasks: list, workers: int, train: list[Graph]) -> list:
     first pooled call and inherit ``train`` and ``sizes`` with the array
     forms the caller builds before it forks. They are kept for later calls
     of the same width whose training graphs have the same form objects:
-    every change to a graph replaces its form. A task's exception is raised
-    in the caller, after every reply is read, with the child's traceback as
-    its cause, and the children stay kept; a child that ends fails the call
-    with :class:`BrokenProcessPool`, and the next call forks afresh. No
-    child is forked for an empty task list, and pooled calls from several
-    threads run one at a time.
+    every change to a graph replaces its form. The children outlive a call
+    only when it read every reply, so that none is left for the next call to
+    take as its own. A task that raises in a child comes back as a reply:
+    the caller raises it, with the child's traceback as its cause, once
+    every reply is read, and keeps the children. Any other failure ends
+    them, and the next call forks afresh: a task that raises in the caller's
+    own share, an interrupt while the caller waits, or a child that ends,
+    which fails the call with :class:`BrokenProcessPool`. No child is forked
+    for an empty task list, and calls from several threads run in turn.
     """
     if not tasks:
         return []
@@ -392,21 +390,15 @@ def _map(fn: Callable, tasks: list, workers: int, train: list[Graph]) -> list:
     shares = [tasks[i:i + size] for i in range(0, len(tasks), size)]
     forms = [h.arrays() for h in train]
     with _lock:
-        children = _workers(workers, train, forms, sizes)
-        sent = []
         try:
+            children = _workers(workers, train, forms, sizes)[:len(shares) - 1]
             for (_, conn), share in zip(children, shares[1:]):
-                conn.send((fn, share))
-                sent.append(conn)
-        except OSError:
-            _shut_down()
-            raise BrokenProcessPool("a worker process ended before the call") from None
-        try:
+                _pipe(conn.send, (fn, share))
             results = [fn(t, train, sizes) for t in shares[0]]
-        finally:
-            # read even when the caller's share raised, so that no reply is
-            # left for the next call to take as its own
-            replies = _replies(sent)
+            replies = [_pipe(conn.recv) for _, conn in children]
+        except BaseException:
+            _shut_down()
+            raise
     for ok, value in replies:
         if not ok:
             exc, trace = value
@@ -505,17 +497,19 @@ def run_timing_benchmark(
     pair runs its measures in the order of their values and its levels in
     T-level order, so the records are produced in (pair, measure, level)
     order, whatever the sample size or the order the arguments give. A
-    repeated measure or level raises ``ValueError``.
+    mistyped or repeated measure or level raises ``ValueError``.
     """
     _check_int(sample, "sample", 1)
     if not corpus.graphs:
         raise ValueError("corpus is empty")
     if not measures or not levels:
         raise ValueError("need at least one measure and one level")
-    for kind, values in (("measure", measures), ("level", levels)):
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:
-            raise ValueError(f"{kind} {repeated[0]} is given more than once")
+    for kind, member, values in (("measure", CentralityMeasure, measures),
+                                 ("level", TLevel, levels)):
+        for i, value in enumerate(values):
+            _check_type(value, member, kind)
+            if value in values[:i]:
+                raise ValueError(f"{kind} {value} is given more than once")
     cm = cm or DEFAULT_COST_MODEL
     measures = sorted(measures, key=lambda m: m.value)
     levels = [level for level in TLevel if level in levels]
@@ -647,18 +641,23 @@ def nn_classify(
     :func:`_contract`), so a later call with the same training corpus
     contracts only its own test graphs; each contracted graph's array form
     holds the labels and degrees its bounds read, so a later call prices
-    only the bounds' cells. ``workers`` (an int >= 1, checked before any
-    work) processes search, the calling process among them. Test graphs are
-    contracted in the calling process, so the other workers receive them
-    contracted; those workers are forked with the contracted training graphs
-    and their array forms, and kept for later calls with the same
-    ``workers`` and the same forms (see :func:`_map`); any change to a
-    training graph replaces its form, so it ends them. Workers return the
-    index of the nearest training graph, and its class is read in the
-    calling process, so a relabelled training graph is never served stale.
+    only the bounds' cells. The types of ``measure``, ``level`` and
+    ``search``, and ``workers`` (an int >= 1), are checked before any work.
+    ``workers`` processes search, the calling process among them. Test
+    graphs are contracted in the calling process, so the other workers
+    receive them contracted; those workers are forked with the contracted
+    training graphs and their array forms, and kept for later calls with the
+    same ``workers`` and the same forms (see :func:`_map`); a failed call or
+    a change to a training graph (which replaces its form) ends them.
+    Workers return the index of the nearest training graph, and its class is
+    read in the calling process, so a relabelled training graph is never
+    served stale.
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")
+    _check_type(measure, CentralityMeasure, "measure")
+    _check_type(level, TLevel, "level")
+    _check_type(search, SearchSpec, "search")
     _check_int(workers, "workers", 1)
     cm = cm or DEFAULT_COST_MODEL
     train_contracted = [_contract(g, measure, level) for g in train.graphs]

@@ -22,17 +22,10 @@ from typing import Optional, Tuple
 
 from . import kernels
 from .centrality import CentralityMeasure
-from .contraction import ContractionReport, _check_int, t_centrality_node_contraction
+from .contraction import ContractionReport, _check_int, _check_type, t_centrality_node_contraction
 from .costs import DEFAULT_COST_MODEL, CostModel, EditPath
 from .graph import Graph
 from .kernels import Heuristic
-
-
-def _check_heuristic(heuristic) -> None:
-    """A heuristic is a :class:`Heuristic` member: the search compares it by
-    identity, so a string or None would otherwise run unguided."""
-    if not isinstance(heuristic, Heuristic):
-        raise ValueError(f"heuristic must be a Heuristic member, got {heuristic!r}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,7 @@ class SearchSpec:
         if self.heuristic is None:
             default = Heuristic.BIPARTITE if self.kind == "astar" else Heuristic.ZERO
             object.__setattr__(self, "heuristic", default)
-        _check_heuristic(self.heuristic)
+        _check_type(self.heuristic, Heuristic, "heuristic")
         if self.kind == "astar" and self.w:
             raise ValueError(f"astar search takes no width, got {self.w}")
         if self.kind == "beam":
@@ -115,7 +108,7 @@ def astar_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
     prefixes are expanded and, among equally cheap edit paths, which one is
     returned. A ``heuristic`` that is not a :class:`Heuristic` member fails.
     """
-    _check_heuristic(heuristic)
+    _check_type(heuristic, Heuristic, "heuristic")
     return _search(g1, g2, cm or DEFAULT_COST_MODEL, heuristic, width=None)
 
 

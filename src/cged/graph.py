@@ -219,7 +219,7 @@ class Graph:
         """Rebuild a graph with explicit node ids (parser and test helper)."""
         g = cls(name=name, class_label=class_label)
         for u, label in nodes:
-            if not isinstance(u, int) or u < 0:
+            if isinstance(u, bool) or not isinstance(u, int) or u < 0:
                 raise ValueError(f"node id must be a non-negative integer, got {u!r}")
             if u in g._labels:
                 raise ValueError(f"duplicate node id {u}")

@@ -64,6 +64,9 @@ def test_cost_model_validation():
         CostModel(y_edge=float("nan"))
     with pytest.raises(ValueError):
         CostModel(x_edge=float("inf"))
+    # a bool is an int, so it would be taken for 1.0
+    with pytest.raises(ValueError, match="x_node must be finite and >= 0, got True"):
+        CostModel(x_node=True)
 
 
 def test_edit_operation_json_round_shape():

@@ -1,5 +1,7 @@
 """File formats, corpus loading, the synthetic corpus and splits."""
 
+import re
+
 import pytest
 
 from cged import CentralityMeasure, astar_ged
@@ -293,6 +295,12 @@ def test_synthesize_validation():
         synthesize_letter_like(seed=1, count=4, classes=0, distortion=0.1)
     with pytest.raises(ValueError):
         synthesize_letter_like(seed=1, count=4, classes=2, distortion=-0.5)
+    # True would build one graph, and 2.5 would fail midway with a bare TypeError
+    for count in (True, 2.5):
+        with pytest.raises(ValueError, match=re.escape(f"count must be an int >= 1, got {count}")):
+            synthesize_letter_like(seed=1, count=count, classes=2, distortion=0.1)
+    with pytest.raises(ValueError, match="classes must be an int >= 1, got True"):
+        synthesize_letter_like(seed=1, count=4, classes=True, distortion=0.1)
     with pytest.raises(ValueError, match="distortion must be finite"):
         synthesize_letter_like(seed=1, count=4, classes=2, distortion=float("inf"))
 

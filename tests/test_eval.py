@@ -11,6 +11,7 @@ import textwrap
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,15 @@ def test_benchmark_validation():
     with pytest.raises(ValueError):
         run_timing_benchmark(corpus, [DEG], [TLevel.T0], SearchSpec.astar(),
                              sample=0, seed=0)
+    # a level given by its name would match no level and give no records,
+    # and a level given as a measure would run at T0
+    for measures, levels, wrong in (
+            ([DEG], ["T1*"], "level must be a TLevel, got 'T1*'"),
+            ([TLevel.T1STAR], [TLevel.T1STAR], "measure must be a CentralityMeasure"),
+            (["degree"], [TLevel.T0], "measure must be a CentralityMeasure, got 'degree'")):
+        with pytest.raises(ValueError, match=re.escape(wrong)):
+            run_timing_benchmark(corpus, measures, levels, SearchSpec.astar(),
+                                 sample=1, seed=0)
     # a repeated measure or level would multiply the records and inflate the
     # summary's pairs
     for measures, levels, repeated in (
@@ -246,6 +256,14 @@ def test_nn_classify_validation_and_workers():
     train, test = (Corpus("tr", list(corpus)[:5]), Corpus("te", list(corpus)[5:]))
     with pytest.raises(ValueError):
         nn_classify(Corpus("none"), test, DEG, TLevel.T0, SearchSpec.astar())
+    # a string measure would pass at T0, and fail at Tk* only after contracting
+    for args, wrong in (
+            (("degree", TLevel.T0, SearchSpec.astar()), "measure must be a CentralityMeasure"),
+            ((DEG, "T1*", SearchSpec.astar()), "level must be a TLevel"),
+            ((TLevel.T0, DEG, SearchSpec.astar()), "measure must be a"),
+            ((DEG, TLevel.T0, "astar"), "search must be a SearchSpec, got 'astar'")):
+        with pytest.raises(ValueError, match=re.escape(wrong)):
+            nn_classify(train, test, *args)
     serial = nn_classify(train, test, DEG, TLevel.T1STAR, SearchSpec.beam(10))
     pooled = nn_classify(train, test, DEG, TLevel.T1STAR, SearchSpec.beam(10), workers=3)
     assert serial.predictions == pooled.predictions
@@ -795,9 +813,43 @@ def test_a_task_raising_in_the_callers_share_leaves_no_reply_unread():
     children = _children()
     with pytest.raises(TaskFailed, match="-1"):
         evaluation._map(_scaled_or_fail, [-1, 2, 3, 4], 2, TRAIN)
-    assert _children() is children
+    assert evaluation._kept is None
+    assert not any(process.is_alive() for process, _ in children)
     # an unread reply would give this call the last call's [15, 20]
     assert evaluation._map(_scaled_or_fail, [5, 6, 7, 8], 2, TRAIN) == [25, 30, 35, 40]
+
+
+def _tenfold(task: int, train: list, sizes: list) -> int:
+    return 10 * task
+
+
+def test_a_share_that_cannot_be_sent_leaves_no_reply_unread():
+    # with 3 workers the first child takes tasks 2-3 and the second tasks
+    # 4-5, whose lock cannot be pickled: the first child's reply is never
+    # read by that call
+    evaluation._map(_tenfold, [1, 2, 3, 4, 5, 6], 3, TRAIN)
+    with pytest.raises(TypeError, match="pickle"):
+        evaluation._map(_tenfold, [1, 2, 3, 4, threading.Lock(), 6], 3, TRAIN)
+    assert evaluation._kept is None
+    # an unread reply would give this call the last call's [30, 40]
+    assert evaluation._map(_tenfold, [7, 8, 9, 10, 11, 12], 3, TRAIN) == [
+        70, 80, 90, 100, 110, 120]
+
+
+def test_an_interrupt_while_the_caller_waits_leaves_no_reply_unread(monkeypatch):
+    evaluation._map(_tenfold, [1, 2, 3, 4], 2, TRAIN)  # the child exists before the patch
+    recv = Connection.recv
+
+    def interrupted(self):
+        monkeypatch.setattr(Connection, "recv", recv)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Connection, "recv", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        evaluation._map(_tenfold, [5, 6, 7, 8], 2, TRAIN)
+    assert evaluation._kept is None
+    # an unread reply would give this call the last call's [70, 80]
+    assert evaluation._map(_tenfold, [1, 2, 3, 4], 2, TRAIN) == [10, 20, 30, 40]
 
 
 def test_pooled_calls_from_several_threads_equal_serial_ones(small_split, tied_split):

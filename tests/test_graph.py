@@ -172,6 +172,9 @@ def test_from_parts_round_trip_and_sparse_ids():
         Graph.from_parts(None, None, [(0, "C"), (0, "N")], [])
     with pytest.raises(ValueError):
         Graph.from_parts(None, None, [(-1, "C")], [])
+    # True is an int equal to 1, so it would pass for node 1
+    with pytest.raises(ValueError, match="node id must be a non-negative integer, got True"):
+        Graph.from_parts(None, None, [(0, "C"), (True, "N")], [])
 
 
 def test_articulation_hand_cases():
