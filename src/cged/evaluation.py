@@ -66,27 +66,31 @@ from .graph import Graph, GraphArrays
 
 
 class TLevel(Enum):
+    """A contraction level: Tk* removes, per graph, as many nodes as a
+    degree-1..k contraction chain of that graph removes, and T0 removes
+    none. ``k`` is that number, 0 for T0, and indexes the per-graph tuples
+    of :func:`_levels` and :func:`_walk`."""
+
     T0 = "T0"
     T1STAR = "T1*"
     T2STAR = "T2*"
     T3STAR = "T3*"
 
+    def __init__(self, value: str) -> None:
+        self.k = int(value[1])  # "T1*" gives 1
+
     def __str__(self) -> str:
         return self.value
 
 
-_LEVEL_ALIASES = {
-    "t0": TLevel.T0, "t1*": TLevel.T1STAR, "t2*": TLevel.T2STAR, "t3*": TLevel.T3STAR,
-    "t1star": TLevel.T1STAR, "t2star": TLevel.T2STAR, "t3star": TLevel.T3STAR,
-    "t1": TLevel.T1STAR, "t2": TLevel.T2STAR, "t3": TLevel.T3STAR,
-}
-
-
 def parse_level(s: str) -> TLevel:
-    try:
-        return _LEVEL_ALIASES[s.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown level {s!r}; use T0, T1*, T2* or T3*") from None
+    """The level spelled ``s``, ignoring case and surrounding spaces: its
+    value (``T1*``), its name (``T1STAR``) or ``T`` and its number (``T1``)."""
+    key = s.strip().lower()
+    for level in TLevel:
+        if key in (level.value.lower(), level.name.lower(), f"t{level.k}"):
+            return level
+    raise ValueError(f"unknown level {s!r}; use T0, T1*, T2* or T3*")
 
 
 def t_star_levels(g: Graph) -> dict[TLevel, int]:
@@ -98,41 +102,39 @@ def t_star_levels(g: Graph) -> dict[TLevel, int]:
     chain's report is read, so no contracted graph is built.
     """
     report = _degree_passes(g, range(1, 4))
-    passes = [int(k) for _, k in report.removed]  # the degree pass of each removal
-    return {
-        TLevel.T0: 0,
-        TLevel.T1STAR: passes.count(1),
-        TLevel.T2STAR: passes.count(1) + passes.count(2),
-        TLevel.T3STAR: len(passes),
-    }
+    passes = [int(p) for _, p in report.removed]  # the degree pass of each removal
+    return {level: sum(p <= level.k for p in passes) for level in TLevel}
 
 
-def _levels(g: Graph) -> dict[TLevel, int]:
-    """:func:`t_star_levels` of g, kept in g's memo until g changes."""
+def _levels(g: Graph) -> tuple[int, ...]:
+    """:func:`t_star_levels` of g as a tuple of budgets indexed by
+    :attr:`TLevel.k`, kept in g's memo until g changes."""
     levels = g._memo.get("levels")
     if levels is None:
-        levels = g._memo["levels"] = t_star_levels(g)
+        budgets = t_star_levels(g)
+        levels = g._memo["levels"] = tuple(budgets[level] for level in TLevel)
     return levels
 
 
-def _walk(g: Graph, measure: CentralityMeasure) -> tuple[float, dict[str, tuple[int, ...]]]:
+def _walk(g: Graph, measure: CentralityMeasure) -> tuple[float, tuple[tuple[int, ...], ...]]:
     """g's contraction walk with ``measure``, kept in g's memo under the
-    measure's value until g changes: the seconds the walk took, and each
-    level's removed ids, sorted, keyed by the level's value (the key
+    measure's value until g changes: the seconds the walk took, and a tuple
+    indexed by :attr:`TLevel.k` of each level's removed ids, sorted (the key
     :func:`_without` keeps that level's graph under).
 
     Contraction ranks once, on the input graph, so a smaller budget stops
     the same walk earlier: g is walked once, at its T3* budget (the largest
-    any level uses), and each level removes the first t ids of that walk.
-    The seconds cover the centrality and the walk (which also builds the
-    T3* graph, kept for :func:`_without` when it removes a node), but not
-    g's own array form, which is built before the clock starts (a search of
-    g needs it too), nor the other levels' graphs, which :func:`_without`
-    builds on their first read. A graph whose T3* budget is 0 is not walked (no centrality
-    is computed): it removes no id, and the walk takes 0.0 s.
+    any level uses, last in :func:`_levels`), and each level removes the
+    first t ids of that walk. The seconds cover the centrality and the walk
+    (which also builds the T3* graph, kept for :func:`_without` when it
+    removes a node), but not g's own array form, which is built before the
+    clock starts (a search of g needs it too), nor the other levels'
+    graphs, which :func:`_without` builds on their first read. A graph
+    whose T3* budget is 0 is not walked (no centrality is computed): it
+    removes no id, and the walk takes 0.0 s.
 
-    The memo and the levels are keyed by the members' ``_value_`` strings:
-    hashing an enum member, or reading its ``value``, runs Python code, and
+    The memo is keyed by the measure's ``_value_`` string: hashing an enum
+    member, or reading its ``value``, runs Python code, and
     :func:`_contract` looks a walk up for every graph of every call.
     """
     walk = g._memo.get(measure._value_)
@@ -140,16 +142,16 @@ def _walk(g: Graph, measure: CentralityMeasure) -> tuple[float, dict[str, tuple[
         levels = _levels(g)
         ids: list[int] = []
         seconds = 0.0
-        if levels[TLevel.T3STAR]:
+        if levels[-1]:
             g.arrays()
             start = time.perf_counter()
-            h, report = t_centrality_node_contraction(g, levels[TLevel.T3STAR], measure)
+            h, report = t_centrality_node_contraction(g, levels[-1], measure)
             seconds = time.perf_counter() - start
             ids = report.removed_ids
             if ids:
                 g._memo.setdefault(("without", tuple(sorted(ids))), h)
-        walk = g._memo[measure._value_] = seconds, {
-            level._value_: tuple(sorted(ids[:t])) for level, t in levels.items()}
+        walk = g._memo[measure._value_] = seconds, tuple(
+            tuple(sorted(ids[:t])) for t in levels)
     return walk
 
 
@@ -167,12 +169,13 @@ def _without(g: Graph, ids: tuple[int, ...]) -> Graph:
 
 
 def _contract(g: Graph, measure: CentralityMeasure, level: TLevel) -> Graph:
-    """g contracted at its own budget for the level with ``measure``,
-    through :func:`_without` (see :func:`_walk`); at T0, g itself, for which
-    no walk is made. Callers must not modify the result."""
+    """g contracted at its own budget for the level with ``measure``: the
+    :func:`_without` graph of the walk's ids at index ``level.k`` (see
+    :func:`_walk`); at T0, g itself, for which no walk is made. Callers
+    must not modify the result."""
     if level is TLevel.T0:
         return g
-    return _without(g, _walk(g, measure)[1][level._value_])
+    return _without(g, _walk(g, measure)[1][level.k])
 
 
 @dataclass
@@ -419,10 +422,9 @@ def _benchmark_pair(pair_id: str, g1: Graph, g2: Graph,
     ``described`` is ``search.describe()``."""
     walked = any(level is not TLevel.T0 for level in levels)
     if walked:
-        lv1, lv2 = _levels(g1), _levels(g2)
-        budgets = [(level, lv1[level], lv2[level]) for level in levels]
+        budgets1, budgets2 = _levels(g1), _levels(g2)
     else:
-        budgets = [(level, 0, 0) for level in levels]
+        budgets1 = budgets2 = (0,)
     n1, n2 = g1.order, g2.order
     # the memo keeps one contracted graph per removed-node set, so cells
     # whose contracted pairs are the same objects share one search
@@ -430,14 +432,14 @@ def _benchmark_pair(pair_id: str, g1: Graph, g2: Graph,
     records = []
     for measure in measures:
         if walked:
-            (seconds1, keys1), (seconds2, keys2) = _walk(g1, measure), _walk(g2, measure)
+            (seconds1, ids1), (seconds2, ids2) = _walk(g1, measure), _walk(g2, measure)
             walk_seconds = seconds1 + seconds2
         else:
-            keys1 = keys2 = {TLevel.T0._value_: ()}
+            ids1 = ids2 = ((),)
             walk_seconds = 0.0
-        for level, t1, t2 in budgets:
-            h1 = _without(g1, keys1[level._value_])
-            h2 = _without(g2, keys2[level._value_])
+        for level in levels:
+            k = level.k
+            h1, h2 = _without(g1, ids1[k]), _without(g2, ids2[k])
             key = id(h1), id(h2)
             if key not in cells:
                 start = time.perf_counter()
@@ -446,7 +448,7 @@ def _benchmark_pair(pair_id: str, g1: Graph, g2: Graph,
             cost, seconds, expanded = cells[key]
             removes = h1.order < n1 or h2.order < n2
             records.append(BenchmarkRecord(
-                pair_id, measure, level, t1, t2, described, cost,
+                pair_id, measure, level, budgets1[k], budgets2[k], described, cost,
                 walk_seconds if removes else 0.0, seconds, expanded))
     return records
 

@@ -70,9 +70,17 @@ def _check_node_label(label: NodeLabel) -> NodeLabel:
     raise TypeError(f"node label must be Point2D or str, got {type(label).__name__}")
 
 
+def _check_id(u: int) -> None:
+    # bool is an int subclass, so True would pass as node 1
+    if isinstance(u, bool) or not isinstance(u, int) or u < 0:
+        raise ValueError(f"node id must be a non-negative integer, got {u!r}")
+
+
 def _check_edge_label(label: EdgeLabel) -> EdgeLabel:
     if label is None:
         return None
+    if isinstance(label, bool):
+        raise TypeError(f"edge label must be None or a number, got {label!r}")
     value = float(label)
     if not math.isfinite(value):
         raise ValueError(f"numeric edge label must be finite, got {label!r}")
@@ -150,9 +158,13 @@ class Graph:
     def add_edge(self, u: int, v: int, label: EdgeLabel = None) -> None:
         """Add the undirected edge {u, v}.
 
-        Raises :class:`SelfLoopError`, :class:`MissingNodeError` or
+        Raises ``ValueError`` for an endpoint that is not a non-negative
+        int (``True`` included), ``TypeError`` for a bool label, and
+        :class:`SelfLoopError`, :class:`MissingNodeError` or
         :class:`DuplicateEdgeError` on the corresponding violation.
         """
+        _check_id(u)
+        _check_id(v)
         if u == v:
             raise SelfLoopError(f"self-loop on node {u}")
         for w in (u, v):
@@ -219,8 +231,7 @@ class Graph:
         """Rebuild a graph with explicit node ids (parser and test helper)."""
         g = cls(name=name, class_label=class_label)
         for u, label in nodes:
-            if isinstance(u, bool) or not isinstance(u, int) or u < 0:
-                raise ValueError(f"node id must be a non-negative integer, got {u!r}")
+            _check_id(u)
             if u in g._labels:
                 raise ValueError(f"duplicate node id {u}")
             g._labels[u] = _check_node_label(label)

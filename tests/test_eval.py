@@ -60,12 +60,20 @@ def test_t_star_levels_hand_cases():
 
 
 def test_parse_level():
-    assert parse_level("T0") is TLevel.T0
-    assert parse_level("t1*") is TLevel.T1STAR
+    # a level's value, its name, or T and its number, in any case
+    accepted = {
+        "t0": TLevel.T0,
+        "t1*": TLevel.T1STAR, "t1star": TLevel.T1STAR, "t1": TLevel.T1STAR,
+        "t2*": TLevel.T2STAR, "t2star": TLevel.T2STAR, "t2": TLevel.T2STAR,
+        "t3*": TLevel.T3STAR, "t3star": TLevel.T3STAR, "t3": TLevel.T3STAR,
+    }
+    for spelling, level in accepted.items():
+        for text in (spelling, spelling.upper(), f"  {spelling.upper()}\t", f" {spelling} "):
+            assert parse_level(text) is level
     assert parse_level("T2star") is TLevel.T2STAR
-    assert parse_level(" t3 ") is TLevel.T3STAR
-    with pytest.raises(ValueError):
-        parse_level("T9")
+    for text in ("T9", "T0*", "t0star", "T4", "", "  ", "T1**", "star"):
+        with pytest.raises(ValueError, match="unknown level"):
+            parse_level(text)
 
 
 def test_sample_pairs():

@@ -42,6 +42,12 @@ def test_add_edge_rejections():
         g.add_edge(0, 1)
     with pytest.raises(DuplicateEdgeError):
         g.add_edge(1, 0)  # undirected: reversed orientation is the same edge
+    # True is an int equal to 1 and 2.0 hashes as 2, so either would pass
+    # for a node; no negative id is ever handed out
+    for u, v in [(0, True), (True, 0), (0, 2.0), (-1, 0)]:
+        with pytest.raises(ValueError, match="node id must be a non-negative integer"):
+            g.add_edge(u, v)
+    assert g.edges() == [(0, 1, None), (1, 2, None)]
 
 
 def test_label_validation():
@@ -58,6 +64,14 @@ def test_label_validation():
     v = g.add_node("N")
     with pytest.raises(ValueError):
         g.add_edge(u, v, float("inf"))
+    for label in (True, False):  # not the valences 1.0 and 0.0
+        with pytest.raises(TypeError):
+            g.add_edge(u, v, label)
+    assert g.edges() == []
+    with pytest.raises(ValueError, match="node id must be a non-negative integer, got True"):
+        Graph.from_parts(None, None, [(0, "C"), (1, "N")], [(0, True, True)])
+    with pytest.raises(TypeError):
+        Graph.from_parts(None, None, [(0, "C"), (1, "N")], [(0, 1, True)])
 
 
 def test_delete_node_removes_incident_edges():
