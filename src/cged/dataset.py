@@ -18,6 +18,7 @@ for CLI output and tests; it round-trips ids, labels, and counts exactly.
 from __future__ import annotations
 
 import math
+import os
 import string
 import xml.etree.ElementTree as ET
 from xml.parsers import expat
@@ -126,36 +127,32 @@ _VALUE_TAGS = {
 }
 
 
-def _attr_map(el: ET.Element, where: str) -> dict[str, object]:
+def _attr_map(el: ET.Element) -> dict[str, object]:
+    # raises without a location; the walk in parse_gxl adds the element's
     attrs: dict[str, object] = {}
-    for child in el:
-        if child.tag != "attr":
-            continue
-        name = child.get("name")
+    for attr in el.findall("attr"):
+        name = attr.get("name")
         if name is None:
-            raise GxlParseError("attr element without a name", where)
-        values = list(child)
-        if len(values) != 1:
-            raise GxlParseError(f"attr {name!r} must hold exactly one value", where)
-        value = values[0]
+            raise GxlParseError("attr element without a name")
+        if len(attr) != 1:
+            raise GxlParseError(f"attr {name!r} must hold exactly one value")
+        value = attr[0]
         conv = _VALUE_TAGS.get(value.tag)
         if conv is None:
-            raise GxlParseError(f"unsupported attr value type <{value.tag}>", where)
-        text = (value.text or "").strip()
+            raise GxlParseError(f"unsupported attr value type <{value.tag}>")
         try:
-            attrs[name] = conv(text)
+            attrs[name] = conv((value.text or "").strip())
         except ValueError as exc:
-            raise GxlParseError(f"attr {name!r}: {exc}", where) from None
+            raise GxlParseError(f"attr {name!r}: {exc}") from None
     return attrs
 
 
-def _node_label(attrs: dict[str, object], where: str) -> NodeLabel:
+def _node_label(attrs: dict[str, object]) -> NodeLabel:
     if "symbol" in attrs:  # symbol wins when x/y are present too
         return str(attrs["symbol"]).strip()
     if "x" in attrs and "y" in attrs:
         return Point2D(float(attrs["x"]), float(attrs["y"]))
-    raise UnknownSchemaError(
-        "node attributes match neither the symbol nor the x/y schema", where)
+    raise UnknownSchemaError("node attributes match neither the symbol nor the x/y schema")
 
 
 def _xml_root(data: Union[bytes, str]) -> ET.Element:
@@ -170,11 +167,26 @@ def _xml_root(data: Union[bytes, str]) -> ET.Element:
 def parse_gxl(data: Union[bytes, str]) -> Graph:
     """Parse one GXL document into a Graph.
 
-    A node's label is its ``symbol`` attribute when it has one, else its
-    ``x``/``y`` point. Raises :class:`GxlParseError` (malformed document or
-    label value), :class:`UnknownSchemaError` (a node with neither), or
-    :class:`DanglingEndpointError` (edge to an undeclared node), each
-    carrying a location hint.
+    Nodes get the ids 0, 1, ... in document order. A node's label is its
+    ``symbol`` attribute when it has one, else its ``x``/``y`` point; an
+    edge's label is its ``valence`` attribute as a float, or ``None``.
+    Elements other than nodes, edges and their attrs are ignored, but every
+    attr of a node or edge must hold one value of a known type. Rejections,
+    each a :class:`GxlParseError` whose ``location`` is given in brackets:
+
+    - malformed XML [``line L, column C``];
+    - not exactly one ``graph`` element [no location];
+    - a node without an id [``node #k``, k the number of nodes before it];
+    - a duplicate node id, a bad attr (no name, not exactly one value, an
+      unsupported value type, text its type cannot convert), or a bad label
+      (a blank symbol, an x/y that is not a finite number) [``node 'id'``];
+    - a node with neither a symbol nor both x and y, as
+      :class:`UnknownSchemaError` [``node 'id'``];
+    - an edge without ``from``/``to``, a bad attr as for nodes, a self-loop,
+      a duplicate edge, or a valence that is not a finite number
+      [``edge ('from', 'to')``];
+    - an edge to a node not declared before it, as
+      :class:`DanglingEndpointError` [``edge ('from', 'to')``].
     """
     root = _xml_root(data)
     if root.tag == "graph":
@@ -185,36 +197,37 @@ def parse_gxl(data: Union[bytes, str]) -> Graph:
         raise GxlParseError(f"expected exactly one graph element, found {len(graphs)}")
     gel = graphs[0]
     g = Graph(name=gel.get("id") or None)  # an empty id is as good as none
-    name_to_id: dict[str, int] = {}
+    ids: dict[str, int] = {}  # GXL node id -> graph node id
+    # each branch raises without a location and adds it in its handlers,
+    # so no location string is built for an element that parses
     for el in gel:
         if el.tag == "node":
             nid = el.get("id")
             if nid is None:
-                raise GxlParseError("node element without an id",
-                                    f"node #{len(name_to_id)}")
-            where = f"node {nid!r}"
-            if nid in name_to_id:
-                raise GxlParseError("duplicate node id", where)
-            attrs = _attr_map(el, where)
+                raise GxlParseError("node element without an id", f"node #{len(ids)}")
             try:
-                name_to_id[nid] = g.add_node(_node_label(attrs, where))
+                if nid in ids:
+                    raise GxlParseError("duplicate node id")
+                ids[nid] = g.add_node(_node_label(_attr_map(el)))
+            except GxlParseError as exc:
+                raise type(exc)(exc.message, f"node {nid!r}") from None
             except ValueError as exc:  # a non-finite or non-numeric x/y, a blank symbol
-                raise GxlParseError(f"bad node label: {exc}", where) from None
+                raise GxlParseError(f"bad node label: {exc}", f"node {nid!r}") from None
         elif el.tag == "edge":
             a, b = el.get("from"), el.get("to")
-            where = f"edge ({a!r}, {b!r})"
-            if a is None or b is None:
-                raise GxlParseError("edge element without from/to", where)
-            for end in (a, b):
-                if end not in name_to_id:
+            try:
+                if a is None or b is None:
+                    raise GxlParseError("edge element without from/to")
+                u, v = ids.get(a), ids.get(b)
+                if u is None or v is None:
                     raise DanglingEndpointError(
-                        f"endpoint {end!r} is not a declared node", where)
-            attrs = _attr_map(el, where)
-            try:  # a GraphError, or a non-finite or non-numeric valence
-                label: EdgeLabel = float(attrs["valence"]) if "valence" in attrs else None
-                g.add_edge(name_to_id[a], name_to_id[b], label)
-            except ValueError as exc:
-                raise GxlParseError(str(exc), where) from None
+                        f"endpoint {a if u is None else b!r} is not a declared node")
+                attrs = _attr_map(el)
+                g._link(u, v, float(attrs["valence"]) if "valence" in attrs else None)
+            except GxlParseError as exc:
+                raise type(exc)(exc.message, f"edge ({a!r}, {b!r})") from None
+            except ValueError as exc:  # a GraphError, or a non-finite or non-numeric valence
+                raise GxlParseError(str(exc), f"edge ({a!r}, {b!r})") from None
     return g
 
 
@@ -230,10 +243,12 @@ def parse_cxl_index(
 ) -> Corpus:
     """Load every (file, class) entry of a CXL index into a Corpus.
 
-    Referenced GXL files are resolved against ``base_path`` and parsed in
-    entry order. When any entry fails, a :class:`CorpusLoadError` is raised
-    instead of a partial corpus; it names every file that could not be read
-    or parsed, in entry order, and then every duplicate graph name.
+    Each entry's file is read from ``os.path.join(base_path, file)`` and
+    parsed, in entry order; its graph is named after the file name without
+    directory or extension (``os.path.splitext``). When any entry fails, a
+    :class:`CorpusLoadError` is raised instead of a partial corpus; it names
+    every file that could not be read or parsed, in entry order, and then
+    every duplicate graph name.
     """
     root = _xml_root(data)
     entries = [
@@ -241,16 +256,19 @@ def parse_cxl_index(
         for el in root.iter()
         if el.get("file") is not None and el.get("class") is not None
     ]
-    base = Path(base_path)
+    base = os.fspath(base_path)
     graphs: list[Graph] = []
     failures: list[str] = []
     for fname, cls in entries:
         try:
-            g = parse_gxl((base / fname).read_bytes())
+            # unbuffered: one read takes the whole file
+            with open(os.path.join(base, fname), "rb", buffering=0) as fh:
+                raw = fh.read()
+            g = parse_gxl(raw)
         except (OSError, DatasetError) as exc:
             failures.append(f"{fname}: {exc}")
             continue
-        g.name = Path(fname).stem
+        g.name = os.path.splitext(os.path.basename(fname))[0]
         g.class_label = cls
         graphs.append(g)
     seen: set[str] = set()
@@ -260,7 +278,7 @@ def parse_cxl_index(
         seen.add(g.name)
     if failures:
         raise CorpusLoadError(failures)
-    return Corpus(name or base.name, graphs, split)
+    return Corpus(name or Path(base_path).name, graphs, split)
 
 
 def load_iam_corpus(index_path: Union[str, Path], split: Split) -> Corpus:

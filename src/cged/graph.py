@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -79,7 +80,9 @@ def _check_id(u: int) -> None:
 def _check_edge_label(label: EdgeLabel) -> EdgeLabel:
     if label is None:
         return None
-    if isinstance(label, bool):
+    # a bool is a Real, and float() would also take text such as "1.5";
+    # a float, as the parsers give, skips the slower check against Real
+    if type(label) is not float and (isinstance(label, bool) or not isinstance(label, Real)):
         raise TypeError(f"edge label must be None or a number, got {label!r}")
     value = float(label)
     if not math.isfinite(value):
@@ -159,12 +162,25 @@ class Graph:
         """Add the undirected edge {u, v}.
 
         Raises ``ValueError`` for an endpoint that is not a non-negative
-        int (``True`` included), ``TypeError`` for a bool label, and
-        :class:`SelfLoopError`, :class:`MissingNodeError` or
-        :class:`DuplicateEdgeError` on the corresponding violation.
+        int (``True`` included), and otherwise as :meth:`_link`.
         """
         _check_id(u)
         _check_id(v)
+        self._link(u, v, label)
+        self._arrays = None
+        self._memo = {}
+
+    def _link(self, u: int, v: int, label: EdgeLabel) -> None:
+        """Store the edge {u, v} between two int ids without emptying the
+        caches. Every edge a graph gains passes here, so these are its only
+        edge rules.
+
+        Raises :class:`SelfLoopError`, :class:`MissingNodeError` or
+        :class:`DuplicateEdgeError` on the corresponding violation, then
+        ``TypeError`` for a label that is neither ``None`` nor a real
+        number (a bool or a string included) and ``ValueError`` for a
+        non-finite one; a numeric label is stored as a float.
+        """
         if u == v:
             raise SelfLoopError(f"self-loop on node {u}")
         for w in (u, v):
@@ -175,8 +191,6 @@ class Graph:
         label = _check_edge_label(label)
         self._adj[u][v] = label
         self._adj[v][u] = label
-        self._arrays = None
-        self._memo = {}
 
     def delete_node(self, u: int) -> None:
         """Remove node u and every incident edge."""

@@ -1,8 +1,11 @@
 """File formats, corpus loading, the synthetic corpus and splits."""
 
 import re
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cged import CentralityMeasure, astar_ged
 from cged.dataset import (
@@ -94,18 +97,21 @@ def test_parse_gxl_structural_rejections():
         parse_gxl("<gxl></gxl>")
     with pytest.raises(GxlParseError, match="exactly one graph"):
         parse_gxl("<gxl><graph id='a'/><graph id='b'/></gxl>")
-    with pytest.raises(GxlParseError, match="duplicate node id"):
+    with pytest.raises(GxlParseError, match="duplicate node id") as exc:
         parse_gxl("""<graph id="g">
           <node id="n"><attr name="symbol"><string>C</string></attr></node>
           <node id="n"><attr name="symbol"><string>C</string></attr></node>
         </graph>""")
-    with pytest.raises(GxlParseError, match="without an id"):
+    assert exc.value.location == "node 'n'"
+    with pytest.raises(GxlParseError, match="without an id") as exc:
         parse_gxl("<graph id='g'><node/></graph>")
-    with pytest.raises(GxlParseError, match="self-loop"):
+    assert exc.value.location == "node #0"
+    with pytest.raises(GxlParseError, match="self-loop") as exc:
         parse_gxl("""<graph id="g">
           <node id="n"><attr name="symbol"><string>C</string></attr></node>
           <edge from="n" to="n"/>
         </graph>""")
+    assert exc.value.location == "edge ('n', 'n')"
 
 
 def test_parse_gxl_dangling_endpoint():
@@ -126,10 +132,11 @@ def test_parse_gxl_attr_rejections():
         parse_gxl("""<graph id="g">
           <node id="n"><attr name="symbol"><blob>C</blob></attr></node>
         </graph>""")
-    with pytest.raises(GxlParseError, match="without a name"):
+    with pytest.raises(GxlParseError, match="without a name") as exc:
         parse_gxl("""<graph id="g">
           <node id="n"><attr><string>C</string></attr></node>
         </graph>""")
+    assert exc.value.location == "node 'n'"
     with pytest.raises(GxlParseError, match="attr 'x'"):
         parse_gxl("""<graph id="g">
           <node id="n">
@@ -137,6 +144,131 @@ def test_parse_gxl_attr_rejections():
             <attr name="y"><float>0</float></attr>
           </node>
         </graph>""")
+
+
+def _gxl_doc(body: str) -> str:
+    return f"""<gxl><graph id="g">
+      <node id="a"><attr name="symbol"><string>C</string></attr></node>
+      <node id="b"><attr name="symbol"><string>O</string></attr></node>
+      {body}
+    </graph></gxl>"""
+
+
+def _node(attrs: str) -> str:
+    return f'<node id="n">{attrs}</node>'
+
+
+def _sym(text: str) -> str:
+    return f'<attr name="symbol"><string>{text}</string></attr>'
+
+
+def _valence(value: str) -> str:
+    return f'<edge from="a" to="b"><attr name="valence">{value}</attr></edge>'
+
+
+X0 = '<attr name="x"><float>0</float></attr>'
+# (document, exception class, message, location) for every rejection that
+# parse_gxl's docstring lists
+GXL_REJECTIONS = [
+    ("<gxl><graph id='g'>", GxlParseError, "malformed XML: no element found", "line 1, column 19"),
+    ("<gxl></gxl>", GxlParseError, "expected exactly one graph element, found 0", None),
+    ("<gxl><graph id='a'/><graph id='b'/></gxl>", GxlParseError,
+     "expected exactly one graph element, found 2", None),
+    (_gxl_doc("<node/>"), GxlParseError, "node element without an id", "node #2"),
+    (_gxl_doc('<node id="a">' + _sym("N") + "</node>"), GxlParseError,
+     "duplicate node id", "node 'a'"),
+    (_gxl_doc(_node("<attr><string>C</string></attr>")), GxlParseError,
+     "attr element without a name", "node 'n'"),
+    (_gxl_doc(_node('<attr name="symbol"><string>C</string><string>N</string></attr>')),
+     GxlParseError, "attr 'symbol' must hold exactly one value", "node 'n'"),
+    (_gxl_doc(_node('<attr name="symbol"></attr>')), GxlParseError,
+     "attr 'symbol' must hold exactly one value", "node 'n'"),
+    (_gxl_doc(_node('<attr name="symbol"><blob>C</blob></attr>')), GxlParseError,
+     "unsupported attr value type <blob>", "node 'n'"),
+    (_gxl_doc(_node('<attr name="x"><float>wide</float></attr>')), GxlParseError,
+     "attr 'x': could not convert string to float: 'wide'", "node 'n'"),
+    (_gxl_doc(_node(_sym(" "))), GxlParseError,
+     "bad node label: symbolic node label must be a non-empty string", "node 'n'"),
+    (_gxl_doc(_node('<attr name="x"><float>inf</float></attr>'
+                    '<attr name="y"><float>0</float></attr>')), GxlParseError,
+     "bad node label: coordinates must be finite, got (inf, 0.0)", "node 'n'"),
+    (_gxl_doc(_node(X0 + '<attr name="y"><string>up</string></attr>')), GxlParseError,
+     "bad node label: could not convert string to float: 'up'", "node 'n'"),
+    (_gxl_doc(_node(X0)), UnknownSchemaError,
+     "node attributes match neither the symbol nor the x/y schema", "node 'n'"),
+    (_gxl_doc('<edge from="a"/>'), GxlParseError,
+     "edge element without from/to", "edge ('a', None)"),
+    (_gxl_doc('<edge from="zz" to="b"/>'), DanglingEndpointError,
+     "endpoint 'zz' is not a declared node", "edge ('zz', 'b')"),
+    (_gxl_doc('<edge from="a" to="zz"/>'), DanglingEndpointError,
+     "endpoint 'zz' is not a declared node", "edge ('a', 'zz')"),
+    (_gxl_doc('<edge from="b" to="b"/>'), GxlParseError, "self-loop on node 1", "edge ('b', 'b')"),
+    (_gxl_doc('<edge from="a" to="b"/><edge from="a" to="b"/>'), GxlParseError,
+     "edge (0, 1) already present", "edge ('a', 'b')"),
+    (_gxl_doc('<edge from="a" to="b"/><edge from="b" to="a"/>'), GxlParseError,
+     "edge (1, 0) already present", "edge ('b', 'a')"),
+    (_gxl_doc(_valence("<float>inf</float>")), GxlParseError,
+     "numeric edge label must be finite, got inf", "edge ('a', 'b')"),
+    (_gxl_doc(_valence("<string>two</string>")), GxlParseError,
+     "could not convert string to float: 'two'", "edge ('a', 'b')"),
+    (_gxl_doc(_valence("<int>1.5</int>")), GxlParseError,
+     "attr 'valence': invalid literal for int() with base 10: '1.5'", "edge ('a', 'b')"),
+    (_gxl_doc('<edge from="a" to="b"><attr name="valence"><int>1</int><int>2</int></attr></edge>'),
+     GxlParseError, "attr 'valence' must hold exactly one value", "edge ('a', 'b')"),
+]
+
+
+@pytest.mark.parametrize("doc, cls, message, location", GXL_REJECTIONS)
+def test_parse_gxl_rejection_class_message_and_location(doc, cls, message, location):
+    with pytest.raises(GxlParseError) as exc:
+        parse_gxl(doc)
+    assert type(exc.value) is cls
+    assert (exc.value.message, exc.value.location) == (message, location)
+    assert str(exc.value) == (f"{message} [{location}]" if location else message)
+
+
+def _write_gxl(g: Graph) -> str:
+    """The layout of the benchmark's GXL writer, with escaped symbols and
+    float valences."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<gxl>",
+             f'<graph id={quoteattr(g.name)} edgeids="false" edgemode="undirected">']
+    for u, label in g.node_items():
+        if isinstance(label, Point2D):
+            attrs = (f'<attr name="x"><float>{label.x!r}</float></attr>'
+                     f'<attr name="y"><float>{label.y!r}</float></attr>')
+        else:
+            attrs = f'<attr name="symbol"><string>{escape(label)}</string></attr>'
+        lines.append(f'<node id="_{u}">{attrs}</node>')
+    for u, v, label in g.edges():
+        attrs = "" if label is None else f'<attr name="valence"><float>{label!r}</float></attr>'
+        lines.append(f'<edge from="_{u}" to="_{v}">{attrs}</edge>')
+    lines += ["</graph>", "</gxl>", ""]
+    return "\n".join(lines)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TEXT = st.text(alphabet="CNOSHl&<>\"' é-1", min_size=1, max_size=4).filter(
+    lambda s: s == s.strip())
+
+
+@st.composite
+def gxl_graphs(draw):
+    n = draw(st.integers(0, 6))
+    nodes = [(u, draw(st.one_of(_TEXT, st.builds(Point2D, _FINITE, _FINITE)))) for u in range(n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(u, v, draw(st.one_of(st.none(), st.integers(-3, 3).map(float), _FINITE)))
+             for u, v in chosen]
+    return Graph.from_parts(draw(_TEXT), None, nodes, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gxl_graphs())
+def test_gxl_round_trip(g):
+    back = parse_gxl(_write_gxl(g).encode("utf-8"))
+    assert back == g
+    assert back.edges() == g.edges()
+    assert (back.name, back._next_id) == (g.name, g._next_id)
 
 
 def make_index_dir(tmp_path, entries):

@@ -67,11 +67,19 @@ def test_label_validation():
     for label in (True, False):  # not the valences 1.0 and 0.0
         with pytest.raises(TypeError):
             g.add_edge(u, v, label)
+    # text is converted by the parsers, never by the graph
+    for label in ("1.5", "2", b"2", [1.0]):
+        with pytest.raises(TypeError, match="edge label must be None or a number"):
+            g.add_edge(u, v, label)
     assert g.edges() == []
+    g.add_edge(u, v, 2)  # an int is a real number, stored as a float
+    assert g.edges() == [(u, v, 2.0)] and type(g.edge_label(u, v)) is float
     with pytest.raises(ValueError, match="node id must be a non-negative integer, got True"):
         Graph.from_parts(None, None, [(0, "C"), (1, "N")], [(0, True, True)])
     with pytest.raises(TypeError):
         Graph.from_parts(None, None, [(0, "C"), (1, "N")], [(0, 1, True)])
+    with pytest.raises(TypeError, match="edge label must be None or a number, got '2'"):
+        Graph.from_parts(None, None, [(0, "C"), (1, "N")], [(0, 1, "2")])
 
 
 def test_delete_node_removes_incident_edges():
