@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .centrality import CentralityMeasure, compute_centrality, rank_ascending
-from .graph import Graph, GraphArrays, is_cut_vertex
+from .graph import Graph, GraphArrays, _check_int, is_cut_vertex
 
 
 @dataclass
@@ -82,26 +82,6 @@ def _delete_walk(form: GraphArrays, alive: int, candidates: Iterable[tuple[int, 
         else:
             report.skipped_cut_vertices.append(u)
     return alive
-
-
-def _check_int(value, name: str, least: int) -> None:
-    """A count (a contraction budget, a beam width, or a number of workers,
-    sampled pairs, synthesized graphs or classes) is an int >= ``least``
-    and not a bool, checked before any work starts. Otherwise 1.5 would be
-    rounded up by one contraction flavor and remove nothing in another, nan
-    would never prune a beam, inf would remove n - 1 nodes and be reported
-    as Infinity, 2.5 would fail midway, and True would count as 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-
-
-def _check_type(value, kind: type, name: str) -> None:
-    """An argument that selects what runs (a heuristic, a measure, a level
-    or a search) is a ``kind``, checked before any work starts. Otherwise a
-    string or a member of another enum would run something else, run
-    nothing, or fail only after work was done."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def _contracted(g: Graph, report: ContractionReport) -> tuple[Graph, ContractionReport]:

@@ -18,7 +18,7 @@ from enum import Enum
 from numbers import Real
 from typing import Optional
 
-from .graph import EdgeLabel, NodeLabel, Point2D
+from .graph import EdgeLabel, NodeLabel, Point2D, _check_real, _check_type
 
 
 def node_label_distance(a: NodeLabel, b: NodeLabel) -> float:
@@ -41,8 +41,8 @@ def edge_label_distance(a: EdgeLabel, b: EdgeLabel) -> float:
 
 @dataclass(frozen=True)
 class CostModel:
-    """The four pricing constants. All must be finite and non-negative real
-    numbers; a bool is not taken for 0 or 1."""
+    """The four pricing constants, each a real number that
+    :func:`~cged.graph._check_real` takes with least 0, stored as a float."""
 
     x_node: float = 1.0
     y_node: float = 1.0
@@ -51,10 +51,7 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for name in ("x_node", "y_node", "x_edge", "y_edge"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, Real) and math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, 0))
 
     def node_sub_cost(self, a: NodeLabel, b: NodeLabel) -> float:
         return self.y_node * node_label_distance(a, b)
@@ -66,6 +63,17 @@ class CostModel:
 # The model every search and experiment uses when given none; frozen, so
 # one instance serves every call.
 DEFAULT_COST_MODEL = CostModel()
+
+
+def _cost_model(cm: Optional[CostModel]) -> CostModel:
+    """The model a search or experiment prices with: ``cm``, or
+    :data:`DEFAULT_COST_MODEL` for ``None``. Anything else that is not a
+    :class:`CostModel`, such as ``{}`` or 0, raises ``ValueError`` before
+    any work starts."""
+    if cm is None:
+        return DEFAULT_COST_MODEL
+    _check_type(cm, CostModel, "cm")
+    return cm
 
 
 class OpKind(Enum):
@@ -115,7 +123,12 @@ class EditPath:
 
     @classmethod
     def from_operations(cls, ops: list[EditOperation], complete: bool) -> "EditPath":
-        return cls(list(ops), float(sum(op.cost for op in ops)), complete)
+        # left to right: from Python 3.12, sum() of floats is compensated
+        # and would move the total's last bit
+        total = 0.0
+        for op in ops:
+            total += op.cost
+        return cls(list(ops), total, complete)
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,7 +17,6 @@ for CLI output and tests; it round-trips ids, labels, and counts exactly.
 
 from __future__ import annotations
 
-import math
 import os
 import string
 import xml.etree.ElementTree as ET
@@ -29,8 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .contraction import _check_int
-from .graph import EdgeLabel, Graph, GraphError, NodeLabel, Point2D
+from .graph import EdgeLabel, Graph, GraphError, NodeLabel, Point2D, _check_int, _check_real
 
 
 class DatasetError(Exception):
@@ -151,7 +149,10 @@ def _node_label(attrs: dict[str, object]) -> NodeLabel:
     if "symbol" in attrs:  # symbol wins when x/y are present too
         return str(attrs["symbol"]).strip()
     if "x" in attrs and "y" in attrs:
-        return Point2D(float(attrs["x"]), float(attrs["y"]))
+        # <string> text is converted here, and an <int> or <float> value is
+        # left to the rule that Point2D and the edge label apply
+        x, y = attrs["x"], attrs["y"]
+        return Point2D(float(x) if type(x) is str else x, float(y) if type(y) is str else y)
     raise UnknownSchemaError("node attributes match neither the symbol nor the x/y schema")
 
 
@@ -169,7 +170,10 @@ def parse_gxl(data: Union[bytes, str]) -> Graph:
 
     Nodes get the ids 0, 1, ... in document order. A node's label is its
     ``symbol`` attribute when it has one, else its ``x``/``y`` point; an
-    edge's label is its ``valence`` attribute as a float, or ``None``.
+    edge's label is its ``valence`` attribute as a float, or ``None``. An
+    x, y or valence written as ``<string>`` is converted to a float here;
+    every x, y and valence then passes :func:`~cged.graph._check_real`, so
+    an ``<int>`` too large for a float is not finite.
     Elements other than nodes, edges and their attrs are ignored, but every
     attr of a node or edge must hold one value of a known type. Rejections,
     each a :class:`GxlParseError` whose ``location`` is given in brackets:
@@ -223,7 +227,8 @@ def parse_gxl(data: Union[bytes, str]) -> Graph:
                     raise DanglingEndpointError(
                         f"endpoint {a if u is None else b!r} is not a declared node")
                 attrs = _attr_map(el)
-                g._link(u, v, float(attrs["valence"]) if "valence" in attrs else None)
+                valence = attrs.get("valence")
+                g._link(u, v, float(valence) if type(valence) is str else valence)
             except GxlParseError as exc:
                 raise type(exc)(exc.message, f"edge ({a!r}, {b!r})") from None
             except ValueError as exc:  # a GraphError, or a non-finite or non-numeric valence
@@ -377,8 +382,7 @@ def synthesize_letter_like(
     """
     _check_int(count, "count", 1)
     _check_int(classes, "classes", 1)
-    if not 0 <= distortion < math.inf:
-        raise ValueError(f"distortion must be finite and >= 0, got {distortion!r}")
+    distortion = _check_real(distortion, "distortion", 0)
     labels = _class_names(classes)
     protos = []
     for c in range(classes):
@@ -394,7 +398,7 @@ def synthesize_letter_like(
             rng = np.random.default_rng([seed, c, i])
             pts = coords + rng.normal(0.0, distortion, size=coords.shape)
             edge_set = list(edges)
-            if rng.random() < min(1.0, float(distortion)):
+            if rng.random() < min(1.0, distortion):
                 edge_set = _flip_one_edge(edge_set, n, rng)
         else:
             pts = coords

@@ -58,11 +58,11 @@ import numpy as np
 
 from . import kernels
 from .centrality import CentralityMeasure
-from .contraction import _check_int, _check_type, _degree_passes, t_centrality_node_contraction
-from .costs import DEFAULT_COST_MODEL, CostModel
+from .contraction import _degree_passes, t_centrality_node_contraction
+from .costs import CostModel, _cost_model
 from .dataset import Corpus
 from .ged import SearchSpec, bipartite_lower_bound, hausdorff_lower_bound, run_search
-from .graph import Graph, GraphArrays
+from .graph import Graph, GraphArrays, _check_int, _check_type
 
 
 class TLevel(Enum):
@@ -499,7 +499,8 @@ def run_timing_benchmark(
     pair runs its measures in the order of their values and its levels in
     T-level order, so the records are produced in (pair, measure, level)
     order, whatever the sample size or the order the arguments give. A
-    mistyped or repeated measure or level raises ``ValueError``.
+    mistyped or repeated measure or level, or a ``cm`` that is neither
+    ``None`` nor a :class:`CostModel`, raises ``ValueError``.
     """
     _check_int(sample, "sample", 1)
     if not corpus.graphs:
@@ -512,7 +513,7 @@ def run_timing_benchmark(
             _check_type(value, member, kind)
             if value in values[:i]:
                 raise ValueError(f"{kind} {value} is given more than once")
-    cm = cm or DEFAULT_COST_MODEL
+    cm = _cost_model(cm)
     measures = sorted(measures, key=lambda m: m.value)
     levels = [level for level in TLevel if level in levels]
     described = search.describe()
@@ -643,8 +644,9 @@ def nn_classify(
     :func:`_contract`), so a later call with the same training corpus
     contracts only its own test graphs; each contracted graph's array form
     holds the labels and degrees its bounds read, so a later call prices
-    only the bounds' cells. The types of ``measure``, ``level`` and
-    ``search``, and ``workers`` (an int >= 1), are checked before any work.
+    only the bounds' cells. The types of ``measure``, ``level``, ``search``
+    and ``cm`` (``None`` or a :class:`CostModel`), and ``workers`` (an int
+    >= 1), are checked before any work.
     ``workers`` processes search, the calling process among them. Test
     graphs are contracted in the calling process, so the other workers
     receive them contracted; those workers are forked with the contracted
@@ -661,7 +663,7 @@ def nn_classify(
     _check_type(level, TLevel, "level")
     _check_type(search, SearchSpec, "search")
     _check_int(workers, "workers", 1)
-    cm = cm or DEFAULT_COST_MODEL
+    cm = _cost_model(cm)
     train_contracted = [_contract(g, measure, level) for g in train.graphs]
     tasks = [(_contract(g, measure, level), search, cm) for g in test.graphs]
     outcomes = _map(_nearest, tasks, workers, train_contracted)

@@ -22,9 +22,9 @@ from typing import Optional, Tuple
 
 from . import kernels
 from .centrality import CentralityMeasure
-from .contraction import ContractionReport, _check_int, _check_type, t_centrality_node_contraction
-from .costs import DEFAULT_COST_MODEL, CostModel, EditPath
-from .graph import Graph
+from .contraction import ContractionReport, t_centrality_node_contraction
+from .costs import CostModel, EditPath, _cost_model
+from .graph import Graph, _check_int, _check_type
 from .kernels import Heuristic
 
 
@@ -106,17 +106,19 @@ def astar_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
 
     Every heuristic gives the same cost; ``heuristic`` changes only how many
     prefixes are expanded and, among equally cheap edit paths, which one is
-    returned. A ``heuristic`` that is not a :class:`Heuristic` member fails.
+    returned. A ``heuristic`` that is not a :class:`Heuristic` member fails,
+    and so does a ``cm`` that is neither ``None`` (the default model) nor a
+    :class:`CostModel`.
     """
     _check_type(heuristic, Heuristic, "heuristic")
-    return _search(g1, g2, cm or DEFAULT_COST_MODEL, heuristic, width=None)
+    return _search(g1, g2, _cost_model(cm), heuristic, width=None)
 
 
 def beam_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
              w: int = 10) -> GedResult:
     """Width-limited search; cost is an upper bound on the exact distance."""
     _check_int(w, "beam width", 1)
-    return _search(g1, g2, cm or DEFAULT_COST_MODEL, Heuristic.ZERO, width=w)
+    return _search(g1, g2, _cost_model(cm), Heuristic.ZERO, width=w)
 
 
 def run_search(g1: Graph, g2: Graph, cm: CostModel, search: SearchSpec) -> GedResult:
@@ -141,7 +143,7 @@ def t_centrality_ged(
     searched pair, so they contribute nothing to the returned cost; the two
     contraction reports ride along in the result.
     """
-    cm = cm or DEFAULT_COST_MODEL
+    cm = _cost_model(cm)
     t0 = time.perf_counter()
     h1, rep1 = t_centrality_node_contraction(g1, t, measure)
     h2, rep2 = t_centrality_node_contraction(g2, t, measure)
@@ -176,9 +178,18 @@ def bipartite_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
     matched = kernels.assignment(sub, deg1, deg2, cm.x_node, cm.x_edge)
     mapped1 = {i for i, _ in matched}
     mapped2 = {j for _, j in matched}
-    return (sum((sub[i][j] + half * abs(deg1[i] - deg2[j]) for i, j in matched), 0.0)
-            + sum(cm.x_node + half * d for i, d in enumerate(deg1) if i not in mapped1)
-            + sum(cm.x_node + half * d for j, d in enumerate(deg2) if j not in mapped2))
+    # each part left to right: from Python 3.12, sum() of floats is
+    # compensated and would move the bound's last bit
+    paired = deleted = inserted = 0.0
+    for i, j in matched:
+        paired += sub[i][j] + half * abs(deg1[i] - deg2[j])
+    for i, d in enumerate(deg1):
+        if i not in mapped1:
+            deleted += cm.x_node + half * d
+    for j, d in enumerate(deg2):
+        if j not in mapped2:
+            inserted += cm.x_node + half * d
+    return paired + deleted + inserted
 
 
 def hausdorff_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
@@ -218,4 +229,8 @@ def hausdorff_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
             if c < best2[j]:
                 best2[j] = c
         total += low
-    return 0.5 * (total + sum(best2))
+    # left to right, as for the bipartite bound
+    columns = 0.0
+    for c in best2:
+        columns += c
+    return 0.5 * (total + columns)

@@ -12,6 +12,12 @@ deterministic.
 
 Search, centrality and contraction read the :class:`GraphArrays` that a
 graph caches.
+
+This bottom module is also the one home of the argument rules that every
+layer applies, one function per kind of value: :func:`_check_int` for
+counts and node ids, :func:`_check_type` for selectors and cost models,
+and :func:`_check_real` for coordinates, edge labels, edit costs and the
+synthetic corpus's distortion.
 """
 
 from __future__ import annotations
@@ -42,16 +48,63 @@ class DuplicateEdgeError(GraphError):
     """Parallel edges are not allowed."""
 
 
+def _check_int(value, name: str, least: int) -> None:
+    """A count (a contraction budget, a beam width, or a number of workers,
+    sampled pairs, synthesized graphs or classes) or a node id is an int >=
+    ``least`` and not a bool, checked before any work starts. Otherwise 1.5
+    would be rounded up by one contraction flavor and remove nothing in
+    another, nan would never prune a beam, inf would remove n - 1 nodes and
+    be reported as Infinity, 2.5 would fail midway, and True would count as
+    1 (or pass as node 1)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def _check_type(value, kind: type, name: str) -> None:
+    """An argument that selects what runs (a heuristic, a measure, a level
+    or a search) or prices it (a cost model) is a ``kind``, checked before
+    any work starts. Otherwise a string or a member of another enum would
+    run something else, run nothing, or fail only after work was done."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
+def _check_real(value, name: str, least: float = -math.inf) -> float:
+    """A coordinate, a numeric edge label, an edit cost or a distortion as a
+    float: ``TypeError`` for a bool or a value that is not a real number
+    (text included), ``ValueError`` for one that is not finite, an int too
+    large for a float included, or that is below ``least``."""
+    # an int or a float (a bool is neither) skips the slower check against Real
+    if type(value) not in (int, float) and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and number >= least):
+        bound = "" if least == -math.inf else f" and >= {least}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class Point2D:
-    """Plane-coordinate node label (unitless)."""
+    """Plane-coordinate node label (unitless); both coordinates pass
+    :func:`_check_real` and are stored as floats."""
 
     x: float
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
+        x, y = self.x, self.y
+        # finite floats, which most parsed points hold, skip the general rule
+        if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
+            return
+        try:
+            object.__setattr__(self, "x", _check_real(x, "x"))
+            object.__setattr__(self, "y", _check_real(y, "y"))
+        except ValueError:
+            raise ValueError(f"coordinates must be finite, got ({x}, {y})") from None
 
 
 #: A node label: plane coordinates or a non-empty symbolic token.
@@ -71,23 +124,11 @@ def _check_node_label(label: NodeLabel) -> NodeLabel:
     raise TypeError(f"node label must be Point2D or str, got {type(label).__name__}")
 
 
-def _check_id(u: int) -> None:
-    # bool is an int subclass, so True would pass as node 1
-    if isinstance(u, bool) or not isinstance(u, int) or u < 0:
-        raise ValueError(f"node id must be a non-negative integer, got {u!r}")
-
-
 def _check_edge_label(label: EdgeLabel) -> EdgeLabel:
-    if label is None:
-        return None
-    # a bool is a Real, and float() would also take text such as "1.5";
-    # a float, as the parsers give, skips the slower check against Real
-    if type(label) is not float and (isinstance(label, bool) or not isinstance(label, Real)):
-        raise TypeError(f"edge label must be None or a number, got {label!r}")
-    value = float(label)
-    if not math.isfinite(value):
-        raise ValueError(f"numeric edge label must be finite, got {label!r}")
-    return value
+    # a finite float, which most parsed and built labels are, skips the general rule
+    if label is None or type(label) is float and math.isfinite(label):
+        return label
+    return _check_real(label, "numeric edge label")
 
 
 @dataclass(frozen=True)
@@ -164,8 +205,8 @@ class Graph:
         Raises ``ValueError`` for an endpoint that is not a non-negative
         int (``True`` included), and otherwise as :meth:`_link`.
         """
-        _check_id(u)
-        _check_id(v)
+        _check_int(u, "node id", 0)
+        _check_int(v, "node id", 0)
         self._link(u, v, label)
         self._arrays = None
         self._memo = {}
@@ -245,7 +286,7 @@ class Graph:
         """Rebuild a graph with explicit node ids (parser and test helper)."""
         g = cls(name=name, class_label=class_label)
         for u, label in nodes:
-            _check_id(u)
+            _check_int(u, "node id", 0)
             if u in g._labels:
                 raise ValueError(f"duplicate node id {u}")
             g._labels[u] = _check_node_label(label)

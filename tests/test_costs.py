@@ -65,7 +65,7 @@ def test_cost_model_validation():
     with pytest.raises(ValueError):
         CostModel(x_edge=float("inf"))
     # a bool is an int, so it would be taken for 1.0
-    with pytest.raises(ValueError, match="x_node must be finite and >= 0, got True"):
+    with pytest.raises(TypeError, match="x_node must be a real number, got True"):
         CostModel(x_node=True)
 
 

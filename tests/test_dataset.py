@@ -3,6 +3,7 @@
 import re
 from xml.sax.saxutils import escape, quoteattr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,6 +168,8 @@ def _valence(value: str) -> str:
 
 
 X0 = '<attr name="x"><float>0</float></attr>'
+Y0 = '<attr name="y"><float>0</float></attr>'
+BIG = "1" + "0" * 399  # 400 digits
 # (document, exception class, message, location) for every rejection that
 # parse_gxl's docstring lists
 GXL_REJECTIONS = [
@@ -215,6 +218,12 @@ GXL_REJECTIONS = [
      "attr 'valence': invalid literal for int() with base 10: '1.5'", "edge ('a', 'b')"),
     (_gxl_doc('<edge from="a" to="b"><attr name="valence"><int>1</int><int>2</int></attr></edge>'),
      GxlParseError, "attr 'valence' must hold exactly one value", "edge ('a', 'b')"),
+    # an int too large for a float is not finite
+    (f'<gxl><graph id="g"><node id="a"><attr name="x"><int>{BIG}</int></attr>{Y0}</node>'
+     "</graph></gxl>", GxlParseError,
+     f"bad node label: coordinates must be finite, got ({BIG}, 0.0)", "node 'a'"),
+    (_gxl_doc(_valence(f"<int>{BIG}</int>")), GxlParseError,
+     f"numeric edge label must be finite, got {BIG}", "edge ('a', 'b')"),
 ]
 
 
@@ -326,6 +335,16 @@ def test_load_iam_corpus_names_every_file_with_a_bad_label(tmp_path):
     assert len(failures) == 2
     assert failures[0].startswith("blank.gxl:") and "[node 'n']" in failures[0]
     assert failures[1].startswith("valence.gxl:") and "[edge ('a', 'b')]" in failures[1]
+
+
+def test_parse_cxl_index_lists_a_file_with_an_int_too_large_for_a_float(tmp_path):
+    make_index_dir(tmp_path, [("ok.gxl", "C")])
+    (tmp_path / "big.gxl").write_text(_gxl_doc(_valence(f"<int>{BIG}</int>")))
+    index = '<X><print file="big.gxl" class="A"/><print file="ok.gxl" class="A"/></X>'
+    with pytest.raises(CorpusLoadError) as exc:
+        parse_cxl_index(index, tmp_path)
+    assert exc.value.failures == [
+        f"big.gxl: numeric edge label must be finite, got {BIG} [edge ('a', 'b')]"]
 
 
 def test_parse_cxl_index_duplicate_names(tmp_path):
@@ -469,6 +488,17 @@ def test_debug_format_round_trip():
     assert back == g
     assert back.name == "gg" and back.class_label == "K"
     assert back.nodes() == [0, 3, 7]
+
+
+def test_debug_format_round_trips_points_given_as_other_numbers():
+    # a point stores floats, so it is never written as np.float64(1.5) or 2
+    for point, line in ((Point2D(np.float64(1.5), 2), "node 0 point 1.5 2.0"),
+                        (Point2D(1, 2), "node 0 point 1.0 2.0")):
+        g = Graph.from_parts("g", None, [(0, point)], [])
+        text = write_debug_graph(g)
+        assert text == f"graph g -\n{line}\n"
+        back = parse_debug_graph(text)
+        assert back == g and back.node_label(0) == point
 
 
 def test_debug_format_none_metadata_and_comments():

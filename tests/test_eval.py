@@ -278,6 +278,23 @@ def test_nn_classify_validation_and_workers():
     assert serial.accuracy == pooled.accuracy
 
 
+def test_a_cost_model_of_another_type_fails_before_any_classify_or_grid_search(monkeypatch):
+    calls = []
+    search = kernels.search
+    monkeypatch.setattr(kernels, "search", lambda *args: calls.append(args) or search(*args))
+    corpus = synthesize_letter_like(seed=27, count=10, classes=2, distortion=0.2)
+    train, test = split_corpus(corpus)
+    for bad in (0, {}):
+        message = re.escape(f"cm must be a CostModel, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            nn_classify(train, test, DEG, TLevel.T0, SearchSpec.astar(), cm=bad)
+        with pytest.raises(ValueError, match=message):
+            run_timing_benchmark(corpus, [DEG], [TLevel.T0], SearchSpec.astar(), 1, 0, cm=bad)
+    assert calls == []
+    nn_classify(train, test, DEG, TLevel.T0, SearchSpec.astar(), cm=None)
+    assert calls
+
+
 def test_classification_empty_test_set():
     corpus = synthesize_letter_like(seed=28, count=4, classes=2, distortion=0.1)
     result = nn_classify(Corpus("tr", list(corpus)), Corpus("te"),

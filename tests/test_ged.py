@@ -1,12 +1,13 @@
 """Edit-distance search: exact values, oracle agreement, bounds, pipelines."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cged import CentralityMeasure, CostModel, astar_ged, beam_ged, t_centrality_ged
+from cged import CentralityMeasure, CostModel, astar_ged, beam_ged, kernels, t_centrality_ged
 from cged.centrality import compute_centrality
 from cged.costs import OpKind
 from cged.ged import (
@@ -194,6 +195,23 @@ def test_a_heuristic_that_is_not_a_member_fails(bad):
             SearchSpec("astar", 0, bad)
         with pytest.raises(ValueError, match=f"got {bad!r}"):
             SearchSpec("beam", 3, bad)
+
+
+def test_a_cost_model_of_another_type_fails_before_any_search(monkeypatch):
+    # {} and 0 are not taken for the default model, and a tuple of the four
+    # costs is no model either
+    calls = []
+    search = kernels.search
+    monkeypatch.setattr(kernels, "search", lambda *args: calls.append(args) or search(*args))
+    g1, g2 = path_graph(3), cycle_graph(4)
+    for bad in ({}, 0, (1.0, 1.0, 1.0, 1.0)):
+        for run in (lambda: astar_ged(g1, g2, bad), lambda: beam_ged(g1, g2, bad),
+                    lambda: t_centrality_ged(g1, g2, 1, CentralityMeasure.DEGREE, bad)):
+            with pytest.raises(ValueError, match=re.escape(f"cm must be a CostModel, got {bad!r}")):
+                run()
+    assert calls == []
+    assert astar_ged(g1, g2, None).cost == astar_ged(g1, g2, CostModel()).cost
+    assert len(calls) == 2
 
 
 def test_bipartite_heuristic_never_changes_the_answer():

@@ -55,12 +55,16 @@ when it is missing::
 
 from __future__ import annotations
 
+import importlib
 import json
+import math
+import pkgutil
 import random
 from pathlib import Path
 
 import pytest
 
+import cged
 from cged import CostModel, astar_ged, beam_ged
 from cged.centrality import CentralityMeasure
 from cged.dataset import split_corpus, synthesize_letter_like
@@ -361,6 +365,59 @@ def test_large_searches_match_golden_table():
 
 def test_bounds_match_golden_table():
     assert bound_values() == json.loads(BOUND_GOLDEN.read_text(encoding="utf-8"))
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum()`` as Python 3.12 and later compute it: floats are added with
+    Neumaier's compensation, ints as before, and any other item flushes the
+    compensation and is added plainly."""
+    total, c = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        elif type(total) is float and type(x) in (int, bool):
+            total += float(x)
+        else:
+            if type(total) is float and c and math.isfinite(c):
+                total += c
+            c = 0.0
+            total = total + x
+    if type(total) is float and c and math.isfinite(c):
+        total += c
+    return total
+
+
+def test_compensated_sum_emulates_a_rounding_difference():
+    # 1.0 + 1e100 + 1.0 - 1e100 is 0.0 left to right and 2.0 compensated
+    assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert compensated_sum([1, 2, 3]) == 6 and compensated_sum([]) == 0
+
+
+def test_tables_do_not_depend_on_how_sum_rounds(monkeypatch):
+    """Costs and bounds are summed left to right wherever they are summed, so
+    every table still matches when each cged module's ``sum()`` is 3.12's
+    compensated one (Python 3.11's, which the tables were recorded with,
+    adds left to right)."""
+    for info in pkgutil.iter_modules(cged.__path__):
+        monkeypatch.setattr(importlib.import_module(f"cged.{info.name}"), "sum",
+                            compensated_sum, raising=False)
+    # no golden pair tells the sums of the bipartite bound's matched cells
+    # apart, and this one does: its cells 2**53, 1 and 1 in row order add up
+    # to 2**53 left to right and to 2**53 + 2 compensated
+    big = float(2**53)
+    g1 = Graph.from_parts(None, None, [(0, Point2D(0.0, 0.0)), (1, Point2D(0.0, 11.0)),
+                                       (2, Point2D(0.0, -11.0))], [])
+    g2 = Graph.from_parts(None, None, [(0, Point2D(big, 0.0)), (1, Point2D(0.0, 10.0)),
+                                       (2, Point2D(0.0, -10.0))], [])
+    assert bipartite_lower_bound(g1, g2, CostModel(x_node=big)) == big
+    assert bound_values() == json.loads(BOUND_GOLDEN.read_text(encoding="utf-8"))
+    for index in range(40):
+        test_search_matches_golden_table(index)
+    test_large_searches_match_golden_table()
+    for name in HARNESS_SEARCHES:
+        test_grid_matches_golden_table(name)
 
 
 if __name__ == "__main__":

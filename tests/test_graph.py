@@ -1,14 +1,19 @@
 """Graph structure, connectivity, cut-vertex behavior and the position-indexed form."""
 
 import copy
+import math
 import pickle
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cged.centrality import CentralityMeasure, compute_centrality
+from cged.costs import CostModel
+from cged.dataset import GxlParseError, parse_debug_graph, parse_gxl, synthesize_letter_like
 from cged.ged import astar_ged, beam_ged
 from cged.graph import (
     DuplicateEdgeError,
@@ -44,8 +49,8 @@ def test_add_edge_rejections():
         g.add_edge(1, 0)  # undirected: reversed orientation is the same edge
     # True is an int equal to 1 and 2.0 hashes as 2, so either would pass
     # for a node; no negative id is ever handed out
-    for u, v in [(0, True), (True, 0), (0, 2.0), (-1, 0)]:
-        with pytest.raises(ValueError, match="node id must be a non-negative integer"):
+    for u, v, bad in [(0, True, True), (True, 0, True), (0, 2.0, 2.0), (-1, 0, -1)]:
+        with pytest.raises(ValueError, match=re.escape(f"node id must be an int >= 0, got {bad!r}")):
             g.add_edge(u, v)
     assert g.edges() == [(0, 1, None), (1, 2, None)]
 
@@ -69,16 +74,17 @@ def test_label_validation():
             g.add_edge(u, v, label)
     # text is converted by the parsers, never by the graph
     for label in ("1.5", "2", b"2", [1.0]):
-        with pytest.raises(TypeError, match="edge label must be None or a number"):
+        with pytest.raises(TypeError, match=re.escape(
+                f"numeric edge label must be a real number, got {label!r}")):
             g.add_edge(u, v, label)
     assert g.edges() == []
     g.add_edge(u, v, 2)  # an int is a real number, stored as a float
     assert g.edges() == [(u, v, 2.0)] and type(g.edge_label(u, v)) is float
-    with pytest.raises(ValueError, match="node id must be a non-negative integer, got True"):
+    with pytest.raises(ValueError, match="node id must be an int >= 0, got True"):
         Graph.from_parts(None, None, [(0, "C"), (1, "N")], [(0, True, True)])
     with pytest.raises(TypeError):
         Graph.from_parts(None, None, [(0, "C"), (1, "N")], [(0, 1, True)])
-    with pytest.raises(TypeError, match="edge label must be None or a number, got '2'"):
+    with pytest.raises(TypeError, match="numeric edge label must be a real number, got '2'"):
         Graph.from_parts(None, None, [(0, "C"), (1, "N")], [(0, 1, "2")])
 
 
@@ -195,7 +201,7 @@ def test_from_parts_round_trip_and_sparse_ids():
     with pytest.raises(ValueError):
         Graph.from_parts(None, None, [(-1, "C")], [])
     # True is an int equal to 1, so it would pass for node 1
-    with pytest.raises(ValueError, match="node id must be a non-negative integer, got True"):
+    with pytest.raises(ValueError, match="node id must be an int >= 0, got True"):
         Graph.from_parts(None, None, [(0, "C"), (True, "N")], [])
 
 
@@ -391,3 +397,122 @@ def test_memo_is_emptied_by_mutators_and_left_out_of_copies_and_pickles(mutation
     else:
         g.delete_node(1)
     assert g._memo == {}
+
+
+# ----------------------------------------------------------------------
+# the number rule (graph._check_real) at every numeric entry point
+# ----------------------------------------------------------------------
+
+# every kind of value a caller or a file can hand over: ints too large for
+# a float, nan, infinities and -0.0, bools, numpy scalars, and text that
+# looks more or less like a number
+NUMBERS = st.one_of(
+    st.integers(),
+    st.sampled_from([10**400, -10**400, 2**1024, 2**1024 - 1, 2**1023, -2**1023]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]),
+    st.floats(),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text(alphabet="0123456789+-.eEinfatyINFATY_x", max_size=8),
+)
+
+
+def number_rule(value, least=-math.inf):
+    """What the rule makes of ``value``: its float, or the class it raises."""
+    if isinstance(value, (bool, np.bool_, str)):
+        return TypeError
+    try:
+        number = float(value)
+    except OverflowError:
+        return ValueError
+    return number if math.isfinite(number) and number >= least else ValueError
+
+
+def expect(call, want, rejection=None):
+    """``call()`` stores the float ``want`` to the bit, or raises the class
+    ``want`` (``rejection`` in its place, when given)."""
+    try:
+        got = call()
+    except (TypeError, ValueError, GxlParseError) as exc:
+        assert isinstance(want, type), (want, exc)
+        assert type(exc) is (rejection or want), exc
+    else:
+        assert not isinstance(want, type), (want, got)
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def outcome(call):
+    try:
+        corpus = call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return corpus.name, [g.node_items() for g in corpus]
+
+
+@settings(max_examples=300, deadline=None)
+@given(NUMBERS)
+def test_library_entry_points_store_the_float_or_raise_the_rule(value):
+    want = number_rule(value)
+    expect(lambda: Point2D(value, 0.5).x, want)
+    expect(lambda: Point2D(0.5, value).y, want)
+
+    def added():
+        g = Graph()
+        g.add_node("C")
+        g.add_node("N")
+        g.add_edge(0, 1, value)
+        return g.edge_label(0, 1)
+
+    expect(added, want)
+    expect(lambda: Graph.from_parts(None, None, [(0, "C"), (1, "N")],
+                                    [(0, 1, value)]).edge_label(0, 1), want)
+    for name in ("x_node", "y_node", "x_edge", "y_edge"):
+        expect(lambda: getattr(CostModel(**{name: value}), name), number_rule(value, 0))
+    # the corpus is the one float(value) gives, failures included
+    want = number_rule(value, 0)
+    got = outcome(lambda: synthesize_letter_like(3, 2, 1, value))
+    if isinstance(want, type):
+        assert got[0] is want and got[1].startswith("distortion must be"), got
+    else:
+        assert got == outcome(lambda: synthesize_letter_like(3, 2, 1, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(NUMBERS, st.sampled_from(["int", "float", "string"]))
+def test_parsers_store_the_float_of_their_text_or_raise_a_parse_error(value, tag):
+    text = value if isinstance(value, str) else str(value)
+
+    def read(convert):
+        try:
+            return number_rule(convert(text))
+        except ValueError:  # text the tag's type cannot convert
+            return ValueError
+
+    # a <string> x, y or valence is text that the parser converts itself
+    want = read(int if tag == "int" else float)
+    field = f"<{tag}>{text}</{tag}>"
+    zero = "<float>0</float>"
+
+    def gxl_point(x, y):
+        return (f'<gxl><graph id="g"><node id="a"><attr name="x">{x}</attr>'
+                f'<attr name="y">{y}</attr></node></graph></gxl>')
+
+    symbols = ('<node id="a"><attr name="symbol"><string>C</string></attr></node>'
+               '<node id="b"><attr name="symbol"><string>O</string></attr></node>')
+    valence = (f'<gxl><graph id="g">{symbols}<edge from="a" to="b">'
+               f'<attr name="valence">{field}</attr></edge></graph></gxl>')
+    expect(lambda: parse_gxl(gxl_point(field, zero)).node_label(0).x, want, GxlParseError)
+    expect(lambda: parse_gxl(gxl_point(zero, field)).node_label(0).y, want, GxlParseError)
+    expect(lambda: parse_gxl(valence).edge_label(0, 1), want, GxlParseError)
+    if text:  # the debug format's fields are whitespace-free tokens
+        want = read(float)
+        expect(lambda: parse_debug_graph(f"graph g -\nnode 0 point {text} 0\n").node_label(0).x,
+               want, GxlParseError)
+        expect(lambda: parse_debug_graph(f"graph g -\nnode 0 point 0 {text}\n").node_label(0).y,
+               want, GxlParseError)
+        expect(lambda: parse_debug_graph("graph g -\nnode 0 symbol C\nnode 1 symbol O\n"
+                                         f"edge 0 1 {text}\n").edge_label(0, 1),
+               want, GxlParseError)
