@@ -147,4 +147,5 @@ def k_star_node_contraction(g: Graph, k: int) -> tuple[Graph, ContractionReport]
     passes before it left; the report lists every pass's candidates,
     removals and skips in pass order."""
     _check_int(k, "k", 1)
-    return _contracted(g, _degree_passes(g, range(1, k + 1)))
+    # no live degree reaches the order, so the passes past it find nothing
+    return _contracted(g, _degree_passes(g, range(1, min(k, g.order) + 1)))

@@ -168,11 +168,11 @@ def parse_cost_config(text: str) -> CostModel:
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = float(val)
+            number = float(val)
         except ValueError:
             raise ValueError(f"line {lineno}: {key} must be a number, got {val!r}") from None
-        try:  # the model's own range check, named by the line
-            CostModel(**{key: values[key]})
+        try:  # the model's own rule, named by the line
+            values[key] = _check_real(number, key, 0)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return CostModel(**values)

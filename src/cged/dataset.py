@@ -380,6 +380,7 @@ def synthesize_letter_like(
     min(1, distortion), one edge is added or removed. At distortion 0
     every instance equals its class prototype exactly.
     """
+    _check_int(seed, "seed", 0)
     _check_int(count, "count", 1)
     _check_int(classes, "classes", 1)
     distortion = _check_real(distortion, "distortion", 0)

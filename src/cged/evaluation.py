@@ -85,7 +85,9 @@ class TLevel(Enum):
 
 def parse_level(s: str) -> TLevel:
     """The level spelled ``s``, ignoring case and surrounding spaces: its
-    value (``T1*``), its name (``T1STAR``) or ``T`` and its number (``T1``)."""
+    value (``T1*``), its name (``T1STAR``) or ``T`` and its number (``T1``);
+    anything but a str raises ``ValueError``."""
+    _check_type(s, str, "level")
     key = s.strip().lower()
     for level in TLevel:
         if key in (level.value.lower(), level.name.lower(), f"t{level.k}"):
@@ -454,13 +456,17 @@ def _benchmark_pair(pair_id: str, g1: Graph, g2: Graph,
 
 
 def sample_pairs(n: int, sample: int, seed: int) -> list[tuple[int, int]]:
-    """Seeded sample of index pairs; distinct indices whenever n > 1. The
-    pairs of each (n, sample, seed) are kept, so a repeat call only copies
-    them."""
+    """Seeded sample of index pairs; distinct indices whenever n > 1. ``n``
+    and ``sample`` are ints >= 1 and ``seed`` an int >= 0, checked before
+    any draw. The pairs of each (n, sample, seed) are kept, so a repeat
+    call only copies them."""
+    _check_int(n, "n", 1)
+    _check_int(sample, "sample", 1)
+    _check_int(seed, "seed", 0)
     return list(_sampled_pairs(n, sample, seed))
 
 
-@functools.lru_cache(maxsize=256, typed=True)
+@functools.lru_cache(maxsize=256)
 def _sampled_pairs(n: int, sample: int, seed: int) -> tuple[tuple[int, int], ...]:
     rng = np.random.default_rng(seed)
     pairs = []
@@ -499,12 +505,14 @@ def run_timing_benchmark(
     pair runs its measures in the order of their values and its levels in
     T-level order, so the records are produced in (pair, measure, level)
     order, whatever the sample size or the order the arguments give. A
-    mistyped or repeated measure or level, or a ``cm`` that is neither
-    ``None`` nor a :class:`CostModel`, raises ``ValueError``.
+    mistyped or repeated measure or level, a ``sample`` or ``seed`` that
+    :func:`sample_pairs` rejects, or a ``cm`` that is neither ``None`` nor
+    a :class:`CostModel`, raises ``ValueError`` before any search.
     """
-    _check_int(sample, "sample", 1)
     if not corpus.graphs:
         raise ValueError("corpus is empty")
+    graphs = corpus.graphs
+    pairs = sample_pairs(len(graphs), sample, seed)
     if not measures or not levels:
         raise ValueError("need at least one measure and one level")
     for kind, member, values in (("measure", CentralityMeasure, measures),
@@ -517,10 +525,9 @@ def run_timing_benchmark(
     measures = sorted(measures, key=lambda m: m.value)
     levels = [level for level in TLevel if level in levels]
     described = search.describe()
-    graphs = corpus.graphs
     kernels.warm_up()  # scipy's import stays out of the first search's clock
     records = []
-    for k, (i, j) in enumerate(sample_pairs(len(graphs), sample, seed)):
+    for k, (i, j) in enumerate(pairs):
         records += _benchmark_pair(f"{k:05d}:{graphs[i].name}|{graphs[j].name}",
                                    graphs[i], graphs[j], measures, levels, search,
                                    described, cm)

@@ -24,7 +24,7 @@ from . import kernels
 from .centrality import CentralityMeasure
 from .contraction import ContractionReport, t_centrality_node_contraction
 from .costs import CostModel, EditPath, _cost_model
-from .graph import Graph, _check_int, _check_type
+from .graph import Graph, _check_int, _check_type, _shown
 from .kernels import Heuristic
 
 
@@ -43,17 +43,17 @@ class SearchSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("astar", "beam"):
-            raise ValueError(f"search kind must be 'astar' or 'beam', got {self.kind!r}")
+            raise ValueError(f"search kind must be 'astar' or 'beam', got {_shown(self.kind)}")
         if self.heuristic is None:
             default = Heuristic.BIPARTITE if self.kind == "astar" else Heuristic.ZERO
             object.__setattr__(self, "heuristic", default)
         _check_type(self.heuristic, Heuristic, "heuristic")
         if self.kind == "astar" and self.w:
-            raise ValueError(f"astar search takes no width, got {self.w}")
+            raise ValueError(f"astar search takes no width, got {_shown(self.w, str)}")
         if self.kind == "beam":
             _check_int(self.w, "beam width", 1)
         if self.kind == "beam" and self.heuristic is not Heuristic.ZERO:
-            raise ValueError(f"heuristic {self.heuristic} applies only to astar; "
+            raise ValueError(f"heuristic {_shown(self.heuristic, str)} applies only to astar; "
                              "beam search runs without one")
 
     @classmethod

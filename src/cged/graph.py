@@ -15,9 +15,11 @@ graph caches.
 
 This bottom module is also the one home of the argument rules that every
 layer applies, one function per kind of value: :func:`_check_int` for
-counts and node ids, :func:`_check_type` for selectors and cost models,
-and :func:`_check_real` for coordinates, edge labels, edit costs and the
-synthetic corpus's distortion.
+counts, node ids and seeds, :func:`_check_type` for selectors and cost
+models, and :func:`_check_real` for coordinates, edge labels, edit costs
+and the synthetic corpus's distortion. Their messages, the structural
+errors below and :class:`~cged.ged.SearchSpec`'s print a caller's value
+through one renderer, :func:`_shown`, so no message fails to print it.
 """
 
 from __future__ import annotations
@@ -48,16 +50,30 @@ class DuplicateEdgeError(GraphError):
     """Parallel edges are not allowed."""
 
 
+def _shown(value, text=repr) -> str:
+    """A caller's value as a message prints it: ``text(value)`` (``repr``,
+    or ``str`` for node ids and widths), except an int too long to convert
+    to decimal, which is named by its size, such as ``an int of 16610
+    bits``, where printing it would raise Python's own ``ValueError``."""
+    try:
+        return text(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+    return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
 def _check_int(value, name: str, least: int) -> None:
     """A count (a contraction budget, a beam width, or a number of workers,
-    sampled pairs, synthesized graphs or classes) or a node id is an int >=
-    ``least`` and not a bool, checked before any work starts. Otherwise 1.5
-    would be rounded up by one contraction flavor and remove nothing in
-    another, nan would never prune a beam, inf would remove n - 1 nodes and
-    be reported as Infinity, 2.5 would fail midway, and True would count as
-    1 (or pass as node 1)."""
+    graphs to sample from, sampled pairs, synthesized graphs or classes), a
+    node id or a seed is an int >= ``least`` and not a bool, checked before
+    any work starts. Otherwise 1.5 would be rounded up by one contraction
+    flavor and remove nothing in another, nan would never prune a beam, inf
+    would remove n - 1 nodes and be reported as Infinity, 2.5 would fail
+    midway, True would count as 1 (or pass as node 1), and numpy would
+    judge a seed by rules of its own."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be an int >= {least}, got {_shown(value)}")
 
 
 def _check_type(value, kind: type, name: str) -> None:
@@ -66,7 +82,7 @@ def _check_type(value, kind: type, name: str) -> None:
     any work starts. Otherwise a string or a member of another enum would
     run something else, run nothing, or fail only after work was done."""
     if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        raise ValueError(f"{name} must be a {kind.__name__}, got {_shown(value)}")
 
 
 def _check_real(value, name: str, least: float = -math.inf) -> float:
@@ -76,14 +92,14 @@ def _check_real(value, name: str, least: float = -math.inf) -> float:
     large for a float included, or that is below ``least``."""
     # an int or a float (a bool is neither) skips the slower check against Real
     if type(value) not in (int, float) and (isinstance(value, bool) or not isinstance(value, Real)):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
+        raise TypeError(f"{name} must be a real number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not (math.isfinite(number) and number >= least):
         bound = "" if least == -math.inf else f" and >= {least}"
-        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+        raise ValueError(f"{name} must be finite{bound}, got {_shown(value)}")
     return number
 
 
@@ -100,11 +116,8 @@ class Point2D:
         # finite floats, which most parsed points hold, skip the general rule
         if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
             return
-        try:
-            object.__setattr__(self, "x", _check_real(x, "x"))
-            object.__setattr__(self, "y", _check_real(y, "y"))
-        except ValueError:
-            raise ValueError(f"coordinates must be finite, got ({x}, {y})") from None
+        object.__setattr__(self, "x", _check_real(x, "x"))
+        object.__setattr__(self, "y", _check_real(y, "y"))
 
 
 #: A node label: plane coordinates or a non-empty symbolic token.
@@ -223,12 +236,12 @@ class Graph:
         non-finite one; a numeric label is stored as a float.
         """
         if u == v:
-            raise SelfLoopError(f"self-loop on node {u}")
+            raise SelfLoopError(f"self-loop on node {_shown(u, str)}")
         for w in (u, v):
             if w not in self._labels:
-                raise MissingNodeError(f"edge endpoint {w} is not in the graph")
+                raise MissingNodeError(f"edge endpoint {_shown(w, str)} is not in the graph")
         if v in self._adj[u]:
-            raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
+            raise DuplicateEdgeError(f"edge ({_shown(u, str)}, {_shown(v, str)}) already present")
         label = _check_edge_label(label)
         self._adj[u][v] = label
         self._adj[v][u] = label
@@ -236,7 +249,7 @@ class Graph:
     def delete_node(self, u: int) -> None:
         """Remove node u and every incident edge."""
         if u not in self._labels:
-            raise MissingNodeError(f"node {u} is not in the graph")
+            raise MissingNodeError(f"node {_shown(u, str)} is not in the graph")
         for w in self._adj[u]:
             del self._adj[w][u]
         del self._adj[u]
@@ -288,7 +301,7 @@ class Graph:
         for u, label in nodes:
             _check_int(u, "node id", 0)
             if u in g._labels:
-                raise ValueError(f"duplicate node id {u}")
+                raise ValueError(f"duplicate node id {_shown(u, str)}")
             g._labels[u] = _check_node_label(label)
             g._adj[u] = {}
         g._next_id = max(g._labels, default=-1) + 1
@@ -318,19 +331,19 @@ class Graph:
 
     def node_label(self, u: int) -> NodeLabel:
         if u not in self._labels:
-            raise MissingNodeError(f"node {u} is not in the graph")
+            raise MissingNodeError(f"node {_shown(u, str)} is not in the graph")
         return self._labels[u]
 
     def edge_label(self, u: int, v: int) -> EdgeLabel:
         if u not in self._labels or v not in self._labels:
-            raise MissingNodeError(f"edge endpoint missing: ({u}, {v})")
+            raise MissingNodeError(f"edge endpoint missing: ({_shown(u, str)}, {_shown(v, str)})")
         if v not in self._adj[u]:
-            raise MissingEdgeError(f"edge ({u}, {v}) is not in the graph")
+            raise MissingEdgeError(f"edge ({_shown(u, str)}, {_shown(v, str)}) is not in the graph")
         return self._adj[u][v]
 
     def degree(self, u: int) -> int:
         if u not in self._labels:
-            raise MissingNodeError(f"node {u} is not in the graph")
+            raise MissingNodeError(f"node {_shown(u, str)} is not in the graph")
         return len(self._adj[u])
 
     def nodes(self) -> list[int]:
@@ -342,7 +355,7 @@ class Graph:
 
     def neighbors(self, u: int) -> list[int]:
         if u not in self._labels:
-            raise MissingNodeError(f"node {u} is not in the graph")
+            raise MissingNodeError(f"node {_shown(u, str)} is not in the graph")
         return sorted(self._adj[u])
 
     def edges(self) -> list[tuple[int, int, EdgeLabel]]:

@@ -194,7 +194,7 @@ GXL_REJECTIONS = [
      "bad node label: symbolic node label must be a non-empty string", "node 'n'"),
     (_gxl_doc(_node('<attr name="x"><float>inf</float></attr>'
                     '<attr name="y"><float>0</float></attr>')), GxlParseError,
-     "bad node label: coordinates must be finite, got (inf, 0.0)", "node 'n'"),
+     "bad node label: x must be finite, got inf", "node 'n'"),
     (_gxl_doc(_node(X0 + '<attr name="y"><string>up</string></attr>')), GxlParseError,
      "bad node label: could not convert string to float: 'up'", "node 'n'"),
     (_gxl_doc(_node(X0)), UnknownSchemaError,
@@ -221,7 +221,7 @@ GXL_REJECTIONS = [
     # an int too large for a float is not finite
     (f'<gxl><graph id="g"><node id="a"><attr name="x"><int>{BIG}</int></attr>{Y0}</node>'
      "</graph></gxl>", GxlParseError,
-     f"bad node label: coordinates must be finite, got ({BIG}, 0.0)", "node 'a'"),
+     f"bad node label: x must be finite, got {BIG}", "node 'a'"),
     (_gxl_doc(_valence(f"<int>{BIG}</int>")), GxlParseError,
      f"numeric edge label must be finite, got {BIG}", "edge ('a', 'b')"),
 ]

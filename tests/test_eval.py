@@ -74,6 +74,11 @@ def test_parse_level():
     for text in ("T9", "T0*", "t0star", "T4", "", "  ", "T1**", "star"):
         with pytest.raises(ValueError, match="unknown level"):
             parse_level(text)
+    # a level or anything else that is not text is not a spelling
+    for bad in (3, None, TLevel.T1STAR):
+        with pytest.raises(ValueError) as exc:
+            parse_level(bad)
+        assert str(exc.value) == f"level must be a str, got {bad!r}"
 
 
 def test_sample_pairs():

@@ -11,10 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cged import kernels
 from cged.centrality import CentralityMeasure, compute_centrality
+from cged.contraction import (
+    k_degree_node_contraction,
+    k_star_node_contraction,
+    t_centrality_node_contraction,
+)
 from cged.costs import CostModel
-from cged.dataset import GxlParseError, parse_debug_graph, parse_gxl, synthesize_letter_like
-from cged.ged import astar_ged, beam_ged
+from cged.dataset import (
+    Corpus,
+    GxlParseError,
+    parse_debug_graph,
+    parse_gxl,
+    synthesize_letter_like,
+)
+from cged.evaluation import TLevel, run_timing_benchmark, sample_pairs
+from cged.ged import SearchSpec, astar_ged, beam_ged
 from cged.graph import (
     DuplicateEdgeError,
     Graph,
@@ -420,6 +433,14 @@ NUMBERS = st.one_of(
 )
 
 
+# ints of up to 5,001 digits, past the 4,300 that Python converts to
+# decimal text
+HUGE_INTS = st.one_of(
+    st.integers(-10**5000, 10**5000),
+    st.sampled_from([10**5000, -10**5000, 10**4300, 10**4300 - 1, -10**4300]),
+)
+
+
 def number_rule(value, least=-math.inf):
     """What the rule makes of ``value``: its float, or the class it raises."""
     if isinstance(value, (bool, np.bool_, str)):
@@ -437,6 +458,7 @@ def expect(call, want, rejection=None):
     try:
         got = call()
     except (TypeError, ValueError, GxlParseError) as exc:
+        assert "Exceeds the limit" not in str(exc), exc
         assert isinstance(want, type), (want, exc)
         assert type(exc) is (rejection or want), exc
     else:
@@ -453,7 +475,7 @@ def outcome(call):
 
 
 @settings(max_examples=300, deadline=None)
-@given(NUMBERS)
+@given(st.one_of(NUMBERS, HUGE_INTS))
 def test_library_entry_points_store_the_float_or_raise_the_rule(value):
     want = number_rule(value)
     expect(lambda: Point2D(value, 0.5).x, want)
@@ -476,6 +498,7 @@ def test_library_entry_points_store_the_float_or_raise_the_rule(value):
     got = outcome(lambda: synthesize_letter_like(3, 2, 1, value))
     if isinstance(want, type):
         assert got[0] is want and got[1].startswith("distortion must be"), got
+        assert "Exceeds the limit" not in got[1], got
     else:
         assert got == outcome(lambda: synthesize_letter_like(3, 2, 1, want))
 
@@ -516,3 +539,135 @@ def test_parsers_store_the_float_of_their_text_or_raise_a_parse_error(value, tag
         expect(lambda: parse_debug_graph("graph g -\nnode 0 symbol C\nnode 1 symbol O\n"
                                          f"edge 0 1 {text}\n").edge_label(0, 1),
                want, GxlParseError)
+
+
+# ----------------------------------------------------------------------
+# the count rule (graph._check_int) at every count, node id and seed, and
+# the one renderer (graph._shown) of a rejected value
+# ----------------------------------------------------------------------
+
+HUGE = 10**5000  # 16610 bits, too long to print in decimal
+
+# ints of every size, and the values that pass for one elsewhere
+INTS = st.one_of(
+    HUGE_INTS,
+    st.sampled_from([-1, 0, 1, 2, 2**63]),
+    st.booleans(),
+    st.floats(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+)
+
+
+def shown(value):
+    """A value as a rule's message prints it: its repr, or its size for an
+    int of more than 4,300 digits."""
+    if type(value) is int and abs(value) >= 10**4300:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    return repr(value)
+
+
+def rejection(call):
+    """The class and message ``call()`` raises, or ``(None, "")``."""
+    try:
+        call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None, ""
+
+
+def _pair_corpus():
+    return Corpus("pair", [path_graph(3), star_graph(2)])
+
+
+SPEC = SearchSpec.astar()
+T0 = [TLevel.T0]
+DEGREE = CentralityMeasure.DEGREE
+
+# (name, least, call): where a call that keeps the value ends in another
+# rule (a distortion or seed of -1), that rule names its own argument
+COUNT_ENTRY_POINTS = [
+    ("node id", 0, lambda v: path_graph(3).add_edge(v, 0)),
+    ("node id", 0, lambda v: path_graph(3).add_edge(0, v)),
+    ("node id", 0, lambda v: Graph.from_parts(None, None, [(v, "C")], [])),
+    ("t", 0, lambda v: t_centrality_node_contraction(path_graph(3), v, DEGREE)),
+    ("k", 1, lambda v: k_degree_node_contraction(path_graph(3), v)),
+    ("k", 1, lambda v: k_star_node_contraction(path_graph(3), v)),
+    ("beam width", 1, lambda v: beam_ged(path_graph(2), path_graph(3), w=v)),
+    ("beam width", 1, SearchSpec.beam),
+    ("seed", 0, lambda v: synthesize_letter_like(v, 1, 1, -1.0)),
+    ("count", 1, lambda v: synthesize_letter_like(0, v, 1, -1.0)),
+    ("classes", 1, lambda v: synthesize_letter_like(0, 1, v, -1.0)),
+    ("n", 1, lambda v: sample_pairs(v, 1, -1)),
+    ("sample", 1, lambda v: sample_pairs(1, v, -1)),
+    ("seed", 0, lambda v: sample_pairs(2, 1, v)),
+    ("sample", 1, lambda v: run_timing_benchmark(_pair_corpus(), [DEGREE], T0, SPEC, v, -1)),
+    ("seed", 0, lambda v: run_timing_benchmark(_pair_corpus(), [DEGREE], T0, SPEC, 1, v)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(INTS)
+def test_count_entry_points_keep_the_int_or_raise_the_rule(value):
+    for name, least, call in COUNT_ENTRY_POINTS:
+        rule = f"{name} must be an int >= {least}, got "
+        cls, message = rejection(lambda: call(value))
+        assert "Exceeds the limit" not in message, (name, message)
+        if type(value) is int and value >= least:
+            assert not message.startswith(rule), (name, message)
+        else:
+            assert (cls, message) == (ValueError, rule + shown(value)), name
+    # the type rule prints its value the same way
+    cls, message = rejection(lambda: SearchSpec.astar(value))
+    assert (cls, message) == (ValueError, "heuristic must be a Heuristic, got " + shown(value))
+
+
+@pytest.mark.parametrize("call, cls, message", [
+    (lambda: beam_ged(path_graph(2), path_graph(2), w=-HUGE), ValueError,
+     "beam width must be an int >= 1, got a negative int of 16610 bits"),
+    (lambda: t_centrality_node_contraction(path_graph(2), -HUGE, DEGREE), ValueError,
+     "t must be an int >= 0, got a negative int of 16610 bits"),
+    (lambda: SearchSpec.beam(-HUGE), ValueError,
+     "beam width must be an int >= 1, got a negative int of 16610 bits"),
+    (lambda: SearchSpec("astar", HUGE), ValueError,
+     "astar search takes no width, got an int of 16610 bits"),
+    (lambda: SearchSpec.astar(HUGE), ValueError,
+     "heuristic must be a Heuristic, got an int of 16610 bits"),
+    (lambda: Point2D(HUGE, 0), ValueError, "x must be finite, got an int of 16610 bits"),
+    (lambda: CostModel(x_node=HUGE), ValueError,
+     "x_node must be finite and >= 0, got an int of 16610 bits"),
+    (lambda: path_graph(2).add_edge(HUGE, 0), MissingNodeError,
+     "edge endpoint an int of 16610 bits is not in the graph"),
+    (lambda: path_graph(2).delete_node(HUGE), MissingNodeError,
+     "node an int of 16610 bits is not in the graph"),
+    (lambda: path_graph(2).node_label(HUGE), MissingNodeError,
+     "node an int of 16610 bits is not in the graph"),
+    (lambda: Graph.from_parts(None, None, [(HUGE, "C")] * 2, []), ValueError,
+     "duplicate node id an int of 16610 bits"),
+])
+def test_a_rejected_int_too_long_to_print_is_named_by_its_size(call, cls, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (cls, message)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_pairs(5, -1, 0), "sample must be an int >= 1, got -1"),
+    (lambda: sample_pairs(True, 2, 0), "n must be an int >= 1, got True"),
+    (lambda: sample_pairs(5, 2, 1.0), "seed must be an int >= 0, got 1.0"),
+    (lambda: sample_pairs(5, 2, np.int64(3)), "seed must be an int >= 0, got np.int64(3)"),
+    (lambda: synthesize_letter_like(True, 4, 2, 0.1), "seed must be an int >= 0, got True"),
+    (lambda: synthesize_letter_like(-1, 4, 2, 0.1), "seed must be an int >= 0, got -1"),
+    (lambda: run_timing_benchmark(_pair_corpus(), [DEGREE], T0, SPEC, 2, seed=True),
+     "seed must be an int >= 0, got True"),
+    (lambda: run_timing_benchmark(_pair_corpus(), [DEGREE], T0, SPEC, 0, seed=0),
+     "sample must be an int >= 1, got 0"),
+])
+def test_seeds_and_samples_meet_the_count_rule_before_any_search(call, message, monkeypatch):
+    # neither a search nor the warm-up that imports scipy
+    calls = []
+    search = kernels.search
+    monkeypatch.setattr(kernels, "search", lambda *args: calls.append(args) or search(*args))
+    monkeypatch.setattr(kernels, "warm_up", lambda: calls.append("warm_up"))
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value), calls) == (ValueError, message, [])
