@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .graph import Graph, reach
+from .graph import Graph, _check_type, reach
 
 
 class CentralityMeasure(Enum):
@@ -114,15 +114,16 @@ def pagerank_centrality(g: Graph) -> CentralityScores:
 
 
 def compute_centrality(g: Graph, measure: CentralityMeasure) -> CentralityScores:
+    """The scores of ``measure``; anything but a :class:`CentralityMeasure`
+    raises ``ValueError`` before any work."""
+    _check_type(measure, CentralityMeasure, "measure")
     if measure is CentralityMeasure.DEGREE:
         return degree_centrality(g)
     if measure is CentralityMeasure.BETWEENNESS:
         return betweenness_centrality(g)
     if measure is CentralityMeasure.EIGENVECTOR:
         return eigenvector_centrality(g)
-    if measure is CentralityMeasure.PAGERANK:
-        return pagerank_centrality(g)
-    raise ValueError(f"unknown centrality measure: {measure!r}")
+    return pagerank_centrality(g)
 
 
 def rank_ascending(s: CentralityScores) -> list[int]:

@@ -93,10 +93,10 @@ def _search_from_args(args) -> tuple[CostModel, SearchSpec]:
     heuristic = Heuristic(args.heuristic) if args.heuristic else None
     if args.search == "beam":
         width = args.beam_width if args.beam_width is not None else 10
-        return cm, SearchSpec("beam", width, heuristic)
+        return cm, SearchSpec(width, heuristic)
     if args.beam_width is not None:
         raise ValueError("--beam-width applies only to --search beam")
-    return cm, SearchSpec("astar", 0, heuristic)
+    return cm, SearchSpec(None, heuristic)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:

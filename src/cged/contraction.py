@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .centrality import CentralityMeasure, compute_centrality, rank_ascending
-from .graph import Graph, GraphArrays, _check_int, is_cut_vertex
+from .graph import Graph, GraphArrays, _check_int, _check_type, is_cut_vertex
 
 
 @dataclass
@@ -101,8 +101,11 @@ def t_centrality_node_contraction(
     candidate whose deletion would change the component count is skipped.
     At most n - 1 nodes can go (only a connected graph shrinks to one
     node), so the walk stops there and never logs a last remaining node.
+    A ``t`` or ``measure`` that its rule rejects raises ``ValueError``
+    before any work.
     """
     _check_int(t, "t", 0)
+    _check_type(measure, CentralityMeasure, "measure")
     report = ContractionReport(measure=measure, t_requested=t)
     if t > 0 and g.order > 0:
         scores = compute_centrality(g, measure)

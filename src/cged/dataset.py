@@ -471,7 +471,8 @@ def write_debug_graph(g: Graph) -> str:
 
 
 def parse_debug_graph(text: str) -> Graph:
-    """Inverse of :func:`write_debug_graph`."""
+    """Inverse of :func:`write_debug_graph`; one graph per text, so a second
+    header line is a :class:`GxlParseError` at its line."""
     nodes: list[tuple[int, NodeLabel]] = []
     edges: list[tuple[int, int, EdgeLabel]] = []
     name: Optional[str] = None
@@ -485,6 +486,8 @@ def parse_debug_graph(text: str) -> Graph:
         kind = parts[0]
         try:
             if kind == "graph":
+                if saw_header:
+                    raise ValueError("a second 'graph' header line")
                 if len(parts) != 3:
                     raise ValueError("graph line needs: graph <name> <class>")
                 name = None if parts[1] == "-" else parts[1]

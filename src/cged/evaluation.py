@@ -29,10 +29,11 @@ Everything is deterministic under a fixed seed: pair sampling and search
 tie-breaking follow a total order. The timing grid runs in the calling
 process, so no transfer to another process enters its timings.
 Classification can search on several processes (``workers=N``: the caller
-and N - 1 children forked on the first such call and kept for later ones,
-see :func:`_map`); each task depends only on its own inputs and on the
-training graphs its process holds, and results come back in task order, so
-its predictions are byte-identical whatever the number of workers.
+and, for T test graphs, min(N, T) - 1 children forked on the first such
+call and kept for later ones, see :func:`_map`); each task depends only on
+its own inputs and on the training graphs its process holds, and results
+come back in task order, so its predictions are byte-identical whatever
+the number of workers.
 """
 
 from __future__ import annotations
@@ -275,9 +276,9 @@ class ClassificationResult:
         }
 
 
-# The workers _map keeps between calls: (children, workers, the array forms
-# of the training graphs they inherited), where children holds the process
-# and the caller's pipe end of each of the workers - 1 forked children.
+# The workers _map keeps between calls: (children, w, the array forms of
+# the training graphs they inherited), where children holds the process and
+# the caller's pipe end of each of the w - 1 forked children.
 # Holding the forms keeps them alive, so no other form can take their ids
 # while the children are kept.
 _kept: Optional[tuple[list[tuple[BaseProcess, Connection]], int, list[GraphArrays]]] = None
@@ -321,17 +322,17 @@ def _shut_down() -> None:
 atexit.register(_shut_down)
 
 
-def _workers(workers: int, train: list[Graph], forms: list[GraphArrays],
+def _workers(w: int, train: list[Graph], forms: list[GraphArrays],
              sizes: list[tuple[int, int]]) -> list[tuple[BaseProcess, Connection]]:
-    """The kept children, if there are ``workers - 1`` of them and they
+    """The kept children, if there are ``w - 1`` of them and they
     inherited the same form objects as ``forms``, the array forms of
-    ``train``; otherwise ``workers - 1`` new ones, forked after the kept
+    ``train``; otherwise ``w - 1`` new ones, forked after the kept
     ones are shut down. The new set is kept before the first fork, so that
     :func:`_map` shuts down a partly forked one."""
     global _kept
     if _kept is not None:
         children, width, shipped = _kept
-        if width == workers and len(shipped) == len(forms) and all(
+        if width == w and len(shipped) == len(forms) and all(
                 a is b for a, b in zip(shipped, forms)):
             return children
         _shut_down()
@@ -339,8 +340,8 @@ def _workers(workers: int, train: list[Graph], forms: list[GraphArrays],
     # caller built, and import nothing again
     context = multiprocessing.get_context("fork")
     children: list[tuple[BaseProcess, Connection]] = []
-    _kept = children, workers, forms
-    for _ in range(workers - 1):
+    _kept = children, w, forms
+    for _ in range(w - 1):
         mine, theirs = context.Pipe()
         try:
             process = context.Process(target=_serve, daemon=True, args=(
@@ -365,17 +366,19 @@ def _pipe(call: Callable, *args):
 
 
 def _map(fn: Callable, tasks: list, workers: int, train: list[Graph]) -> list:
-    """``fn(task, train, sizes)`` over ``tasks`` in order, on ``workers``
-    processes: the caller and ``workers - 1`` kept children.
+    """``fn(task, train, sizes)`` over ``tasks`` in order, on ``w =
+    min(workers, len(tasks))`` processes: the caller and ``w - 1`` kept
+    children, so no child is forked that would have no task.
 
     ``train`` is a list of contracted training graphs and ``sizes`` their
-    (order, size) pairs. The tasks are cut into shares of
-    ``ceil(len(tasks) / workers)``; the caller sends each child one share
-    through its pipe, computes the first share itself and then reads the
-    children's results, so it starts no thread. Children are forked on the
-    first pooled call and inherit ``train`` and ``sizes`` with the array
-    forms the caller builds before it forks. They are kept for later calls
-    of the same width whose training graphs have the same form objects:
+    (order, size) pairs. The n tasks are cut, in order, into w shares of
+    near-equal size, share k being ``tasks[k * n // w:(k + 1) * n // w]``;
+    the caller sends each child one share through its pipe, computes the
+    first share itself and then reads the children's results, so it starts
+    no thread. Children are forked on the first pooled call and inherit
+    ``train`` and ``sizes`` with the array forms the caller builds before it
+    forks. They are kept for later calls of the same w whose training
+    graphs have the same form objects:
     every change to a graph replaces its form. The children outlive a call
     only when it read every reply, so that none is left for the next call to
     take as its own. A task that raises in a child comes back as a reply:
@@ -384,19 +387,18 @@ def _map(fn: Callable, tasks: list, workers: int, train: list[Graph]) -> list:
     them, and the next call forks afresh: a task that raises in the caller's
     own share, an interrupt while the caller waits, or a child that ends,
     which fails the call with :class:`BrokenProcessPool`. No child is forked
-    for an empty task list, and calls from several threads run in turn.
+    for fewer than two tasks, and calls from several threads run in turn.
     """
-    if not tasks:
-        return []
     sizes = [(h.order, h.size) for h in train]
-    if workers == 1:
+    n = len(tasks)
+    w = min(workers, n)
+    if w <= 1:
         return [fn(t, train, sizes) for t in tasks]
-    size = math.ceil(len(tasks) / workers)
-    shares = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    shares = [tasks[k * n // w:(k + 1) * n // w] for k in range(w)]
     forms = [h.arrays() for h in train]
     with _lock:
         try:
-            children = _workers(workers, train, forms, sizes)[:len(shares) - 1]
+            children = _workers(w, train, forms, sizes)
             for (_, conn), share in zip(children, shares[1:]):
                 _pipe(conn.send, (fn, share))
             results = [fn(t, train, sizes) for t in shares[0]]
@@ -506,7 +508,8 @@ def run_timing_benchmark(
     T-level order, so the records are produced in (pair, measure, level)
     order, whatever the sample size or the order the arguments give. A
     mistyped or repeated measure or level, a ``sample`` or ``seed`` that
-    :func:`sample_pairs` rejects, or a ``cm`` that is neither ``None`` nor
+    :func:`sample_pairs` rejects, a ``search`` that is not a
+    :class:`~cged.ged.SearchSpec`, or a ``cm`` that is neither ``None`` nor
     a :class:`CostModel`, raises ``ValueError`` before any search.
     """
     if not corpus.graphs:
@@ -521,6 +524,7 @@ def run_timing_benchmark(
             _check_type(value, member, kind)
             if value in values[:i]:
                 raise ValueError(f"{kind} {value} is given more than once")
+    _check_type(search, SearchSpec, "search")
     cm = _cost_model(cm)
     measures = sorted(measures, key=lambda m: m.value)
     levels = [level for level in TLevel if level in levels]
@@ -654,11 +658,12 @@ def nn_classify(
     only the bounds' cells. The types of ``measure``, ``level``, ``search``
     and ``cm`` (``None`` or a :class:`CostModel`), and ``workers`` (an int
     >= 1), are checked before any work.
-    ``workers`` processes search, the calling process among them. Test
-    graphs are contracted in the calling process, so the other workers
-    receive them contracted; those workers are forked with the contracted
-    training graphs and their array forms, and kept for later calls with the
-    same ``workers`` and the same forms (see :func:`_map`); a failed call or
+    ``min(workers, len(test.graphs))`` processes search, the calling
+    process among them, so no idle worker is forked. Test graphs are
+    contracted in the calling process, so the other workers receive them
+    contracted; those workers are forked with the contracted training graphs
+    and their array forms, and kept for later calls with the same number of
+    processes and the same forms (see :func:`_map`); a failed call or
     a change to a training graph (which replaces its form) ends them.
     Workers return the index of the nearest training graph, and its class is
     read in the calling process, so a relabelled training graph is never

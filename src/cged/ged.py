@@ -11,6 +11,12 @@ beam variant (:func:`beam_ged`) runs without a heuristic and keeps at most
 ``w`` open entries, trading optimality for speed while never returning
 less than the true distance. Ties are broken by a total order, so costs,
 edit paths and expansion counts are reproducible.
+
+A :class:`SearchSpec` names one of the two: ``SearchSpec(None, heuristic)``
+is A* and ``SearchSpec(w)`` is beam of width w. Every entry point here
+takes ``None`` or a :class:`CostModel` for its cost model and checks it,
+and its heuristic, width, measure or search, with :mod:`cged.graph`'s
+rules before any work.
 """
 
 from __future__ import annotations
@@ -30,43 +36,38 @@ from .kernels import Heuristic
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Which solver to run: exact best-first (``astar``, with a heuristic and
-    no width) or width-limited ``beam`` (an int width w >= 1 and no
-    heuristic).
+    """Which solver to run: exact best-first A* for ``w=None``, or beam of
+    width ``w``, which runs without a heuristic. Any ``w`` but ``None`` is a
+    width, and the count rule takes only an int >= 1.
 
-    An unset heuristic means ``BIPARTITE`` for astar and ``ZERO`` for beam.
+    An unset heuristic means ``BIPARTITE`` for A* and ``ZERO`` for beam.
     """
 
-    kind: str
-    w: int = 0
+    w: Optional[int] = None
     heuristic: Optional[Heuristic] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("astar", "beam"):
-            raise ValueError(f"search kind must be 'astar' or 'beam', got {_shown(self.kind)}")
         if self.heuristic is None:
-            default = Heuristic.BIPARTITE if self.kind == "astar" else Heuristic.ZERO
+            default = Heuristic.BIPARTITE if self.w is None else Heuristic.ZERO
             object.__setattr__(self, "heuristic", default)
         _check_type(self.heuristic, Heuristic, "heuristic")
-        if self.kind == "astar" and self.w:
-            raise ValueError(f"astar search takes no width, got {_shown(self.w, str)}")
-        if self.kind == "beam":
+        if self.w is not None:
             _check_int(self.w, "beam width", 1)
-        if self.kind == "beam" and self.heuristic is not Heuristic.ZERO:
-            raise ValueError(f"heuristic {_shown(self.heuristic, str)} applies only to astar; "
-                             "beam search runs without one")
+            if self.heuristic is not Heuristic.ZERO:
+                raise ValueError(f"heuristic {_shown(self.heuristic, str)} applies only to astar; "
+                                 "beam search runs without one")
 
     @classmethod
     def astar(cls, heuristic: Heuristic = Heuristic.BIPARTITE) -> "SearchSpec":
-        return cls("astar", 0, heuristic)
+        return cls(None, heuristic)
 
     @classmethod
     def beam(cls, w: int) -> "SearchSpec":
-        return cls("beam", w)
+        return cls(w)
 
     def describe(self) -> str:
         """``astar(bipartite)``, ``astar(zero)`` or ``beam(w=W)``."""
-        return f"astar({self.heuristic})" if self.kind == "astar" else f"beam(w={self.w})"
+        return f"astar({self.heuristic})" if self.w is None else f"beam(w={_shown(self.w, str)})"
 
 
 @dataclass
@@ -121,10 +122,13 @@ def beam_ged(g1: Graph, g2: Graph, cm: Optional[CostModel] = None,
     return _search(g1, g2, _cost_model(cm), Heuristic.ZERO, width=w)
 
 
-def run_search(g1: Graph, g2: Graph, cm: CostModel, search: SearchSpec) -> GedResult:
+def run_search(g1: Graph, g2: Graph, cm: Optional[CostModel], search: SearchSpec) -> GedResult:
+    """The search ``search`` selects, on the pair: a ``search`` that is not
+    a :class:`SearchSpec` raises ``ValueError`` before any work."""
+    _check_type(search, SearchSpec, "search")
     # both solvers are looked up in this module per call, so either can be
     # wrapped (e.g. traced) at runtime
-    if search.kind == "astar":
+    if search.w is None:
         return astar_ged(g1, g2, cm, search.heuristic)
     return beam_ged(g1, g2, cm, search.w)
 
@@ -141,8 +145,11 @@ def t_centrality_ged(
 
     Contracted nodes and their incident edges are simply absent from the
     searched pair, so they contribute nothing to the returned cost; the two
-    contraction reports ride along in the result.
+    contraction reports ride along in the result. A ``t``, ``measure``,
+    ``cm`` or ``search`` that its rule rejects raises ``ValueError`` before
+    any work.
     """
+    _check_type(search, SearchSpec, "search")
     cm = _cost_model(cm)
     t0 = time.perf_counter()
     h1, rep1 = t_centrality_node_contraction(g1, t, measure)
@@ -153,7 +160,7 @@ def t_centrality_ged(
     return result
 
 
-def bipartite_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
+def bipartite_lower_bound(g1: Graph, g2: Graph, cm: Optional[CostModel] = None) -> float:
     """A proven lower bound on the edit distance, from one node assignment.
 
     The bipartite bound of Riesen, Fankhauser & Bunke (MLG 2007), which
@@ -169,8 +176,10 @@ def bipartite_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
     own empty-prefix rows (:func:`kernels._node_costs`), the assignment is
     solved on the reduced n1 x n2 matrix of :func:`kernels.assignment`, and
     its matching is priced on these costs, so a graph against a copy of
-    itself gives exactly 0.0, and two empty graphs give 0.0.
+    itself gives exactly 0.0, and two empty graphs give 0.0. ``cm`` is
+    ``None`` (the default model) or a :class:`CostModel`.
     """
+    cm = _cost_model(cm)
     a1, a2 = g1.arrays(), g2.arrays()
     sub = kernels._node_costs(a1, a2, cm.y_node)
     half = 0.5 * cm.x_edge
@@ -192,7 +201,7 @@ def bipartite_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
     return paired + deleted + inserted
 
 
-def hausdorff_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
+def hausdorff_lower_bound(g1: Graph, g2: Graph, cm: Optional[CostModel] = None) -> float:
     """A lower bound on the edit distance that needs no assignment, and never
     exceeds :func:`bipartite_lower_bound`.
 
@@ -206,8 +215,10 @@ def hausdorff_lower_bound(g1: Graph, g2: Graph, cm: CostModel) -> float:
     graph against a copy of itself gives exactly 0.0, two empty graphs give
     0.0, and an empty graph against g gives ``x_node * n + x_edge * m`` (up
     to rounding). The labels and degrees come from each graph's array form,
-    so a later call on the same graph only prices cells.
+    so a later call on the same graph only prices cells. ``cm`` is ``None``
+    (the default model) or a :class:`CostModel`.
     """
+    cm = _cost_model(cm)
     a1, a2 = g1.arrays(), g2.arrays()
     labels2, deg2 = a2.labels, a2.deg
     y_node, half, x_node = cm.y_node, 0.5 * cm.x_edge, cm.x_node

@@ -535,6 +535,13 @@ def test_debug_format_rejections():
     assert parse_debug_graph(write_debug_graph(dash)) == dash
 
 
+def test_debug_format_rejects_a_second_header():
+    # it used to merge both parts' nodes under the last header's name and class
+    with pytest.raises(GxlParseError) as exc:
+        parse_debug_graph("graph a A\nnode 0 symbol C\ngraph b B\n")
+    assert (exc.value.message, exc.value.location) == ("a second 'graph' header line", "line 3")
+
+
 def test_load_graph_file_dispatch(tmp_path):
     gxl = tmp_path / "a.gxl"
     gxl.write_text(MOL_GXL)

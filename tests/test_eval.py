@@ -808,6 +808,13 @@ def _die_outside(caller: int, train: list, sizes: list) -> int:
     return caller
 
 
+def test_a_pooled_call_forks_only_the_children_it_uses():
+    # two tasks on 8 workers: the caller takes the first and one child the second
+    evaluation._shut_down()
+    assert evaluation._map(_scaled, [1, 2], 8, TRAIN) == [5, 10]
+    assert len(_children()) == 1
+
+
 def test_a_worker_dying_during_a_call_fails_that_call():
     # with 2 workers the caller computes tasks 0-1 and the child tasks 2-3
     assert evaluation._map(_scaled, [1, 2, 3, 4], 2, TRAIN) == [5, 10, 15, 20]
@@ -918,6 +925,21 @@ def test_no_pool_starts_for_an_empty_test_set(monkeypatch, small_split):
     result = nn_classify(small_split[0], Corpus("te"), DEG, TLevel.T1STAR,
                          SearchSpec.astar(), workers=2)
     assert result.predictions == [] and result.pairs == 0
+    assert evaluation._kept is None
+
+
+def test_no_pool_starts_for_a_single_test_graph(monkeypatch, small_split):
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    train, test = small_split
+    one = Corpus("te", test.graphs[:1])
+    args = (DEG, TLevel.T1STAR, SearchSpec.astar())
+    evaluation._shut_down()
+    monkeypatch.setattr(os, "fork", no_fork)
+    result = nn_classify(train, one, *args, workers=4)
+    assert result.to_json_dict() == nn_classify(train, one, *args).to_json_dict()
+    assert len(result.predictions) == 1
     assert evaluation._kept is None
 
 

@@ -165,19 +165,15 @@ def test_beam_width_validation():
         with pytest.raises(ValueError, match=f"got {bad!r}"):
             SearchSpec.beam(bad)
         with pytest.raises(ValueError, match=f"got {bad!r}"):
-            SearchSpec("beam", bad)
-    with pytest.raises(ValueError):
-        SearchSpec(kind="dfs")
+            SearchSpec(bad)
 
 
 def test_search_spec_rejects_inputs_it_would_ignore():
     with pytest.raises(ValueError, match="heuristic"):
-        SearchSpec("beam", 3, Heuristic.BIPARTITE)  # beam runs without a heuristic
-    with pytest.raises(ValueError, match="width"):
-        SearchSpec("astar", 7)  # A* has no open-list width
-    assert SearchSpec("beam", 3) == SearchSpec.beam(3) == SearchSpec("beam", 3, Heuristic.ZERO)
-    assert SearchSpec("astar") == SearchSpec.astar() == SearchSpec.astar(Heuristic.BIPARTITE)
-    assert SearchSpec("astar", 0, Heuristic.ZERO) == SearchSpec.astar(Heuristic.ZERO)
+        SearchSpec(3, Heuristic.BIPARTITE)  # beam runs without a heuristic
+    assert SearchSpec(3) == SearchSpec.beam(3) == SearchSpec(3, Heuristic.ZERO)
+    assert SearchSpec() == SearchSpec.astar() == SearchSpec.astar(Heuristic.BIPARTITE)
+    assert SearchSpec(None, Heuristic.ZERO) == SearchSpec.astar(Heuristic.ZERO)
     assert SearchSpec.astar().heuristic is Heuristic.BIPARTITE
     assert SearchSpec.beam(3).heuristic is Heuristic.ZERO
 
@@ -190,11 +186,11 @@ def test_a_heuristic_that_is_not_a_member_fails(bad):
     g1, g2 = random_connected_graph(rng, 8), random_connected_graph(rng, 8)
     with pytest.raises(ValueError, match=f"got {bad!r}"):
         astar_ged(g1, g2, heuristic=bad)
-    if bad is not None:  # None is SearchSpec's default, which picks the kind's heuristic
+    if bad is not None:  # None is SearchSpec's default: A*'s or beam's own heuristic
         with pytest.raises(ValueError, match=f"got {bad!r}"):
-            SearchSpec("astar", 0, bad)
+            SearchSpec(None, bad)
         with pytest.raises(ValueError, match=f"got {bad!r}"):
-            SearchSpec("beam", 3, bad)
+            SearchSpec(3, bad)
 
 
 def test_a_cost_model_of_another_type_fails_before_any_search(monkeypatch):

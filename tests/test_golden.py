@@ -367,6 +367,13 @@ def test_bounds_match_golden_table():
     assert bound_values() == json.loads(BOUND_GOLDEN.read_text(encoding="utf-8"))
 
 
+def test_bounds_take_none_for_the_default_cost_model():
+    for g1, g2, _ in golden_inputs():
+        for bound in (bipartite_lower_bound, hausdorff_lower_bound):
+            assert bound(g1, g2).hex() == bound(g1, g2, None).hex() == bound(
+                g1, g2, CostModel()).hex()
+
+
 def compensated_sum(iterable, /, start=0):
     """``sum()`` as Python 3.12 and later compute it: floats are added with
     Neumaier's compensation, ints as before, and any other item flushes the

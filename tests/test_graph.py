@@ -1,6 +1,7 @@
 """Graph structure, connectivity, cut-vertex behavior and the position-indexed form."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cged import kernels
+from cged import contraction, kernels
 from cged.centrality import CentralityMeasure, compute_centrality
 from cged.contraction import (
     k_degree_node_contraction,
@@ -27,7 +28,16 @@ from cged.dataset import (
     synthesize_letter_like,
 )
 from cged.evaluation import TLevel, run_timing_benchmark, sample_pairs
-from cged.ged import SearchSpec, astar_ged, beam_ged
+from cged.ged import (
+    Heuristic,
+    SearchSpec,
+    astar_ged,
+    beam_ged,
+    bipartite_lower_bound,
+    hausdorff_lower_bound,
+    run_search,
+    t_centrality_ged,
+)
 from cged.graph import (
     DuplicateEdgeError,
     Graph,
@@ -628,8 +638,8 @@ def test_count_entry_points_keep_the_int_or_raise_the_rule(value):
      "t must be an int >= 0, got a negative int of 16610 bits"),
     (lambda: SearchSpec.beam(-HUGE), ValueError,
      "beam width must be an int >= 1, got a negative int of 16610 bits"),
-    (lambda: SearchSpec("astar", HUGE), ValueError,
-     "astar search takes no width, got an int of 16610 bits"),
+    (lambda: SearchSpec(-HUGE), ValueError,
+     "beam width must be an int >= 1, got a negative int of 16610 bits"),
     (lambda: SearchSpec.astar(HUGE), ValueError,
      "heuristic must be a Heuristic, got an int of 16610 bits"),
     (lambda: Point2D(HUGE, 0), ValueError, "x must be finite, got an int of 16610 bits"),
@@ -648,6 +658,52 @@ def test_a_rejected_int_too_long_to_print_is_named_by_its_size(call, cls, messag
     with pytest.raises(ValueError) as exc:
         call()
     assert (type(exc.value), str(exc.value)) == (cls, message)
+
+
+# ----------------------------------------------------------------------
+# the type rule (graph._check_type) at every entry point that takes a
+# measure, a search or a cost model
+# ----------------------------------------------------------------------
+
+MEASURE_RULE = "measure must be a CentralityMeasure, got "
+SEARCH_RULE = "search must be a SearchSpec, got "
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, h: t_centrality_node_contraction(g, 0, "degree"), MEASURE_RULE + "'degree'"),
+    (lambda g, h: t_centrality_node_contraction(g, 1, None), MEASURE_RULE + "None"),
+    (lambda g, h: compute_centrality(g, HUGE), MEASURE_RULE + "an int of 16610 bits"),
+    (lambda g, h: t_centrality_ged(g, h, 1, "degree"), MEASURE_RULE + "'degree'"),
+    (lambda g, h: t_centrality_ged(g, h, 1, DEGREE, search="astar"), SEARCH_RULE + "'astar'"),
+    (lambda g, h: run_search(g, h, None, "astar"), SEARCH_RULE + "'astar'"),
+    (lambda g, h: run_timing_benchmark(Corpus("pair", [g, h]), [DEGREE], [TLevel.T1STAR],
+                                       "astar", 1, 0), SEARCH_RULE + "'astar'"),
+    (lambda g, h: bipartite_lower_bound(g, h, {}), "cm must be a CostModel, got {}"),
+    (lambda g, h: hausdorff_lower_bound(g, h, {}), "cm must be a CostModel, got {}"),
+], ids=["contraction-t0", "contraction-t1", "centrality", "t_ged-measure", "t_ged-search",
+        "run_search", "timing_benchmark", "bipartite", "hausdorff"])
+def test_a_selector_of_another_type_fails_before_any_work(call, message, monkeypatch):
+    # neither a centrality, a contracted graph nor a search
+    calls = []
+    for owner, name in ((contraction, "compute_centrality"), (Graph, "without"),
+                        (kernels, "search")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _f=original, _n=name:
+                            calls.append(_n) or _f(*args))
+    with pytest.raises(ValueError) as exc:
+        call(path_graph(4), star_graph(3))
+    assert (type(exc.value), str(exc.value), calls) == (ValueError, message, [])
+
+
+def test_a_search_is_a_width_and_a_heuristic():
+    assert [f.name for f in dataclasses.fields(SearchSpec)] == ["w", "heuristic"]
+    specs = [SearchSpec(), SearchSpec(None, Heuristic.ZERO), SearchSpec(3)]
+    assert [s.describe() for s in specs] == ["astar(bipartite)", "astar(zero)", "beam(w=3)"]
+    assert SearchSpec.beam(HUGE).describe() == "beam(w=an int of 16610 bits)"
+    # a kind in the width's place is a width the rule rejects, not a search
+    with pytest.raises(ValueError) as exc:
+        SearchSpec("astar")
+    assert str(exc.value) == "beam width must be an int >= 1, got 'astar'"
 
 
 @pytest.mark.parametrize("call, message", [
