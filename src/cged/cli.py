@@ -5,10 +5,11 @@ between two graph files), ``benchmark`` (timing/expansion grid over a
 corpus, written as CSV plus a JSON summary), ``classify`` (nearest-neighbor
 classification) and ``stats`` (corpus statistics).
 
-Graph files are .gxl documents or the line-oriented debug text format.
-Corpora come either from a downloaded archive (located by ``--data-root``
-or the ``CGED_DATA_ROOT`` environment variable) or from the deterministic
-synthetic generator (``--dataset synthetic``, the default).
+Graph files are GXL documents, whatever their extension; ``contract``
+writes its result as GXL too. Corpora come either from a downloaded
+archive (located by ``--data-root`` or the ``CGED_DATA_ROOT`` environment
+variable) or from the deterministic synthetic generator (``--dataset
+synthetic``, the default).
 
 Exit codes: 0 success, 2 usage error, 3 graph parse error,
 4 configuration error, 5 dataset resolution or load error.
@@ -39,7 +40,7 @@ from .dataset import (
     locate_iam_indexes,
     split_corpus,
     synthesize_letter_like,
-    write_debug_graph,
+    write_gxl,
 )
 from .evaluation import (
     nn_classify,
@@ -161,7 +162,7 @@ def cmd_contract(args) -> int:
     g = load_graph_file(args.graph)
     measure = CentralityMeasure(args.measure)
     contracted, report = t_centrality_node_contraction(g, args.t, measure)
-    text = write_debug_graph(contracted)
+    text = write_gxl(contracted)
     if args.out_graph == "-":
         print(text, end="")
         if args.out_report == "-":
@@ -275,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("contract", help="contract one graph file, write result + report")
-    p.add_argument("graph", help=".gxl or debug-format graph file")
+    p.add_argument("graph", help="GXL graph file")
     p.add_argument("--t", type=int, default=0, help="number of nodes to contract")
     p.add_argument("--measure", choices=[m.value for m in CentralityMeasure],
                    default="degree")
     p.add_argument("--out-graph", default="-", metavar="FILE",
-                   help="contracted graph in debug format (default: stdout)")
+                   help="contracted graph as GXL (default: stdout)")
     p.add_argument("--out-report", default="-", metavar="FILE",
                    help="JSON contraction report (default: stdout)")
     p.set_defaults(func=cmd_contract)

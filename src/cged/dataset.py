@@ -10,17 +10,18 @@ Node labels are taken from the ``symbol`` attribute when present (chemical
 element names), else from ``x``/``y`` coordinate attributes; a node with
 neither is rejected. Edge ``valence`` attributes become numeric edge
 labels; edges without one stay unlabeled. All other attributes are ignored.
-
-A line-oriented debug text format (one node or edge per line) is provided
-for CLI output and tests; it round-trips ids, labels, and counts exactly.
+:func:`write_gxl` writes one graph as GXL, which :func:`parse_gxl` reads
+back exactly.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import string
 import xml.etree.ElementTree as ET
 from xml.parsers import expat
+from xml.sax.saxutils import escape, quoteattr
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -28,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .graph import EdgeLabel, Graph, GraphError, NodeLabel, Point2D, _check_int, _check_real
+from .graph import Graph, NodeLabel, Point2D, _check_int, _check_real
 
 
 class DatasetError(Exception):
@@ -236,6 +237,77 @@ def parse_gxl(data: Union[bytes, str]) -> Graph:
     return g
 
 
+# a character outside XML 1.0's Char production, which no escape can carry
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _xml_safe(text: str, what: str) -> str:
+    bad = _NOT_XML.search(text)
+    if bad:
+        raise ValueError(f"GXL cannot hold the {what} {text!r}: "
+                         f"XML 1.0 has no character {bad.group()!r}")
+    return text
+
+
+def write_gxl(g: Graph) -> str:
+    """Serialize a graph as one GXL document that :func:`parse_gxl` reads back.
+
+    Nodes are written in ascending id order under their own ids, so a graph
+    with the ids 0..n-1 reads back equal, with the same name; any other
+    graph reads back with its nodes renumbered 0, 1, ... in the same order.
+    Coordinates and valences are written as ``<float>`` by ``repr``, so
+    they read back exactly. The class label is not written: IAM keeps it in
+    the CXL index, and a graph loaded from a single GXL file has none.
+
+    Raises :class:`ValueError` for what would not read back the same: an
+    empty name (read as no name), a symbol with surrounding whitespace
+    (which the parser strips), or a character that XML 1.0 cannot hold.
+    """
+    if g.name == "":
+        raise ValueError("GXL reads an empty graph id as no name, so a graph "
+                         "name cannot be empty")
+    gid = "" if g.name is None else f" id={quoteattr(_xml_safe(g.name, 'graph name'))}"
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<gxl>",
+             f'<graph{gid} edgeids="false" edgemode="undirected">']
+    for u, label in g.node_items():
+        if isinstance(label, Point2D):
+            attrs = (f'<attr name="x"><float>{label.x!r}</float></attr>'
+                     f'<attr name="y"><float>{label.y!r}</float></attr>')
+        else:
+            if label != label.strip():
+                raise ValueError("GXL strips a symbol's surrounding whitespace, so the "
+                                 f"symbol {label!r} would not read back")
+            # a literal \r in XML text reads back as \n
+            text = escape(_xml_safe(label, "symbol"), {"\r": "&#13;"})
+            attrs = f'<attr name="symbol"><string>{text}</string></attr>'
+        lines.append(f'<node id="{u}">{attrs}</node>')
+    for u, v, label in g.edges():
+        attrs = "" if label is None else f'<attr name="valence"><float>{label!r}</float></attr>'
+        lines.append(f'<edge from="{u}" to="{v}">{attrs}</edge>')
+    lines += ["</graph>", "</gxl>", ""]
+    return "\n".join(lines)
+
+
+def load_graph_file(path: Union[str, Path]) -> Graph:
+    """Load one GXL graph file, whatever its extension; a graph without an
+    id is named after the file's stem.
+
+    Every parse error names the file: its message starts with the path.
+    """
+    p = Path(path)
+    try:
+        raw = p.read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {p}: {exc}") from None
+    try:
+        g = parse_gxl(raw)
+    except GxlParseError as exc:
+        raise type(exc)(f"{p}: {exc.message}", exc.location) from None
+    if g.name is None:
+        g.name = p.stem
+    return g
+
+
 # ----------------------------------------------------------------------
 # CXL index files
 # ----------------------------------------------------------------------
@@ -428,119 +500,3 @@ def split_corpus(corpus: Corpus) -> tuple[Corpus, Corpus]:
         Corpus(f"{corpus.name}-train", train, Split.TRAIN),
         Corpus(f"{corpus.name}-test", test, Split.TEST),
     )
-
-
-# ----------------------------------------------------------------------
-# line-oriented debug text format
-# ----------------------------------------------------------------------
-
-def write_debug_graph(g: Graph) -> str:
-    """Serialize a graph, one node or edge per line.
-
-    Format: a ``graph <name> <class>`` header ('-' for unset, so neither
-    can be '-'; names must be non-empty and whitespace-free), then
-    ``node <id> point <x> <y>`` or ``node <id> symbol <s>`` lines, then
-    ``edge <u> <v> [value]`` lines.
-    Floats are written with repr so they round-trip exactly.
-    """
-    def tok(s: str) -> str:
-        if any(ch.isspace() for ch in s):
-            raise ValueError(f"debug format requires whitespace-free names, got {s!r}")
-        return s
-
-    def name(s: Optional[str]) -> str:
-        if s == "-":
-            raise ValueError("debug format writes '-' for an unset name or class; "
-                             "a graph name or class cannot be '-'")
-        if s == "":
-            raise ValueError("debug format cannot write an empty graph name or class")
-        return "-" if s is None else tok(s)
-
-    lines = [f"graph {name(g.name)} {name(g.class_label)}"]
-    for u, label in g.node_items():
-        if isinstance(label, Point2D):
-            lines.append(f"node {u} point {label.x!r} {label.y!r}")
-        else:
-            lines.append(f"node {u} symbol {tok(label)}")
-    for u, v, label in g.edges():
-        if label is None:
-            lines.append(f"edge {u} {v}")
-        else:
-            lines.append(f"edge {u} {v} {label!r}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_debug_graph(text: str) -> Graph:
-    """Inverse of :func:`write_debug_graph`; one graph per text, so a second
-    header line is a :class:`GxlParseError` at its line."""
-    nodes: list[tuple[int, NodeLabel]] = []
-    edges: list[tuple[int, int, EdgeLabel]] = []
-    name: Optional[str] = None
-    class_label: Optional[str] = None
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "graph":
-                if saw_header:
-                    raise ValueError("a second 'graph' header line")
-                if len(parts) != 3:
-                    raise ValueError("graph line needs: graph <name> <class>")
-                name = None if parts[1] == "-" else parts[1]
-                class_label = None if parts[2] == "-" else parts[2]
-                saw_header = True
-            elif kind == "node":
-                if len(parts) >= 4 and parts[2] == "point":
-                    if len(parts) != 5:
-                        raise ValueError("point node needs: node <id> point <x> <y>")
-                    nodes.append((int(parts[1]), Point2D(float(parts[3]), float(parts[4]))))
-                elif len(parts) == 4 and parts[2] == "symbol":
-                    nodes.append((int(parts[1]), parts[3]))
-                else:
-                    raise ValueError("node line needs 'point <x> <y>' or 'symbol <s>'")
-            elif kind == "edge":
-                if len(parts) == 3:
-                    edges.append((int(parts[1]), int(parts[2]), None))
-                elif len(parts) == 4:
-                    edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
-                else:
-                    raise ValueError("edge line needs: edge <u> <v> [value]")
-            else:
-                raise ValueError(f"unknown line kind {kind!r}")
-        except ValueError as exc:
-            raise GxlParseError(str(exc), f"line {lineno}") from None
-    if not saw_header:
-        raise GxlParseError("missing 'graph' header line")
-    try:
-        return Graph.from_parts(name, class_label, nodes, edges)
-    except (ValueError, GraphError) as exc:
-        raise GxlParseError(str(exc)) from None
-
-
-def load_graph_file(path: Union[str, Path]) -> Graph:
-    """Load one graph from a .gxl or debug-format text file (by extension).
-
-    Every parse error names the file: its message starts with the path.
-    """
-    p = Path(path)
-    try:
-        raw = p.read_bytes()
-    except OSError as exc:
-        raise DatasetError(f"cannot read {p}: {exc}") from None
-    gxl = p.suffix.lower() == ".gxl"
-    if not gxl:
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise GxlParseError(f"{p} is not UTF-8 text", f"byte {exc.start}") from None
-    try:
-        g = parse_gxl(raw) if gxl else parse_debug_graph(raw)
-    except GxlParseError as exc:
-        raise type(exc)(f"{p}: {exc.message}", exc.location) from None
-    if gxl and g.name is None:
-        g.name = p.stem
-    return g

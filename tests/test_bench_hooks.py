@@ -9,6 +9,7 @@ from pathlib import Path
 from cged import dataset, evaluation
 from cged.centrality import CentralityMeasure
 from cged.ged import SearchSpec
+from cged.graph import Graph, Point2D
 
 SPANS = Path(__file__).resolve().parent.parent / "cgedbench" / "spans.py"
 
@@ -32,11 +33,9 @@ def test_every_traced_name_is_in_its_owners_namespace():
 
 
 def _letter_gxl(name: str, points: list, edges: list) -> str:
-    nodes = "".join(f'<node id="_{i}"><attr name="x"><float>{x}</float></attr>'
-                    f'<attr name="y"><float>{y}</float></attr></node>'
-                    for i, (x, y) in enumerate(points))
-    links = "".join(f'<edge from="_{u}" to="_{v}"/>' for u, v in edges)
-    return f'<gxl><graph id="{name}" edgemode="undirected">{nodes}{links}</graph></gxl>'
+    return dataset.write_gxl(Graph.from_parts(
+        name, None, [(i, Point2D(x, y)) for i, (x, y) in enumerate(points)],
+        [(u, v, None) for u, v in edges]))
 
 
 def test_every_hook_reads_a_real_return_value(tmp_path):

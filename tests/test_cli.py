@@ -1,6 +1,7 @@
 """Command-line interface: outputs, schemas, exit codes."""
 
 import json
+import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import jsonschema
 import pytest
 
 from cged import CostModel, cli
+from cged.centrality import CentralityMeasure
+from cged.contraction import t_centrality_node_contraction
 from cged.dataset import (DatasetError, load_graph_file, load_iam_corpus, locate_iam_indexes,
-                          parse_debug_graph, write_debug_graph)
+                          parse_gxl, write_gxl)
 from cged.ged import Heuristic, SearchSpec, run_search
 from cged.graph import Graph, Point2D
 from cged.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_PARSE, build_parser, main
@@ -24,57 +27,102 @@ def validate_against(payload: dict, schema_name: str) -> None:
 
 @pytest.fixture()
 def graph_files(tmp_path):
-    a = tmp_path / "a.txt"
-    a.write_text(write_debug_graph(path_graph(3)))
+    a = tmp_path / "a.gxl"
+    a.write_text(write_gxl(path_graph(3)))
     moved = Graph()
     moved.add_node(Point2D(0.0, 0.0))
     moved.add_node(Point2D(1.0, 0.0))
     moved.add_node(Point2D(2.0, 0.5))
     moved.add_edge(0, 1)
     moved.add_edge(1, 2)
-    b = tmp_path / "b.txt"
-    b.write_text(write_debug_graph(moved))
-    empty = tmp_path / "empty.txt"
-    empty.write_text(write_debug_graph(Graph()))
-    single = tmp_path / "single.txt"
-    single.write_text(write_debug_graph(Graph.from_parts(None, None, [(0, "C")], [])))
+    b = tmp_path / "b.gxl"
+    b.write_text(write_gxl(moved))
+    empty = tmp_path / "empty.gxl"
+    empty.write_text(write_gxl(Graph()))
+    single = tmp_path / "single.gxl"
+    single.write_text(write_gxl(Graph.from_parts(None, None, [(0, "C")], [])))
     return {"a": a, "b": b, "empty": empty, "single": single, "dir": tmp_path}
 
 
 def test_contract_writes_graph_and_report(tmp_path, graph_files):
-    star = tmp_path / "star.txt"
-    star.write_text(write_debug_graph(star_graph(4)))
-    out_g = tmp_path / "out.txt"
+    star = tmp_path / "star.gxl"
+    star.write_text(write_gxl(star_graph(4)))
+    out_g = tmp_path / "out.gxl"
     out_r = tmp_path / "report.json"
     rc = main(["contract", str(star), "--t", "2",
                "--out-graph", str(out_g), "--out-report", str(out_r)])
     assert rc == 0
-    contracted = parse_debug_graph(out_g.read_text())
-    assert contracted.nodes() == [0, 3, 4]
+    # the kept nodes are written under their own ids
+    assert [el.get("id") for el in ET.fromstring(out_g.read_bytes()).iter("node")] == [
+        "0", "3", "4"]
     report = json.loads(out_r.read_text())
     validate_against(report, "contraction_report.json")
     assert [r["node"] for r in report["removed"]] == [1, 2]
 
 
 def test_contract_t0_round_trips(tmp_path, graph_files):
-    out_g = tmp_path / "same.txt"
+    out_g = tmp_path / "same.gxl"
     rc = main(["contract", str(graph_files["a"]), "--out-graph", str(out_g),
                "--out-report", str(tmp_path / "r.json")])
     assert rc == 0
-    assert parse_debug_graph(out_g.read_text()) == path_graph(3)
+    assert parse_gxl(out_g.read_text()) == path_graph(3)
 
 
 def test_contract_round_trips_a_gxl_graph_with_an_empty_id(tmp_path, capsys):
     gxl = tmp_path / "e.gxl"
     gxl.write_text('<gxl><graph id=""><node id="a"><attr name="symbol">'
                    '<string>C</string></attr></node></graph></gxl>')
-    out_g = tmp_path / "e.txt"
+    out_g = tmp_path / "e.out"
     assert main(["contract", str(gxl), "--out-graph", str(out_g),
                  "--out-report", str(tmp_path / "r.json")]) == 0
     assert main(["contract", str(out_g), "--out-report", str(tmp_path / "r2.json")]) == 0
-    back = parse_debug_graph(capsys.readouterr().out)
+    back = parse_gxl(capsys.readouterr().out)
     assert back.name == "e"  # named after the file, as a GXL graph without an id
     assert back == load_graph_file(gxl)
+
+
+def _ring_molecule(symbols: list, tail: list) -> Graph:
+    """An aromatic ring (valence 1.5) with a tail of single bonds off atom 0."""
+    n = len(symbols)
+    edges = [(i, (i + 1) % n, 1.5) for i in range(n)]
+    edges += [(0 if i == 0 else n + i - 1, n + i, 1.0) for i in range(len(tail))]
+    return Graph.from_parts("mol", None, list(enumerate(symbols + tail)), edges)
+
+
+def _letter(shift: float) -> Graph:
+    points = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.5), (1.0, 1.0), (1.0, 2.0), (3.0, 0.5)]
+    return Graph.from_parts("letter", None,
+                            [(i, Point2D(x + shift, y)) for i, (x, y) in enumerate(points)],
+                            [(0, 1, None), (1, 2, None), (1, 3, None), (3, 4, None),
+                             (2, 5, None)])
+
+
+@pytest.mark.parametrize("graph, other", [
+    (_ring_molecule(["C", "C", "N", "C", "C", "C"], ["O", "C"]),
+     _ring_molecule(["C", "C", "C", "C", "N", "C"], ["S"])),
+    (_letter(0.0), _letter(0.25)),
+])
+def test_contract_writes_gxl_that_searches_like_the_contracted_graph(tmp_path, capsys,
+                                                                      graph, other):
+    src, out, dst = tmp_path / "g.gxl", tmp_path / "small.gxl", tmp_path / "other.gxl"
+    src.write_text(write_gxl(graph))
+    dst.write_text(write_gxl(other))
+    assert main(["contract", str(src), "--t", "2", "--measure", "betweenness",
+                 "--out-graph", str(out), "--out-report", str(tmp_path / "r.json")]) == 0
+    contracted, _ = t_centrality_node_contraction(graph, 2, CentralityMeasure.BETWEENNESS)
+    kept = contracted.nodes()
+    assert kept != list(range(len(kept)))  # so reading back renumbers
+    # read back, the kept nodes keep their order and the edges follow their ranks
+    back = load_graph_file(out)
+    rank = {u: i for i, u in enumerate(kept)}
+    assert back.node_items() == [(rank[u], label) for u, label in contracted.node_items()]
+    assert back.edges() == [(rank[u], rank[v], label) for u, v, label in contracted.edges()]
+    assert main(["ged", str(out), str(dst), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    want = run_search(contracted, other, CostModel(), SearchSpec.astar())
+    assert (payload["cost"], payload["expanded_nodes"]) == (want.cost, want.expanded_nodes)
+    assert [op["kind"] for op in payload["path"]["operations"]] == [
+        op.kind.value for op in want.path.operations]
 
 
 def test_ged_human_output(capsys, graph_files):
@@ -247,12 +295,14 @@ def test_exit_code_parse_error(tmp_path, capsys):
     rc = main(["ged", str(bad), str(bad)])
     assert rc == EXIT_PARSE
     assert "error:" in capsys.readouterr().err
-    # a debug-format file that is not UTF-8 is unparsable too, and named
-    latin1 = tmp_path / "latin1.txt"
-    latin1.write_bytes(b"graph caf\xe9 A\nnode 0 symbol C\n")
+    # a file that is not UTF-8 is unparsable too, and named
+    latin1 = tmp_path / "latin1.gxl"
+    latin1.write_bytes(b'<gxl><graph id="caf\xe9"/></gxl>')
     for argv in (["contract", str(latin1)], ["ged", str(latin1), str(latin1)]):
         assert main(argv) == EXIT_PARSE
-        assert f"error: {latin1} is not UTF-8 text" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {latin1}: malformed XML: not well-formed (invalid token) "
+            "[line 1, column 19]\n")
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -260,9 +310,8 @@ def test_exit_code_parse_error(tmp_path, capsys):
     ("bad.gxl", "<gxl>", "malformed XML: no element found [line 1, column 5]"),
     ("bad.gxl", "<gxl><graph id='g'><node id='a'/></graph></gxl>",
      "node attributes match neither the symbol nor the x/y schema [node 'a']"),
-    ("bad.txt", "graph - -\nnode zero symbol C\n",
-     "invalid literal for int() with base 10: 'zero' [line 2]"),
-    ("bad.txt", "node 0 symbol C\n", "missing 'graph' header line"),
+    # every file parses as GXL, whatever its extension
+    ("bad.txt", "node 0 symbol C\n", "malformed XML: syntax error [line 1, column 0]"),
 ])
 def test_parse_errors_name_the_file(tmp_path, capsys, graph_files, name, text, message):
     bad = tmp_path / name

@@ -1,7 +1,6 @@
 """File formats, corpus loading, the synthetic corpus and splits."""
 
 import re
-from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 import pytest
@@ -22,11 +21,10 @@ from cged.dataset import (
     load_iam_corpus,
     locate_iam_indexes,
     parse_cxl_index,
-    parse_debug_graph,
     parse_gxl,
     split_corpus,
     synthesize_letter_like,
-    write_debug_graph,
+    write_gxl,
 )
 from cged.graph import Graph, Point2D
 from helpers import cycle_graph, path_graph
@@ -236,27 +234,8 @@ def test_parse_gxl_rejection_class_message_and_location(doc, cls, message, locat
     assert str(exc.value) == (f"{message} [{location}]" if location else message)
 
 
-def _write_gxl(g: Graph) -> str:
-    """The layout of the benchmark's GXL writer, with escaped symbols and
-    float valences."""
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<gxl>",
-             f'<graph id={quoteattr(g.name)} edgeids="false" edgemode="undirected">']
-    for u, label in g.node_items():
-        if isinstance(label, Point2D):
-            attrs = (f'<attr name="x"><float>{label.x!r}</float></attr>'
-                     f'<attr name="y"><float>{label.y!r}</float></attr>')
-        else:
-            attrs = f'<attr name="symbol"><string>{escape(label)}</string></attr>'
-        lines.append(f'<node id="_{u}">{attrs}</node>')
-    for u, v, label in g.edges():
-        attrs = "" if label is None else f'<attr name="valence"><float>{label!r}</float></attr>'
-        lines.append(f'<edge from="_{u}" to="_{v}">{attrs}</edge>')
-    lines += ["</graph>", "</gxl>", ""]
-    return "\n".join(lines)
-
-
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_TEXT = st.text(alphabet="CNOSHl&<>\"' é-1", min_size=1, max_size=4).filter(
+_TEXT = st.text(alphabet="CNOSHl&<>\"' é-1\r\t\n", min_size=1, max_size=4).filter(
     lambda s: s == s.strip())
 
 
@@ -268,16 +247,56 @@ def gxl_graphs(draw):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     edges = [(u, v, draw(st.one_of(st.none(), st.integers(-3, 3).map(float), _FINITE)))
              for u, v in chosen]
-    return Graph.from_parts(draw(_TEXT), None, nodes, edges)
+    return Graph.from_parts(draw(st.one_of(st.none(), _TEXT)), None, nodes, edges)
 
 
 @settings(max_examples=150, deadline=None)
 @given(gxl_graphs())
 def test_gxl_round_trip(g):
-    back = parse_gxl(_write_gxl(g).encode("utf-8"))
+    back = parse_gxl(write_gxl(g).encode("utf-8"))
     assert back == g
     assert back.edges() == g.edges()
     assert (back.name, back._next_id) == (g.name, g._next_id)
+
+
+def test_write_gxl_keeps_ids_and_writes_numbers_as_floats():
+    # a point or edge label stores floats, so it is never written as
+    # np.float64(1.5) or 2; a contracted graph shows the ids it kept
+    g = Graph.from_parts("g", "K", [(2, Point2D(np.float64(1.5), 2)), (5, "Cl")],
+                         [(2, 5, np.float64(1.5))])
+    text = write_gxl(g)
+    assert ('<node id="2"><attr name="x"><float>1.5</float></attr>'
+            '<attr name="y"><float>2.0</float></attr></node>') in text
+    assert '<edge from="2" to="5"><attr name="valence"><float>1.5</float></attr></edge>' in text
+    back = parse_gxl(text)
+    assert back == Graph.from_parts("g", None, [(0, Point2D(1.5, 2.0)), (1, "Cl")],
+                                    [(0, 1, 1.5)])
+    assert back.class_label is None  # IAM keeps the class in the CXL index
+
+
+@pytest.mark.parametrize("name, symbol, message", [
+    ("g", " C", "GXL strips a symbol's surrounding whitespace, so the symbol ' C' "
+                "would not read back"),
+    ("g", "C\n", "GXL strips a symbol's surrounding whitespace, so the symbol 'C\\n' "
+                 "would not read back"),
+    ("", "C", "GXL reads an empty graph id as no name, so a graph name cannot be empty"),
+    ("g\x01", "C", "GXL cannot hold the graph name 'g\\x01': XML 1.0 has no character '\\x01'"),
+    ("g", "x\x01", "GXL cannot hold the symbol 'x\\x01': XML 1.0 has no character '\\x01'"),
+])
+def test_write_gxl_refuses_what_would_not_read_back(name, symbol, message):
+    g = Graph.from_parts(name, None, [(0, symbol)], [])
+    with pytest.raises(ValueError) as exc:
+        write_gxl(g)
+    assert str(exc.value) == message
+
+
+def test_write_gxl_round_trips_a_carriage_return():
+    # a literal \r in XML text reads back as \n, so it is written as &#13;
+    g = Graph.from_parts("a\rb", None, [(0, "a\rb"), (1, "c\r\nd")], [(0, 1, None)])
+    text = write_gxl(g)
+    assert "\r" not in text
+    back = parse_gxl(text)
+    assert back == g and back.name == "a\rb"
 
 
 def make_index_dir(tmp_path, entries):
@@ -479,87 +498,25 @@ def test_split_corpus_stratified():
     assert len(t5) == 3
 
 
-def test_debug_format_round_trip():
-    g = Graph.from_parts("gg", "K",
-                         [(0, Point2D(0.125, -2.5)), (3, "Cl"), (7, Point2D(1e-7, 4.0))],
-                         [(0, 3, None), (3, 7, 1.75)])
-    text = write_debug_graph(g)
-    back = parse_debug_graph(text)
-    assert back == g
-    assert back.name == "gg" and back.class_label == "K"
-    assert back.nodes() == [0, 3, 7]
-
-
-def test_debug_format_round_trips_points_given_as_other_numbers():
-    # a point stores floats, so it is never written as np.float64(1.5) or 2
-    for point, line in ((Point2D(np.float64(1.5), 2), "node 0 point 1.5 2.0"),
-                        (Point2D(1, 2), "node 0 point 1.0 2.0")):
-        g = Graph.from_parts("g", None, [(0, point)], [])
-        text = write_debug_graph(g)
-        assert text == f"graph g -\n{line}\n"
-        back = parse_debug_graph(text)
-        assert back == g and back.node_label(0) == point
-
-
-def test_debug_format_none_metadata_and_comments():
-    g = path_graph(2)
-    text = write_debug_graph(g)
-    assert text.startswith("graph - -\n")
-    back = parse_debug_graph("# hello\n\n" + text)
-    assert back == g and back.name is None
-
-
-def test_debug_format_rejections():
-    with pytest.raises(GxlParseError, match="missing 'graph' header"):
-        parse_debug_graph("node 0 symbol C\n")
-    with pytest.raises(GxlParseError, match="line 2"):
-        parse_debug_graph("graph - -\nnode zero symbol C\n")
-    with pytest.raises(GxlParseError, match="line 2"):
-        parse_debug_graph("graph - -\nblob 1 2\n")
-    with pytest.raises(GxlParseError, match="not in the graph"):
-        parse_debug_graph("graph - -\nnode 0 symbol C\nedge 0 1\n")
-    with pytest.raises(ValueError, match="whitespace-free"):
-        write_debug_graph(Graph(name="two words"))
-    # '-' is how the format writes an unset name or class
-    with pytest.raises(ValueError, match="cannot be '-'"):
-        write_debug_graph(Graph(name="-"))
-    with pytest.raises(ValueError, match="cannot be '-'"):
-        write_debug_graph(Graph(name="g", class_label="-"))
-    # an empty header field would not read back
-    with pytest.raises(ValueError, match="empty graph name or class"):
-        write_debug_graph(Graph(name=""))
-    with pytest.raises(ValueError, match="empty graph name or class"):
-        write_debug_graph(Graph(name="g", class_label=""))
-    # a symbol '-' is no header field, so it still round-trips
-    dash = Graph.from_parts("g", None, [(0, "-")], [])
-    assert parse_debug_graph(write_debug_graph(dash)) == dash
-
-
-def test_debug_format_rejects_a_second_header():
-    # it used to merge both parts' nodes under the last header's name and class
-    with pytest.raises(GxlParseError) as exc:
-        parse_debug_graph("graph a A\nnode 0 symbol C\ngraph b B\n")
-    assert (exc.value.message, exc.value.location) == ("a second 'graph' header line", "line 3")
-
-
-def test_load_graph_file_dispatch(tmp_path):
+def test_load_graph_file_reads_gxl_whatever_the_extension(tmp_path):
     gxl = tmp_path / "a.gxl"
     gxl.write_text(MOL_GXL)
-    g = load_graph_file(gxl)
-    assert g.name == "mol"
+    assert load_graph_file(gxl).name == "mol"
     txt = tmp_path / "b.txt"
-    txt.write_text(write_debug_graph(cycle_graph(3)))
-    assert load_graph_file(txt) == cycle_graph(3)
+    txt.write_text(write_gxl(cycle_graph(3)))
+    back = load_graph_file(txt)
+    assert back == cycle_graph(3) and back.name == "b"
     with pytest.raises(DatasetError, match="cannot read"):
         load_graph_file(tmp_path / "missing.gxl")
 
 
-def test_load_graph_file_names_a_debug_file_that_is_not_utf8(tmp_path):
-    p = tmp_path / "latin1.txt"
-    p.write_bytes(b"graph caf\xe9 A\nnode 0 symbol C\n")
-    with pytest.raises(GxlParseError, match="latin1.txt is not UTF-8 text") as exc:
+def test_load_graph_file_names_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.gxl"
+    p.write_bytes(b'<gxl><graph id="caf\xe9"/></gxl>')
+    with pytest.raises(GxlParseError) as exc:
         load_graph_file(p)
-    assert exc.value.location == "byte 9"
+    assert exc.value.message == f"{p}: malformed XML: not well-formed (invalid token)"
+    assert exc.value.location == "line 1, column 19"  # the 0-based offset of \xe9
 
 
 def test_gxl_file_without_graph_id_uses_stem(tmp_path):

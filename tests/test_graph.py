@@ -23,7 +23,6 @@ from cged.costs import CostModel
 from cged.dataset import (
     Corpus,
     GxlParseError,
-    parse_debug_graph,
     parse_gxl,
     synthesize_letter_like,
 )
@@ -540,15 +539,6 @@ def test_parsers_store_the_float_of_their_text_or_raise_a_parse_error(value, tag
     expect(lambda: parse_gxl(gxl_point(field, zero)).node_label(0).x, want, GxlParseError)
     expect(lambda: parse_gxl(gxl_point(zero, field)).node_label(0).y, want, GxlParseError)
     expect(lambda: parse_gxl(valence).edge_label(0, 1), want, GxlParseError)
-    if text:  # the debug format's fields are whitespace-free tokens
-        want = read(float)
-        expect(lambda: parse_debug_graph(f"graph g -\nnode 0 point {text} 0\n").node_label(0).x,
-               want, GxlParseError)
-        expect(lambda: parse_debug_graph(f"graph g -\nnode 0 point 0 {text}\n").node_label(0).y,
-               want, GxlParseError)
-        expect(lambda: parse_debug_graph("graph g -\nnode 0 symbol C\nnode 1 symbol O\n"
-                                         f"edge 0 1 {text}\n").edge_label(0, 1),
-               want, GxlParseError)
 
 
 # ----------------------------------------------------------------------

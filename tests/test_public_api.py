@@ -1,6 +1,6 @@
 """The README shows exactly the package root's exports ("Library use") and
 the keys a cost-model file accepts ("Cost model files"), and its command
-lines and debug-format example are ones the code accepts."""
+lines and GXL example are ones the code accepts."""
 
 import ast
 import re
@@ -10,7 +10,7 @@ from pathlib import Path
 import cged
 from cged.cli import build_parser
 from cged.costs import CostModel, _CONFIG_KEYS, parse_cost_config
-from cged.dataset import parse_debug_graph
+from cged.dataset import parse_gxl
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -60,6 +60,7 @@ def test_readme_command_lines_parse():
         assert parser.parse_args(argv).command == argv[0], line
 
 
-def test_readme_debug_format_example_parses():
-    g = parse_debug_graph(readme_block("### Datasets"))
-    assert g.order > 0 and g.size > 0
+def test_readme_gxl_example_parses():
+    g = parse_gxl(readme_block("### Datasets", "xml"))
+    assert g.name == "my-graph"
+    assert g.order == 3 and g.size == 2 and g.edge_label(1, 2) == 2.5
