@@ -11,6 +11,10 @@ archive (located by ``--data-root`` or the ``CGED_DATA_ROOT`` environment
 variable) or from the deterministic synthetic generator (``--dataset
 synthetic``, the default).
 
+The search flags are :class:`~cged.ged.SearchSpec`'s fields: ``--beam-width
+W`` (beam of width W; exact A* without it) and ``--heuristic``. An output
+file named ``-`` is stdout.
+
 Exit codes: 0 success, 2 usage error, 3 graph parse error,
 4 configuration error, 5 dataset resolution or load error.
 """
@@ -18,6 +22,7 @@ Exit codes: 0 success, 2 usage error, 3 graph parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,12 +72,10 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE",
                    help="cost-model file: the four edit costs as 'key = value' lines "
                         "(see README)")
-    p.add_argument("--search", choices=("astar", "beam"), default="astar",
-                   help="exact best-first search or width-limited beam (default: astar)")
     p.add_argument("--beam-width", type=int, default=None, metavar="W",
-                   help="open-list width, --search beam only (default: 10)")
+                   help="beam search of this open-list width (default: exact A*)")
     p.add_argument("--heuristic", choices=[h.value for h in Heuristic], default=None,
-                   help="lower bound added to accumulated cost; astar only "
+                   help="lower bound added to accumulated cost, A* only "
                         "(default: bipartite)")
 
 
@@ -92,12 +95,7 @@ def _search_from_args(args) -> tuple[CostModel, SearchSpec]:
     # unset: each search kind takes its own default, while a named one that
     # beam would ignore is rejected by SearchSpec
     heuristic = Heuristic(args.heuristic) if args.heuristic else None
-    if args.search == "beam":
-        width = args.beam_width if args.beam_width is not None else 10
-        return cm, SearchSpec(width, heuristic)
-    if args.beam_width is not None:
-        raise ValueError("--beam-width applies only to --search beam")
-    return cm, SearchSpec(None, heuristic)
+    return cm, SearchSpec(args.beam_width, heuristic)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -146,9 +144,9 @@ def _resolve_corpora(args, *splits: Split) -> list[Corpus]:
     return [load_iam_corpus(index[s], s) for s in splits]
 
 
-def _write_json(obj: dict, path: Optional[str]) -> None:
+def _write_json(obj: dict, path: str) -> None:
     text = json.dumps(obj, indent=2)
-    if path is None or path == "-":
+    if path == "-":
         print(text)
     else:
         Path(path).write_text(text + "\n", encoding="utf-8")
@@ -175,14 +173,12 @@ def cmd_contract(args) -> int:
 
 def cmd_ged(args) -> int:
     cm, search = _search_from_args(args)
-    if args.out is not None and not args.json:
-        raise ValueError("--out applies only with --json")
     g1 = load_graph_file(args.graph1)
     g2 = load_graph_file(args.graph2)
     measure = CentralityMeasure(args.measure)
     result = t_centrality_ged(g1, g2, args.t, measure, cm, search)
-    if args.json:
-        _write_json({"search": search.describe(), **result.to_json_dict()}, args.out)
+    if args.out_json is not None:
+        _write_json({"search": search.describe(), **result.to_json_dict()}, args.out_json)
         return EXIT_OK
     rep1, rep2 = result.contraction_reports
     print(f"cost: {result.cost}")
@@ -266,14 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "examples:\n"
             "  cged ged a.gxl b.gxl --t 2 --measure pagerank\n"
-            "  cged benchmark --dataset synthetic --sample 100 --search beam --beam-width 10\n"
+            "  cged benchmark --dataset synthetic --sample 100 --beam-width 10\n"
             "  cged benchmark --dataset letter-high --data-root ~/iam --sample 100\n"
             "  cged classify --dataset aids --data-root ~/iam --level 'T1*' --workers 4\n"
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    # a flag is read only as spelled, so that a removed flag such as --out
+    # is not taken for a prefix of --out-json
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="COMMAND",
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("contract", help="contract one graph file, write result + report")
     p.add_argument("graph", help="GXL graph file")
@@ -292,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=0, help="contraction budget per graph")
     p.add_argument("--measure", choices=[m.value for m in CentralityMeasure],
                    default="degree")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="where to write --json output (default: stdout)")
+    p.add_argument("--out-json", default=None, metavar="FILE",
+                   help="write the result as JSON, '-' for stdout "
+                        "(default: a text report on stdout)")
     _add_search_args(p)
     p.set_defaults(func=cmd_ged)
 

@@ -287,14 +287,6 @@ def _minima(cell_rows) -> tuple[list, list, list, list]:
     return keep, neg, mins, wants
 
 
-def _reduced(rows, degs, terms, x_node: float, x_edge: float) -> tuple[list, list, list, list]:
-    """:func:`_minima` of the reduced matrix's clipped rows: one row of
-    :func:`_cells` per row of ``rows``, whose degree ``degs`` gives, over
-    the columns of ``terms``."""
-    two_x = x_node + x_node
-    return _minima([_cells(row, x_edge * dr + two_x, dr, terms) for row, dr in zip(rows, degs)])
-
-
 @functools.cache
 def _solver():
     """``scipy.optimize.linear_sum_assignment``, imported on first use: the
@@ -364,19 +356,21 @@ def settle(view, cm, entry: tuple) -> tuple:
     The entry holds ``(rest, kept, i)``: its clipped cell rows are
     ``kept[i]`` until the next expansion empties ``kept``. An older entry's
     are built here again, by :func:`_cells` over the entry's own rows with
-    the row degrees and terms of its depth and the columns of its unused
-    targets: the operands and expression the expansion step patched them
-    from, so every cell is the same float."""
+    the row degrees and terms that the expansion step read from
+    ``view.depth_terms`` and the columns of its unused targets: the operands
+    and expression the step patched them from, so every cell is the same
+    float. :func:`_minima` drops the rows without a negative cell, as the
+    step drops them."""
     _, negd, mapping, g, used, rows, (rest, kept, i) = entry
     if kept:
         neg = kept[i]
     else:
-        x_node, x_edge = cm.x_node, cm.x_edge
-        two_x = x_node + x_node
+        x_edge, two_x = cm.x_edge, cm.x_node + cm.x_node
         masks = view.a2.masks
         terms = [(j, dc, x_edge * dc + two_x) for j in range(view.n2) if not used >> j & 1
                  for dc in [(masks[j] & ~used).bit_count()]]
-        neg = _reduced(rows, view.depth_terms[-negd - 1][1], terms, x_node, x_edge)[1]
+        _, degs, xrs, _ = view.depth_terms[-negd - 1]
+        neg = _minima([_cells(row, xr, dr, terms) for row, dr, xr in zip(rows, degs, xrs)])[1]
     return (g + (rest + _solved(neg)), negd, mapping, g, used, rows, None)
 
 
@@ -402,7 +396,8 @@ def assignment(rows, degs, cols, x_node: float, x_edge: float) -> list:
     """
     two_x = x_node + x_node
     terms = [(j, dc, x_edge * dc + two_x) for j, dc in enumerate(cols)]
-    keep, neg, mins, _ = _reduced(rows, degs, terms, x_node, x_edge)
+    keep, neg, mins, _ = _minima(
+        [_cells(row, x_edge * dr + two_x, dr, terms) for row, dr in zip(rows, degs)])
     if not neg:
         return []
     if len(neg) == 1 or len(cols) == 1:

@@ -170,8 +170,8 @@ def bound_from_scratch(view, cm, child) -> float:
     """The bound of a child below the last level, rebuilt without the
     expansion step's patched cells: the unplaced sources' degrees and
     deletion cost and the unused targets' terms counted afresh, then the
-    child's own rows through :func:`kernels._reduced` and
-    :func:`kernels._value` (and :func:`kernels._solved` where no
+    child's own rows through :func:`kernels._cells`, :func:`kernels._minima`
+    and :func:`kernels._value` (and :func:`kernels._solved` where no
     certificate answers), in the operand order of a step that built every
     child's cells anew."""
     _, negd, mapping, _, child_used, rows, _ = child
@@ -198,7 +198,8 @@ def bound_from_scratch(view, cm, child) -> float:
         terms = [(j, dc - 1, x_edge * (dc - 1) + two_x) if masks[v] >> j & 1 else (j, dc, xc)
                  for j, dc, xc in free if j != v]
         ins = completion - x_node - x_edge * (masks[v] & used).bit_count()
-    _, neg, mins, wants = kernels._reduced(rows, degs, terms, x_node, x_edge)
+    _, neg, mins, wants = kernels._minima(
+        [kernels._cells(row, x_edge * dr + two_x, dr, terms) for row, dr in zip(rows, degs)])
     value, exact = kernels._value(neg, mins, wants)
     return h_del + ins + (value if exact else kernels._solved(neg))
 
@@ -327,7 +328,7 @@ def certified_value(matrix) -> float:
     """The expansion step's value of a reduced matrix (see
     :func:`as_kernel_input`)."""
     terms = [(j, 0, 0.0) for j in range(len(matrix[0]))]
-    _, neg, mins, wants = kernels._reduced(matrix, [0] * len(matrix), terms, 0.0, 0.0)
+    _, neg, mins, wants = kernels._minima([kernels._cells(row, 0.0, 0, terms) for row in matrix])
     value, exact = kernels._value(neg, mins, wants)
     return value if exact else kernels._solved(neg)
 

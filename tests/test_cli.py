@@ -117,7 +117,7 @@ def test_contract_writes_gxl_that_searches_like_the_contracted_graph(tmp_path, c
     rank = {u: i for i, u in enumerate(kept)}
     assert back.node_items() == [(rank[u], label) for u, label in contracted.node_items()]
     assert back.edges() == [(rank[u], rank[v], label) for u, v, label in contracted.edges()]
-    assert main(["ged", str(out), str(dst), "--json"]) == 0
+    assert main(["ged", str(out), str(dst), "--out-json", "-"]) == 0
     payload = json.loads(capsys.readouterr().out)
     want = run_search(contracted, other, CostModel(), SearchSpec.astar())
     assert (payload["cost"], payload["expanded_nodes"]) == (want.cost, want.expanded_nodes)
@@ -136,7 +136,7 @@ def test_ged_human_output(capsys, graph_files):
 
 
 def test_ged_json_validates_and_prices_the_move(capsys, graph_files):
-    rc = main(["ged", str(graph_files["a"]), str(graph_files["b"]), "--json"])
+    rc = main(["ged", str(graph_files["a"]), str(graph_files["b"]), "--out-json", "-"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     validate_against(payload, "ged_result.json")
@@ -148,7 +148,7 @@ def test_ged_json_validates_and_prices_the_move(capsys, graph_files):
 
 def test_ged_with_contraction_budget(capsys, graph_files):
     rc = main(["ged", str(graph_files["a"]), str(graph_files["b"]),
-               "--t", "2", "--json"])
+               "--t", "2", "--out-json", "-"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["cost"] == 0.0
@@ -160,21 +160,42 @@ def test_ged_honors_config_file(tmp_path, capsys, graph_files):
     conf = tmp_path / "m.conf"
     conf.write_text("x_node = 0.9\n")
     rc = main(["ged", str(graph_files["empty"]), str(graph_files["single"]),
-               "--config", str(conf), "--json"])
+               "--config", str(conf), "--out-json", "-"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["cost"] == pytest.approx(0.9)
 
 
 def test_ged_beam_flags(capsys, graph_files):
     rc = main(["ged", str(graph_files["a"]), str(graph_files["b"]),
-               "--search", "beam", "--beam-width", "3", "--json"])
+               "--beam-width", "3", "--out-json", "-"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["search"] == "beam(w=3)"
     assert payload["cost"] >= 0.5 - 1e-9
-    rc = main(["ged", str(graph_files["a"]), str(graph_files["b"]), "--search", "beam"])
+    rc = main(["ged", str(graph_files["a"]), str(graph_files["b"]), "--beam-width", "10"])
     assert rc == 0
     assert "search: beam(w=10)" in capsys.readouterr().out
+
+
+def test_ged_search_flags_are_the_search_spec_fields(tmp_path, capsys, graph_files):
+    a, b = graph_files["a"], graph_files["b"]
+    g1, g2 = load_graph_file(a), load_graph_file(b)
+    out = tmp_path / "result.json"
+    for w, heuristic in ((None, None), (None, Heuristic.ZERO), (3, None)):
+        flags = [] if w is None else ["--beam-width", str(w)]
+        flags += [] if heuristic is None else ["--heuristic", heuristic.value]
+        assert main(["ged", str(a), str(b), *flags, "--out-json", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        payload = json.loads(out.read_text())
+        spec = SearchSpec(w, heuristic)
+        want = run_search(g1, g2, CostModel(), spec)
+        assert (payload["cost"], payload["expanded_nodes"], payload["search"]) == (
+            want.cost, want.expanded_nodes, spec.describe())
+    # the old search kind and output flags are unknown, not prefixes
+    for flags in (["--search", "beam"], ["--json"], ["--out", str(out)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["ged", str(a), str(b), *flags])
+        assert exc.value.code == 2
 
 
 def test_search_agrees_with_brute_force_on_cli_fixtures(graph_files):
@@ -384,44 +405,27 @@ def test_exit_code_config_errors(tmp_path, capsys, graph_files):
     conf.write_text("nonsense = 1\n")
     a = str(graph_files["a"])
     assert main(["ged", a, a, "--config", str(conf)]) == EXIT_CONFIG
-    assert main(["ged", a, a, "--search", "beam", "--beam-width", "0"]) == EXIT_CONFIG
+    assert main(["ged", a, a, "--beam-width", "0"]) == EXIT_CONFIG
     assert main(["ged", a, a, "--t", "-2"]) == EXIT_CONFIG
     # beam runs without a heuristic, so asking for one must not be ignored
-    assert main(["ged", a, a, "--search", "beam", "--heuristic", "bipartite"]) == EXIT_CONFIG
-    assert main(["ged", a, a, "--search", "beam", "--heuristic", "zero"]) == 0
+    assert main(["ged", a, a, "--beam-width", "10", "--heuristic", "bipartite"]) == EXIT_CONFIG
+    assert main(["ged", a, a, "--beam-width", "10", "--heuristic", "zero"]) == 0
     # the removed count bound is no longer a choice
     with pytest.raises(SystemExit) as exc:
         main(["ged", a, a, "--heuristic", "count_bound"])
     assert exc.value.code == 2
     missing = tmp_path / "missing.conf"
     assert main(["ged", a, a, "--config", str(missing)]) == EXIT_CONFIG
-    # A* takes no width, so an explicit one (0 included) must not be ignored
-    capsys.readouterr()
-    for width in ("5", "0"):
-        assert main(["ged", a, a, "--beam-width", width]) == EXIT_CONFIG
-        assert "--beam-width" in capsys.readouterr().err
     # a cost-model file holds the four edit costs only: search options and
     # label distances in it are unknown keys, under either search
     for text in ("heuristic = bipartite", "heuristic = zero", "heuristic = count_bound",
                  "beam_width = 3", "node_label_distance = euclidean",
                  "edge_label_distance = absolute"):
         conf.write_text(text + "\n")
-        for search in ("astar", "beam"):
-            assert main(["ged", a, a, "--search", search, "--config", str(conf)]) == EXIT_CONFIG
+        for search in ([], ["--beam-width", "10"]):
+            assert main(["ged", a, a, *search, "--config", str(conf)]) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert "line 1: unknown key" in err and str(conf) in err
-
-
-def test_ged_out_needs_json(tmp_path, capsys, graph_files):
-    a, b = str(graph_files["a"]), str(graph_files["b"])
-    out = tmp_path / "result.json"
-    for dest in (str(out), "-"):
-        assert main(["ged", a, b, "--out", dest]) == EXIT_CONFIG
-        assert "--out applies only with --json" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["ged", a, b, "--json", "--out", str(out)]) == 0
-    assert capsys.readouterr().out == ""
-    assert json.loads(out.read_text())["cost"] == pytest.approx(0.5)
 
 
 def write_iam_split(d, split, symbols):
