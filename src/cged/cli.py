@@ -11,9 +11,12 @@ archive (located by ``--data-root`` or the ``CGED_DATA_ROOT`` environment
 variable) or from the deterministic synthetic generator (``--dataset
 synthetic``, the default).
 
-The search flags are :class:`~cged.ged.SearchSpec`'s fields: ``--beam-width
-W`` (beam of width W; exact A* without it) and ``--heuristic``. An output
-file named ``-`` is stdout.
+The cost flags are :class:`~cged.costs.CostModel`'s fields: ``--x-node``,
+``--y-node``, ``--x-edge`` and ``--y-edge``; an unset one keeps the model's
+default. The search flags are :class:`~cged.ged.SearchSpec`'s fields:
+``--beam-width W`` (beam of width W; exact A* without it) and
+``--heuristic``. Every JSON result names both. An output file named ``-``
+is stdout.
 
 Exit codes: 0 success, 2 usage error, 3 graph parse error,
 4 configuration error, 5 dataset resolution or load error.
@@ -22,6 +25,7 @@ Exit codes: 0 success, 2 usage error, 3 graph parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -32,7 +36,7 @@ from typing import Optional
 from . import __version__
 from .centrality import CentralityMeasure
 from .contraction import t_centrality_node_contraction
-from .costs import CostModel, load_cost_config
+from .costs import CostModel
 from .dataset import (
     Corpus,
     DatasetError,
@@ -63,15 +67,24 @@ EXIT_DATASET = 5
 
 _DATASETS = ("synthetic", *_IAM_LAYOUTS)
 
+# the help of each CostModel field's flag, --x-node for x_node
+_COST_HELP = {
+    "x_node": "node deletion/insertion cost",
+    "y_node": "node substitution weight",
+    "x_edge": "edge deletion/insertion cost",
+    "y_edge": "edge substitution weight",
+}
+
 
 # ----------------------------------------------------------------------
 # shared argument plumbing
 # ----------------------------------------------------------------------
 
 def _add_search_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE",
-                   help="cost-model file: the four edit costs as 'key = value' lines "
-                        "(see README)")
+    for f in dataclasses.fields(CostModel):
+        # unset: the flag is absent from args, so CostModel keeps its default
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=argparse.SUPPRESS,
+                       metavar="C", help=f"{_COST_HELP[f.name]} (default: {f.default})")
     p.add_argument("--beam-width", type=int, default=None, metavar="W",
                    help="beam search of this open-list width (default: exact A*)")
     p.add_argument("--heuristic", choices=[h.value for h in Heuristic], default=None,
@@ -79,19 +92,8 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
                         "(default: bipartite)")
 
 
-def _load_config(args) -> CostModel:
-    if not args.config:
-        return CostModel()
-    try:
-        return load_cost_config(args.config)
-    except OSError as exc:
-        raise ValueError(f"cannot read config {args.config}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"bad config {args.config}: {exc}") from None
-
-
 def _search_from_args(args) -> tuple[CostModel, SearchSpec]:
-    cm = _load_config(args)
+    cm = CostModel(**{k: v for k, v in vars(args).items() if k in _COST_HELP})
     # unset: each search kind takes its own default, while a named one that
     # beam would ignore is rejected by SearchSpec
     heuristic = Heuristic(args.heuristic) if args.heuristic else None
@@ -178,7 +180,8 @@ def cmd_ged(args) -> int:
     measure = CentralityMeasure(args.measure)
     result = t_centrality_ged(g1, g2, args.t, measure, cm, search)
     if args.out_json is not None:
-        _write_json({"search": search.describe(), **result.to_json_dict()}, args.out_json)
+        _write_json({"search": search.describe(), "cost_model": dataclasses.asdict(cm),
+                     **result.to_json_dict()}, args.out_json)
         return EXIT_OK
     rep1, rep2 = result.contraction_reports
     print(f"cost: {result.cost}")
@@ -206,6 +209,7 @@ def cmd_benchmark(args) -> int:
     summary = {
         "corpus": corpus.name,
         "search": search.describe(),
+        "cost_model": dataclasses.asdict(cm),
         "seed": args.seed,
         "sample": args.sample,
         **summarize_benchmark(records),
@@ -231,6 +235,7 @@ def cmd_classify(args) -> int:
         "measure": measure.value,
         "level": level.value,
         "search": search.describe(),
+        "cost_model": dataclasses.asdict(cm),
         "train": train.name,
         "test": test.name,
         **result.to_json_dict(),

@@ -1,4 +1,4 @@
-"""Edit-cost model: operation kinds, label distances, and cost-model files.
+"""Edit-cost model: operation kinds and label distances.
 
 An edit path is a sequence of node and edge operations. Each operation is
 priced from four constants: insertions and deletions cost a flat ``x_node``
@@ -136,48 +136,3 @@ class EditPath:
             "total_cost": self.total_cost,
             "complete": self.complete,
         }
-
-
-# ----------------------------------------------------------------------
-# configuration file: flat "key = value" lines, '#' comments
-# ----------------------------------------------------------------------
-
-_CONFIG_KEYS = ("x_node", "y_node", "x_edge", "y_edge")
-
-
-def parse_cost_config(text: str) -> CostModel:
-    """Parse 'key = value' lines into a cost model.
-
-    Blank lines and '#' comments are skipped; absent keys keep their
-    default of 1.0. Unknown keys, bad values and duplicate keys are
-    rejected, naming the line.
-    """
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}; "
-                             f"accepted keys: {', '.join(_CONFIG_KEYS)}")
-        if key in values:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            number = float(val)
-        except ValueError:
-            raise ValueError(f"line {lineno}: {key} must be a number, got {val!r}") from None
-        try:  # the model's own rule, named by the line
-            values[key] = _check_real(number, key, 0)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return CostModel(**values)
-
-
-def load_cost_config(path: str) -> CostModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_cost_config(fh.read())

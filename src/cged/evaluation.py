@@ -655,7 +655,8 @@ def nn_classify(
     :func:`_contract`), so a later call with the same training corpus
     contracts only its own test graphs; each contracted graph's array form
     holds the labels and degrees its bounds read, so a later call prices
-    only the bounds' cells. The types of ``measure``, ``level``, ``search``
+    only the bounds' cells. An empty training or test corpus raises
+    ``ValueError``; it and the types of ``measure``, ``level``, ``search``
     and ``cm`` (``None`` or a :class:`CostModel`), and ``workers`` (an int
     >= 1), are checked before any work.
     ``min(workers, len(test.graphs))`` processes search, the calling
@@ -671,6 +672,8 @@ def nn_classify(
     """
     if not train.graphs:
         raise ValueError("training corpus is empty")
+    if not test.graphs:
+        raise ValueError("test corpus is empty")
     _check_type(measure, CentralityMeasure, "measure")
     _check_type(level, TLevel, "level")
     _check_type(search, SearchSpec, "search")

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, schemas, exit codes."""
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -12,7 +13,8 @@ from cged import CostModel, cli
 from cged.centrality import CentralityMeasure
 from cged.contraction import t_centrality_node_contraction
 from cged.dataset import (DatasetError, load_graph_file, load_iam_corpus, locate_iam_indexes,
-                          parse_gxl, write_gxl)
+                          parse_gxl, split_corpus, synthesize_letter_like, write_gxl)
+from cged.evaluation import TLevel, nn_classify
 from cged.ged import Heuristic, SearchSpec, run_search
 from cged.graph import Graph, Point2D
 from cged.cli import EXIT_CONFIG, EXIT_DATASET, EXIT_PARSE, build_parser, main
@@ -141,6 +143,7 @@ def test_ged_json_validates_and_prices_the_move(capsys, graph_files):
     payload = json.loads(capsys.readouterr().out)
     validate_against(payload, "ged_result.json")
     assert payload["search"] == "astar(bipartite)"
+    assert payload["cost_model"] == dataclasses.asdict(CostModel())
     assert payload["cost"] == pytest.approx(0.5)
     assert payload["path"]["total_cost"] == pytest.approx(0.5)
     assert payload["contraction_reports"] is not None
@@ -156,13 +159,39 @@ def test_ged_with_contraction_budget(capsys, graph_files):
     assert [r["node"] for r in removed] == [0, 2]
 
 
-def test_ged_honors_config_file(tmp_path, capsys, graph_files):
-    conf = tmp_path / "m.conf"
-    conf.write_text("x_node = 0.9\n")
+def test_ged_honors_a_cost_flag(capsys, graph_files):
     rc = main(["ged", str(graph_files["empty"]), str(graph_files["single"]),
-               "--config", str(conf), "--out-json", "-"])
+               "--x-node", "0.9", "--out-json", "-"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["cost"] == pytest.approx(0.9)
+
+
+def test_ged_cost_flags_are_the_cost_model_fields(tmp_path, capsys, graph_files):
+    bonds = []
+    for valence in (1.0, 2.5):
+        path = tmp_path / f"bond{valence}.gxl"
+        path.write_text(write_gxl(Graph.from_parts(None, None, [(0, "C"), (1, "C")],
+                                                   [(0, 1, valence)])))
+        bonds.append(path)
+    # on each pair, the field's cost is paid: an insertion, a moved point,
+    # two deleted edges and a changed bond value
+    pairs = {"x_node": (graph_files["empty"], graph_files["single"]),
+             "y_node": (graph_files["a"], graph_files["b"]),
+             "x_edge": (graph_files["a"], graph_files["empty"]),
+             "y_edge": tuple(bonds)}
+    assert list(pairs) == [f.name for f in dataclasses.fields(CostModel)]
+    out = tmp_path / "result.json"
+    for name, (f1, f2) in pairs.items():
+        g1, g2 = load_graph_file(f1), load_graph_file(f2)
+        cm = CostModel(**{name: 0.3})
+        flag = "--" + name.replace("_", "-")
+        assert main(["ged", str(f1), str(f2), flag, "0.3", "--out-json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        want = run_search(g1, g2, cm, SearchSpec()).cost
+        assert want != run_search(g1, g2, CostModel(), SearchSpec()).cost, name
+        assert payload["cost"] == want, name
+        assert payload["cost_model"] == dataclasses.asdict(cm)
+    assert capsys.readouterr().out == ""
 
 
 def test_ged_beam_flags(capsys, graph_files):
@@ -221,6 +250,14 @@ def test_benchmark_outputs(tmp_path, capsys):
     assert out_csv.read_text().count("\n") == 1 + 3 * 2 * 2
     summary = json.loads(out_json.read_text())
     validate_against(summary, "benchmark_summary.json")
+    assert summary["cost_model"] == dataclasses.asdict(CostModel())
+    # a summary must name the costs that priced it, each a number >= 0
+    for cost_model in (None, {**summary["cost_model"], "y_edge": -1.0}):
+        with pytest.raises(jsonschema.ValidationError):
+            validate_against({**summary, "cost_model": cost_model}, "benchmark_summary.json")
+    with pytest.raises(jsonschema.ValidationError):
+        validate_against({k: v for k, v in summary.items() if k != "cost_model"},
+                         "benchmark_summary.json")
     assert summary["records"] == 12
     assert summary["sample"] == 3
     table = capsys.readouterr().out
@@ -250,6 +287,7 @@ def test_classify_perfect_at_zero_distortion(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(out_json.read_text())
     validate_against(payload, "classification_result.json")
+    assert payload["cost_model"] == dataclasses.asdict(CostModel())
     assert payload["accuracy"] == 1.0
     assert payload["pairs"] == 6 * 6
     assert (6 <= payload["searches"] <= payload["bounds"] <= payload["hausdorff_bounds"]
@@ -258,6 +296,20 @@ def test_classify_perfect_at_zero_distortion(tmp_path, capsys):
     assert "accuracy: 1.0000" in out
     assert (f"searched {payload['searches']} of 36 pairs, {payload['bounds']} bounds, "
             f"{payload['hausdorff_bounds']} Hausdorff bounds") in out
+
+
+def test_classify_with_an_empty_test_split_exits_config_error(tmp_path, capsys):
+    # one graph of one class: the split leaves it in training and tests none
+    corpus = synthesize_letter_like(42, 1, 1, 0.3)
+    train, test = split_corpus(corpus)
+    assert (len(train.graphs), len(test.graphs)) == (1, 0)
+    with pytest.raises(ValueError, match="^test corpus is empty$"):
+        nn_classify(train, test, CentralityMeasure.DEGREE, TLevel.T0, SearchSpec())
+    rc = main(["classify", "--dataset", "synthetic", "--syn-count", "1", "--syn-classes", "1",
+               "--out-json", str(tmp_path / "out.json")])
+    assert rc == EXIT_CONFIG
+    assert "error: test corpus is empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_workers_below_one_exit_config_error(tmp_path, capsys):
@@ -401,10 +453,19 @@ def test_dataset_choices_are_the_iam_layouts(tmp_path):
 
 
 def test_exit_code_config_errors(tmp_path, capsys, graph_files):
-    conf = tmp_path / "bad.conf"
-    conf.write_text("nonsense = 1\n")
     a = str(graph_files["a"])
-    assert main(["ged", a, a, "--config", str(conf)]) == EXIT_CONFIG
+    # a cost the model's number rule rejects is a configuration error with
+    # the rule's message; text that is no number is a usage error
+    for value, shown in (("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("1e400", "inf")):
+        assert main(["ged", a, a, "--x-node", value]) == EXIT_CONFIG
+        assert f"x_node must be finite and >= 0, got {shown}" in capsys.readouterr().err
+    # costs are given one flag each: there is no cost-model file to name
+    conf = tmp_path / "m.conf"
+    conf.write_text("x_node = 0.9\n")
+    for flags in (["--x-node", "fast"], ["--config", str(conf)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["ged", a, a, *flags])
+        assert exc.value.code == 2
     assert main(["ged", a, a, "--beam-width", "0"]) == EXIT_CONFIG
     assert main(["ged", a, a, "--t", "-2"]) == EXIT_CONFIG
     # beam runs without a heuristic, so asking for one must not be ignored
@@ -414,18 +475,57 @@ def test_exit_code_config_errors(tmp_path, capsys, graph_files):
     with pytest.raises(SystemExit) as exc:
         main(["ged", a, a, "--heuristic", "count_bound"])
     assert exc.value.code == 2
-    missing = tmp_path / "missing.conf"
-    assert main(["ged", a, a, "--config", str(missing)]) == EXIT_CONFIG
-    # a cost-model file holds the four edit costs only: search options and
-    # label distances in it are unknown keys, under either search
-    for text in ("heuristic = bipartite", "heuristic = zero", "heuristic = count_bound",
-                 "beam_width = 3", "node_label_distance = euclidean",
-                 "edge_label_distance = absolute"):
-        conf.write_text(text + "\n")
-        for search in ([], ["--beam-width", "10"]):
-            assert main(["ged", a, a, *search, "--config", str(conf)]) == EXIT_CONFIG
-            err = capsys.readouterr().err
-            assert "line 1: unknown key" in err and str(conf) in err
+
+
+COST_SUBCOMMANDS = ("ged", "benchmark", "classify")
+
+
+def cost_command(subcommand, graph_files):
+    """A small run of a subcommand that takes the cost flags, its outputs
+    under the graph files' directory."""
+    d, a = graph_files["dir"], str(graph_files["a"])
+    return {"ged": ["ged", a, a, "--out-json", str(d / "ged.json")],
+            "benchmark": ["benchmark", "--syn-count", "8", "--sample", "1",
+                          "--out-csv", str(d / "grid.csv"), "--out-json", str(d / "grid.json")],
+            "classify": ["classify", "--syn-count", "8",
+                         "--out-json", str(d / "classify.json")]}[subcommand]
+
+
+@pytest.mark.parametrize("subcommand", COST_SUBCOMMANDS)
+def test_cost_flags_build_the_cost_model(subcommand, graph_files):
+    argv = cost_command(subcommand, graph_files)
+    parse = build_parser().parse_args
+    full = ["--x-node", "0.9", "--y-node", "1.7", "--x-edge", "0.4", "--y-edge", "0.2"]
+    assert cli._search_from_args(parse(argv + full))[0] == CostModel(0.9, 1.7, 0.4, 0.2)
+    # an unset flag keeps the model's own default
+    assert cli._search_from_args(parse(argv + ["--x-edge", "2"]))[0] == CostModel(x_edge=2.0)
+    assert cli._search_from_args(parse(argv))[0] == CostModel()
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.5", "inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(CostModel)])
+def test_an_out_of_range_cost_flag_exits_config_error(field, value, capsys, graph_files):
+    before = sorted(graph_files["dir"].iterdir())
+    for subcommand in COST_SUBCOMMANDS:
+        # '--x-node=-inf': a separate '-inf' would read as an option
+        argv = cost_command(subcommand, graph_files) + [f"--{field.replace('_', '-')}={value}"]
+        assert main(argv) == EXIT_CONFIG, subcommand
+        err = capsys.readouterr().err
+        assert f"error: {field} must be finite and >= 0, got {float(value)}" in err
+    # the flag is checked before any work, so no output is written
+    assert sorted(graph_files["dir"].iterdir()) == before
+
+
+@pytest.mark.parametrize("flag", ["--config", "--bogus-key",
+                                  "--node-label-distance", "--edge-label-distance"])
+def test_the_cost_flags_are_the_only_cost_settings(flag, capsys, graph_files):
+    # label distances are fixed and costs are given one flag each: a flag
+    # naming either fails instead of being half honoured
+    for subcommand in COST_SUBCOMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main(cost_command(subcommand, graph_files) + [flag, "1"])
+        assert exc.value.code == 2, subcommand
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def write_iam_split(d, split, symbols):

@@ -1,4 +1,4 @@
-"""Edit-operation pricing, label distances and config parsing."""
+"""Edit-operation pricing and label distances."""
 
 import copy
 import dataclasses
@@ -13,9 +13,7 @@ from cged.costs import (
     EditPath,
     OpKind,
     edge_label_distance,
-    load_cost_config,
     node_label_distance,
-    parse_cost_config,
 )
 from cged.graph import Point2D
 
@@ -97,66 +95,6 @@ def test_edit_path_total():
     assert path.total_cost == 1.5
     assert path.complete
     assert EditPath.from_operations([], True).total_cost == 0.0
-
-
-def test_parse_cost_config_full():
-    text = """
-    # comment line
-    x_node = 0.9
-    y_node = 1.7
-
-    x_edge = 0.4   # trailing comment
-    y_edge = 0.2
-    """
-    assert parse_cost_config(text) == CostModel(0.9, 1.7, 0.4, 0.2)
-
-
-def test_parse_cost_config_defaults_and_partial():
-    assert parse_cost_config("x_edge = 2") == CostModel(x_edge=2.0)
-    assert parse_cost_config("") == CostModel()
-
-
-def test_parse_cost_config_rejections():
-    with pytest.raises(ValueError, match="line 2"):
-        parse_cost_config("x_node = 1\nx_node = 2")
-    with pytest.raises(ValueError, match="line 1"):
-        parse_cost_config("x_node = fast")
-    with pytest.raises(ValueError):
-        parse_cost_config("x_node = -1")
-    with pytest.raises(ValueError):
-        parse_cost_config("x_node")
-
-
-@pytest.mark.parametrize("value", ["-1", "-0.5", "inf", "-inf", "nan"])
-def test_parse_cost_config_names_the_line_of_an_out_of_range_value(value):
-    with pytest.raises(ValueError, match=r"^line 3: y_edge must be finite and >= 0, got ") as exc:
-        parse_cost_config(f"x_node = 2\n# y_edge next\ny_edge = {value}\n")
-    assert str(float(value)) in str(exc.value)
-
-
-@pytest.mark.parametrize("text", [
-    "bogus_key = 1",
-    # search options are flags, and label distances are fixed: a file
-    # naming either fails instead of being half honoured
-    "heuristic = zero",
-    "heuristic = count_bound",
-    "beam_width = 3",
-    "beam_width = 0",
-    "node_label_distance = euclidean",
-    "edge_label_distance = absolute",
-])
-def test_parse_cost_config_accepts_only_the_four_costs(text):
-    with pytest.raises(ValueError, match="line 1: unknown key") as exc:
-        parse_cost_config(text)
-    assert "accepted keys: x_node, y_node, x_edge, y_edge" in str(exc.value)
-    with pytest.raises(ValueError, match="line 3: unknown key"):
-        parse_cost_config(f"x_node = 2\n\n{text}")
-
-
-def test_load_cost_config(tmp_path):
-    p = tmp_path / "m.conf"
-    p.write_text("x_node = 0.5\ny_edge = 3\n")
-    assert load_cost_config(str(p)) == CostModel(x_node=0.5, y_edge=3.0)
 
 
 def test_op_kind_strings():

@@ -302,9 +302,9 @@ def test_a_cost_model_of_another_type_fails_before_any_classify_or_grid_search(m
 
 def test_classification_empty_test_set():
     corpus = synthesize_letter_like(seed=28, count=4, classes=2, distortion=0.1)
-    result = nn_classify(Corpus("tr", list(corpus)), Corpus("te"),
-                         DEG, TLevel.T0, SearchSpec.astar())
-    assert result.predictions == [] and result.accuracy == 0.0
+    with pytest.raises(ValueError, match="^test corpus is empty$"):
+        nn_classify(Corpus("tr", list(corpus)), Corpus("te"),
+                    DEG, TLevel.T0, SearchSpec.astar())
 
 
 def searched_every_training_graph(train, test, measure, level, search, cm):
@@ -922,9 +922,9 @@ def test_no_pool_starts_for_an_empty_test_set(monkeypatch, small_split):
 
     evaluation._shut_down()
     monkeypatch.setattr(os, "fork", no_fork)
-    result = nn_classify(small_split[0], Corpus("te"), DEG, TLevel.T1STAR,
-                         SearchSpec.astar(), workers=2)
-    assert result.predictions == [] and result.pairs == 0
+    with pytest.raises(ValueError, match="test corpus is empty"):
+        nn_classify(small_split[0], Corpus("te"), DEG, TLevel.T1STAR,
+                    SearchSpec.astar(), workers=2)
     assert evaluation._kept is None
 
 

@@ -1,15 +1,16 @@
 """The README shows exactly the package root's exports ("Library use") and
-the keys a cost-model file accepts ("Cost model files"), and its command
+the cost flags, one per ``CostModel`` field ("Cost model"), and its command
 lines and GXL example are ones the code accepts."""
 
 import ast
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 import cged
 from cged.cli import build_parser
-from cged.costs import CostModel, _CONFIG_KEYS, parse_cost_config
+from cged.costs import CostModel
 from cged.dataset import parse_gxl
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -41,12 +42,14 @@ def readme_block(heading: str, lang: str = "") -> str:
     return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
 
 
-def test_config_keys_match_the_readme_block():
-    block = readme_block("### Cost model files (`--config`)")
-    keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
-    assert keys == list(_CONFIG_KEYS)
-    # the block is a valid file that spells out the defaults
-    assert parse_cost_config(block) == CostModel()
+def test_cost_flags_match_the_readme_table():
+    section = README.read_text(encoding="utf-8").split("### Cost model\n", 1)[1]
+    rows = [[cell.strip(" `") for cell in line.strip("|").split("|")]
+            for line in section.split("\n## ", 1)[0].splitlines()
+            if line.startswith("| `--")]
+    assert [(flag, name, float(default)) for flag, name, default, _ in rows] == [
+        ("--" + f.name.replace("_", "-"), f.name, f.default)
+        for f in dataclasses.fields(CostModel)]
 
 
 def test_readme_command_lines_parse():
